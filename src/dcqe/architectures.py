@@ -55,7 +55,7 @@ def default_fringe_model(
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if not (0.0 < q < 1.0) or not math.isfinite(q):
+    if not 0.0 < q < 1.0:
         raise InvalidChoiceProbability(q)
     return q
 

@@ -34,7 +34,7 @@ from .architectures import (
     kim_coarse_graining,
 )
 from .errors import DcqeError, InvalidArgument
-from .events import sample_events
+from .events import estimate_from_events, sample_events
 from .feasibility import (
     LossFeasibilityProblem,
     check_feasible,
@@ -42,8 +42,9 @@ from .feasibility import (
     loss_bounds,
 )
 from .audit import audit
-from .events import estimate_from_events
 from .io import (
+    EVENT_HEADER,
+    JOINT_HEADER,
     SCHEMA_VERSION,
     arch_config_dict,
     arch_spec_from_dict,
@@ -307,9 +308,9 @@ def _cmd_sample(config: RunConfig) -> None:
 def _sniff_input(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == "trial,x,c,d":
+    if first == ",".join(EVENT_HEADER):
         return "events"
-    if first == "x,c,d,p":
+    if first == ",".join(JOINT_HEADER):
         return "joint"
     raise ValueError(f"unrecognized input header {first!r} in {path}")
 
@@ -385,10 +386,10 @@ def _emit_error(exc: Exception) -> None:
     )
 
 
-def dispatch(config: RunConfig) -> int:
-    """Execute a resolved run; return the process exit status."""
+def _exit_status(action) -> int:
+    """Run ``action``; map domain errors to status 1, I/O and parse errors to 2."""
     try:
-        _COMMANDS[config.command](config)
+        action()
     except DcqeError as exc:
         _emit_error(exc)
         return 1
@@ -398,21 +399,22 @@ def dispatch(config: RunConfig) -> int:
     return 0
 
 
+def _run(config: RunConfig) -> None:
+    _COMMANDS[config.command](config)
+
+
+def dispatch(config: RunConfig) -> int:
+    """Execute a resolved run; return the process exit status."""
+    return _exit_status(lambda: _run(config))
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        config = build_run_config(args)
-    except DcqeError as exc:
-        _emit_error(exc)
-        return 1
-    except (OSError, ValueError) as exc:
-        _emit_error(exc)
-        return 2
-    return dispatch(config)
+    return _exit_status(lambda: _run(build_run_config(args)))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Trial-level event logs and Monte Carlo sampling.
 
-A sampled experiment is a sequence of (x, c, d) triples. Logs store index
-arrays against an :class:`~dcqe.joint.OutcomeSpace`; labels are materialized
-only at the I/O boundary.
+A sampled experiment is a sequence of (x, c, d) triples, each one a cell of
+the joint table. Logs store one flat cell index per trial against an
+:class:`~dcqe.joint.OutcomeSpace`; labels are materialized only at the I/O
+boundary.
 
 Sampling is deterministic given (table, n_trials, seed) and independent of
 how the work is batched: trials are produced in fixed-size chunks, each
@@ -14,8 +15,8 @@ result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -28,49 +29,45 @@ CHUNK_TRIALS = 1 << 16
 
 @dataclass(frozen=True)
 class EventLog:
-    """Immutable record of trials as parallel index arrays."""
+    """Immutable record of trials as flat cell indices.
+
+    ``cells[t]`` is trial t's row-major index into the ``space.shape``
+    grid, the order of ``joint.p.reshape(-1)``. Build one from per-axis
+    indices with ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``;
+    ``x``, ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access.
+    """
 
     space: OutcomeSpace
-    x: np.ndarray
-    c_idx: np.ndarray
-    d_idx: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("x", "c_idx", "d_idx"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
-            arr.setflags(write=False)
-            arrays[name] = arr
-        if not (arrays["x"].shape == arrays["c_idx"].shape == arrays["d_idx"].shape):
-            raise InvalidArgument("event arrays must have equal length")
-        if arrays["x"].ndim != 1:
-            raise InvalidArgument("event arrays must be one-dimensional")
-        bounds = (self.space.n_x, self.space.n_c, self.space.n_d)
-        for (name, arr), bound in zip(arrays.items(), bounds):
-            if arr.size and (arr.min() < 0 or arr.max() >= bound):
-                raise InvalidArgument(f"{name} index out of range for the outcome space")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
+        cells = np.array(self.cells, dtype=np.intp)
+        if cells.ndim != 1:
+            raise InvalidArgument("cell indices must be one-dimensional")
+        if cells.size and (cells.min() < 0 or cells.max() >= math.prod(self.space.shape)):
+            raise InvalidArgument("cell index out of range for the outcome space")
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
-        return int(self.x.size)
+        return int(self.cells.size)
 
     @property
-    def n_events(self) -> int:
-        return len(self)
+    def x(self) -> np.ndarray:
+        return self.cells // (self.space.n_c * self.space.n_d)
 
-    def records(self) -> Iterator[tuple[int, int, str, str]]:
-        """Yield (trial, x, c_label, d_label) rows in trial order."""
-        c_values = self.space.c_values
-        d_values = self.space.d_values
-        for t in range(len(self)):
-            yield t, int(self.x[t]), c_values[self.c_idx[t]], d_values[self.d_idx[t]]
+    @property
+    def c_idx(self) -> np.ndarray:
+        return self.cells // self.space.n_d % self.space.n_c
+
+    @property
+    def d_idx(self) -> np.ndarray:
+        return self.cells % self.space.n_d
 
     def counts(self) -> np.ndarray:
         """Event counts on the full (n_x, n_c, n_d) grid."""
         shape = self.space.shape
-        flat = (self.x * self.space.n_c + self.c_idx) * self.space.n_d + self.d_idx
-        return np.bincount(flat, minlength=shape[0] * shape[1] * shape[2]).reshape(shape)
+        return np.bincount(self.cells, minlength=math.prod(shape)).reshape(shape)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int) -> np.ndarray:
@@ -97,15 +94,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
         u = _chunk_uniforms(seed, k)
         take = min(CHUNK_TRIALS, n_trials - k * CHUNK_TRIALS)
         pieces.append(np.searchsorted(cdf, u[:take], side="right"))
-    flat = np.concatenate(pieces)
-    n_c, n_d = joint.space.n_c, joint.space.n_d
-    return EventLog(
-        space=joint.space,
-        x=flat // (n_c * n_d),
-        c_idx=(flat // n_d) % n_c,
-        d_idx=flat % n_d,
-    )
-
+    return EventLog(joint.space, np.concatenate(pieces))
 
 def estimate_from_events(log: EventLog) -> JointDistribution:
     """Relative-frequency table from a log, tagged with its sample count."""

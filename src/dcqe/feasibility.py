@@ -28,11 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .architectures import _check_q
 from .errors import (
     DegenerateLossMass,
     InfeasibleLossRate,
     InvalidArgument,
-    InvalidChoiceProbability,
     NoLossOutcome,
 )
 from .joint import LOSS, JointDistribution, OutcomeSpace
@@ -46,13 +46,6 @@ INFEASIBLE_HIGH = "loss_rate_exceeds_choice_mass"
 
 _WITNESS_C = ("erase", "preserve")
 _WITNESS_D = ("D_erase", "D_preserve", LOSS)
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise InvalidChoiceProbability(q)
-    return q
 
 
 def loss_bounds(q: float) -> tuple[float, float]:
@@ -349,11 +342,7 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)
     space = _witness_space(n)
-    table = np.zeros(space.shape)
-    for x in range(n):
-        for c in range(2):
-            for d in range(3):
-                table[x, c, d] = float(solution[var(x, c, d)])
+    table = np.array(solution, dtype=float).reshape(space.shape)
     witness = JointDistribution(space, table)
     loss_slice = table[:, 0, 2]
     return FeasibilityResult(

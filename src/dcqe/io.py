@@ -8,7 +8,9 @@ JSON documents carry a ``schema_version`` field.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+from io import StringIO
 from typing import Mapping
 
 import numpy as np
@@ -53,13 +55,29 @@ def read_json(path: str) -> dict:
 # ---------------------------------------------------------------- event logs
 
 
+def _cell_fields(space: OutcomeSpace) -> list[str]:
+    """CSV text of each cell's ``x,c,d`` fields, indexed by flat cell.
+
+    Each cell is rendered once by a ``csv.writer`` in this module's dialect,
+    so every label is quoted exactly as it would be within a whole row.
+    """
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for cell in itertools.product(range(space.n_x), space.c_values, space.d_values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cell)
+        fields.append(buf.getvalue()[:-1])
+    return fields
+
+
 def write_event_log(log: EventLog, path: str) -> None:
     """CSV with header ``trial,x,c,d``; the loss outcome is spelled LOSS."""
+    fields = _cell_fields(log.space)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_HEADER)
-        for trial, x, c, d in log.records():
-            writer.writerow([trial, x, c, d])
+        fh.write(",".join(EVENT_HEADER) + "\n")
+        fh.writelines(f"{t},{fields[cell]}\n" for t, cell in enumerate(log.cells.tolist()))
 
 
 def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
@@ -70,8 +88,8 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
     must be strictly increasing; they are normalized to 0..n-1 on ingest.
     """
     xs: list[int] = []
-    cs: list[str] = []
-    ds: list[str] = []
+    pairs: dict[tuple[str, str], int] = {}
+    pair_codes: list[int] = []
     last_trial = -1
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -88,19 +106,18 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
                 raise ValueError(f"trial indices must be strictly increasing in {path}")
             last_trial = trial
             xs.append(int(row[1]))
-            cs.append(row[2])
-            ds.append(row[3])
+            pair_codes.append(pairs.setdefault((row[2], row[3]), len(pairs)))
     if space is None:
         if not xs:
             raise ValueError(f"no events in {path}; cannot infer an outcome space")
-        n_x = max(max(xs) + 1, 2)
-        space = OutcomeSpace(n_x, tuple(sorted(set(cs))), tuple(sorted(set(ds))))
-    return EventLog(
-        space=space,
-        x=np.array(xs, dtype=np.int64),
-        c_idx=np.array([space.c_index(c) for c in cs], dtype=np.int64),
-        d_idx=np.array([space.d_index(d) for d in ds], dtype=np.int64),
-    )
+        c_values, d_values = (tuple(sorted(set(labels))) for labels in zip(*pairs))
+        space = OutcomeSpace(max(max(xs) + 1, 2), c_values, d_values)
+    x = np.array(xs, dtype=np.intp)
+    # Checked before encoding: a huge bin would wrap around into a valid cell.
+    if x.size and (x.min() < 0 or x.max() >= space.n_x):
+        raise InvalidArgument(f"bin index out of range for {space.n_x} bins in {path}")
+    offsets = [space.c_index(c) * space.n_d + space.d_index(d) for c, d in pairs]
+    return EventLog(space, x * (space.n_c * space.n_d) + np.take(offsets, pair_codes))
 
 
 # -------------------------------------------------------------- joint tables
@@ -108,19 +125,16 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
 
 def write_joint(joint: JointDistribution, path: str) -> None:
     """CSV of every cell, ``x,c,d,p``, in canonical (x, c, d) order."""
-    space = joint.space
+    fields = _cell_fields(joint.space)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOINT_HEADER)
-        for x in range(space.n_x):
-            for ci, c in enumerate(space.c_values):
-                for di, d in enumerate(space.d_values):
-                    writer.writerow([x, c, d, _float_repr(joint.p[x, ci, di])])
+        fh.write(",".join(JOINT_HEADER) + "\n")
+        for cell_fields, p in zip(fields, joint.p.reshape(-1)):
+            fh.write(f"{cell_fields},{_float_repr(p)}\n")
 
 
 def read_joint(path: str) -> JointDistribution:
     """Parse a joint CSV; label order follows first appearance in the file."""
-    cells: list[tuple[int, str, str, float]] = []
+    cells: dict[tuple[int, str, str], float] = {}
     c_values: list[str] = []
     d_values: list[str] = []
     max_x = -1
@@ -137,17 +151,19 @@ def read_joint(path: str) -> JointDistribution:
             x, c, d, p = int(row[0]), row[1], row[2], float(row[3])
             if x < 0:
                 raise ValueError(f"negative bin index {x} in {path}")
+            if (x, c, d) in cells:
+                raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
             max_x = max(max_x, x)
             if c not in c_values:
                 c_values.append(c)
             if d not in d_values:
                 d_values.append(d)
-            cells.append((x, c, d, p))
+            cells[x, c, d] = p
     if max_x < 0:
         raise ValueError(f"no cells in {path}")
     space = OutcomeSpace(max(max_x + 1, 2), tuple(c_values), tuple(d_values))
     table = np.zeros(space.shape)
-    for x, c, d, p in cells:
+    for (x, c, d), p in cells.items():
         table[x, space.c_index(c), space.d_index(d)] = p
     return JointDistribution(space, table)
 

@@ -227,7 +227,7 @@ def validate(joint: JointDistribution) -> None:
             int(x), joint.space.c_values[c], joint.space.d_values[d], float(table[x, c, d])
         )
     total = float(table.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalized(total)
 
 

@@ -96,10 +96,7 @@ def coincidence_image(log: EventLog, n_x: int | None = None) -> tuple[np.ndarray
         raise InvalidArgument(
             f"need exactly 2 non-loss detection labels, got {len(detected)}"
         )
-    if n_x is None:
-        n_x = space.n_x
-    elif n_x != space.n_x:
+    if n_x is not None and n_x != space.n_x:
         raise ShapeMismatch((n_x,), (space.n_x,))
-    first = np.bincount(log.x[log.d_idx == detected[0]], minlength=n_x)
-    second = np.bincount(log.x[log.d_idx == detected[1]], minlength=n_x)
-    return first.astype(np.int64), second.astype(np.int64)
+    first, second = log.counts().sum(axis=1).T[list(detected)].astype(np.int64)
+    return first, second

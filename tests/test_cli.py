@@ -114,6 +114,18 @@ class TestSampleAndAudit:
         report = json.loads((out / "audit_report.json").read_text())
         assert report["violations"] == ["distinct_conditionals"]
 
+    def test_audit_nan_joint_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,nan\n")
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NotNormalized"
+
+    def test_audit_duplicate_joint_cell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.5\n0,a,D1,0.5\n")
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "duplicate cell" in json.loads(capsys.readouterr().err)["message"]
+
     def test_audit_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["audit", "--in", str(tmp_path / "nope.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

@@ -25,23 +25,35 @@ def uniform_222():
 
 
 class TestEventLog:
-    def test_records_iterate_labels(self):
+    def test_derived_axes(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
-        log = EventLog(space, np.array([1, 0]), np.array([0, 1]), np.array([1, 0]))
-        assert list(log.records()) == [(0, 1, "a", "D2"), (1, 0, "b", "D1")]
+        log = EventLog(space, np.ravel_multi_index(([1, 0], [0, 1], [1, 0]), space.shape))
+        assert log.x.tolist() == [1, 0]
+        assert log.c_idx.tolist() == [0, 1]
+        assert log.d_idx.tolist() == [1, 0]
         assert len(log) == 2
 
-    def test_rejects_mismatched_lengths(self):
+    def test_cells_are_a_read_only_copy(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        cells = np.array([3, 5])
+        log = EventLog(space, cells)
+        cells[0] = 0
+        assert log.cells.tolist() == [3, 5]
+        assert not log.cells.flags.writeable
+
+    def test_rejects_non_1d_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         with pytest.raises(InvalidArgument):
-            EventLog(space, np.array([0, 1]), np.array([0]), np.array([0, 1]))
+            EventLog(space, np.array([[0, 1], [2, 3]]))
+        with pytest.raises(InvalidArgument):
+            EventLog(space, np.array(0))
 
     def test_rejects_out_of_range(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         with pytest.raises(InvalidArgument):
-            EventLog(space, np.array([2]), np.array([0]), np.array([0]))
+            EventLog(space, np.array([-1]))
         with pytest.raises(InvalidArgument):
-            EventLog(space, np.array([0]), np.array([0]), np.array([5]))
+            EventLog(space, np.array([2 * 2 * 2]))
 
     def test_counts_match_events(self):
         log = sample_events(uniform_222(), 1000, 3)
@@ -94,7 +106,7 @@ class TestSampleEvents:
 class TestEstimateFromEvents:
     def test_single_record_point_mass(self):
         space = OutcomeSpace(2, ("erase", "preserve"), ("D1", "D2"))
-        log = EventLog(space, np.array([0]), np.array([0]), np.array([0]))
+        log = EventLog(space, np.ravel_multi_index(([0], [0], [0]), space.shape))
         est = estimate_from_events(log)
         assert est.p[0, 0, 0] == 1.0
         assert est.p.sum() == 1.0
@@ -102,9 +114,8 @@ class TestEstimateFromEvents:
 
     def test_empty_log_raises(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
-        empty = EventLog(
-            space, np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int)
-        )
+        none = np.array([], dtype=int)
+        empty = EventLog(space, np.ravel_multi_index((none, none, none), space.shape))
         with pytest.raises(EmptyLog):
             estimate_from_events(empty)
 

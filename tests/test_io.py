@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dcqe import (
+    LOSS,
     ArchitectureSpec,
+    EventLog,
     FringeModel,
     InvalidArgument,
+    JointDistribution,
     LossFeasibilityProblem,
     OutcomeSpace,
     audit,
@@ -79,11 +82,45 @@ class TestEventLogFiles:
         with pytest.raises(ValueError):
             read_event_log(path)
 
+    @pytest.mark.parametrize("x", [-1, -(2**62), 2**62])
+    def test_rejects_out_of_range_bin(self, tmp_path, x):
+        path = tmp_path / "events.csv"
+        path.write_text(f"trial,x,c,d\n0,{x},a,D1\n1,1,b,D2\n")
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        with pytest.raises(InvalidArgument):
+            read_event_log(path, space=space)
+        if x < 0:
+            with pytest.raises(InvalidArgument):
+                read_event_log(path)
+
     def test_rejects_non_increasing_trials(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("trial,x,c,d\n5,0,a,D1\n5,1,a,D1\n")
         with pytest.raises(ValueError):
             read_event_log(path)
+
+    def test_exact_bytes(self, tmp_path):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        log = EventLog(space, np.ravel_multi_index(([1, 0], [0, 1], [1, 0]), space.shape))
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        assert path.read_bytes() == b"trial,x,c,d\n0,1,a,D2\n1,0,b,D1\n"
+
+    def test_round_trip_quoted_labels(self, tmp_path):
+        space = OutcomeSpace(3, ("e,1", 'p"2'), ("D 1", "D,2", LOSS))
+        table = np.full(space.shape, 1.0 / 18)
+        log = sample_events(JointDistribution(space, table), 400, 6)
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        text = path.read_text()
+        assert '"e,1"' in text and '"p""2"' in text and '"D,2"' in text
+        back = read_event_log(path, space=space)
+        assert np.array_equal(back.x, log.x)
+        assert np.array_equal(back.c_idx, log.c_idx)
+        assert np.array_equal(back.d_idx, log.d_idx)
+        inferred = read_event_log(path)
+        assert inferred.space.c_values == ("e,1", 'p"2')
+        assert len(inferred) == len(log)
 
     def test_write_is_deterministic(self, tmp_path):
         log = sample_events(small_joint(), 300, 4)
@@ -130,6 +167,21 @@ class TestJointFiles:
         path.write_text("x,c,d,p\n0,a,D1,not_a_number\n")
         with pytest.raises(ValueError):
             read_joint(path)
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.25\n0,a,D1,0.25\n")
+        with pytest.raises(ValueError, match=r"duplicate cell \(x=0, c='a', d='D1'\)"):
+            read_joint(path)
+
+    def test_round_trip_quoted_labels(self, tmp_path):
+        space = OutcomeSpace(2, ("e,1", 'p"2'), ("D1", "D\n2"))
+        joint = JointDistribution(space, np.full(space.shape, 0.125))
+        path = tmp_path / "joint.csv"
+        write_joint(joint, path)
+        back = read_joint(path)
+        assert back.space == space
+        assert np.array_equal(back.p, joint.p)
 
 
 class TestDistributionFiles:

@@ -110,6 +110,13 @@ class TestValidate:
             validate(JointDistribution(space, np.zeros((2, 2, 2))))
         assert exc.value.total == 0.0
 
+    def test_nan_mass_not_normalized(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        table = np.full((2, 2, 2), 0.125)
+        table[1, 0, 1] = np.nan
+        with pytest.raises(NotNormalized):
+            validate(JointDistribution(space, table))
+
     def test_tolerance_is_tight(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         table = np.full((2, 2, 2), 0.125)

@@ -99,12 +99,8 @@ class TestCoincidenceImage:
 
     def test_empty_log_raises(self):
         space = OutcomeSpace(4, ("D1", "D2"), ("D1", "D2"))
-        empty = EventLog(
-            space,
-            np.array([], dtype=int),
-            np.array([], dtype=int),
-            np.array([], dtype=int),
-        )
+        none = np.array([], dtype=int)
+        empty = EventLog(space, np.ravel_multi_index((none, none, none), space.shape))
         with pytest.raises(EmptyLog):
             coincidence_image(empty)
 
@@ -117,7 +113,7 @@ class TestCoincidenceImage:
 
     def test_requires_two_detected_labels(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", "D3"))
-        log = EventLog(space, np.array([0]), np.array([0]), np.array([0]))
+        log = EventLog(space, np.ravel_multi_index(([0], [0], [0]), space.shape))
         with pytest.raises(InvalidArgument):
             coincidence_image(log)
 

@@ -23,6 +23,7 @@ full table, knowing nothing about the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,71 +217,107 @@ def _exact_normalized(vec: np.ndarray) -> list[Fraction]:
     return [f / total for f in fracs]
 
 
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """Clear ``col`` from ``row`` with the pivot row, fraction-free.
+
+    Returns ``pivot_row[col] * row - row[col] * pivot_row`` divided by the
+    gcd of its entries: a positive multiple of the reduced row, since the
+    pivot entry is positive.
+    """
+    scale, factor = pivot_row[col], row[col]
+    out = dict(row) if scale == 1 else {j: a * scale for j, a in row.items()}
+    for j, a in pivot_row.items():
+        v = out.get(j, 0) - factor * a
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    if g > 1:
+        out = {j: a // g for j, a in out.items()}
+    return out
+
+
 def _phase1_feasible(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
 ) -> list[Fraction] | None:
     """Exact phase-1 simplex: solve A v = b, v >= 0 over the rationals.
 
-    Minimizes the sum of one artificial variable per row using Bland's
-    least-index rule, which cannot cycle. Returns a solution vector when
-    the optimum is zero, None when the system is infeasible. Dense exact
-    arithmetic: intended for desk-scale systems (tens of variables).
+    ``rows`` holds the non-zero coefficients of each equation by column,
+    over ``n`` variables. Minimizes the sum of one artificial variable per
+    row (columns n..n+m-1) using Bland's least-index rule, which cannot
+    cycle. Returns a solution vector when the optimum is zero, None when
+    the system is infeasible.
+
+    The tableau is sparse and fraction-free. Each row is a dict of non-zero
+    integer numerators, the right-hand side in column n+m, all over one
+    positive denominator: the row's own entry in its basic column. The
+    reduced-cost row is kept the same way, as a positive multiple of the
+    true reduced costs, so only the signs of its entries are read. A pivot
+    replaces every other row r by ``pivot * r - r[entering] * pivot_row``
+    and divides by the gcd of its entries, so no Fraction is formed inside
+    the loop; the pivot row itself is kept as it is, its entering entry
+    becoming its denominator. The ratio test compares b_i / a_i by
+    cross-multiplying, as the row denominators cancel. Entering is the
+    least column with a negative reduced cost; leaving is the minimum
+    ratio with ties to the smaller basic column. Exact arithmetic under
+    that fixed rule visits the same pivots as a dense Fraction tableau and
+    returns the same vector.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tableau.append(row + art + [b])
+    b_col = n + m
+    tableau: list[dict[int, int]] = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if b < 0 else 1
+        scale = math.lcm(b.denominator, *(a.denominator for a in row.values()))
+        num = {j: int(sign * a * scale) for j, a in row.items() if a}
+        num[n + i] = scale
+        if b:
+            num[b_col] = int(sign * b * scale)
+        tableau.append(num)
     basis = list(range(n, n + m))
-    width = n + m + 1
-    # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j].
-    cbar = [Fraction(0)] * (n + m)
-    for j in range(n + m):
-        col = sum(tableau[i][j] for i in range(m))
-        cost = Fraction(0) if j < n else Fraction(1)
-        cbar[j] = cost - col
-    objective = -sum(tableau[i][width - 1] for i in range(m))
+    # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j],
+    # which vanishes on the artificial columns; the objective is -sum_i b_i.
+    cbar: dict[int, Fraction] = {}
+    for i, num in enumerate(tableau):
+        for j, a in num.items():
+            if j < n or j == b_col:
+                cbar[j] = cbar.get(j, 0) - Fraction(a, num[n + i])
+    scale = math.lcm(*(c.denominator for c in cbar.values()))
+    cost = {j: int(c * scale) for j, c in cbar.items() if c}
 
     while True:
-        entering = next((j for j in range(n + m) if cbar[j] < 0), None)
+        entering = min((j for j, c in cost.items() if c < 0 and j < b_col), default=None)
         if entering is None:
             break
         leaving = None
-        best = None
         for i in range(m):
-            a = tableau[i][entering]
+            a = tableau[i].get(entering, 0)
             if a > 0:
-                ratio = tableau[i][width - 1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i].get(b_col, 0) * tableau[leaving][entering]
+                best = tableau[leaving].get(b_col, 0) * a
+                if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             # Phase-1 objective is bounded below by zero; unboundedness
             # cannot occur, so treat it as infeasibility defensively.
             return None
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [a / pivot for a in tableau[leaving]]
+        pivot_row = tableau[leaving]
         for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [a - factor * piv for a, piv in zip(tableau[i], tableau[leaving])]
-        factor = cbar[entering]
-        cbar = [c - factor * piv for c, piv in zip(cbar, tableau[leaving][: n + m])]
-        objective -= factor * tableau[leaving][width - 1]
+            if i != leaving and entering in tableau[i]:
+                tableau[i] = _eliminate(tableau[i], pivot_row, entering)
+        cost = _eliminate(cost, pivot_row, entering)
         basis[leaving] = entering
 
-    if objective != 0:
+    if cost.get(b_col, 0) != 0:
         return None
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = tableau[i][width - 1]
+            solution[var] = Fraction(tableau[i].get(b_col, 0), tableau[i][var])
     return solution
 
 
@@ -304,17 +341,6 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     def var(x: int, c: int, d: int) -> int:
         return (x * 2 + c) * 3 + d
 
-    n_vars = 6 * n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def add_row(cells: dict[int, Fraction], b: Fraction) -> None:
-        row = [Fraction(0)] * n_vars
-        for j, a in cells.items():
-            row[j] = a
-        rows.append(row)
-        rhs.append(b)
-
     cd_table = {
         (0, 0): q - p,
         (0, 1): Fraction(0),
@@ -323,21 +349,23 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         (1, 1): 1 - q,
         (1, 2): Fraction(0),
     }
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
     for (c, d), mass in cd_table.items():
-        add_row({var(x, c, d): Fraction(1) for x in range(n)}, mass)
+        rows.append({var(x, c, d): Fraction(1) for x in range(n)})
+        rhs.append(mass)
     for x in range(n):
-        add_row(
-            {var(x, 0, 0): Fraction(1), var(x, 1, 0): Fraction(1)}, e[x] * (q - p)
-        )
-        add_row(
-            {var(x, 0, 1): Fraction(1), var(x, 1, 1): Fraction(1)}, r[x] * (1 - q)
-        )
+        rows.append({var(x, 0, 0): Fraction(1), var(x, 1, 0): Fraction(1)})
+        rhs.append(e[x] * (q - p))
+        rows.append({var(x, 0, 1): Fraction(1), var(x, 1, 1): Fraction(1)})
+        rhs.append(r[x] * (1 - q))
         # Independence: the two choice rows of bin x in ratio q : (1-q).
         cells = {var(x, 0, d): 1 - q for d in range(3)}
         cells.update({var(x, 1, d): -q for d in range(3)})
-        add_row(cells, Fraction(0))
+        rows.append(cells)
+        rhs.append(Fraction(0))
 
-    solution = _phase1_feasible(rows, rhs)
+    solution = _phase1_feasible(rows, rhs, 6 * n)
     if solution is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)

@@ -35,6 +35,8 @@ EVENT_HEADER = ["trial", "x", "c", "d"]
 JOINT_HEADER = ["x", "c", "d", "p"]
 DISTRIBUTION_HEADER = ["x", "p"]
 
+_INTP = np.iinfo(np.intp)
+
 
 def _float_repr(value: float) -> str:
     return repr(float(value))
@@ -112,7 +114,11 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
             raise ValueError(f"no events in {path}; cannot infer an outcome space")
         c_values, d_values = (tuple(sorted(set(labels))) for labels in zip(*pairs))
         space = OutcomeSpace(max(max(xs) + 1, 2), c_values, d_values)
-    x = np.array(xs, dtype=np.intp)
+    try:
+        x = np.array(xs, dtype=np.intp)
+    except OverflowError:
+        row, big = next((i, v) for i, v in enumerate(xs, 1) if not _INTP.min <= v <= _INTP.max)
+        raise ValueError(f"bin {big} in event row {row} of {path} does not fit an index") from None
     # Checked before encoding: a huge bin would wrap around into a valid cell.
     if x.size and (x.min() < 0 or x.max() >= space.n_x):
         raise InvalidArgument(f"bin index out of range for {space.n_x} bins in {path}")
@@ -149,11 +155,12 @@ def read_joint(path: str) -> JointDistribution:
             if len(row) != 4:
                 raise ValueError(f"malformed joint row {row!r} in {path}")
             x, c, d, p = int(row[0]), row[1], row[2], float(row[3])
-            if x < 0:
-                raise ValueError(f"negative bin index {x} in {path}")
+            if not 0 <= x <= _INTP.max:
+                raise ValueError(f"bin {x} on line {reader.line_num} of {path} is not a valid index")
             if (x, c, d) in cells:
                 raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
-            max_x = max(max_x, x)
+            if x > max_x:
+                max_x, max_line = x, reader.line_num
             if c not in c_values:
                 c_values.append(c)
             if d not in d_values:
@@ -162,7 +169,13 @@ def read_joint(path: str) -> JointDistribution:
     if max_x < 0:
         raise ValueError(f"no cells in {path}")
     space = OutcomeSpace(max(max_x + 1, 2), tuple(c_values), tuple(d_values))
-    table = np.zeros(space.shape)
+    try:
+        table = np.zeros(space.shape)
+    except MemoryError:
+        raise ValueError(
+            f"bin {max_x} on line {max_line} of {path} needs a table of shape "
+            f"{space.shape}, too large to allocate"
+        ) from None
     for (x, c, d), p in cells.items():
         table[x, space.c_index(c), space.d_index(d)] = p
     return JointDistribution(space, table)

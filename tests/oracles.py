@@ -79,3 +79,67 @@ def feasible_interval(q, erase_target, preserve_target):
     ratios = [ri / ei for ei, ri in zip(e, r) if ei > 0]
     low = max(qf * (1 - min(ratios)), Fraction(0))
     return low, qf
+
+
+def dense_phase1_feasible(rows, rhs):
+    """Reference exact phase-1 simplex on a dense Fraction tableau.
+
+    Solves A v = b, v >= 0 for dense rows of Fractions by minimizing the
+    sum of one artificial variable per row. Entering is the least column
+    with a negative reduced cost (Bland's rule); leaving is the minimum
+    ratio, ties to the smaller basic column. Returns the solution vector,
+    or None when the system is infeasible.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = []
+    for i in range(m):
+        row = list(rows[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        tableau.append(row + art + [b])
+    basis = list(range(n, n + m))
+    width = n + m + 1
+    cbar = [Fraction(0)] * (n + m)
+    for j in range(n + m):
+        col = sum(tableau[i][j] for i in range(m))
+        cost = Fraction(0) if j < n else Fraction(1)
+        cbar[j] = cost - col
+    objective = -sum(tableau[i][width - 1] for i in range(m))
+
+    while True:
+        entering = next((j for j in range(n + m) if cbar[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][width - 1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return None
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [a / pivot for a in tableau[leaving]]
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [a - factor * piv for a, piv in zip(tableau[i], tableau[leaving])]
+        factor = cbar[entering]
+        cbar = [c - factor * piv for c, piv in zip(cbar, tableau[leaving][: n + m])]
+        objective -= factor * tableau[leaving][width - 1]
+        basis[leaving] = entering
+
+    if objective != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][width - 1]
+    return solution

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,12 @@ import pytest
 from dcqe import build_kim, build_mach_zehnder, default_fringe_model
 from dcqe.cli import main
 from dcqe.io import read_joint
+
+
+# sha256 of feasible_result.json without "config", rewritten as write_json does
+FEASIBLE_Q05_P03_NX8_SHA256 = (
+    "fc564956b87e84eee8259a224dff6fbe139083d8c3ff40ca3ef7f8cee981a09f"
+)
 
 
 def run(args, capsys=None):
@@ -126,6 +133,22 @@ class TestSampleAndAudit:
         assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "duplicate cell" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_audit_event_bin_beyond_index_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n0,1,a,D1\n1,99999999999999999999,b,D2\n")
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "bin 99999999999999999999 in event row 2" in err["message"]
+
+    def test_audit_joint_bin_beyond_index_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n99999999999999999999,b,D2,0.5\n")
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "bin 99999999999999999999 on line 3" in err["message"]
+
     def test_audit_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["audit", "--in", str(tmp_path / "nope.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
@@ -180,6 +203,17 @@ class TestFeasibilityCommands:
         ) == 0
         doc = json.loads((tmp_path / "feasible_result.json").read_text())
         assert doc["feasible"] is False
+
+
+    def test_feasible_result_is_pinned(self, tmp_path):
+        assert main(
+            ["feasible", "--q", "0.5", "--p", "0.3", "--n-x", "8",
+             "--out-dir", str(tmp_path)]
+        ) == 0
+        doc = json.loads((tmp_path / "feasible_result.json").read_text())
+        del doc["config"]  # echoes out_dir
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == FEASIBLE_Q05_P03_NX8_SHA256
 
 
 class TestFigure:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcqe import (
     AllMassLost,
@@ -27,15 +29,17 @@ from dcqe import (
     validate,
     worst_case_erase_conditional,
 )
+from dcqe import feasibility
 from dcqe.feasibility import (
     BINDING_DETECTED_ERASE,
     BINDING_INTERIOR,
     BINDING_LOSS_SLICE,
     INFEASIBLE_HIGH,
     INFEASIBLE_LOW,
+    _phase1_feasible,
 )
 
-from oracles import feasible_interval
+from oracles import dense_phase1_feasible, feasible_interval
 
 CD_TABLE_HALF = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
 
@@ -291,6 +295,116 @@ class TestCheckFeasible:
             )
             expect = low <= Fraction(float(p)) <= high
             assert check_feasible(prob).feasible == expect, (q, p)
+
+
+@st.composite
+def linear_systems(draw, denominators=(1,)):
+    """Small A v = b systems with entries in -3..3 over the given denominators.
+
+    Mixed-sign right-hand sides and tiny integer entries make infeasible,
+    degenerate and redundant systems common.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    entry = st.builds(
+        Fraction, st.integers(-3, 3), st.sampled_from(denominators)
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(entry) for _ in range(m)]
+    return rows, rhs
+
+
+def fractions(values):
+    return [Fraction(v) for v in values]
+
+
+# A degenerate system on which ties in the ratio test decide the vertex
+# reached: breaking them toward the larger basic column ends elsewhere.
+TIE_BREAK_SYSTEM = (
+    [
+        fractions([0, 1, -3, -2, -3, -3]),
+        fractions([-3, 3, -3, 3, 0, -1]),
+        fractions([0, 3, 1, -1, -2, 0]),
+    ],
+    fractions([-2, 3, 3]),
+)
+
+
+def sparse(rows):
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
+def with_dense_solver(rows, rhs, n):
+    dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
+    return dense_phase1_feasible(dense, rhs)
+
+
+class TestSparseSimplex:
+    """The fraction-free solver must follow the dense reference's pivot path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=linear_systems())
+    @example(system=TIE_BREAK_SYSTEM)
+    def test_matches_dense_reference_on_integer_systems(self, system):
+        rows, rhs = system
+        n = len(rows[0])
+        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=linear_systems(denominators=(1, 2, 3, 7)))
+    def test_matches_dense_reference_on_rational_systems(self, system):
+        rows, rhs = system
+        n = len(rows[0])
+        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
+
+    def test_solution_satisfies_system(self):
+        rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1)}]
+        rhs = [Fraction(3), Fraction(-1, 2)]
+        v = _phase1_feasible(rows, rhs, 3)
+        assert v is not None and min(v) >= 0
+        assert [sum(a * v[j] for j, a in row.items()) for row in rows] == rhs
+
+    def test_infeasible_system(self):
+        # v0 + v1 = 1 and v0 + v1 = 2 cannot both hold
+        rows = [{0: Fraction(1), 1: Fraction(1)}] * 2
+        assert _phase1_feasible(rows, [Fraction(1), Fraction(2)], 2) is None
+
+    @pytest.mark.parametrize("n_x", [4, 8, 16])
+    @pytest.mark.parametrize("p", [3 / 16, 1 / 4, 3 / 8, 1 / 2])
+    def test_check_feasible_bits_match_dense_reference(self, n_x, p, monkeypatch):
+        prob = LossFeasibilityProblem(q=0.5, n_x=n_x, p=p)
+        got = check_feasible(prob)
+        monkeypatch.setattr(feasibility, "_phase1_feasible", with_dense_solver)
+        want = check_feasible(prob)
+        assert got.feasible == want.feasible
+        assert got.binding_constraint == want.binding_constraint
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness.p.tobytes() == want.witness.p.tobytes()
+
+
+class TestFeasibilityAtScale:
+    """Hundreds of bins: every route must still agree."""
+
+    @pytest.mark.parametrize("n_x, p", [(256, 0.375), (128, 0.25), (128, 0.2)])
+    def test_routes_agree(self, n_x, p):
+        prob = LossFeasibilityProblem(q=0.5, n_x=n_x, p=p)
+        solved = check_feasible(prob)
+        low, high = loss_bounds(0.5)
+        assert solved.feasible == (low <= p <= high)
+        exact_low, exact_high = feasible_interval(
+            0.5, prob.resolved_erase(), prob.resolved_preserve()
+        )
+        assert solved.feasible == (exact_low <= Fraction(p) <= exact_high)
+        if not solved.feasible:
+            assert solved.binding_constraint == INFEASIBLE_LOW
+            with pytest.raises(InfeasibleLossRate):
+                construct_witness(prob)
+            return
+        built = construct_witness(prob)
+        assert solved.binding_constraint == built.binding_constraint
+        assert np.allclose(solved.witness.p, built.witness.p, rtol=0.0, atol=1e-12)
 
 
 class TestBridgeToArchitectures:

@@ -168,6 +168,18 @@ class TestJointFiles:
         with pytest.raises(ValueError):
             read_joint(path)
 
+    def test_unallocatable_table_names_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n3000000000,b,D2,0.5\n")
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(shape)
+
+        # stands in for the failed 89 GiB allocation, which not every host refuses
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(ValueError, match="bin 3000000000 on line 3 .* too large"):
+            read_joint(path)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "joint.csv"
         path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.25\n0,a,D1,0.25\n")

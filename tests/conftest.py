@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,19 @@ def random_joint(rng, with_loss=False, n_x=None, n_c=None, n_d=None):
     table = rng.random(space.shape) + 0.01
     table /= table.sum()
     return JointDistribution(space, table)
+
+
+def no_memory_for_big_tables(monkeypatch):
+    """Make ``np.zeros`` refuse tables of more than 2**32 cells.
+
+    Stands in for a failed allocation of tens of GiB, which not every host
+    refuses; smaller tables are allocated as usual.
+    """
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) > 2**32:
+            raise MemoryError(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)

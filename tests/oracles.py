@@ -5,6 +5,7 @@ density matrices, brute-force mixtures. Nothing imports from dcqe, so a bug
 in the library cannot hide in its own test oracle.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +144,31 @@ def dense_phase1_feasible(rows, rhs):
         if var < n:
             solution[var] = tableau[i][width - 1]
     return solution
+
+
+def reference_read_events(path):
+    """Event CSV parsed row by row with ``csv.reader``.
+
+    Returns the ``x`` list and the ``(c, d)`` label list, or raises
+    ``ValueError`` for a bad header, a row without exactly 4 fields, a
+    non-integer field or trials that do not strictly increase.
+    """
+    xs, labels = [], []
+    last_trial = -1
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["trial", "x", "c", "d"]:
+            raise ValueError(f"bad header in {path}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"malformed event row {row!r} in {path}")
+            trial = int(row[0])
+            if trial <= last_trial:
+                raise ValueError(f"trial indices must be strictly increasing in {path}")
+            last_trial = trial
+            xs.append(int(row[1]))
+            labels.append((row[2], row[3]))
+    return xs, labels

@@ -8,6 +8,8 @@ from dcqe import build_kim, build_mach_zehnder, default_fringe_model
 from dcqe.cli import main
 from dcqe.io import read_joint
 
+from conftest import no_memory_for_big_tables
+
 
 # sha256 of feasible_result.json without "config", rewritten as write_json does
 FEASIBLE_Q05_P03_NX8_SHA256 = (
@@ -140,6 +142,16 @@ class TestSampleAndAudit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "bin 99999999999999999999 in event row 2" in err["message"]
+
+    def test_audit_event_unallocatable_table_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n0,1,a,D1\n1,3000000000,b,D2\n")
+        no_memory_for_big_tables(monkeypatch)
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "bin 3000000000 in event row 2" in err["message"]
+        assert not (tmp_path / "audit_report.json").exists()
 
     def test_audit_joint_bin_beyond_index_exit_2(self, tmp_path, capsys):
         path = tmp_path / "joint.csv"

@@ -1,7 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dcqe.io
 
 from dcqe import (
     LOSS,
@@ -40,11 +45,50 @@ from dcqe.io import (
     write_joint,
 )
 
-from conftest import FOUR_BIN_PHASE0
+from conftest import FOUR_BIN_PHASE0, no_memory_for_big_tables
+from oracles import reference_read_events
 
 
 def small_joint():
     return build_polarization(FringeModel(4, 1.0, FOUR_BIN_PHASE0), 0.5)
+
+
+def reference_outcome(path):
+    """What the row-by-row reader makes of a file: a ``(space, x, labels)``
+    triple for a log, or the type of error that reading it raises."""
+    try:
+        xs, labels = reference_read_events(path)
+    except ValueError:
+        return ValueError
+    if not xs:
+        return ValueError
+    try:
+        space = OutcomeSpace(
+            max(max(xs) + 1, 2),
+            tuple(sorted({c for c, _ in labels})),
+            tuple(sorted({d for _, d in labels})),
+        )
+    except InvalidArgument:
+        return InvalidArgument
+    if not all(-(2**63) <= x < 2**63 for x in xs):
+        return ValueError
+    if min(xs) < 0:
+        return InvalidArgument
+    return space, xs, labels
+
+
+def assert_reads_like_reference(path):
+    expected = reference_outcome(path)
+    if isinstance(expected, type):
+        with pytest.raises(ValueError) as info:
+            read_event_log(path)
+        assert type(info.value) is expected
+        return
+    space, xs, labels = expected
+    log = read_event_log(path)
+    assert log.space == space
+    assert log.x.tolist() == xs
+    assert [(space.c_values[c], space.d_values[d]) for c, d in zip(log.c_idx, log.d_idx)] == labels
 
 
 class TestEventLogFiles:
@@ -128,6 +172,163 @@ class TestEventLogFiles:
         write_event_log(log, p1)
         write_event_log(log, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("body", ["trial,x,c,d\n", "trial,x,c,d\n\n\n", "trial,x,c,d"])
+    def test_no_events_with_a_space(self, tmp_path, body):
+        path = tmp_path / "events.csv"
+        path.write_text(body)
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        assert len(read_event_log(path, space=space)) == 0
+
+    def test_unallocatable_table_names_its_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n0,1,a,D1\n1,3000000000,b,D2\n")
+        no_memory_for_big_tables(monkeypatch)
+        with pytest.raises(ValueError, match="bin 3000000000 in event row 2 .* too large"):
+            read_event_log(path)
+
+    def test_unshapeable_table_names_its_row(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n0,1,a,D1\n1,9223372036854775807,b,D2\n")
+        with pytest.raises(ValueError, match="bin 9223372036854775807 in event row 2 .* too large"):
+            read_event_log(path)
+
+
+LABEL_TEXT = st.text(st.sampled_from(["a", "Z", " ", ",", '"', "\n", "\r", "é", "日"]), max_size=5)
+
+
+@st.composite
+def labelled_logs(draw):
+    choice_text = LABEL_TEXT.filter(lambda s: s != LOSS)
+    c_values = draw(st.lists(choice_text, min_size=2, max_size=3, unique=True))
+    d_values = draw(st.lists(LABEL_TEXT, min_size=1, max_size=3, unique=True))
+    space = OutcomeSpace(draw(st.integers(2, 5)), tuple(c_values), tuple(d_values))
+    n_cells = math.prod(space.shape)
+    cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=30))
+    return EventLog(space, np.array(cells))
+
+
+class TestEventReaderMatchesReference:
+    """The block reader against the row-by-row ``csv.reader`` loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=labelled_logs())
+    def test_written_logs(self, tmp_path_factory, log):
+        path = tmp_path_factory.mktemp("logs") / "events.csv"
+        write_event_log(log, path)
+        used = {log.space.c_values[c] for c in log.c_idx}
+        used |= {log.space.d_values[d] for d in log.d_idx}
+        if any("\r" in label and not {",", '"', "\n"} & set(label) for label in used):
+            # csv.writer leaves such a label unquoted, so the file does not hold the
+            # log: it must be rejected by its row or read as csv.reader reads it
+            try:
+                read_event_log(path)
+            except ValueError as exc:
+                if "event row" in str(exc):
+                    return
+            assert_reads_like_reference(path)
+            return
+        assert_reads_like_reference(path)
+        assert np.array_equal(read_event_log(path, space=log.space).cells, log.cells)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"trial,x,c,d\r\n0,1,a,D1\r\n1,0,b,D2\r\n", id="crlf"),
+            pytest.param(b"trial,x,c,d\n\n0,1,a,D1\n\r\n\n1,0,b,D2\n\n", id="blank-lines"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,0,b,D2", id="no-final-newline"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,0,b,D2\r", id="final-cr"),
+            pytest.param(b" trial , x,c,d \n0,1,a,D1\n1,0,b,D2\n", id="spaced-header"),
+            pytest.param(b'trial,x,c,d\r\n0,1,"a\r\nb",D1\r\n7,0,"""",",,"\r\n', id="crlf-quoted"),
+            pytest.param(b"trial,x,c,d\n0,1,,\n1,0,b,\n", id="empty-labels"),
+            pytest.param(b"trial,x,c,d\n0,007,a,D1\n1,-0,b,D2\n", id="zero-padded"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,0,b\n", id="3-fields"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1,E\n1,0,b,D2\n", id="5-fields"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n0,0,b,D2\n", id="repeated-trial"),
+            pytest.param(b"trial,x,c,d\n5,1,a,D1\n3,0,b,D2\n", id="decreasing-trials"),
+            pytest.param(b"trial,x,c,d\n-1,1,a,D1\n3,0,b,D2\n", id="negative-trial"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,9223372036854775808,b,D2\n", id="bin-2**63"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,-9223372036854775809,b,D2\n", id="bin--2**63-1"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,-9223372036854775808,b,D2\n", id="bin--2**63"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,00000000000000000000001,b,D2\n", id="bin-23-digits"),
+            pytest.param(b"trial,x,c,d\n0,-1,a,D1\n1,0,b,D2\n", id="negative-bin"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,0,a,D2\n", id="one-choice"),
+            pytest.param(b"trial,x,c,d\n0,1,LOSS,D1\n1,0,b,D2\n", id="loss-choice"),
+            pytest.param(b"trial,x,c,d\n0,x,a,D1\n", id="non-integer-bin"),
+            pytest.param(b"trial,x,c,d\n\n\n", id="no-events"),
+            pytest.param(b"trial,x,c,d", id="header-only"),
+            pytest.param(b"", id="empty"),
+            pytest.param(b"\ntrial,x,c,d\n0,1,a,D1\n", id="blank-before-header"),
+            pytest.param(b"trial,x,c\n0,1,a\n", id="short-header"),
+        ],
+    )
+    def test_hand_made_files(self, tmp_path, body):
+        path = tmp_path / "events.csv"
+        path.write_bytes(body)
+        assert_reads_like_reference(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(b" 1,0,b,D2", id="padded-trial"),
+            pytest.param(b"1,+0,b,D2", id="plus-bin"),
+            pytest.param(b'"1",0,b,D2', id="quoted-trial"),
+            pytest.param(b"1,0,b,D2\r2,1,a,D1", id="bare-cr"),
+            pytest.param(b'1,0,b"c,D2', id="stray-quote"),
+            pytest.param(b'1,0,b"c,D2\n2,1,a"d,D1', id="paired-stray-quotes"),
+            pytest.param(b'1,0,"b"c,D2', id="text-after-closing-quote"),
+        ],
+    )
+    def test_lenient_inputs_are_rejected_by_row(self, tmp_path, row):
+        # csv.reader accepts these, but the writer never produces them
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"trial,x,c,d\n0,1,a,D1\n" + row + b"\n3,1,a,D1\n")
+        reference_read_events(path)
+        with pytest.raises(ValueError, match="event row 2 "):
+            read_event_log(path)
+
+
+class TestEventReaderBlocks:
+    """Blocks of a few bytes cut records, quoted newlines and the last line."""
+
+    TEXT = (
+        b"trial,x,c,d\n0,1,a,D1\n1,0,\"e\n1\",\"D,\"\"2\"\"\"\n"
+        b"2,12345,a,D1\n3,0,\"e\n1\",\"D,\"\"2\"\"\"\r\n\n4,2,a,D1"
+    )
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, 5, 8, 13, 21, 34])
+    def test_small_blocks_read_identically(self, tmp_path, monkeypatch, block_bytes):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.TEXT)
+        whole = read_event_log(path)
+        assert whole.space.c_values == ("a", "e\n1")
+        assert whole.space.d_values == ("D,\"2\"", "D1")
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+        assert np.array_equal(read_event_log(path).cells, whole.cells)
+
+    @pytest.mark.parametrize("block_bytes", [1, 4, 9])
+    def test_small_blocks_name_the_same_row(self, tmp_path, monkeypatch, block_bytes):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"trial,x,c,d\n0,1,a,D1\n\n1,0,b,D2\n+2,1,a,D1\n")
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        with pytest.raises(ValueError, match="event row 3 "):
+            read_event_log(path)
+        path.write_bytes(b'trial,x,c,d\n0,1,a,D1\n1,0,b,"D2\n')
+        with pytest.raises(ValueError, match="event row 2 "):
+            read_event_log(path)
+
+    def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
+        # with a zero multiplier a tail's key is its last word, so these collide;
+        # one record per block makes the second one find the first one's key
+        monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 16)
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"trial,x,c,d\n0,1,erase---,tail-end\n1,0,keep----,tail-end\n")
+        log = read_event_log(path)
+        assert log.space.c_values == ("erase---", "keep----")
+        assert log.c_idx.tolist() == [0, 1]
+        assert_reads_like_reference(path)
 
 
 class TestJointFiles:

@@ -281,3 +281,126 @@ class TestEnvironment:
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+_MZ_ECHO = {"fringe_cycles": 1.0, "kind": "mach_zehnder", "n_x": 8, "phase0": 0.0,
+            "q": 0.6, "visibility": 1.0}
+_KIM_ECHO = {"fringe_cycles": 4.0, "kind": "kim", "n_x": 64, "phase0": 0.0, "q": None,
+             "visibility": 1.0}
+_POL_ECHO = {"fringe_cycles": 4.0, "kind": "polarization", "n_x": 64, "phase0": 0.0,
+             "q": 0.5, "visibility": 1.0}
+_SAMPLE_ARGV = ["sample", "--arch", "polarization", "--n", "100", "--seed", "3",
+                "--out-dir", "smp"]
+
+# Whole manifests under relative out dirs: the config echo is part of the CLI's output.
+PINNED_MANIFESTS = {
+    "simulate_config_override": (
+        ["simulate", "--config", "arch.json", "--q", "0.6", "--out-dir", "sim"],
+        {"artifacts": ["simulate_conditional_D1.csv", "simulate_conditional_D2.csv",
+                       "simulate_joint.csv"],
+         "command": "simulate",
+         "config": {"architecture": _MZ_ECHO, "coarse": False, "command": "simulate",
+                    "out_dir": "sim"},
+         "schema_version": 1},
+    ),
+    "simulate_kim_coarse": (
+        ["simulate", "--arch", "kim", "--coarse", "--out-dir", "kc"],
+        {"artifacts": ["simulate_conditional_D_erase.csv",
+                       "simulate_conditional_D_preserve.csv", "simulate_joint.csv"],
+         "command": "simulate",
+         "config": {"architecture": _KIM_ECHO, "coarse": True, "command": "simulate",
+                    "out_dir": "kc"},
+         "schema_version": 1},
+    ),
+    "sample": (
+        _SAMPLE_ARGV,
+        {"artifacts": ["sample_events.csv"],
+         "command": "sample",
+         "config": {"architecture": _POL_ECHO, "coarse": False, "command": "sample",
+                    "n": 100, "out_dir": "smp", "seed": 3},
+         "schema_version": 1},
+    ),
+    "audit": (
+        ["audit", "--in", "smp/sample_events.csv", "--out-dir", "aud"],
+        {"artifacts": ["audit_report.json"],
+         "command": "audit",
+         "config": {"command": "audit", "input": "smp/sample_events.csv", "out_dir": "aud"},
+         "schema_version": 1},
+    ),
+    "audit_tol": (
+        ["audit", "--in", "smp/sample_events.csv", "--tol", "0.05", "--out-dir", "aud"],
+        {"artifacts": ["audit_report.json"],
+         "command": "audit",
+         "config": {"command": "audit", "input": "smp/sample_events.csv", "out_dir": "aud",
+                    "tolerance": 0.05},
+         "schema_version": 1},
+    ),
+    "witness": (
+        ["witness", "--q", "0.5", "--p", "0.25", "--out-dir", "wit"],
+        {"artifacts": ["witness_result.json"],
+         "command": "witness",
+         "config": {"command": "witness", "out_dir": "wit",
+                    "problem": {"n_x": 4, "p": 0.25, "q": 0.5}},
+         "schema_version": 1},
+    ),
+    "feasible_problem_override": (
+        ["feasible", "--problem", "problem.json", "--p", "0.1", "--out-dir", "fea"],
+        {"artifacts": ["feasible_result.json"],
+         "command": "feasible",
+         "config": {"command": "feasible", "out_dir": "fea",
+                    "problem": {"n_x": 4, "p": 0.1, "q": 0.5}},
+         "schema_version": 1},
+    ),
+    "figure": (
+        ["figure", "--mask", "mask.txt", "--out-dir", "fig"],
+        {"artifacts": ["figure_D1.csv", "figure_D2.csv"],
+         "command": "figure",
+         "config": {"command": "figure", "mask": "mask.txt", "out_dir": "fig"},
+         "schema_version": 1},
+    ),
+    "figure_sampled": (
+        ["figure", "--mask", "mask.txt", "--n", "1000", "--seed", "2", "--out-dir", "fig"],
+        {"artifacts": ["figure_D1.csv", "figure_D2.csv"],
+         "command": "figure",
+         "config": {"command": "figure", "mask": "mask.txt", "n": 1000, "out_dir": "fig",
+                    "seed": 2},
+         "schema_version": 1},
+    ),
+}
+
+
+class TestPinnedManifests:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "arch.json").write_text(
+            json.dumps({"kind": "mach_zehnder", "n_x": 8, "fringe_cycles": 1.0, "q": 0.3})
+        )
+        (tmp_path / "problem.json").write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": 4}))
+        (tmp_path / "mask.txt").write_text("0101\n")
+        assert main(_SAMPLE_ARGV) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("case", sorted(PINNED_MANIFESTS))
+    def test_manifest_is_pinned(self, inputs, case):
+        argv, expected = PINNED_MANIFESTS[case]
+        assert main(argv) == 0
+        out = inputs / expected["config"]["out_dir"]
+        assert json.loads((out / f"{argv[0]}_manifest.json").read_text()) == expected
+        if argv[0] == "audit":
+            report = json.loads((out / "audit_report.json").read_text())
+            assert report["config"] == expected["config"]
+
+    def test_manifest_under_environment_out_dir(self, inputs, monkeypatch):
+        monkeypatch.setenv("DCQE_OUT_DIR", "envout")
+        assert main(["simulate", "--arch", "kim", "--n-x", "8", "--cycles", "1.0"]) == 0
+        manifest = json.loads((inputs / "envout" / "simulate_manifest.json").read_text())
+        assert manifest == {
+            "artifacts": ["simulate_conditional_D1.csv", "simulate_conditional_D2.csv",
+                          "simulate_conditional_D3.csv", "simulate_conditional_D4.csv",
+                          "simulate_joint.csv"],
+            "command": "simulate",
+            "config": {"architecture": dict(_KIM_ECHO, n_x=8, fringe_cycles=1.0),
+                       "coarse": False, "command": "simulate", "out_dir": "envout"},
+            "schema_version": 1,
+        }

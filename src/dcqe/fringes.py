@@ -47,6 +47,8 @@ class FringeModel:
             raise InvalidArgument(f"need at least 2 bins, got {self.n_x}")
         if not math.isfinite(self.cycles) or self.cycles < 0:
             raise InvalidArgument(f"cycles must be finite and nonnegative, got {self.cycles}")
+        if not math.isfinite(self.phase0):
+            raise InvalidArgument(f"phase0 must be finite, got {self.phase0}")
         if not 0.0 <= self.visibility <= 1.0:
             raise InvalidArgument(f"visibility must lie in [0, 1], got {self.visibility}")
         if self.envelope is not None:

@@ -44,10 +44,14 @@ def _float_repr(value: float) -> str:
 
 
 def write_json(obj, path: str) -> None:
-    """Write a JSON document deterministically (sorted keys, full precision)."""
+    """Write a JSON document deterministically (sorted keys, full precision).
+
+    A non-finite float raises ``ValueError`` before the file is opened: bare
+    ``NaN`` is not JSON.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path: str) -> dict:
@@ -61,17 +65,19 @@ def read_json(path: str) -> dict:
 def _cell_fields(space: OutcomeSpace) -> list[str]:
     """CSV text of each cell's ``x,c,d`` fields, indexed by flat cell.
 
-    Each cell is rendered once by a ``csv.writer`` in this module's dialect,
-    so every label is quoted exactly as it would be within a whole row.
+    Each cell is rendered once by a ``csv.writer``, so every label is quoted
+    exactly as it would be within a whole row. The writer ends rows with
+    ``\\r\\n``, which makes it quote a label holding either character; the
+    terminator is cut off, and the files end rows with ``\\n``.
     """
     buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
     fields = []
     for cell in itertools.product(range(space.n_x), space.c_values, space.d_values):
         buf.seek(0)
         buf.truncate()
         writer.writerow(cell)
-        fields.append(buf.getvalue()[:-1])
+        fields.append(buf.getvalue()[:-2])
     return fields
 
 

@@ -68,6 +68,13 @@ class TestSimulate:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
+    @pytest.mark.parametrize("phase0", ["nan", "inf"])
+    def test_non_finite_phase0_exit_1(self, tmp_path, capsys, phase0):
+        argv = ["simulate", "--arch", "kim", "--phase0", phase0, "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_architecture_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
 
@@ -165,10 +172,28 @@ class TestSampleAndAudit:
         assert main(["audit", "--in", str(tmp_path / "nope.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize(
+        "body",
+        ["trial, x, c, d\n0,1,a,D1\n1,0,b,D2\n", " x , c , d , p\n0,a,D1,0.5\n1,b,D2,0.5\n"],
+        ids=["events", "joint"],
+    )
+    def test_audit_spaced_header(self, tmp_path, body):
+        path = tmp_path / "spaced.csv"
+        path.write_text(body)
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "audit_report.json").read_text())
+        assert report["n_samples"] == (2 if body.startswith("trial") else None)
+
     def test_audit_unknown_header_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("alpha,beta\n1,2\n")
         assert main(["audit", "--in", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    def test_audit_header_past_csv_field_limit_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x" * 200_000 + "\n0,a,D1,1.0\n")
+        assert main(["audit", "--in", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert "unrecognized input header" in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestFeasibilityCommands:

@@ -40,6 +40,8 @@ class TestFringeModel:
             dict(n_x=4, cycles=1.0, envelope=[1.0, -1.0, 1.0, 1.0]),
             dict(n_x=4, cycles=1.0, envelope=[0.0, 0.0, 0.0, 0.0]),
             dict(n_x=4, cycles=1.0, envelope=[1.0, 1.0]),
+            dict(n_x=4, cycles=1.0, phase0=np.inf),
+            dict(n_x=4, cycles=1.0, phase0=np.nan),
         ],
     )
     def test_rejects_malformed(self, kwargs):

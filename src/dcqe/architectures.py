@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidChoiceProbability, UnbalancedPorts
 from .fringes import FringeModel, fringe_profile
-from .joint import LOSS, CoarseGraining, JointDistribution, OutcomeSpace
+from .joint import LOSS, CoarseGraining, JointDistribution, OutcomeSpace, validate
 
 #: Default model parameters shared by the command-line tools.
 DEFAULT_N_X = 64
@@ -75,7 +75,7 @@ def build_kim(m: FringeModel) -> JointDistribution:
     table[:, 0, 1] = fringe_profile(m, math.pi) / 4.0
     table[:, 1, 2] = env / 4.0
     table[:, 1, 3] = env / 4.0
-    return JointDistribution(space, table)
+    return validate(JointDistribution(space, table))
 
 
 def kim_coarse_graining() -> CoarseGraining:
@@ -102,7 +102,7 @@ def build_mach_zehnder(m: FringeModel, q: float) -> JointDistribution:
     table[:, 0, 1] = q * env * (1.0 - mod) / 2.0
     table[:, 1, 0] = (1.0 - q) * env / 2.0
     table[:, 1, 1] = (1.0 - q) * env / 2.0
-    return JointDistribution(space, table)
+    return validate(JointDistribution(space, table))
 
 
 def build_polarization(m: FringeModel, q: float) -> JointDistribution:
@@ -123,7 +123,7 @@ def build_polarization(m: FringeModel, q: float) -> JointDistribution:
     table[:, 0, 0] = q * env * success
     table[:, 0, 2] = q * env * (1.0 - success)
     table[:, 1, 1] = (1.0 - q) * env
-    return JointDistribution(space, table)
+    return validate(JointDistribution(space, table))
 
 
 def build_passive_choice(m: FringeModel) -> JointDistribution:
@@ -143,7 +143,7 @@ def build_passive_choice(m: FringeModel) -> JointDistribution:
     table = np.zeros(space.shape)
     table[:, 0, 0] = env * (1.0 + mod) / 2.0
     table[:, 1, 1] = env * (1.0 - mod) / 2.0
-    return JointDistribution(space, table)
+    return validate(JointDistribution(space, table))
 
 
 @dataclass(frozen=True)

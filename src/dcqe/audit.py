@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllMassLost, InsufficientOutcomes
+from .errors import AllMassLost, InsufficientOutcomes, InvalidArgument
 from .joint import (
     JointDistribution,
     RoutingMap,
@@ -339,6 +339,8 @@ def audit(joint: JointDistribution, tol: float | None = None) -> AuditReport:
     validate(joint)
     if tol is None:
         tol = default_tolerance(joint)
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
     return AuditReport(
         independence=check_independence(joint, tol),
         lossless=check_lossless(joint),

@@ -6,11 +6,11 @@ the joint table. Logs store one flat cell index per trial against an
 boundary.
 
 Sampling is deterministic given (table, n_trials, seed) and independent of
-how the work is batched: trials are produced in fixed-size chunks, each
-chunk seeded from the root seed and its own chunk index. Chunk k of a long
-run is bit-identical to chunk k of a short one, so logs share prefixes and
-chunks may be generated out of order or in parallel without changing the
-result.
+batching: chunk k of every run has its own stream, seeded from the root seed
+and k, and a partial tail draws only the uniforms it keeps, which under PCG64
+are a prefix of the full chunk's draw. So logs share prefixes, and chunks may
+be generated out of order or in parallel. A guide table (Chen & Asau 1974;
+Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search would.
 """
 
 from __future__ import annotations
@@ -70,31 +70,34 @@ class EventLog:
         return np.bincount(self.cells, minlength=math.prod(shape)).reshape(shape)
 
 
-def _chunk_uniforms(seed: int, chunk_index: int) -> np.ndarray:
+def _chunk_uniforms(seed: int, chunk_index: int, size: int) -> np.ndarray:
     ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    return rng.random(CHUNK_TRIALS)
+    return np.random.Generator(np.random.PCG64(ss)).random(size)
 
 
 def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLog:
     """Draw i.i.d. trials from a validated table.
 
-    Each chunk draws a full block of uniforms and inverts the cumulative
-    table with a sorted search; partial tail chunks slice the block rather
-    than shortening the draw, keeping the prefix property exact.
+    The guide has K buckets, K the least power of two >= 4 * cells, so u * K
+    is exact and ``guide[floor(u * K)]`` is ``searchsorted(cdf, u, "right")``
+    unless the cdf steps between u's bucket edge and u; only those are searched.
     """
     validate(joint)
     if n_trials < 1:
         raise InvalidArgument(f"need at least 1 trial, got {n_trials}")
     cdf = np.cumsum(joint.p.reshape(-1))
     cdf[-1] = 1.0
-    n_chunks = -(-n_trials // CHUNK_TRIALS)
-    pieces = []
-    for k in range(n_chunks):
-        u = _chunk_uniforms(seed, k)
-        take = min(CHUNK_TRIALS, n_trials - k * CHUNK_TRIALS)
-        pieces.append(np.searchsorted(cdf, u[:take], side="right"))
-    return EventLog(joint.space, np.concatenate(pieces))
+    k = 4 << (cdf.size - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
+    cells = np.empty(n_trials, dtype=np.intp)
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        u = _chunk_uniforms(seed, start // CHUNK_TRIALS, min(CHUNK_TRIALS, n_trials - start))
+        out = cells[start:start + u.size]
+        np.take(guide, (u * k).astype(np.intp), out=out)
+        miss = np.flatnonzero(cdf[out] <= u)
+        out[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return EventLog(joint.space, cells)
+
 
 def estimate_from_events(log: EventLog) -> JointDistribution:
     """Relative-frequency table from a log, tagged with its sample count."""

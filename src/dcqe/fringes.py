@@ -90,13 +90,16 @@ def fringe_profile(model: FringeModel, phase_offset: float = 0.0) -> np.ndarray:
     """Normalized bin distribution of one pattern.
 
     Tiny negative weights from rounding at full visibility are clamped to
-    zero before normalizing.
+    zero before normalizing; ``nan`` weights, from phases past float range,
+    are rejected.
     """
     weights = model.envelope_distribution() * (
         1.0 + model.visibility * np.cos(model.phases() + phase_offset)
     )
     weights = np.maximum(weights, 0.0)
     total = float(weights.sum())
+    if not math.isfinite(total):
+        raise InvalidArgument("fringe profile has non-finite weights; the phases overflow")
     if total <= 0.0:
         raise InvalidArgument("fringe profile has no mass; envelope and contrast cancel")
     return weights / total

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 from io import StringIO
 from typing import Mapping
@@ -416,6 +417,8 @@ def read_joint(path: str) -> JointDistribution:
             x, c, d, p = int(row[0]), row[1], row[2], float(row[3])
             if not 0 <= x <= _INTP.max:
                 raise ValueError(f"bin {x} on line {reader.line_num} of {path} is not a valid index")
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite probability {row[3]!r} on line {reader.line_num} of {path}")
             if (x, c, d) in cells:
                 raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
             if x > max_x:

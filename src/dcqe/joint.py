@@ -218,8 +218,9 @@ class CoarseGraining:
         raise UnmappedLabel(d)
 
 
-def validate(joint: JointDistribution) -> None:
-    """Raise on the first violated table invariant: sign, then normalization."""
+def validate(joint: JointDistribution) -> JointDistribution:
+    """Raise on the first violated table invariant: sign, then normalization;
+    return the table when it has none."""
     table = joint.p
     if np.any(table < 0):
         x, c, d = np.unravel_index(int(np.argmax(table < 0)), table.shape)
@@ -229,6 +230,7 @@ def validate(joint: JointDistribution) -> None:
     total = float(table.sum())
     if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalized(total)
+    return joint
 
 
 def _axes_to_indices(axes) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import pytest
 
 from dcqe import (
     ArchitectureSpec,
+    DcqeError,
     FringeModel,
     InvalidArgument,
     InvalidChoiceProbability,
@@ -264,3 +265,12 @@ def test_every_builder_validates_at_defaults():
         validate(joint)
         assert abs(joint.p.sum() - 1.0) <= 1e-12
         assert audit(joint).no_go_consistent
+
+
+@pytest.mark.parametrize("kind, q", [
+    ("kim", None), ("mach_zehnder", 0.5), ("polarization", 0.5), ("passive_choice", None),
+])
+def test_every_builder_rejects_overflowed_phases(kind, q):
+    spec = ArchitectureSpec(kind, FringeModel(n_x=8, cycles=1e308), q)
+    with np.errstate(invalid="ignore"), pytest.raises(DcqeError):
+        spec.build()

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dcqe import (
     AllMassLost,
     InsufficientOutcomes,
+    InvalidArgument,
     JointDistribution,
     NotNormalized,
     OutcomeSpace,
@@ -223,6 +226,12 @@ class TestAudit:
         assert not strict.deterministic_routing.holds
         assert loose.deterministic_routing.holds
         assert strict.tolerance == 1e-3
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        joint = product_joint([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], ("D1", "D2"))
+        with pytest.raises(InvalidArgument, match="tolerance must be finite and positive"):
+            audit(joint, tol=tol)
 
     def test_audit_is_pure(self):
         joint = product_joint(

@@ -75,6 +75,16 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("arch", [
+        ["kim"], ["mach_zehnder", "--q", "0.5"], ["polarization", "--q", "0.5"], ["passive_choice"],
+    ])
+    def test_overflowed_phases_exit_1(self, tmp_path, capsys, arch):
+        argv = ["simulate", "--arch", *arch, "--cycles", "1e308", "--n-x", "8"]
+        with np.errstate(invalid="ignore"):
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] in ("InvalidArgument", "NotNormalized")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_architecture_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 2
 
@@ -130,11 +140,24 @@ class TestSampleAndAudit:
         report = json.loads((out / "audit_report.json").read_text())
         assert report["violations"] == ["distinct_conditionals"]
 
-    def test_audit_nan_joint_exit_1(self, tmp_path, capsys):
+    def test_audit_nan_joint_exit_2(self, tmp_path, capsys):
         path = tmp_path / "joint.csv"
         path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,nan\n")
-        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "NotNormalized"
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "non-finite probability 'nan' on line 3" in err["message"]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_audit_bad_tolerance_exit_1(self, tmp_path, capsys, tol):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.5\n")
+        out = tmp_path / "out"
+        assert main(["audit", "--in", str(joint), f"--tol={tol}", "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument"
+        assert "tolerance must be finite and positive" in err["message"]
+        assert not (out / "audit_report.json").exists()
 
     def test_audit_duplicate_joint_cell_exit_2(self, tmp_path, capsys):
         path = tmp_path / "joint.csv"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,17 @@ from dcqe import (
     OutcomeSpace,
     audit,
     build_kim,
+    build_mach_zehnder,
+    build_passive_choice,
+    build_polarization,
+    coarse_grain,
     default_fringe_model,
     estimate_from_events,
+    kim_coarse_graining,
     sample_events,
 )
+import dcqe.events
+from dcqe.events import _chunk_uniforms
 
 from conftest import FOUR_BIN_PHASE0
 
@@ -101,6 +110,125 @@ class TestSampleEvents:
         counts = log.counts()
         assert counts[:, 0, 1].sum() == 0
         assert counts[:, 1, 0].sum() == 0
+
+
+def sampler_tables():
+    """The five paper tables plus one with zero-mass cells at both ends."""
+    m = default_fringe_model()
+    space = OutcomeSpace(3, ("a", "b"), ("D1", "D2"))
+    ends = np.zeros(12)
+    ends[2:10] = [0.05, 0.2, 0.1, 0.15, 0.05, 0.25, 0.1, 0.1]
+    return {
+        "kim": build_kim(m),
+        "kim_coarse": coarse_grain(build_kim(m), kim_coarse_graining()),
+        "mach_zehnder": build_mach_zehnder(m, 0.5),
+        "polarization": build_polarization(m, 0.5),
+        "passive_choice": build_passive_choice(m),
+        "zero_ends": JointDistribution(space, ends.reshape(space.shape)),
+    }
+
+
+def crowded_joint():
+    """A heavy cell on each side of 602 cells of 1e-12, all in one bucket."""
+    space = OutcomeSpace(302, ("a", "b"), ("D1",))
+    p = np.full(604, 1e-12)
+    p[0] = 0.5
+    p[-1] = 0.5 - 602e-12
+    return JointDistribution(space, p.reshape(space.shape))
+
+
+def table_cdf(joint):
+    cdf = np.cumsum(joint.p.reshape(-1))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def inverted(joint, u, monkeypatch):
+    """The cells ``sample_events`` gives when its uniforms are ``u``."""
+    def given(seed, chunk_index, size):
+        return u[chunk_index * CHUNK_TRIALS:][:size]
+
+    monkeypatch.setattr(dcqe.events, "_chunk_uniforms", given)
+    return sample_events(joint, u.size, 0).cells
+
+
+def reference_cells(joint, n, seed):
+    """The plain sampler: a full block of uniforms per chunk, sliced, then
+    a sorted search."""
+    cdf = table_cdf(joint)
+    pieces = []
+    for k in range(-(-n // CHUNK_TRIALS)):
+        take = min(CHUNK_TRIALS, n - k * CHUNK_TRIALS)
+        u = _chunk_uniforms(seed, k, CHUNK_TRIALS)[:take]
+        pieces.append(np.searchsorted(cdf, u, side="right"))
+    return np.concatenate(pieces)
+
+
+def cells_digest(log):
+    return hashlib.sha256(np.ascontiguousarray(log.cells, dtype="<i8").tobytes()).hexdigest()
+
+
+#: Two full chunks and a partial tail.
+N_TAIL = 2 * CHUNK_TRIALS + 123
+
+#: sha256 of the little-endian int64 cells, captured from the plain sampler
+#: (a full block of uniforms per chunk, sorted search) before the guide table.
+PINNED_LOGS = {
+    ("kim", 1000, 3): "96b729e2d2bf851b8ae2322f720dd69c8d5eea3d3cee1e0dcee8798d2972e585",
+    ("kim", N_TAIL, 11): "6ef026b63583eb5cbe3af8b8811060d2cad96a9f75ff7f48cc2a81e95196a4b6",
+    ("kim_coarse", 1000, 3): "f8ea3457d610e5e260cc70e06bce4a28c84df60daed5d7770d7b8c36eb37a7d5",
+    ("kim_coarse", N_TAIL, 11): "438a9e4949e4088a69638ab33ad69a903da3fe75858a606219a9eb714512470b",
+    ("mach_zehnder", 1000, 3): "9bf3e45f764b6bbd6d3c880595a07bc8d577b5d52b7969f3dd8b812332aa7ada",
+    ("mach_zehnder", N_TAIL, 11): "1be93a5bcf663c0b5041367cb882d4bd3ee61c7a7328afd40be668de08b566cf",
+    ("polarization", 1000, 3): "6b862a205e6f157bfa2a839210846dc1f70a05ba23cd54f48f1f1fab2c0dbd0e",
+    ("polarization", N_TAIL, 11): "19f11349cc9f73f9d7445819786ac64100cfdd9bea974bd9d3f94c3912aea99e",
+    ("passive_choice", 1000, 3): "31a16363889c6284820f9bb5e090d9fd238e497b7dcaa3aad9bdd922d682ef17",
+    ("passive_choice", N_TAIL, 11): "e6ef4dec6830c037801f9c27a5039661bfbcc1d18219606f682ae2e540a26e08",
+    ("zero_ends", 1000, 3): "aa143421d83160095ea24d4e365eef30ba709c998ba66b2747e43df8b04650b0",
+    ("zero_ends", N_TAIL, 11): "001c8141b8ae7ed65f0b8646c7c48900a426ba3e59152c1e5e03645bcdb4d1bf",
+}
+
+
+class TestSamplerIsBitIdentical:
+    @pytest.mark.parametrize("key", sorted(PINNED_LOGS), ids=lambda k: "-".join(map(str, k)))
+    def test_pinned_log_digest(self, key):
+        name, n, seed = key
+        assert cells_digest(sample_events(sampler_tables()[name], n, seed)) == PINNED_LOGS[key]
+
+    @pytest.mark.parametrize("n", [1, 999, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS - 5])
+    def test_matches_plain_sampler(self, n):
+        for joint in (crowded_joint(), sampler_tables()["zero_ends"]):
+            assert np.array_equal(sample_events(joint, n, 8).cells, reference_cells(joint, n, 8))
+
+    @pytest.mark.parametrize("name", sorted(sampler_tables()) + ["crowded"])
+    def test_inversion_at_cdf_values_and_bucket_edges(self, name, monkeypatch):
+        joint = crowded_joint() if name == "crowded" else sampler_tables()[name]
+        cdf = table_cdf(joint)
+        # the guide's bucket count: the least power of two >= 4 * cells
+        buckets = 4 << (cdf.size - 1).bit_length()
+        u = np.concatenate([
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+            np.arange(buckets) / buckets, [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(inverted(joint, u, monkeypatch), np.searchsorted(cdf, u, side="right"))
+
+    def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
+        joint = crowded_joint()
+        cdf = table_cdf(joint)
+        u = 0.5 + np.random.default_rng(0).random(20000) * 700e-12
+        expected = np.searchsorted(cdf, u, side="right")
+        # these uniforms span at most two guide buckets but hundreds of
+        # cells, so nearly all of them need the fallback search
+        assert np.unique(expected).size > 500
+        assert np.array_equal(inverted(joint, u, monkeypatch), expected)
+
+    @pytest.mark.parametrize("take", [1, 2, 1000, CHUNK_TRIALS - 1])
+    def test_short_draw_is_prefix_of_full_chunk(self, take):
+        for seed in range(20):
+            for chunk in (0, 5):
+                full = _chunk_uniforms(seed, chunk, CHUNK_TRIALS)
+                assert np.array_equal(_chunk_uniforms(seed, chunk, take), full[:take])
 
 
 class TestEstimateFromEvents:

@@ -87,6 +87,12 @@ class TestFringeProfile:
         with pytest.raises(InvalidArgument):
             fringe_profile(m, 0.0)
 
+    def test_overflowed_phases_rejected(self):
+        # cos(inf) is nan, and a nan total used to slip past the mass check
+        m = FringeModel(n_x=8, cycles=1e308)
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidArgument, match="non-finite"):
+            fringe_profile(m, 0.0)
+
 
 class TestTwoPathState:
     def test_amplitude_normalization_enforced(self):

@@ -371,6 +371,13 @@ class TestJointFiles:
         with pytest.raises(ValueError, match="bin 3000000000 on line 3 .* too large"):
             read_joint(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, value):
+        path = tmp_path / "joint.csv"
+        path.write_text(f"x,c,d,p\n0,a,D1,0.5\n1,b,D2,{value}\n")
+        with pytest.raises(ValueError, match=f"non-finite probability '{value}' on line 3"):
+            read_joint(path)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "joint.csv"
         path.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.25\n0,a,D1,0.25\n")

@@ -40,7 +40,8 @@ for name, joint in joints.items():
 # The fine-grained Kim audit pins the failure to a concrete counterexample:
 # the erase choice splits its mass across two detectors.
 fine = audit(kim)
-c, d_expected, d_stray = fine.deterministic_routing.counterexample
+routing = fine.deterministic_routing
+ce = routing.detail["counterexample"]
 print()
-print(f"routing counterexample: choice {c!r} reaches both {d_expected!r} and {d_stray!r}")
-print(f"stray mass: {fine.deterministic_routing.max_stray_mass:.3f}")
+print(f"routing counterexample: choice {ce['c']!r} reaches both {ce['d']!r} and {ce['d_prime']!r}")
+print(f"stray mass: {routing.statistic:.3f}")

@@ -41,7 +41,7 @@ cd = marginal(witness, "cd")
 print(f"{'':>10}" + "".join(f"{d:>10}" for d in witness.space.d_values))
 for i, c in enumerate(witness.space.c_values):
     print(f"{c:>10}" + "".join(f"{cd[i, k]:>10.4f}" for k in range(cd.shape[1])))
-dev = check_independence(witness).max_deviation
+dev = check_independence(witness).statistic
 print(f"independence deviation: {dev:.2e}")
 assert dev <= 1e-12
 assert np.array_equal(cd, np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]]))

@@ -21,7 +21,7 @@ from dcqe import (
 
 witness = construct_witness(LossFeasibilityProblem(q=0.5, n_x=4, p=0.25)).witness
 
-dev = check_independence(witness).max_deviation
+dev = check_independence(witness).statistic
 gap = berkson_gap(witness)
 print(f"unconditional |P(x,c) - P(x)P(c)|   max: {dev:.3e}")
 print(f"detected-only |P(x,c) - P(x)P(c)|   max: {gap:.6f}  (= 1/18)")

@@ -38,10 +38,7 @@ from .architectures import (
 from .audit import (
     ALL_CHECKS,
     AuditReport,
-    DistinctnessVerdict,
-    IndependenceVerdict,
-    LosslessVerdict,
-    RoutingVerdict,
+    Verdict,
     audit,
     check_deterministic_routing,
     check_distinct_conditionals,
@@ -76,18 +73,12 @@ from .feasibility import (
     loss_bounds,
     worst_case_erase_conditional,
 )
-from .fringes import (
-    FringeModel,
-    TwoPathState,
-    fringe_profile,
-    reduced_signal_distribution,
-)
+from .fringes import FringeModel, fringe_profile
 from .joint import (
     LOSS,
     CoarseGraining,
     JointDistribution,
     OutcomeSpace,
-    RoutingMap,
     coarse_grain,
     conditional_x_given_c,
     conditional_x_given_d,
@@ -113,12 +104,10 @@ __all__ = [
     "DEFAULT_VISIBILITY",
     "DcqeError",
     "DegenerateLossMass",
-    "DistinctnessVerdict",
     "EmptyLog",
     "EventLog",
     "FeasibilityResult",
     "FringeModel",
-    "IndependenceVerdict",
     "InfeasibleLossRate",
     "InsufficientOutcomes",
     "InvalidArgument",
@@ -126,18 +115,15 @@ __all__ = [
     "JointDistribution",
     "LOSS",
     "LossFeasibilityProblem",
-    "LosslessVerdict",
     "NegativeMass",
     "NoLossOutcome",
     "NotNormalized",
     "OutcomeSpace",
     "RegionMask",
-    "RoutingMap",
-    "RoutingVerdict",
     "ShapeMismatch",
-    "TwoPathState",
     "UnbalancedPorts",
     "UnmappedLabel",
+    "Verdict",
     "ZeroConditioningMass",
     "audit",
     "berkson_gap",
@@ -162,7 +148,6 @@ __all__ = [
     "kim_coarse_graining",
     "loss_bounds",
     "marginal",
-    "reduced_signal_distribution",
     "route_by_region",
     "sample_events",
     "total_variation",

@@ -7,24 +7,19 @@ routing (the choice fixes the detection outcome), and distinctness (some
 pair of detectors sees different conditional bin distributions). They are
 jointly unsatisfiable: enforce the first three and every detector conditional
 collapses onto the X marginal, so distinctness fails. The audit runs all
-four and reports which fail; ``no_go_consistent`` records that at least one
-did.
+four, each giving one :class:`Verdict`, and reports which fail;
+``no_go_consistent`` records that at least one did.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllMassLost, InsufficientOutcomes, InvalidArgument
-from .joint import (
-    JointDistribution,
-    RoutingMap,
-    total_variation,
-    validate,
-)
+from .joint import JointDistribution, total_variation, validate
 
 #: Check names, in report order.
 CHECK_INDEPENDENCE = "independence"
@@ -33,6 +28,15 @@ CHECK_ROUTING = "deterministic_routing"
 CHECK_DISTINCT = "distinct_conditionals"
 
 ALL_CHECKS = (CHECK_INDEPENDENCE, CHECK_LOSSLESS, CHECK_ROUTING, CHECK_DISTINCT)
+
+#: Report key of the statistic each check compares with its tolerance.
+STATISTIC_KEYS = {
+    CHECK_INDEPENDENCE: "max_deviation",
+    CHECK_LOSSLESS: "loss_mass",
+    CHECK_ROUTING: "max_stray_mass",
+    CHECK_DISTINCT: "gap",
+}
+
 
 #: Loss mass above this is a real loss channel regardless of sample noise.
 LOSSLESS_TOL = 1e-12
@@ -53,114 +57,37 @@ def default_tolerance(joint: JointDistribution) -> float:
 
 
 @dataclass(frozen=True)
-class IndependenceVerdict:
-    """Is the (X, C) marginal a product of its marginals?
+class Verdict:
+    """Outcome of one structural check on one table.
 
-    ``witness`` is the (x, c_label) cell of largest deviation; ties resolve
-    to the lexicographically first cell. Choices carrying no mass cannot
-    witness dependence and are listed in ``skipped_choices``.
+    ``statistic`` is the number the check compares with ``tolerance``;
+    ``detail`` holds the check's witness fields as they appear in the
+    report, with JSON-native values only.
     """
 
+    check: str
     holds: bool
-    max_deviation: float
-    witness: tuple[int, str]
-    skipped_choices: tuple[str, ...]
+    statistic: float
     tolerance: float
+    detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
             "holds": self.holds,
-            "max_deviation": self.max_deviation,
-            "witness": {"x": self.witness[0], "c": self.witness[1]},
-            "skipped_choices": list(self.skipped_choices),
+            STATISTIC_KEYS[self.check]: self.statistic,
             "tolerance": self.tolerance,
+            **self.detail,
         }
 
 
-@dataclass(frozen=True)
-class LosslessVerdict:
-    """Does every trial end in a real detection?"""
+def check_independence(joint: JointDistribution, tol: float | None = None) -> Verdict:
+    """Compare the (X, C) marginal against the product of its marginals.
 
-    holds: bool
-    loss_mass: float
-    tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "loss_mass": self.loss_mass,
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
-class RoutingVerdict:
-    """Does the choice fix the detection outcome?
-
-    Judged on detected events only. On success ``routing`` carries the
-    extracted choice-to-detector map; on failure ``counterexample`` names a
-    choice and two detectors it reaches, (c, d, d'). ``max_stray_mass`` is
-    the largest conditional mass any choice puts outside its modal detector.
-    Zero-mass choices are skipped and listed.
+    The statistic is the largest cell deviation and ``witness`` its
+    (x, c) cell; ties resolve to the lexicographically first cell. Choices
+    carrying no mass cannot witness dependence and are listed in
+    ``skipped_choices``.
     """
-
-    holds: bool
-    routing: RoutingMap | None
-    counterexample: tuple[str, str, str] | None
-    max_stray_mass: float
-    skipped_choices: tuple[str, ...]
-    tolerance: float
-
-    def as_dict(self) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            ce = {
-                "c": self.counterexample[0],
-                "d": self.counterexample[1],
-                "d_prime": self.counterexample[2],
-            }
-        return {
-            "holds": self.holds,
-            "routing": self.routing.as_dict() if self.routing is not None else None,
-            "counterexample": ce,
-            "max_stray_mass": self.max_stray_mass,
-            "skipped_choices": list(self.skipped_choices),
-            "tolerance": self.tolerance,
-        }
-
-
-@dataclass(frozen=True)
-class DistinctnessVerdict:
-    """Does some pair of detectors see different bin distributions?
-
-    ``gap`` is the largest total variation over pairs of positive-mass
-    detectors; ``pair`` the maximizing (d, d') and ``bin_set`` the bins
-    where p(x|d) exceeds p(x|d'), which realize the gap as a probability
-    difference. Ties resolve to the first pair in detector axis order.
-    """
-
-    holds: bool
-    gap: float
-    pair: tuple[str, str]
-    bin_set: tuple[int, ...]
-    tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "gap": self.gap,
-            "witness": {
-                "bin_set": list(self.bin_set),
-                "d": self.pair[0],
-                "d_prime": self.pair[1],
-                "gap": self.gap,
-            },
-            "tolerance": self.tolerance,
-        }
-
-
-def check_independence(joint: JointDistribution, tol: float | None = None) -> IndependenceVerdict:
-    """Compare the (X, C) marginal against the product of its marginals."""
     if tol is None:
         tol = default_tolerance(joint)
     p_xc = joint.p.sum(axis=2)
@@ -169,19 +96,12 @@ def check_independence(joint: JointDistribution, tol: float | None = None) -> In
     deviation = np.abs(p_xc - np.outer(p_x, p_c))
     x, c = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     worst = float(deviation[x, c])
-    skipped = tuple(
-        joint.space.c_values[ci] for ci in range(joint.space.n_c) if p_c[ci] <= 0.0
-    )
-    return IndependenceVerdict(
-        holds=worst <= tol,
-        max_deviation=worst,
-        witness=(int(x), joint.space.c_values[c]),
-        skipped_choices=skipped,
-        tolerance=tol,
-    )
+    skipped = [joint.space.c_values[ci] for ci in range(joint.space.n_c) if p_c[ci] <= 0.0]
+    detail = {"witness": {"x": int(x), "c": joint.space.c_values[c]}, "skipped_choices": skipped}
+    return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
 
 
-def check_lossless(joint: JointDistribution) -> LosslessVerdict:
+def check_lossless(joint: JointDistribution) -> Verdict:
     """Total mass on the loss outcome must be zero.
 
     The tolerance is fixed rather than sample-scaled: a loss channel is a
@@ -190,26 +110,30 @@ def check_lossless(joint: JointDistribution) -> LosslessVerdict:
     """
     li = joint.space.loss_index
     loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
-    return LosslessVerdict(holds=loss_mass <= LOSSLESS_TOL, loss_mass=loss_mass, tolerance=LOSSLESS_TOL)
+    return Verdict(CHECK_LOSSLESS, loss_mass <= LOSSLESS_TOL, loss_mass, LOSSLESS_TOL)
 
 
-def check_deterministic_routing(joint: JointDistribution, tol: float | None = None) -> RoutingVerdict:
+def check_deterministic_routing(joint: JointDistribution, tol: float | None = None) -> Verdict:
     """Extract the modal detector per choice and measure stray mass.
 
     Routing is judged after conditioning on detection (D != LOSS), so a
-    lossy arrangement can still route deterministically. A choice with
-    positive mass that is entirely lost leaves routing undefined and is an
-    error; a choice with no mass at all is skipped and noted. Modal ties
-    resolve to the first detector in axis order.
+    lossy arrangement can still route deterministically. The statistic is
+    the largest conditional mass any choice puts outside its modal
+    detector. On success ``routing`` maps each choice to its detector; on
+    failure ``counterexample`` names the worst choice and two detectors it
+    reaches. A choice with positive mass that is entirely lost leaves
+    routing undefined and is an error; a choice with no mass at all is
+    listed in ``skipped_choices``. Modal ties resolve to the first detector
+    in axis order.
     """
     if tol is None:
         tol = default_tolerance(joint)
     space = joint.space
     detected = list(space.detected_indices)
-    assignments: list[tuple[str, str]] = []
+    routing: dict[str, str] = {}
     skipped: list[str] = []
     max_stray = -1.0
-    worst: tuple[str, str, str] | None = None
+    worst: dict[str, str] | None = None
     for ci, c in enumerate(space.c_values):
         mass_c = float(joint.p[:, ci, :].sum())
         if mass_c <= 0.0:
@@ -222,32 +146,33 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
         cond = mass_d / total
         target = int(np.argmax(cond))
         stray = float(1.0 - cond[target])
-        assignments.append((c, space.d_values[detected[target]]))
+        routing[c] = space.d_values[detected[target]]
         if stray > max_stray:
             max_stray = stray
             runner_up = np.array(cond, copy=True)
             runner_up[target] = -1.0
             second = int(np.argmax(runner_up)) if cond.size > 1 else target
-            worst = (c, space.d_values[detected[target]], space.d_values[detected[second]])
-    if not assignments:
+            worst = {"c": c, "d": routing[c], "d_prime": space.d_values[detected[second]]}
+    if not routing:
         raise AllMassLost(space.c_values[0])
     holds = max_stray <= tol
-    return RoutingVerdict(
-        holds=holds,
-        routing=RoutingMap(tuple(assignments)) if holds else None,
-        counterexample=None if holds else worst,
-        max_stray_mass=max_stray,
-        skipped_choices=tuple(skipped),
-        tolerance=tol,
-    )
+    detail = {
+        "routing": routing if holds else None,
+        "counterexample": None if holds else worst,
+        "skipped_choices": skipped,
+    }
+    return Verdict(CHECK_ROUTING, holds, max_stray, tol, detail)
 
 
-def check_distinct_conditionals(joint: JointDistribution, tol: float | None = None) -> DistinctnessVerdict:
+def check_distinct_conditionals(joint: JointDistribution, tol: float | None = None) -> Verdict:
     """Largest pairwise total variation among detector conditionals.
 
     Distinctness asks whether ANY pair of detectors separates, so the gap
     is a maximum over pairs of positive-mass non-loss detectors; fewer than
-    two of those leaves nothing to compare.
+    two of those leaves nothing to compare. ``witness`` names the
+    maximizing pair (d, d') and the ``bin_set`` where p(x|d) exceeds
+    p(x|d'), which realizes the gap as a probability difference. Ties
+    resolve to the first pair in detector axis order.
     """
     if tol is None:
         tol = default_tolerance(joint)
@@ -264,7 +189,7 @@ def check_distinct_conditionals(joint: JointDistribution, tol: float | None = No
         )
     gap = -1.0
     pair = (conditionals[0][0], conditionals[1][0])
-    bin_set: tuple[int, ...] = ()
+    bin_set: list[int] = []
     for i in range(len(conditionals)):
         for j in range(i + 1, len(conditionals)):
             tv = total_variation(conditionals[i][1], conditionals[j][1])
@@ -272,66 +197,47 @@ def check_distinct_conditionals(joint: JointDistribution, tol: float | None = No
                 gap = tv
                 pair = (conditionals[i][0], conditionals[j][0])
                 diff = conditionals[i][1] - conditionals[j][1]
-                bin_set = tuple(int(x) for x in np.nonzero(diff > 0)[0])
-    return DistinctnessVerdict(
-        holds=gap > tol,
-        gap=float(gap),
-        pair=pair,
-        bin_set=bin_set,
-        tolerance=tol,
-    )
+                bin_set = [int(x) for x in np.nonzero(diff > 0)[0]]
+    gap = float(gap)
+    witness = {"bin_set": bin_set, "d": pair[0], "d_prime": pair[1], "gap": gap}
+    return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Bundled verdicts of the four structural checks on one table."""
+    """The four verdicts on one table, each in the field named by its check."""
 
-    independence: IndependenceVerdict
-    lossless: LosslessVerdict
-    deterministic_routing: RoutingVerdict
-    distinct_conditionals: DistinctnessVerdict
+    independence: Verdict
+    lossless: Verdict
+    deterministic_routing: Verdict
+    distinct_conditionals: Verdict
     tolerance: float
     n_samples: int | None = None
 
     @property
-    def holds_all(self) -> bool:
-        return (
-            self.independence.holds
-            and self.lossless.holds
-            and self.deterministic_routing.holds
-            and self.distinct_conditionals.holds
-        )
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """The four verdicts, in ``ALL_CHECKS`` order."""
+        return tuple(getattr(self, check) for check in ALL_CHECKS)
 
     @property
     def violations(self) -> tuple[str, ...]:
         """Names of the failed checks, in report order."""
-        out = []
-        for name, verdict in (
-            (CHECK_INDEPENDENCE, self.independence),
-            (CHECK_LOSSLESS, self.lossless),
-            (CHECK_ROUTING, self.deterministic_routing),
-            (CHECK_DISTINCT, self.distinct_conditionals),
-        ):
-            if not verdict.holds:
-                out.append(name)
-        return tuple(out)
+        return tuple(v.check for v in self.verdicts if not v.holds)
 
     @property
     def no_go_consistent(self) -> bool:
         """True iff not all four checks hold; true for every valid table."""
-        return not self.holds_all
+        return bool(self.violations)
 
     def as_dict(self) -> dict:
-        return {
-            "independence": self.independence.as_dict(),
-            "lossless": self.lossless.as_dict(),
-            "deterministic_routing": self.deterministic_routing.as_dict(),
-            "distinct_conditionals": self.distinct_conditionals.as_dict(),
-            "violations": list(self.violations),
-            "no_go_consistent": self.no_go_consistent,
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-        }
+        doc = {v.check: v.as_dict() for v in self.verdicts}
+        doc.update(
+            violations=list(self.violations),
+            no_go_consistent=self.no_go_consistent,
+            tolerance=self.tolerance,
+            n_samples=self.n_samples,
+        )
+        return doc
 
 
 def audit(joint: JointDistribution, tol: float | None = None) -> AuditReport:

@@ -15,16 +15,12 @@ complementary ports of a lossless splitter differ by pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NotNormalized
-
-#: Unit-norm tolerance for path amplitudes.
-AMPLITUDE_TOL = 1e-12
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -102,71 +98,4 @@ def fringe_profile(model: FringeModel, phase_offset: float = 0.0) -> np.ndarray:
         raise InvalidArgument("fringe profile has non-finite weights; the phases overflow")
     if total <= 0.0:
         raise InvalidArgument("fringe profile has no mass; envelope and contrast cancel")
-    return weights / total
-
-
-@dataclass(frozen=True)
-class TwoPathState:
-    """Two path amplitudes entangled with partner (idler) states.
-
-    ``amp1`` and ``amp2`` are the path amplitudes; their squared moduli must
-    sum to one. ``idler_overlap`` is the inner product of the two idler
-    states tagging the paths: modulus 0 means perfect which-path
-    information, modulus 1 means none.
-    """
-
-    amp1: complex
-    amp2: complex
-    idler_overlap: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "amp1", complex(self.amp1))
-        object.__setattr__(self, "amp2", complex(self.amp2))
-        object.__setattr__(self, "idler_overlap", complex(self.idler_overlap))
-        total = abs(self.amp1) ** 2 + abs(self.amp2) ** 2
-        if abs(total - 1.0) > AMPLITUDE_TOL:
-            raise NotNormalized(total)
-        if abs(self.idler_overlap) > 1.0 + AMPLITUDE_TOL:
-            raise InvalidArgument(
-                f"idler overlap modulus {abs(self.idler_overlap)} exceeds 1"
-            )
-
-    @property
-    def coherence(self) -> float:
-        """Fringe contrast the state supports: 2*|amp1|*|amp2|*|overlap|."""
-        return 2.0 * abs(self.amp1) * abs(self.amp2) * abs(self.idler_overlap)
-
-    @property
-    def fringe_phase_shift(self) -> float:
-        """Pattern shift: arg(overlap) + arg(amp2) - arg(amp1)."""
-        if self.coherence == 0.0:
-            return 0.0
-        return (
-            cmath.phase(self.idler_overlap)
-            + cmath.phase(self.amp2)
-            - cmath.phase(self.amp1)
-        )
-
-
-def reduced_signal_distribution(state: TwoPathState, model: FringeModel) -> np.ndarray:
-    """Screen distribution after tracing out the idler.
-
-    Bin x receives envelope(x) times the squared norm of
-    amp1*|i1> + amp2*exp(i*theta(x))*|i2>, which works out to
-
-        1 + visibility * coherence * cos(theta(x) + fringe_phase_shift)
-
-    inside the envelope. Zero overlap returns the bare envelope: perfect
-    which-path information leaves no interference in the marginal. The
-    model's own visibility acts as an instrumental contrast on top of what
-    the state supports.
-    """
-    contrast = model.visibility * state.coherence
-    weights = model.envelope_distribution() * (
-        1.0 + contrast * np.cos(model.phases() + state.fringe_phase_shift)
-    )
-    weights = np.maximum(weights, 0.0)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise InvalidArgument("signal distribution has no mass")
     return weights / total

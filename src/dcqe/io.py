@@ -502,11 +502,19 @@ def write_arch_config(spec: ArchitectureSpec, path: str) -> None:
     write_json(arch_config_dict(spec), path)
 
 
+def _integer(doc: Mapping, key: str, default=None) -> int:
+    """``doc[key]`` as an int; a number with a fractional part is refused."""
+    value = doc.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def arch_spec_from_dict(doc: Mapping) -> ArchitectureSpec:
     if "kind" not in doc:
         raise ValueError("architecture config is missing 'kind'")
     model = FringeModel(
-        n_x=int(doc.get("n_x", DEFAULT_N_X)),
+        n_x=_integer(doc, "n_x", DEFAULT_N_X),
         cycles=float(doc.get("fringe_cycles", DEFAULT_CYCLES)),
         phase0=float(doc.get("phase0", 0.0)),
         visibility=float(doc.get("visibility", DEFAULT_VISIBILITY)),
@@ -544,7 +552,7 @@ def problem_from_dict(doc: Mapping) -> LossFeasibilityProblem:
     preserve = doc.get("preserve_conditional")
     return LossFeasibilityProblem(
         q=float(doc["q"]),
-        n_x=int(doc["n_x"]),
+        n_x=_integer(doc, "n_x"),
         p=float(doc["p"]),
         erase_conditional=None if erase is None else np.asarray(erase, dtype=float),
         preserve_conditional=None if preserve is None else np.asarray(preserve, dtype=float),
@@ -603,6 +611,10 @@ def read_mask(path: str) -> RegionMask:
         if len(tokens) < 3:
             raise ValueError(f"PBM file {path} is missing dimensions")
         width, height = int(tokens[1]), int(tokens[2])
+        if width < 1 or height < 1:
+            raise ValueError(
+                f"PBM file {path} has dimensions {width} x {height}; both must be at least 1"
+            )
         bits = [int(t) for t in tokens[3:]]
         if len(bits) != width * height:
             raise ValueError(

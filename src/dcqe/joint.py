@@ -143,44 +143,6 @@ class JointDistribution:
 
 
 @dataclass(frozen=True)
-class RoutingMap:
-    """A deterministic assignment of one non-loss detection label per choice."""
-
-    assignments: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", tuple(tuple(a) for a in self.assignments))
-        choices = [c for c, _ in self.assignments]
-        if len(set(choices)) != len(choices):
-            raise InvalidArgument("routing map assigns a choice more than once")
-        if any(d == LOSS for _, d in self.assignments):
-            raise InvalidArgument("routing map may not target the loss outcome")
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, str]) -> "RoutingMap":
-        return cls(tuple(mapping.items()))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignments)
-
-    def __getitem__(self, c: str) -> str:
-        for choice, d in self.assignments:
-            if choice == c:
-                return d
-        raise KeyError(c)
-
-    def check_against(self, space: OutcomeSpace, choices: Iterable[str] | None = None) -> None:
-        """Require totality on the given choices (default: all of them)."""
-        wanted = tuple(choices) if choices is not None else space.c_values
-        mapped = self.as_dict()
-        for c in wanted:
-            if c not in mapped:
-                raise InvalidArgument(f"routing map missing choice {c!r}")
-            if mapped[c] not in space.d_values or mapped[c] == LOSS:
-                raise InvalidArgument(f"routing target {mapped[c]!r} not a detection label")
-
-
-@dataclass(frozen=True)
 class CoarseGraining:
     """Partition of fine detection labels into coarse channels.
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written the slow, obvious way: exact Fractions, explicit
-density matrices, brute-force mixtures. Nothing imports from dcqe, so a bug
-in the library cannot hide in its own test oracle.
+Everything here is written the slow, obvious way: exact Fractions,
+brute-force mixtures. Nothing imports from dcqe, so a bug in the library
+cannot hide in its own test oracle.
 """
 
 import csv
@@ -28,25 +28,6 @@ def rational_fringe_profile(offset_quarters: int, visibility=Fraction(1)):
 def tv_fraction(a, b):
     """Exact total variation distance between two rational vectors."""
     return sum(abs(x - y) for x, y in zip(a, b)) / 2
-
-
-def density_matrix_signal(amp1, amp2, overlap, phases, envelope, visibility):
-    """Screen distribution from the explicit 2x2 reduced path state.
-
-    Builds rho by tracing the partner out of amp1|path1,i1> + amp2|path2,i2>
-    with <i1|i2> = overlap, then evaluates <x|rho|x> per bin using path
-    wavefunctions sqrt(env)*exp(-i theta/2) and sqrt(env)*exp(+i theta/2).
-    The instrument visibility scales the off-diagonal response only.
-    """
-    a1, a2, g = complex(amp1), complex(amp2), complex(overlap)
-    rho11 = abs(a1) ** 2
-    rho22 = abs(a2) ** 2
-    rho12 = a1 * np.conj(a2) * np.conj(g)
-    out = np.empty(len(phases))
-    for i, (theta, env) in enumerate(zip(phases, envelope)):
-        cross = 2.0 * visibility * np.real(rho12 * np.exp(-1j * theta))
-        out[i] = env * (rho11 + rho22 + cross)
-    return out / out.sum()
 
 
 def pooled_conditional(q, fringe, flat):

@@ -60,7 +60,7 @@ def test_no_go_suite_on_randomized_routed_joints():
         for _ in range(10_000):
             j = routed_joint(rng)
             report = audit(j)
-            worst_gap = max(worst_gap, report.distinct_conditionals.gap)
+            worst_gap = max(worst_gap, report.distinct_conditionals.statistic)
             all_consistent = all_consistent and report.no_go_consistent
         elapsed = time.perf_counter() - started
         assert worst_gap <= 1e-12
@@ -85,7 +85,7 @@ def test_witness_independence_and_choice_detector_table():
     with criterion("witness independence and choice-detector table"):
         result = construct_witness(LossFeasibilityProblem(q=0.5, n_x=4, p=0.25))
         w = result.witness
-        assert check_independence(w).max_deviation <= 1e-12
+        assert check_independence(w).statistic <= 1e-12
         expected_cd = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
         assert np.array_equal(marginal(w, "cd"), expected_cd)
 
@@ -164,7 +164,7 @@ def test_berkson_gap_under_detection_conditioning():
     with criterion("berkson gap under detection conditioning"):
         w = construct_witness(LossFeasibilityProblem(q=0.5, n_x=4, p=0.25)).witness
         assert berkson_gap(w) > 0.01
-        assert check_independence(w).max_deviation <= 1e-12
+        assert check_independence(w).statistic <= 1e-12
 
 
 def test_region_routing_figure_partition():

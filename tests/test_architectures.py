@@ -78,15 +78,19 @@ class TestKim:
     def test_fine_audit(self, four_bin_model):
         report = audit(build_kim(four_bin_model))
         assert report.violations == ("deterministic_routing",)
-        assert report.deterministic_routing.counterexample == ("erase", "D1", "D2")
+        assert report.deterministic_routing.detail["counterexample"] == {
+            "c": "erase",
+            "d": "D1",
+            "d_prime": "D2",
+        }
         assert report.no_go_consistent
 
     def test_coarse_audit(self, four_bin_model):
         coarse = coarse_grain(build_kim(four_bin_model), kim_coarse_graining())
         report = audit(coarse)
         assert report.violations == ("distinct_conditionals",)
-        assert report.distinct_conditionals.gap <= 1e-12
-        assert report.deterministic_routing.routing.as_dict() == {
+        assert report.distinct_conditionals.statistic <= 1e-12
+        assert report.deterministic_routing.detail["routing"] == {
             "erase": "D_erase",
             "preserve": "D_preserve",
         }
@@ -122,7 +126,11 @@ class TestMachZehnder:
     def test_audit(self, four_bin_model):
         report = audit(build_mach_zehnder(four_bin_model, 0.5))
         assert report.violations == ("deterministic_routing",)
-        assert report.deterministic_routing.counterexample == ("erase", "D1", "D2")
+        assert report.deterministic_routing.detail["counterexample"] == {
+            "c": "erase",
+            "d": "D1",
+            "d_prime": "D2",
+        }
         assert report.no_go_consistent
 
     def test_no_signaling(self):
@@ -177,7 +185,7 @@ class TestPolarization:
     def test_audit(self, four_bin_model):
         report = audit(build_polarization(four_bin_model, 0.5))
         assert report.violations == ("lossless",)
-        assert report.lossless.loss_mass == pytest.approx(0.25, abs=1e-12)
+        assert report.lossless.statistic == pytest.approx(0.25, abs=1e-12)
         assert report.distinct_conditionals.holds
         assert report.no_go_consistent
 
@@ -191,7 +199,7 @@ class TestPolarization:
     def test_independence_deviation_tiny(self, four_bin_model):
         report = audit(build_polarization(four_bin_model, 0.5))
         assert report.independence.holds
-        assert report.independence.max_deviation <= 1e-12
+        assert report.independence.statistic <= 1e-12
 
 
 class TestPassiveChoice:

@@ -63,7 +63,7 @@ class TestIndependence:
         )
         verdict = check_independence(joint)
         assert verdict.holds
-        assert verdict.max_deviation <= 1e-12
+        assert verdict.statistic <= 1e-12
 
     def test_correlated_fails_with_argmax_witness(self):
         # P(x=0,c=0)=0.4 while P(x=0)P(c=0)=0.25: deviation 0.15 at (0, a)
@@ -71,8 +71,8 @@ class TestIndependence:
         table = np.array([[[0.4], [0.1]], [[0.1], [0.4]]])
         verdict = check_independence(JointDistribution(space, table))
         assert not verdict.holds
-        assert verdict.max_deviation == pytest.approx(0.15, abs=1e-15)
-        assert verdict.witness == (0, "a")
+        assert verdict.statistic == pytest.approx(0.15, abs=1e-15)
+        assert verdict.detail["witness"] == {"x": 0, "c": "a"}
 
     def test_zero_mass_choice_skipped(self):
         space = OutcomeSpace(2, ("a", "b", "ghost"), ("D1", "D2"))
@@ -80,7 +80,7 @@ class TestIndependence:
         table[:, :2, :] = 0.125
         verdict = check_independence(JointDistribution(space, table))
         assert verdict.holds
-        assert verdict.skipped_choices == ("ghost",)
+        assert verdict.detail["skipped_choices"] == ["ghost"]
 
 
 class TestLossless:
@@ -88,7 +88,7 @@ class TestLossless:
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         verdict = check_lossless(JointDistribution(space, np.full((2, 2, 2), 0.125)))
         assert verdict.holds
-        assert verdict.loss_mass == 0.0
+        assert verdict.statistic == 0.0
 
     def test_loss_with_mass_fails(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "LOSS"))
@@ -97,7 +97,7 @@ class TestLossless:
         table[:, :, 1] = 0.05
         verdict = check_lossless(JointDistribution(space, table))
         assert not verdict.holds
-        assert verdict.loss_mass == pytest.approx(0.2, abs=1e-15)
+        assert verdict.statistic == pytest.approx(0.2, abs=1e-15)
 
     def test_loss_label_with_zero_mass_holds(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "LOSS"))
@@ -113,9 +113,9 @@ class TestRouting:
         )
         verdict = check_deterministic_routing(joint)
         assert verdict.holds
-        assert verdict.routing.as_dict() == {"c0": "D1", "c1": "D2"}
-        assert verdict.counterexample is None
-        assert verdict.max_stray_mass == 0.0
+        assert verdict.detail["routing"] == {"c0": "D1", "c1": "D2"}
+        assert verdict.detail["counterexample"] is None
+        assert verdict.statistic == 0.0
 
     def test_split_choice_fails_with_counterexample(self):
         # c0 splits 60/40 between D1 and D2
@@ -124,9 +124,9 @@ class TestRouting:
         )
         verdict = check_deterministic_routing(joint)
         assert not verdict.holds
-        assert verdict.routing is None
-        assert verdict.counterexample == ("c0", "D1", "D2")
-        assert verdict.max_stray_mass == pytest.approx(0.4, abs=1e-15)
+        assert verdict.detail["routing"] is None
+        assert verdict.detail["counterexample"] == {"c": "c0", "d": "D1", "d_prime": "D2"}
+        assert verdict.statistic == pytest.approx(0.4, abs=1e-15)
 
     def test_loss_excluded_from_routing(self):
         # every detected c0 event lands on D1; the loss mass must not count
@@ -137,7 +137,7 @@ class TestRouting:
         table[:, 1, 1] = 0.25
         verdict = check_deterministic_routing(JointDistribution(space, table))
         assert verdict.holds
-        assert verdict.routing.as_dict() == {"c0": "D1", "c1": "D2"}
+        assert verdict.detail["routing"] == {"c0": "D1", "c1": "D2"}
 
     def test_all_mass_lost_raises(self):
         space = OutcomeSpace(2, ("c0", "c1"), ("D1", "LOSS"))
@@ -155,8 +155,8 @@ class TestRouting:
         table[:, 1, 1] = 0.25
         verdict = check_deterministic_routing(JointDistribution(space, table))
         assert verdict.holds
-        assert verdict.skipped_choices == ("ghost",)
-        assert "ghost" not in verdict.routing.as_dict()
+        assert verdict.detail["skipped_choices"] == ["ghost"]
+        assert "ghost" not in verdict.detail["routing"]
 
 
 class TestDistinctness:
@@ -173,7 +173,7 @@ class TestDistinctness:
         )
         verdict = check_distinct_conditionals(joint)
         assert not verdict.holds
-        assert verdict.gap <= 1e-12
+        assert verdict.statistic <= 1e-12
 
     def test_distinct_pair_witness(self):
         # dust-free table: conditionals are the opposite-phase fringe pair
@@ -183,9 +183,10 @@ class TestDistinctness:
         table[:, 1, 1] = np.array([0.0, 0.25, 0.5, 0.25]) / 2
         verdict = check_distinct_conditionals(JointDistribution(space, table))
         assert verdict.holds
-        assert verdict.gap == 0.5
-        assert verdict.pair == ("D1", "D2")
-        assert verdict.bin_set == (0,)
+        assert verdict.statistic == 0.5
+        witness = verdict.detail["witness"]
+        assert (witness["d"], witness["d_prime"]) == ("D1", "D2")
+        assert witness["bin_set"] == [0]
 
     def test_gap_equals_mass_over_bin_set(self):
         rng = np.random.default_rng(7)
@@ -194,11 +195,12 @@ class TestDistinctness:
         table /= table.sum()
         joint = JointDistribution(space, table)
         verdict = check_distinct_conditionals(joint)
-        d, d2 = verdict.pair
+        witness = verdict.detail["witness"]
+        d, d2 = witness["d"], witness["d_prime"]
         a = table[:, :, space.d_index(d)].sum(axis=1)
         b = table[:, :, space.d_index(d2)].sum(axis=1)
         a, b = a / a.sum(), b / b.sum()
-        assert verdict.gap == pytest.approx((a - b)[list(verdict.bin_set)].sum(), abs=1e-12)
+        assert verdict.statistic == pytest.approx((a - b)[witness["bin_set"]].sum(), abs=1e-12)
 
     def test_loss_excluded_from_pairs(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", "LOSS"))

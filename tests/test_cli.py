@@ -107,6 +107,15 @@ class TestSimulate:
         assert np.max(np.abs(back.p - expect.p)) <= 1e-12
 
 
+    def test_fractional_n_x_in_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "arch.json"
+        config.write_text(json.dumps({"kind": "kim", "n_x": 64.9}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert "'n_x' must be an integer" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "simulate_manifest.json").exists()
+
+
 class TestSampleAndAudit:
     def test_sample_then_audit_round_trip(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -254,6 +263,21 @@ class TestFeasibilityCommands:
         doc = json.loads((tmp_path / "feasible_result.json").read_text())
         assert doc["feasible"] is True
 
+    @pytest.mark.parametrize("n_x", [4.7, float("inf")])
+    def test_fractional_n_x_in_problem_exit_2(self, tmp_path, capsys, n_x):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": n_x}))
+        assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 2
+        assert "'n_x' must be an integer" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "feasible_result.json").exists()
+
+    def test_integral_float_n_x_in_problem_runs(self, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": 4.0}))
+        assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "feasible_manifest.json").read_text())
+        assert doc["config"]["problem"]["n_x"] == 4
+
     def test_problem_flags_override_file(self, tmp_path):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": 4}))
@@ -308,6 +332,14 @@ class TestFigure:
         assert main(["figure", "--mask", str(mask), "--out-dir", str(out)]) == 0
         doc = json.loads((out / "figure_manifest.json").read_text())
         assert sorted(doc["artifacts"]) == ["figure_D1.csv", "figure_D2.csv"]
+
+    def test_pbm_negative_dimensions_exit_2(self, tmp_path, capsys):
+        mask = tmp_path / "mask.pbm"
+        mask.write_text("P1\n-1 -2\n1 0\n")
+        out = tmp_path / "fig"
+        assert main(["figure", "--mask", str(mask), "--out-dir", str(out)]) == 2
+        assert "at least 1" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "figure_manifest.json").exists()
 
 
 class TestEnvironment:

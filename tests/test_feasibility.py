@@ -126,8 +126,8 @@ class TestConstructWitness:
         assert np.array_equal(marginal(witness, "cd"), CD_TABLE_HALF)
         report = audit(witness)
         assert report.independence.holds
-        assert report.independence.max_deviation <= 1e-12
-        assert report.lossless.loss_mass == pytest.approx(0.25, abs=1e-15)
+        assert report.independence.statistic <= 1e-12
+        assert report.lossless.statistic == pytest.approx(0.25, abs=1e-15)
         assert report.deterministic_routing.holds
         assert report.distinct_conditionals.holds
         assert result.binding_constraint == BINDING_LOSS_SLICE

@@ -414,7 +414,7 @@ class TestAuditReportFiles:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["config"] == {"note": "test"}
-        assert doc["lossless"]["loss_mass"] == report.lossless.loss_mass
+        assert doc["lossless"]["loss_mass"] == report.lossless.statistic
         assert doc["violations"] == ["lossless"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -536,6 +536,14 @@ class TestMaskFiles:
         path = tmp_path / "mask.txt"
         path.write_text("0120\n")
         with pytest.raises(ValueError):
+            read_mask(path)
+
+    @pytest.mark.parametrize("dims", ["-1 -2", "0 3", "3 0"])
+    def test_pbm_rejects_non_positive_dimensions(self, tmp_path, dims):
+        # -1 x -2 has as many pixels as 1 x 2, so the pixel count alone misses it
+        path = tmp_path / "mask.pbm"
+        path.write_text(f"P1\n{dims}\n1 0\n")
+        with pytest.raises(ValueError, match=f"{path}.*at least 1"):
             read_mask(path)
 
 

@@ -8,7 +8,6 @@ from dcqe import (
     NegativeMass,
     NotNormalized,
     OutcomeSpace,
-    RoutingMap,
     ShapeMismatch,
     UnmappedLabel,
     ZeroConditioningMass,
@@ -187,29 +186,6 @@ class TestTotalVariation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             total_variation(np.array([1.0]), np.array([0.5, 0.5]))
-
-
-class TestRoutingMap:
-    def test_round_trip_and_lookup(self):
-        routing = RoutingMap.from_dict({"erase": "D1", "preserve": "D2"})
-        assert routing.as_dict() == {"erase": "D1", "preserve": "D2"}
-        assert routing["erase"] == "D1"
-        with pytest.raises(KeyError):
-            routing["missing"]
-
-    def test_duplicate_choice_rejected(self):
-        with pytest.raises(InvalidArgument):
-            RoutingMap((("erase", "D1"), ("erase", "D2")))
-
-    def test_loss_target_rejected(self):
-        with pytest.raises(InvalidArgument):
-            RoutingMap.from_dict({"erase": "LOSS"})
-
-    def test_check_against_space(self):
-        space = OutcomeSpace(2, ("erase", "preserve"), ("D1", "D2"))
-        RoutingMap.from_dict({"erase": "D1", "preserve": "D2"}).check_against(space)
-        with pytest.raises(InvalidArgument):
-            RoutingMap.from_dict({"erase": "D9"}).check_against(space, choices=("erase",))
 
 
 class TestCoarseGrain:

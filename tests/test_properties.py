@@ -147,10 +147,10 @@ class TestStructuralChecks:
         assert check_lossless(j).holds
         routing = check_deterministic_routing(j)
         assert routing.holds
-        assert routing.counterexample is None
+        assert routing.detail["counterexample"] is None
         distinct = check_distinct_conditionals(j)
         assert not distinct.holds
-        assert distinct.gap <= 1e-12
+        assert distinct.statistic <= 1e-12
 
     @given(seed=seeds)
     def test_no_go_holds_on_every_random_joint(self, seed):

@@ -35,13 +35,18 @@ class EventLog:
     grid, the order of ``joint.p.reshape(-1)``. Build one from per-axis
     indices with ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``;
     ``x``, ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access.
+    A read-only ``intp`` array that owns its data is kept as given; any
+    other input is copied.
     """
 
     space: OutcomeSpace
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.intp)
+        cells = self.cells
+        owned = isinstance(cells, np.ndarray) and cells.base is None
+        if not (owned and cells.dtype == np.intp and not cells.flags.writeable):
+            cells = np.array(cells, dtype=np.intp)
         if cells.ndim != 1:
             raise InvalidArgument("cell indices must be one-dimensional")
         if cells.size and (cells.min() < 0 or cells.max() >= math.prod(self.space.shape)):
@@ -66,8 +71,13 @@ class EventLog:
 
     def counts(self) -> np.ndarray:
         """Event counts on the full (n_x, n_c, n_d) grid."""
-        shape = self.space.shape
-        return np.bincount(self.cells, minlength=math.prod(shape)).reshape(shape)
+        counts = np.zeros(math.prod(self.space.shape), dtype=np.intp)
+        # bincount copies a read-only input whole, so it is given slices; one
+        # as long as the table keeps the adds from outweighing the counting
+        step = max(CHUNK_TRIALS, counts.size)
+        for start in range(0, self.cells.size, step):
+            counts += np.bincount(self.cells[start:start + step], minlength=counts.size)
+        return counts.reshape(self.space.shape)
 
 
 def _chunk_uniforms(seed: int, chunk_index: int, size: int) -> np.ndarray:
@@ -96,6 +106,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
         np.take(guide, (u * k).astype(np.intp), out=out)
         miss = np.flatnonzero(cdf[out] <= u)
         out[miss] = np.searchsorted(cdf, u[miss], side="right")
+    cells.setflags(write=False)
     return EventLog(joint.space, cells)
 
 

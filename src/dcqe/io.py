@@ -82,12 +82,48 @@ def _cell_fields(space: OutcomeSpace) -> list[str]:
     return fields
 
 
+#: Bytes of row matrix ``write_event_log`` renders at a time; its working
+#: memory is a small multiple of this (plus the per-cell table).
+_WRITE_BLOCK_BYTES = 1 << 20
+
+#: Filler between the fields of a rendered row; UTF-8 never holds this byte.
+_GAP = 0xFF
+
+
 def write_event_log(log: EventLog, path: str) -> None:
-    """CSV with header ``trial,x,c,d``; the loss outcome is spelled LOSS."""
-    fields = _cell_fields(log.space)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(EVENT_HEADER) + "\n")
-        fh.writelines(f"{t},{fields[cell]}\n" for t, cell in enumerate(log.cells.tolist()))
+    """CSV with header ``trial,x,c,d``; the loss outcome is spelled LOSS.
+
+    Rows are rendered a block at a time into one byte matrix: the trial's
+    digits come from a table of 4-digit groups, right-aligned, and each
+    cell's ``,x,c,d\\n`` bytes from a per-cell table. Unused positions hold
+    ``_GAP`` and are dropped before the block is written.
+    """
+    encoded = [f",{field}\n".encode("utf-8") for field in _cell_fields(log.space)]
+    lengths = np.array([len(b) for b in encoded])
+    tails = np.full((lengths.size, lengths.max()), _GAP, dtype=np.uint8)
+    filled = np.arange(tails.shape[1]) < lengths[:, None]
+    tails[filled] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    quads = quads.astype(np.uint8).view(np.uint32).reshape(-1)
+    n = len(log)
+    rows = max(1, _WRITE_BLOCK_BYTES // (len(str(n)) + tails.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(",".join(EVENT_HEADER).encode() + b"\n")
+        for start in range(0, n, rows):
+            trial = np.arange(start, min(start + rows, n))
+            width = len(str(trial[-1]))
+            n_quads = -(-width // 4)
+            quad = trial[:, None] // 10 ** (4 * np.arange(n_quads - 1, -1, -1)) % 10000
+            block = np.empty((trial.size, width + tails.shape[1]), dtype=np.uint8)
+            block[:, :width] = quads[quad].view(np.uint8)[:, 4 * n_quads - width:]
+            if start < 10 ** (width - 1):
+                # the last digit is always shown, so 0 prints as "0"
+                block[:, :width - 1][trial[:, None] < 10 ** np.arange(width - 1, 0, -1)] = _GAP
+            # EventLog keeps its cells in range, so clipping never applies
+            cells = log.cells[start:start + trial.size]
+            np.take(tails, cells, axis=0, out=block[:, width:], mode="clip")
+            flat = block.reshape(-1)
+            fh.write(flat[flat != _GAP])
 
 
 #: Bytes read per block by ``read_event_log``. Its working memory is a small
@@ -215,8 +251,10 @@ class _LabelCodes:
 
     Tails of up to ``_TAIL_WORDS`` words are matched in array passes: a
     tail's key is a multiplicative hash of its length and its words, looked
-    up in a sorted table and confirmed by comparing length and words, so a
-    hash collision falls back to the exact per-record lookup.
+    up in a sorted table and confirmed by comparing length and words. A
+    block's new keys are entered first, one tail each, and the block is
+    looked up again, so only a hash collision falls back to the exact
+    per-record lookup.
     """
 
     def __init__(self):
@@ -245,29 +283,38 @@ class _LabelCodes:
             left = np.minimum(np.maximum(lengths - 8 * j, 0), 8)
             columns.append(words[np.minimum(starts + 8 * j, stops)] & _LOW_BYTES[left])
             key = key * _HASH_MULTIPLIER + columns[j]
-        slot = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
-        known = self._keys[slot] == key
-        hit = known & (self._lengths[slot] == lengths)
-        for j, column in enumerate(columns):
-            hit &= self._words[j][slot] == column
-        codes = self._codes[slot]
-        new = {}
-        for i in np.flatnonzero(~hit).tolist():
-            codes[i] = self.code(buf[starts[i]:stops[i]])
-            if not known[i] and lengths[i] <= 8 * _TAIL_WORDS:
-                new.setdefault(int(key[i]), i)
-        if new:
-            rows = list(new.values())
-            entry_words = np.zeros((_TAIL_WORDS, len(rows)), dtype=np.uint64)
+        known, hit, codes = self._find(key, lengths, columns)
+        fresh = np.flatnonzero(~known & (lengths <= 8 * _TAIL_WORDS))
+        if fresh.size:
+            # one row per new key, decoded once; then the whole block looks again
+            rows = np.sort(fresh[np.unique(key[fresh], return_index=True)[1]])
+            entry_words = np.zeros((_TAIL_WORDS, rows.size), dtype=np.uint64)
             for j, column in enumerate(columns):
                 entry_words[j] = column[rows]
+            entry_codes = np.array(
+                [self.code(buf[starts[i]:stops[i]]) for i in rows.tolist()], dtype=np.int32
+            )
             keys = np.concatenate((self._keys, key[rows]))
             order = np.argsort(keys, kind="stable")
             self._keys = keys[order]
             self._lengths = np.concatenate((self._lengths, lengths[rows]))[order]
             self._words = np.concatenate((self._words, entry_words), axis=1)[:, order]
-            self._codes = np.concatenate((self._codes, codes[rows]))[order]
+            self._codes = np.concatenate((self._codes, entry_codes))[order]
+            known, hit, codes = self._find(key, lengths, columns)
+        # what still misses is a hash collision or a tail too long for the table
+        for i in np.flatnonzero(~hit).tolist():
+            codes[i] = self.code(buf[starts[i]:stops[i]])
         return codes
+
+    def _find(self, key, lengths, columns):
+        """Per tail: whether its key is in the table, whether its length and
+        words match that entry too, and the entry's code."""
+        slot = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        known = self._keys[slot] == key
+        hit = known & (self._lengths[slot] == lengths)
+        for j, column in enumerate(columns):
+            hit &= self._words[j][slot] == column
+        return known, hit, self._codes[slot]
 
 
 def _is_event_header(record: bytes) -> bool:
@@ -383,6 +430,7 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
     x *= space.n_c * space.n_d
     if pair_codes:
         x += offsets[np.concatenate(pair_codes)]
+    x.setflags(write=False)
     return EventLog(space, x)
 
 
@@ -593,6 +641,13 @@ def feasibility_result_dict(
 # --------------------------------------------------------------- mask files
 
 
+def _pbm_int(path: str, token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"PBM file {path} has {what} {token!r}, not an integer") from None
+
+
 def read_mask(path: str) -> RegionMask:
     """Read a region mask: one row of 0/1 text, or a PBM (P1) bitmap.
 
@@ -610,12 +665,13 @@ def read_mask(path: str) -> RegionMask:
             raise ValueError(f"malformed PBM file {path}")
         if len(tokens) < 3:
             raise ValueError(f"PBM file {path} is missing dimensions")
-        width, height = int(tokens[1]), int(tokens[2])
+        width = _pbm_int(path, tokens[1], "width")
+        height = _pbm_int(path, tokens[2], "height")
         if width < 1 or height < 1:
             raise ValueError(
                 f"PBM file {path} has dimensions {width} x {height}; both must be at least 1"
             )
-        bits = [int(t) for t in tokens[3:]]
+        bits = [_pbm_int(path, t, "pixel") for t in tokens[3:]]
         if len(bits) != width * height:
             raise ValueError(
                 f"PBM file {path} has {len(bits)} pixels, expected {width * height}"

@@ -6,6 +6,7 @@ cannot hide in its own test oracle.
 """
 
 import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,28 @@ def dense_phase1_feasible(rows, rhs):
         if var < n:
             solution[var] = tableau[i][width - 1]
     return solution
+
+
+def reference_write_events(log, path):
+    """Event CSV written row by row with ``csv.writer``.
+
+    ``log`` is read through ``space.n_x``, ``space.c_values``,
+    ``space.d_values`` and its flat ``cells``. Each row ``trial,x,c,d`` is
+    rendered with ``\\r\\n`` endings, so labels holding CR or LF are quoted,
+    then written ending in ``\\n``.
+    """
+    space = log.space
+    n_c, n_d = len(space.c_values), len(space.d_values)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("trial,x,c,d\n")
+        for trial, cell in enumerate(log.cells.tolist()):
+            buf.seek(0)
+            buf.truncate()
+            x, rest = divmod(cell, n_c * n_d)
+            writer.writerow([trial, x, space.c_values[rest // n_d], space.d_values[rest % n_d]])
+            fh.write(buf.getvalue()[:-2] + "\n")
 
 
 def reference_read_events(path):

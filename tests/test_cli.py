@@ -341,6 +341,16 @@ class TestFigure:
         assert "at least 1" in json.loads(capsys.readouterr().err)["message"]
         assert not (out / "figure_manifest.json").exists()
 
+    @pytest.mark.parametrize("body", ["P1\nx 2\n1 0\n", "P1\n2 1\n1 z\n"])
+    def test_pbm_non_integer_token_exit_2(self, tmp_path, capsys, body):
+        mask = tmp_path / "mask.pbm"
+        mask.write_text(body)
+        out = tmp_path / "fig"
+        assert main(["figure", "--mask", str(mask), "--out-dir", str(out)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert str(mask) in message and "not an integer" in message
+        assert not (out / "figure_manifest.json").exists()
+
 
 class TestEnvironment:
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,36 @@ class TestEventLog:
         assert log.cells.tolist() == [3, 5]
         assert not log.cells.flags.writeable
 
+    def test_read_only_owned_cells_are_kept(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        cells = np.array([3, 5], dtype=np.intp)
+        cells.setflags(write=False)
+        assert EventLog(space, cells).cells is cells
+        sampled = sample_events(uniform_222(), 1000, 2)
+        assert sampled.cells.base is None and not sampled.cells.flags.writeable
+
+    def test_read_only_views_and_other_dtypes_are_copied(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        owner = np.array([3, 5, 1], dtype=np.intp)
+        view = owner[:2]
+        view.setflags(write=False)
+        narrow = np.array([3, 5], dtype=np.int32)
+        narrow.setflags(write=False)
+        for cells in (view, narrow):
+            log = EventLog(space, cells)
+            assert log.cells is not cells and log.cells.base is None
+            assert log.cells.dtype == np.intp and not log.cells.flags.writeable
+        log = EventLog(space, view)
+        owner[0] = 0
+        assert log.cells.tolist() == [3, 5]
+
+    def test_kept_cells_are_range_checked(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        cells = np.array([0, 8], dtype=np.intp)
+        cells.setflags(write=False)
+        with pytest.raises(InvalidArgument):
+            EventLog(space, cells)
+
     def test_rejects_non_1d_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         with pytest.raises(InvalidArgument):
@@ -69,6 +100,24 @@ class TestEventLog:
         counts = log.counts()
         assert counts.shape == (2, 2, 2)
         assert counts.sum() == 1000
+
+    @pytest.mark.parametrize("n_x", [2, 3 * CHUNK_TRIALS])
+    def test_counts_over_several_slices(self, n_x):
+        space = OutcomeSpace(n_x, ("a", "b"), ("D1",))
+        cells = np.random.default_rng(4).integers(0, 2 * n_x, size=2 * CHUNK_TRIALS * 3 + 17)
+        counts = EventLog(space, cells).counts()
+        assert np.array_equal(counts.reshape(-1), np.bincount(cells, minlength=2 * n_x))
+        assert not EventLog(space, cells[:0]).counts().any()
+
+    def test_counts_do_not_copy_the_log(self):
+        log = sample_events(uniform_222(), 2_000_000, 1)
+        tracemalloc.start()
+        try:
+            log.counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < log.cells.nbytes / 8
 
 
 class TestSampleEvents:

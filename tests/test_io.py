@@ -47,7 +47,7 @@ from dcqe.io import (
 )
 
 from conftest import FOUR_BIN_PHASE0, no_memory_for_big_tables
-from oracles import reference_read_events
+from oracles import reference_read_events, reference_write_events
 
 
 def small_joint():
@@ -101,6 +101,7 @@ class TestEventLogFiles:
         assert np.array_equal(back.x, log.x)
         assert np.array_equal(back.c_idx, log.c_idx)
         assert np.array_equal(back.d_idx, log.d_idx)
+        assert back.cells.base is None and not back.cells.flags.writeable
 
     def test_header_and_loss_spelling(self, tmp_path):
         log = sample_events(small_joint(), 200, 1)
@@ -203,11 +204,64 @@ LABEL_TEXT = st.text(st.sampled_from(["a", "Z", " ", ",", '"', "\n", "\r", "é",
 def labelled_logs(draw):
     choice_text = LABEL_TEXT.filter(lambda s: s != LOSS)
     c_values = draw(st.lists(choice_text, min_size=2, max_size=3, unique=True))
-    d_values = draw(st.lists(LABEL_TEXT, min_size=1, max_size=3, unique=True))
+    d_values = draw(st.lists(LABEL_TEXT | st.just(LOSS), min_size=1, max_size=3, unique=True))
     space = OutcomeSpace(draw(st.integers(2, 5)), tuple(c_values), tuple(d_values))
     n_cells = math.prod(space.shape)
     cells = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=30))
     return EventLog(space, np.array(cells))
+
+
+def quoted_label_log(n_trials, seed=6):
+    space = OutcomeSpace(3, ("e,1", 'p"2', "x\r"), ("D 1", "D,2", "\r\r", "a\rb", LOSS))
+    return sample_events(JointDistribution(space, np.full(space.shape, 1.0 / 45)), n_trials, seed)
+
+
+def assert_writes_like_reference(log, tmp_path):
+    path, expected = tmp_path / "events.csv", tmp_path / "reference.csv"
+    write_event_log(log, path)
+    reference_write_events(log, expected)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+class TestEventWriterMatchesReference:
+    """The block writer against the row-by-row ``csv.writer`` loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=labelled_logs())
+    def test_written_logs(self, tmp_path_factory, log):
+        assert_writes_like_reference(log, tmp_path_factory.mktemp("logs"))
+
+    @pytest.mark.parametrize(
+        "n_trials", [1, 9, 10, 11, 9999, 10000, 10001, 65535, 65536, 65537, 2 * 65536 + 123]
+    )
+    def test_digit_widths_and_sizes(self, tmp_path, n_trials):
+        assert_writes_like_reference(quoted_label_log(n_trials), tmp_path)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 30, 100, 1000])
+    def test_small_blocks(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(dcqe.io, "_WRITE_BLOCK_BYTES", block_bytes)
+        assert_writes_like_reference(quoted_label_log(1234), tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, q",
+        [("kim", None), ("mach_zehnder", 0.5), ("polarization", 0.5), ("passive_choice", None)],
+    )
+    def test_paper_tables(self, tmp_path, kind, q):
+        joint = ArchitectureSpec(kind, FringeModel(64, 2.0), q).build()
+        assert_writes_like_reference(sample_events(joint, 20000, 3), tmp_path)
+
+    def test_empty_log_is_the_header(self, tmp_path):
+        log = EventLog(OutcomeSpace(2, ("a", "b"), ("D1", "D2")), np.zeros(0, dtype=np.intp))
+        assert_writes_like_reference(log, tmp_path)
+        assert (tmp_path / "events.csv").read_bytes() == b"trial,x,c,d\n"
+
+    def test_unencodable_label_leaves_no_file(self, tmp_path):
+        space = OutcomeSpace(2, ("a", "\ud800"), ("D1", "D2"))
+        log = EventLog(space, np.arange(8))
+        path = tmp_path / "events.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_event_log(log, path)
+        assert not path.exists()
 
 
 class TestEventReaderMatchesReference:
@@ -319,6 +373,35 @@ class TestEventReaderBlocks:
         assert log.space.c_values == ("erase---", "keep----")
         assert log.c_idx.tolist() == [0, 1]
         assert_reads_like_reference(path)
+
+    def test_hash_collisions_within_one_block(self, tmp_path, monkeypatch):
+        # both colliding tails are new in the same block: one enters the table,
+        # the other still misses and takes the exact lookup
+        monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
+        path = tmp_path / "events.csv"
+        path.write_bytes(
+            b"trial,x,c,d\n0,1,erase---,tail-end\n1,0,keep----,tail-end\n2,1,erase---,tail-end\n"
+        )
+        log = read_event_log(path)
+        assert log.space.c_values == ("erase---", "keep----")
+        assert log.c_idx.tolist() == [0, 1, 0]
+        assert_reads_like_reference(path)
+
+    def test_each_new_tail_is_looked_up_once_per_block(self, tmp_path, monkeypatch):
+        calls = []
+        code = dcqe.io._LabelCodes.code
+
+        def counted(self, tail):
+            calls.append(tail)
+            return code(self, tail)
+
+        monkeypatch.setattr(dcqe.io._LabelCodes, "code", counted)
+        log = sample_events(small_joint(), 3000, 5)
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        assert np.array_equal(read_event_log(path, space=log.space).cells, log.cells)
+        pairs = set(zip(log.c_idx.tolist(), log.d_idx.tolist()))
+        assert len(calls) == len(set(calls)) == len(pairs)
 
 
 class TestJointFiles:
@@ -545,6 +628,21 @@ class TestMaskFiles:
         path.write_text(f"P1\n{dims}\n1 0\n")
         with pytest.raises(ValueError, match=f"{path}.*at least 1"):
             read_mask(path)
+
+    @pytest.mark.parametrize(
+        "body, token",
+        [
+            ("x 2\n1 0\n", "width 'x'"),
+            ("2 2.0\n1 0\n1 0\n", "height '2.0'"),
+            ("2 1\n1 z\n", "pixel 'z'"),
+        ],
+    )
+    def test_pbm_names_a_non_integer_token(self, tmp_path, body, token):
+        path = tmp_path / "mask.pbm"
+        path.write_text("P1\n" + body)
+        with pytest.raises(ValueError) as info:
+            read_mask(path)
+        assert str(path) in str(info.value) and token in str(info.value)
 
 
 class TestEmpiricalRoundTrip:

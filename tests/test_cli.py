@@ -494,3 +494,71 @@ class TestPinnedManifests:
                        "coarse": False, "command": "simulate", "out_dir": "envout"},
             "schema_version": 1,
         }
+
+
+# sha256 of every CSV a run writes, under relative out dirs; the mask is 0011010111001010.
+_CONDITIONAL_FRINGE = "dfd24da4228d492b460518535fe02d8adc0bcdcc1ed9c515244973d714cb3e46"
+_CONDITIONAL_ENVELOPE = "94d0ea41d5b5b2898be0992c7544e842fa20c66e3b6df9b53de4dc78cdc519bf"
+PINNED_CSVS = {
+    "kim": (
+        ["simulate", "--arch", "kim"],
+        {"simulate_conditional_D1.csv": _CONDITIONAL_FRINGE,
+         "simulate_conditional_D2.csv":
+             "6f37d092ddda0329ce24af7c49ac960a63c2d33899d28be15a7765edb73eef62",
+         "simulate_conditional_D3.csv": _CONDITIONAL_ENVELOPE,
+         "simulate_conditional_D4.csv": _CONDITIONAL_ENVELOPE,
+         "simulate_joint.csv": "3902e6808d6ed5cc2c16b27cdb4971c3283b7aa17fe81caeaff68c0bf6270ca6"},
+    ),
+    "kim_coarse": (
+        ["simulate", "--arch", "kim", "--coarse"],
+        {"simulate_conditional_D_erase.csv":
+             "232c0ea92c59f8a0f99a3a366a6a7ccd3fc8d9c3d821d383dd749c1fcc6ffa67",
+         "simulate_conditional_D_preserve.csv": _CONDITIONAL_ENVELOPE,
+         "simulate_joint.csv": "83d56a6ec841dd36c3e6619ddcda7df8a786dc62375d3fdc8ab2f2f8664f1219"},
+    ),
+    "mach_zehnder": (
+        ["simulate", "--arch", "mach_zehnder"],
+        {"simulate_conditional_D1.csv":
+             "359a93d1ea060a255a91f69febf0bd5c7654cd1b34bff267fdf286e68f3a5df2",
+         "simulate_conditional_D2.csv":
+             "5719f368b8dfbc99e9a8a0e3b8ab56cbaf62580386e1648cb6b04d9643e09675",
+         "simulate_joint.csv": "b60e75739c3367a21ef3c1bd881de97d724dcea1b644451535eb839fd45b011f"},
+    ),
+    "polarization": (
+        ["simulate", "--arch", "polarization"],
+        {"simulate_conditional_D_erase.csv": _CONDITIONAL_FRINGE,
+         "simulate_conditional_D_preserve.csv": _CONDITIONAL_ENVELOPE,
+         "simulate_joint.csv": "b3f169bf680c7129e285f4056aa0cfab0b40b65f08c6b358fdc8f891971e87a7"},
+    ),
+    "passive_choice": (
+        ["simulate", "--arch", "passive_choice"],
+        {"simulate_conditional_D1.csv": _CONDITIONAL_FRINGE,
+         "simulate_conditional_D2.csv":
+             "1d85f520af931f6d9322ab9fd243ba864e9b4f363fb9ea83402a7828aa1e2847",
+         "simulate_joint.csv": "522c7dfa7686a676432e452ae1cfac9c56d469ca97454dc87275e44b58ac48c4"},
+    ),
+    "figure": (
+        ["figure", "--mask", "mask.txt"],
+        {"figure_D1.csv": "b81588cf2c207512cd5b06cdb1ea1ff9694cb6567cd4d2d46ffce2cb0487dd90",
+         "figure_D2.csv": "171d1abbd008c4e141523fc4d09964b6cd00795808092a3dbfde0bec9e21a248"},
+    ),
+    "figure_sampled": (
+        ["figure", "--mask", "mask.txt", "--n", "1000", "--seed", "3"],
+        {"figure_D1.csv": "432b4ae520d2aad55ac3ac76a46037f72dac6ca8ec4dcb2ede0a6290a040c42e",
+         "figure_D2.csv": "74311b9e153d49c96bc51499af0238510597f254e5272c9f3492e67cf622414c"},
+    ),
+}
+
+
+class TestPinnedCsvs:
+    @pytest.mark.parametrize("case", sorted(PINNED_CSVS))
+    def test_csv_bytes_are_pinned(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mask.txt").write_text("0011010111001010\n")
+        argv, expected = PINNED_CSVS[case]
+        assert main(argv + ["--out-dir", "out"]) == 0
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "out").glob("*.csv")
+        }
+        assert written == expected

@@ -76,7 +76,6 @@ from .feasibility import (
 from .fringes import FringeModel, fringe_profile
 from .joint import (
     LOSS,
-    CoarseGraining,
     JointDistribution,
     OutcomeSpace,
     coarse_grain,
@@ -97,7 +96,6 @@ __all__ = [
     "ArchitectureSpec",
     "AuditReport",
     "CHUNK_TRIALS",
-    "CoarseGraining",
     "DEFAULT_CYCLES",
     "DEFAULT_N_X",
     "DEFAULT_Q",

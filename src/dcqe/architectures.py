@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidChoiceProbability, UnbalancedPorts
 from .fringes import FringeModel, fringe_profile
-from .joint import LOSS, CoarseGraining, JointDistribution, OutcomeSpace, validate
+from .joint import LOSS, JointDistribution, OutcomeSpace, validate
 
 #: Default model parameters shared by the command-line tools.
 DEFAULT_N_X = 64
@@ -78,11 +78,9 @@ def build_kim(m: FringeModel) -> JointDistribution:
     return validate(JointDistribution(space, table))
 
 
-def kim_coarse_graining() -> CoarseGraining:
+def kim_coarse_graining() -> dict[str, str]:
     """Pool the erase-arm and preserve-arm detector pairs into channels."""
-    return CoarseGraining.from_groups(
-        {"D_erase": ("D1", "D2"), "D_preserve": ("D3", "D4")}
-    )
+    return {"D1": "D_erase", "D2": "D_erase", "D3": "D_preserve", "D4": "D_preserve"}
 
 
 def build_mach_zehnder(m: FringeModel, q: float) -> JointDistribution:

@@ -57,9 +57,8 @@ from .io import (
     read_json,
     read_mask,
     write_audit_report,
-    write_distribution,
+    write_column,
     write_event_log,
-    write_histogram,
     write_joint,
     write_json,
 )
@@ -228,8 +227,8 @@ def _cmd_simulate(args) -> None:
         d = joint.space.d_values[di]
         if float(joint.p[:, :, di].sum()) > 0.0:
             name = f"simulate_conditional_{d}.csv"
-            write_distribution(
-                conditional_x_given_d(joint, d), os.path.join(config["out_dir"], name)
+            write_column(
+                conditional_x_given_d(joint, d), "p", os.path.join(config["out_dir"], name)
             )
             artifacts.append(name)
     _write_manifest(config, artifacts)
@@ -290,13 +289,13 @@ def _cmd_figure(args) -> None:
     mask = read_mask(args.mask_path)
     joint = route_by_region(mask, np.full(mask.n_x, 1.0 / mask.n_x))
     if args.n is None:
-        write, columns = write_distribution, [joint.p[:, :, di].sum(axis=1) for di in (0, 1)]
+        name, columns = "p", [joint.p[:, :, di].sum(axis=1) for di in (0, 1)]
     else:
         config.update(n=args.n, seed=args.seed)
-        write, columns = write_histogram, coincidence_image(sample_events(joint, args.n, args.seed))
+        name, columns = "count", coincidence_image(sample_events(joint, args.n, args.seed))
     artifacts = ["figure_D1.csv", "figure_D2.csv"]
-    for name, column in zip(artifacts, columns):
-        write(column, os.path.join(config["out_dir"], name))
+    for artifact, column in zip(artifacts, columns):
+        write_column(column, name, os.path.join(config["out_dir"], artifact))
     _write_manifest(config, artifacts)
 
 

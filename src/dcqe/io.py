@@ -35,13 +35,8 @@ SCHEMA_VERSION = 1
 
 EVENT_HEADER = ["trial", "x", "c", "d"]
 JOINT_HEADER = ["x", "c", "d", "p"]
-DISTRIBUTION_HEADER = ["x", "p"]
 
 _INTP = np.iinfo(np.intp)
-
-
-def _float_repr(value: float) -> str:
-    return repr(float(value))
 
 
 def write_json(obj, path: str) -> None:
@@ -56,8 +51,12 @@ def write_json(obj, path: str) -> None:
 
 
 def read_json(path: str) -> dict:
+    """Read a JSON document; anything but an object is refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object in {path}, got {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------- event logs
@@ -135,11 +134,7 @@ _BLOCK_BYTES = 1 << 18
 _TAIL_WORDS = 8
 
 _PAD = bytes(8)
-_DIGITS = np.uint64(0x3030303030303030)
-_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
-_SIXES = np.uint64(0x0606060606060606)
 _LOW_BYTES = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
-_POW10 = [np.uint64(10**k) for k in (0, 8, 16)]
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 _BARE_INT = re.compile(rb"-?[0-9]+")
@@ -204,33 +199,28 @@ def _record_blocks(fh):
             return
 
 
-def _decode_ints(buf, words, starts, stops):
+def _decode_ints(buf, starts, stops):
     """Decode fields ``buf[start:stop]`` of the form ``-?[0-9]+``.
 
-    Digits are read 8 at a time from the right: each 8-byte word is
-    left-filled with ``0`` characters, checked to hold only digits, and
-    turned into its value by three multiply-shift-mask steps. Fields of 19
+    Pass k adds the k-th digit from the right of every field that has one,
+    so fields are right-aligned and read a column at a time. Fields of 19
     digits or more are parsed by ``int``. Returns the int64 values, a mask
     of well-formed fields, and ``{index: value}`` for well-formed fields
     beyond int64 (stored as 0 in the values).
     """
-    neg = (words[starts] & 0xFF) == ord("-")
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    neg = arr[starts] == ord("-")
     first = starts + neg
     n_digits = stops - first
     ok = n_digits > 0
-    value = np.zeros(starts.size, dtype=np.uint64)
-    for lane in range(min(-(-int(n_digits.max(initial=0)) // 8), 3)):
-        top = stops - 8 * lane
-        keep = ~_LOW_BYTES[8 - np.minimum(np.maximum(top - first, 0), 8)]
-        w = (words[np.maximum(top - 8, 0)] & keep) | (_DIGITS & ~keep)
-        # each byte is 0x30..0x39: its high nibble is 3, and still 3 after adding 6
-        ok &= ((w & _HIGH_NIBBLES) == _DIGITS) & (((w + _SIXES) & _HIGH_NIBBLES) == _DIGITS)
-        w -= _DIGITS
-        w = (w * np.uint64(10 * 256 + 1) >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF)
-        w = (w * np.uint64(100 * 65536 + 1) >> np.uint64(16)) & np.uint64(0x0000FFFF0000FFFF)
-        w = w * np.uint64(10000 * 2**32 + 1) >> np.uint64(32)
-        value += w * _POW10[lane]
-    signed = value.astype(np.int64)
+    signed = np.zeros(starts.size, dtype=np.int64)
+    for k in range(min(int(n_digits.max(initial=0)), 18)):
+        # a byte below "0" wraps past 9; an index below 0 wraps around too,
+        # but only for fields without a digit k, which are zeroed
+        digit = arr[stops - 1 - k] - np.uint8(ord("0"))
+        digit[n_digits <= k] = 0
+        ok &= digit <= 9
+        signed += np.multiply(digit, 10**k, dtype=np.int64)
     np.negative(signed, out=signed, where=neg)
     big = {}
     for i in np.flatnonzero(ok & (n_digits > 18)).tolist():
@@ -380,8 +370,8 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
             commas = np.append(commas, [len(buf), len(buf)])
             second = np.minimum(commas[first + 1], ends)
             first = np.minimum(commas[first], second)
-            trial, trial_ok, trial_beyond = _decode_ints(buf, words, starts, first)
-            x, x_ok, x_beyond = _decode_ints(buf, words, np.minimum(first + 1, second), second)
+            trial, trial_ok, trial_beyond = _decode_ints(buf, starts, first)
+            x, x_ok, x_beyond = _decode_ints(buf, np.minimum(first + 1, second), second)
             codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
             bad = ~trial_ok | ~x_ok | (codes < 0) | (second == ends)
             bad[list(trial_beyond)] = True
@@ -438,12 +428,16 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
 
 
 def write_joint(joint: JointDistribution, path: str) -> None:
-    """CSV of every cell, ``x,c,d,p``, in canonical (x, c, d) order."""
-    fields = _cell_fields(joint.space)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(JOINT_HEADER) + "\n")
-        for cell_fields, p in zip(fields, joint.p.reshape(-1)):
-            fh.write(f"{cell_fields},{_float_repr(p)}\n")
+    """CSV of every cell, ``x,c,d,p``, in canonical (x, c, d) order.
+
+    The whole table is encoded before the file is opened, so a label that
+    UTF-8 cannot encode raises ``UnicodeEncodeError`` and leaves no file.
+    """
+    cells = zip(_cell_fields(joint.space), joint.p.reshape(-1).tolist())
+    rows = [",".join(JOINT_HEADER)] + [f"{fields},{p!r}" for fields, p in cells]
+    data = "\n".join(rows + [""]).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_joint(path: str) -> JointDistribution:
@@ -494,24 +488,12 @@ def read_joint(path: str) -> JointDistribution:
 # ------------------------------------------------------------- distributions
 
 
-def write_distribution(dist, path: str) -> None:
-    """CSV ``x,p`` for a single bin distribution (fringe profiles etc.)."""
-    arr = np.asarray(dist, dtype=float)
+def write_column(values, name: str, path: str) -> None:
+    """CSV ``x,<name>`` of one value per bin: a fringe profile's floats in
+    shortest round-trip repr, or a histogram's integer counts."""
+    rows = [f"x,{name}"] + [f"{x},{v!r}" for x, v in enumerate(np.asarray(values).tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DISTRIBUTION_HEADER)
-        for x, p in enumerate(arr):
-            writer.writerow([x, _float_repr(p)])
-
-
-def write_histogram(counts, path: str) -> None:
-    """CSV ``x,count`` for integer per-bin event counts."""
-    arr = np.asarray(counts)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "count"])
-        for x, n in enumerate(arr):
-            writer.writerow([x, int(n)])
+        fh.write("\n".join(rows) + "\n")
 
 
 # ------------------------------------------------------------- audit reports
@@ -546,16 +528,33 @@ def arch_config_dict(spec: ArchitectureSpec) -> dict:
     }
 
 
-def write_arch_config(spec: ArchitectureSpec, path: str) -> None:
-    write_json(arch_config_dict(spec), path)
-
-
 def _integer(doc: Mapping, key: str, default=None) -> int:
-    """``doc[key]`` as an int; a number with a fractional part is refused."""
+    """``doc[key]`` as an int; a fraction or a non-number names the key."""
     value = doc.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}") from None
+
+
+def _float(doc: Mapping, key: str, default=None) -> float:
+    """``doc[key]`` as a float; a non-number names the key."""
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
+
+
+def _floats(doc: Mapping, key: str) -> np.ndarray | None:
+    """``doc[key]`` as a float array, or None if absent; a non-list names the key."""
+    value = doc.get(key)
+    try:
+        return None if value is None else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a list of numbers") from None
 
 
 def arch_spec_from_dict(doc: Mapping) -> ArchitectureSpec:
@@ -563,16 +562,12 @@ def arch_spec_from_dict(doc: Mapping) -> ArchitectureSpec:
         raise ValueError("architecture config is missing 'kind'")
     model = FringeModel(
         n_x=_integer(doc, "n_x", DEFAULT_N_X),
-        cycles=float(doc.get("fringe_cycles", DEFAULT_CYCLES)),
-        phase0=float(doc.get("phase0", 0.0)),
-        visibility=float(doc.get("visibility", DEFAULT_VISIBILITY)),
+        cycles=_float(doc, "fringe_cycles", DEFAULT_CYCLES),
+        phase0=_float(doc, "phase0", 0.0),
+        visibility=_float(doc, "visibility", DEFAULT_VISIBILITY),
     )
-    q = doc.get("q")
-    return ArchitectureSpec(kind=str(doc["kind"]), fringe=model, q=None if q is None else float(q))
-
-
-def read_arch_config(path: str) -> ArchitectureSpec:
-    return arch_spec_from_dict(read_json(path))
+    q = None if doc.get("q") is None else _float(doc, "q")
+    return ArchitectureSpec(kind=str(doc["kind"]), fringe=model, q=q)
 
 
 # -------------------------------------------------------- feasibility I/O
@@ -596,19 +591,13 @@ def problem_from_dict(doc: Mapping) -> LossFeasibilityProblem:
     for key in ("q", "p", "n_x"):
         if key not in doc:
             raise ValueError(f"feasibility problem is missing {key!r}")
-    erase = doc.get("erase_conditional")
-    preserve = doc.get("preserve_conditional")
     return LossFeasibilityProblem(
-        q=float(doc["q"]),
+        q=_float(doc, "q"),
         n_x=_integer(doc, "n_x"),
-        p=float(doc["p"]),
-        erase_conditional=None if erase is None else np.asarray(erase, dtype=float),
-        preserve_conditional=None if preserve is None else np.asarray(preserve, dtype=float),
+        p=_float(doc, "p"),
+        erase_conditional=_floats(doc, "erase_conditional"),
+        preserve_conditional=_floats(doc, "preserve_conditional"),
     )
-
-
-def read_problem(path: str) -> LossFeasibilityProblem:
-    return problem_from_dict(read_json(path))
 
 
 def joint_table_dict(joint: JointDistribution) -> dict:
@@ -652,16 +641,15 @@ def read_mask(path: str) -> RegionMask:
     """Read a region mask: one row of 0/1 text, or a PBM (P1) bitmap.
 
     PBM pixels are flattened row-major into bins, value 1 meaning inside.
+    Each raster character is one pixel; whitespace between them is optional.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("P1"):
-        tokens: list[str] = []
-        for line in stripped.splitlines():
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-        if not tokens or tokens[0] != "P1":
+        body = "\n".join(line.split("#", 1)[0] for line in stripped.splitlines())
+        tokens = body.split(maxsplit=3)
+        if tokens[0] != "P1":
             raise ValueError(f"malformed PBM file {path}")
         if len(tokens) < 3:
             raise ValueError(f"PBM file {path} is missing dimensions")
@@ -671,7 +659,8 @@ def read_mask(path: str) -> RegionMask:
             raise ValueError(
                 f"PBM file {path} has dimensions {width} x {height}; both must be at least 1"
             )
-        bits = [_pbm_int(path, t, "pixel") for t in tokens[3:]]
+        raster = "".join(tokens[3].split()) if len(tokens) > 3 else ""
+        bits = [_pbm_int(path, ch, "pixel") for ch in raster]
         if len(bits) != width * height:
             raise ValueError(
                 f"PBM file {path} has {len(bits)} pixels, expected {width * height}"

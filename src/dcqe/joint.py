@@ -12,8 +12,8 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class OutcomeSpace:
             raise InvalidArgument("loss label is reserved for the detection axis")
 
     @property
-    def x_bins(self) -> tuple[int, ...]:
-        return tuple(range(self.n_x))
-
-    @property
     def n_c(self) -> int:
         return len(self.c_values)
 
@@ -136,48 +132,6 @@ class JointDistribution:
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "p", table)
-
-    @property
-    def is_empirical(self) -> bool:
-        return self.n_samples is not None
-
-
-@dataclass(frozen=True)
-class CoarseGraining:
-    """Partition of fine detection labels into coarse channels.
-
-    The loss label, when present, must map to itself.
-    """
-
-    partition: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "partition", tuple(tuple(p) for p in self.partition))
-        fine = [f for f, _ in self.partition]
-        if len(set(fine)) != len(fine):
-            raise InvalidArgument("a fine label maps to more than one coarse label")
-        for f, g in self.partition:
-            if f == LOSS and g != LOSS:
-                raise InvalidArgument("the loss label must map to itself")
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, str]) -> "CoarseGraining":
-        return cls(tuple(mapping.items()))
-
-    @classmethod
-    def from_groups(cls, groups: Mapping[str, Iterable[str]]) -> "CoarseGraining":
-        """Build from {coarse_label: [fine labels]}."""
-        pairs = []
-        for coarse, fines in groups.items():
-            for f in fines:
-                pairs.append((f, coarse))
-        return cls(tuple(pairs))
-
-    def image(self, d: str) -> str:
-        for f, g in self.partition:
-            if f == d:
-                return g
-        raise UnmappedLabel(d)
 
 
 def validate(joint: JointDistribution) -> JointDistribution:
@@ -252,14 +206,16 @@ def total_variation(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def coarse_grain(joint: JointDistribution, graining: CoarseGraining) -> JointDistribution:
+def coarse_grain(joint: JointDistribution, mapping: Mapping[str, str]) -> JointDistribution:
     """Merge fine detection outcomes into coarse channels.
 
-    The (X, C) marginal is untouched: only the detection axis is regrouped.
-    Coarse labels keep the order of their first appearance along the fine
-    detection axis.
+    ``mapping`` sends each fine detection label to its coarse label; the
+    loss label, when mapped, must map to itself. The (X, C) marginal is
+    untouched: only the detection axis is regrouped. Coarse labels keep the
+    order of their first appearance along the fine detection axis.
     """
-    mapping = dict(graining.partition)
+    if mapping.get(LOSS, LOSS) != LOSS:
+        raise InvalidArgument("the loss label must map to itself")
     coarse_labels: list[str] = []
     for d in joint.space.d_values:
         if d not in mapping:

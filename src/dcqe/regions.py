@@ -80,7 +80,7 @@ def route_by_region(mask: RegionMask, base_x) -> JointDistribution:
     return JointDistribution(space, table)
 
 
-def coincidence_image(log: EventLog, n_x: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def coincidence_image(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin event counts conditioned on each of the two detectors.
 
     Returns the histograms for the first and second non-loss detection
@@ -96,7 +96,5 @@ def coincidence_image(log: EventLog, n_x: int | None = None) -> tuple[np.ndarray
         raise InvalidArgument(
             f"need exactly 2 non-loss detection labels, got {len(detected)}"
         )
-    if n_x is not None and n_x != space.n_x:
-        raise ShapeMismatch((n_x,), (space.n_x,))
     first, second = log.counts().sum(axis=1).T[list(detected)].astype(np.int64)
     return first, second

@@ -115,6 +115,20 @@ class TestSimulate:
         assert "'n_x' must be an integer" in json.loads(capsys.readouterr().err)["message"]
         assert not (out / "simulate_manifest.json").exists()
 
+    @pytest.mark.parametrize("doc, expected", [
+        ([1, 2], "expected a JSON object"),
+        ({"kind": "kim", "n_x": None}, "'n_x' must be an integer"),
+        ({"kind": "kim", "visibility": [1]}, "'visibility' must be a number"),
+    ], ids=["list", "null_n_x", "list_visibility"])
+    def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
+        config = tmp_path / "arch.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and expected in err["message"]
+        assert not (out / "simulate_manifest.json").exists()
+
 
 class TestSampleAndAudit:
     def test_sample_then_audit_round_trip(self, tmp_path, capsys):
@@ -269,6 +283,19 @@ class TestFeasibilityCommands:
         problem.write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": n_x}))
         assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 2
         assert "'n_x' must be an integer" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "feasible_result.json").exists()
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"q": 0.5, "p": 0.3, "n_x": None}, "'n_x' must be an integer"),
+        ({"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": {"0": 1.0}},
+         "'erase_conditional' must be a list of numbers"),
+    ], ids=["null_n_x", "object_erase_conditional"])
+    def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(doc))
+        assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and expected in err["message"]
         assert not (tmp_path / "feasible_result.json").exists()
 
     def test_integral_float_n_x_in_problem_runs(self, tmp_path):

@@ -32,16 +32,13 @@ from dcqe.io import (
     feasibility_result_dict,
     problem_dict,
     problem_from_dict,
-    read_arch_config,
     read_event_log,
     read_joint,
+    read_json,
     read_mask,
-    read_problem,
-    write_arch_config,
     write_audit_report,
-    write_distribution,
+    write_column,
     write_event_log,
-    write_histogram,
     write_joint,
     write_json,
 )
@@ -476,16 +473,24 @@ class TestJointFiles:
         assert back.space == space
         assert np.array_equal(back.p, joint.p)
 
+    def test_unencodable_label_leaves_no_file(self, tmp_path):
+        space = OutcomeSpace(2, ("a", "\ud800"), ("D1", "D2"))
+        joint = JointDistribution(space, np.full(space.shape, 0.125))
+        path = tmp_path / "joint.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_joint(joint, path)
+        assert not path.exists()
+
 
 class TestDistributionFiles:
     def test_distribution_format(self, tmp_path):
         path = tmp_path / "dist.csv"
-        write_distribution(np.array([0.5, 0.25, 0.0, 0.25]), path)
+        write_column(np.array([0.5, 0.25, 0.0, 0.25]), "p", path)
         assert path.read_text() == "x,p\n0,0.5\n1,0.25\n2,0.0\n3,0.25\n"
 
     def test_histogram_format(self, tmp_path):
         path = tmp_path / "hist.csv"
-        write_histogram(np.array([10, 0, 32]), path)
+        write_column(np.array([10, 0, 32]), "count", path)
         assert path.read_text() == "x,count\n0,10\n1,0\n2,32\n"
 
 
@@ -520,8 +525,8 @@ class TestArchConfigFiles:
             "mach_zehnder", FringeModel(8, 2.0, 0.1, 0.75), q=0.3
         )
         path = tmp_path / "config.json"
-        write_arch_config(spec, path)
-        back = read_arch_config(path)
+        write_json(arch_config_dict(spec), path)
+        back = arch_spec_from_dict(read_json(path))
         assert back.kind == spec.kind
         assert back.q == spec.q
         assert back.fringe.n_x == 8
@@ -531,6 +536,21 @@ class TestArchConfigFiles:
         assert np.array_equal(
             build_mach_zehnder(back.fringe, 0.3).p, spec.build().p
         )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_x", None), ("visibility", [1]), ("fringe_cycles", {}), ("q", [0.5])],
+    )
+    def test_wrong_type_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            arch_spec_from_dict({"kind": "kim", key: value})
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"kim"'])
+    def test_read_json_refuses_a_non_object(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            read_json(path)
 
     def test_defaults_fill_missing_keys(self):
         spec = arch_spec_from_dict({"kind": "kim"})
@@ -566,7 +586,7 @@ class TestProblemFiles:
         path = tmp_path / "problem.json"
         doc = problem_dict(prob)
         path.write_text(json.dumps(doc))
-        back = read_problem(path)
+        back = problem_from_dict(read_json(path))
         assert back.q == prob.q and back.p == prob.p and back.n_x == prob.n_x
         assert np.array_equal(back.resolved_erase(), prob.resolved_erase())
 
@@ -578,6 +598,15 @@ class TestProblemFiles:
     def test_missing_required_keys(self):
         with pytest.raises(ValueError):
             problem_from_dict({"q": 0.5, "p": 0.25})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_x", None), ("q", [0.5]), ("p", {}), ("erase_conditional", {"0": 1.0})],
+    )
+    def test_wrong_type_names_the_key(self, key, value):
+        doc = dict({"q": 0.5, "p": 0.3, "n_x": 4}, **{key: value})
+        with pytest.raises(ValueError, match=repr(key)):
+            problem_from_dict(doc)
 
     def test_result_dict_embeds_witness(self):
         prob = LossFeasibilityProblem(q=0.5, n_x=4, p=0.25)
@@ -605,6 +634,14 @@ class TestMaskFiles:
     def test_pbm_row_major(self, tmp_path):
         path = tmp_path / "mask.pbm"
         path.write_text("P1\n# a comment\n3 2\n0 1 0\n1 1 1\n")
+        mask = read_mask(path)
+        assert mask.n_x == 6
+        assert mask.inside_bins == (1, 3, 4, 5)
+
+    @pytest.mark.parametrize("raster", ["010\n111\n", "010111", "0 1\n0111"])
+    def test_pbm_pixels_need_no_separator(self, tmp_path, raster):
+        path = tmp_path / "mask.pbm"
+        path.write_text("P1\n3 2\n" + raster)
         mask = read_mask(path)
         assert mask.n_x == 6
         assert mask.inside_bins == (1, 3, 4, 5)

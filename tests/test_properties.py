@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dcqe import (
     CHUNK_TRIALS,
-    CoarseGraining,
     JointDistribution,
     OutcomeSpace,
     audit,
@@ -106,7 +105,7 @@ class TestCoarseGraining:
     def test_pairing_preserves_xc_marginal(self, seed):
         rng = np.random.default_rng(seed)
         j = random_joint(rng, n_d=4)
-        g = CoarseGraining((("D0", "E0"), ("D1", "E0"), ("D2", "E1"), ("D3", "E1")))
+        g = {"D0": "E0", "D1": "E0", "D2": "E1", "D3": "E1"}
         merged = coarse_grain(j, g)
         assert np.allclose(marginal(merged, "xc"), marginal(j, "xc"), atol=1e-14)
         validate(merged)
@@ -115,7 +114,7 @@ class TestCoarseGraining:
     def test_identity_graining_is_exact(self, seed):
         rng = np.random.default_rng(seed)
         j = random_joint(rng)
-        g = CoarseGraining(tuple((d, d) for d in j.space.d_values))
+        g = {d: d for d in j.space.d_values}
         assert np.array_equal(coarse_grain(j, g).p, j.p)
 
 

@@ -116,9 +116,3 @@ class TestCoincidenceImage:
         log = EventLog(space, np.ravel_multi_index(([0], [0], [0]), space.shape))
         with pytest.raises(InvalidArgument):
             coincidence_image(log)
-
-    def test_bin_count_mismatch(self):
-        joint = route_by_region(left_half_mask(), np.full(8, 0.125))
-        log = sample_events(joint, 100, 0)
-        with pytest.raises(ShapeMismatch):
-            coincidence_image(log, n_x=16)

@@ -204,9 +204,8 @@ def _decode_ints(buf, starts, stops):
 
     Pass k adds the k-th digit from the right of every field that has one,
     so fields are right-aligned and read a column at a time. Fields of 19
-    digits or more are parsed by ``int``. Returns the int64 values, a mask
-    of well-formed fields, and ``{index: value}`` for well-formed fields
-    beyond int64 (stored as 0 in the values).
+    digits or more are parsed by ``int``. Returns the int64 values and a
+    mask of the fields that are well formed and fit int64.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
     neg = arr[starts] == ord("-")
@@ -222,18 +221,12 @@ def _decode_ints(buf, starts, stops):
         ok &= digit <= 9
         signed += np.multiply(digit, 10**k, dtype=np.int64)
     np.negative(signed, out=signed, where=neg)
-    big = {}
     for i in np.flatnonzero(ok & (n_digits > 18)).tolist():
         field = buf[starts[i]:stops[i]]
-        ok[i] = bool(_BARE_INT.fullmatch(field))
+        ok[i] = bool(_BARE_INT.fullmatch(field)) and _INTP.min <= int(field) <= _INTP.max
         if ok[i]:
-            v = int(field)
-            if _INTP.min <= v <= _INTP.max:
-                signed[i] = v
-            else:
-                signed[i] = 0
-                big[i] = v
-    return signed, ok, big
+            signed[i] = int(field)
+    return signed, ok
 
 
 class _LabelCodes:
@@ -335,15 +328,29 @@ def _row_error(record: bytes, row: int, last_trial: int, path) -> ValueError:
         return ValueError(f"trial indices must be strictly increasing in {path}")
     if not _BARE_INT.fullmatch(x):
         return ValueError(f"bin {x!r} in {where} is not a bare decimal integer")
+    if not 0 <= int(x) <= _INTP.max:
+        return ValueError(f"bin {int(x)} in {where} is not a valid index")
     return ValueError(f"labels {tail!r} in {where} are not two RFC 4180 fields")
 
 
-def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
+def _zero_table(max_x: int, where: str, c_values, d_values) -> tuple[OutcomeSpace, np.ndarray]:
+    """The space of bins 0..max_x with these labels, and a zero table over it;
+    a table too large to allocate names the bin and ``where`` it was read."""
+    space = OutcomeSpace(max(max_x + 1, 2), tuple(c_values), tuple(d_values))
+    try:
+        return space, np.zeros(space.shape)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"bin {max_x} {where} needs a table of shape {space.shape}, too large to allocate"
+        ) from None
+
+
+def read_event_log(path: str) -> EventLog:
     """Parse an event CSV back into a log.
 
-    Without an explicit space, one is inferred: bins 0..max(x), and the
-    observed choice and detection labels in sorted order. Trial indices
-    must be strictly increasing; they are normalized to 0..n-1 on ingest.
+    The outcome space comes from the events: bins 0..max(x), and the
+    observed choice and detection labels in sorted order. Trial indices must
+    be strictly increasing; they are normalized to 0..n-1 on ingest.
 
     The file is parsed in blocks of ``_BLOCK_BYTES`` by array operations
     (records in ``_record_blocks``, integers in ``_decode_ints``, labels
@@ -355,7 +362,6 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
     header_ok = None
     last_trial = -1
     n_rows = 0
-    beyond_index = None
     with open(path, "rb") as fh:
         for buf, words, starts, ends in _record_blocks(fh):
             if header_ok is None:
@@ -370,19 +376,15 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
             commas = np.append(commas, [len(buf), len(buf)])
             second = np.minimum(commas[first + 1], ends)
             first = np.minimum(commas[first], second)
-            trial, trial_ok, trial_beyond = _decode_ints(buf, starts, first)
-            x, x_ok, x_beyond = _decode_ints(buf, np.minimum(first + 1, second), second)
+            trial, trial_ok = _decode_ints(buf, starts, first)
+            x, x_ok = _decode_ints(buf, np.minimum(first + 1, second), second)
             codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
-            bad = ~trial_ok | ~x_ok | (codes < 0) | (second == ends)
-            bad[list(trial_beyond)] = True
+            bad = ~trial_ok | ~x_ok | (x < 0) | (codes < 0) | (second == ends)
             bad |= trial <= np.concatenate(([last_trial], trial[:-1]))
             if bad.any():
                 i = int(np.argmax(bad))
                 prev = int(trial[i - 1]) if i else last_trial
                 raise _row_error(buf[starts[i]:ends[i]], n_rows + i + 1, prev, path)
-            if x_beyond and beyond_index is None:
-                i = min(x_beyond)
-                beyond_index = (n_rows + i + 1, x_beyond[i])
             if trial.size:
                 last_trial = int(trial[-1])
             n_rows += trial.size
@@ -390,36 +392,20 @@ def read_event_log(path: str, space: OutcomeSpace | None = None) -> EventLog:
             pair_codes.append(codes)
     if not header_ok:
         raise ValueError(f"expected header {','.join(EVENT_HEADER)!r} in {path}")
-    x = np.concatenate(xs) if xs else np.zeros(0, dtype=np.int64)
+    if not n_rows:
+        raise ValueError(f"no events in {path}; cannot infer an outcome space")
+    x = np.concatenate(xs)
     del xs
-    inferred = space is None
-    if inferred:
-        if not x.size:
-            raise ValueError(f"no events in {path}; cannot infer an outcome space")
-        c_values, d_values = (tuple(sorted(set(axis))) for axis in zip(*label_codes.pairs))
-        space = OutcomeSpace(max(int(x.max()) + 1, 2), c_values, d_values)
-    if beyond_index is not None:
-        row, big = beyond_index
-        raise ValueError(f"bin {big} in event row {row} of {path} does not fit an index")
-    if inferred:
-        try:
-            # the count table that ``EventLog.counts`` will fill
-            np.zeros(space.shape, dtype=np.intp)
-        except (MemoryError, ValueError):
-            raise ValueError(
-                f"bin {int(x.max())} in event row {int(x.argmax()) + 1} of {path} needs a "
-                f"table of shape {space.shape}, too large to allocate"
-            ) from None
-    # Checked before encoding: a huge bin would wrap around into a valid cell.
-    if x.size and (x.min() < 0 or x.max() >= space.n_x):
-        raise InvalidArgument(f"bin index out of range for {space.n_x} bins in {path}")
+    row = int(x.argmax())
+    c_values, d_values = (sorted(set(axis)) for axis in zip(*label_codes.pairs))
+    # probes the table ``EventLog.counts`` fills; that it fits bounds the cells below
+    space, _ = _zero_table(int(x[row]), f"in event row {row + 1} of {path}", c_values, d_values)
     offsets = np.array(
         [space.c_index(c) * space.n_d + space.d_index(d) for c, d in label_codes.pairs],
         dtype=np.intp,
     )
     x *= space.n_c * space.n_d
-    if pair_codes:
-        x += offsets[np.concatenate(pair_codes)]
+    x += offsets[np.concatenate(pair_codes)]
     x.setflags(write=False)
     return EventLog(space, x)
 
@@ -456,15 +442,18 @@ def read_joint(path: str) -> JointDistribution:
                 continue
             if len(row) != 4:
                 raise ValueError(f"malformed joint row {row!r} in {path}")
+            where = f"on line {reader.line_num} of {path}"
+            if not _BARE_INT.fullmatch(row[0].encode()):
+                raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
             x, c, d, p = int(row[0]), row[1], row[2], float(row[3])
             if not 0 <= x <= _INTP.max:
-                raise ValueError(f"bin {x} on line {reader.line_num} of {path} is not a valid index")
+                raise ValueError(f"bin {x} {where} is not a valid index")
             if not math.isfinite(p):
-                raise ValueError(f"non-finite probability {row[3]!r} on line {reader.line_num} of {path}")
+                raise ValueError(f"non-finite probability {row[3]!r} {where}")
             if (x, c, d) in cells:
                 raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
             if x > max_x:
-                max_x, max_line = x, reader.line_num
+                max_x, max_where = x, where
             if c not in c_values:
                 c_values.append(c)
             if d not in d_values:
@@ -472,14 +461,7 @@ def read_joint(path: str) -> JointDistribution:
             cells[x, c, d] = p
     if max_x < 0:
         raise ValueError(f"no cells in {path}")
-    space = OutcomeSpace(max(max_x + 1, 2), tuple(c_values), tuple(d_values))
-    try:
-        table = np.zeros(space.shape)
-    except (MemoryError, ValueError):
-        raise ValueError(
-            f"bin {max_x} on line {max_line} of {path} needs a table of shape "
-            f"{space.shape}, too large to allocate"
-        ) from None
+    space, table = _zero_table(max_x, max_where, c_values, d_values)
     for (x, c, d), p in cells.items():
         table[x, space.c_index(c), space.d_index(d)] = p
     return JointDistribution(space, table)
@@ -528,38 +510,50 @@ def arch_config_dict(spec: ArchitectureSpec) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(doc: Mapping, key: str, default=None) -> int:
     """``doc[key]`` as an int; a fraction or a non-number names the key."""
     value = doc.get(key, default)
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}") from None
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _float(doc: Mapping, key: str, default=None) -> float:
     """``doc[key]`` as a float; a non-number names the key."""
     value = doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _floats(doc: Mapping, key: str) -> np.ndarray | None:
     """``doc[key]`` as a float array, or None if absent; a non-list names the key."""
     value = doc.get(key)
-    try:
-        return None if value is None else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be a list of numbers") from None
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ValueError(f"{key!r} must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _check_keys(doc: Mapping, required: tuple, optional: tuple, what: str) -> None:
+    """Name the first required key missing from ``doc``, then its first unknown key."""
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} is missing {key!r}")
+    for key in doc:
+        if key not in required + optional + ("schema_version",):
+            raise ValueError(f"unknown key {key!r} in {what}")
 
 
 def arch_spec_from_dict(doc: Mapping) -> ArchitectureSpec:
-    if "kind" not in doc:
-        raise ValueError("architecture config is missing 'kind'")
+    optional = ("n_x", "fringe_cycles", "phase0", "visibility", "q")
+    _check_keys(doc, ("kind",), optional, "architecture config")
     model = FringeModel(
         n_x=_integer(doc, "n_x", DEFAULT_N_X),
         cycles=_float(doc, "fringe_cycles", DEFAULT_CYCLES),
@@ -588,9 +582,8 @@ def problem_dict(prob: LossFeasibilityProblem) -> dict:
 
 
 def problem_from_dict(doc: Mapping) -> LossFeasibilityProblem:
-    for key in ("q", "p", "n_x"):
-        if key not in doc:
-            raise ValueError(f"feasibility problem is missing {key!r}")
+    optional = ("erase_conditional", "preserve_conditional")
+    _check_keys(doc, ("q", "p", "n_x"), optional, "feasibility problem")
     return LossFeasibilityProblem(
         q=_float(doc, "q"),
         n_x=_integer(doc, "n_x"),

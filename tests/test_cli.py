@@ -119,7 +119,9 @@ class TestSimulate:
         ([1, 2], "expected a JSON object"),
         ({"kind": "kim", "n_x": None}, "'n_x' must be an integer"),
         ({"kind": "kim", "visibility": [1]}, "'visibility' must be a number"),
-    ], ids=["list", "null_n_x", "list_visibility"])
+        ({"kind": "kim", "n_x": True}, "'n_x' must be an integer"),
+        ({"kind": "kim", "fringe_cycle": 2}, "unknown key 'fringe_cycle' in architecture config"),
+    ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
         config = tmp_path / "arch.json"
         config.write_text(json.dumps(doc))
@@ -195,6 +197,20 @@ class TestSampleAndAudit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "bin 99999999999999999999 in event row 2" in err["message"]
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [("trial,x,c,d\n0,1,a,D1\n1,-1,b,D2\n", "in event row 2"),
+         ("x,c,d,p\n0,a,D1,0.5\n-1,b,D2,0.5\n", "on line 3")],
+        ids=["events", "joint"],
+    )
+    def test_audit_negative_bin_exit_2(self, tmp_path, capsys, body, where):
+        path = tmp_path / "table.csv"
+        path.write_text(body)
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"bin -1 {where} of {path} is not a valid index" in err["message"]
 
     def test_audit_event_unallocatable_table_exit_2(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "events.csv"
@@ -289,7 +305,9 @@ class TestFeasibilityCommands:
         ({"q": 0.5, "p": 0.3, "n_x": None}, "'n_x' must be an integer"),
         ({"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": {"0": 1.0}},
          "'erase_conditional' must be a list of numbers"),
-    ], ids=["null_n_x", "object_erase_conditional"])
+        ({"q": "0.5", "p": 0.3, "n_x": "4"}, "'q' must be a number"),
+        ({"q": 0.5, "p": 0.3, "n_x": 4, "extra": 1}, "unknown key 'extra' in feasibility problem"),
+    ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(doc))

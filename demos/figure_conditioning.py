@@ -12,7 +12,6 @@ so the independence property is the one that fails.
 import numpy as np
 
 from dcqe import (
-    RegionMask,
     audit,
     coincidence_image,
     marginal,
@@ -21,7 +20,7 @@ from dcqe import (
 )
 
 n_x = 16
-mask = RegionMask.from_bits([1] * 8 + [0] * 8)
+mask = [1] * 8 + [0] * 8
 base = np.full(n_x, 1.0 / n_x)
 joint = route_by_region(mask, base)
 

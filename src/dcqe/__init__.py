@@ -85,7 +85,7 @@ from .joint import (
     total_variation,
     validate,
 )
-from .regions import RegionMask, coincidence_image, route_by_region
+from .regions import coincidence_image, route_by_region
 
 __version__ = "0.1.0"
 
@@ -117,7 +117,6 @@ __all__ = [
     "NoLossOutcome",
     "NotNormalized",
     "OutcomeSpace",
-    "RegionMask",
     "ShapeMismatch",
     "UnbalancedPorts",
     "UnmappedLabel",

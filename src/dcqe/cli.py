@@ -287,7 +287,7 @@ def _cmd_solve(args) -> None:
 def _cmd_figure(args) -> None:
     config = {"command": "figure", "out_dir": _resolve_out_dir(args), "mask": args.mask_path}
     mask = read_mask(args.mask_path)
-    joint = route_by_region(mask, np.full(mask.n_x, 1.0 / mask.n_x))
+    joint = route_by_region(mask, np.full(mask.size, 1.0 / mask.size))
     if args.n is None:
         name, columns = "p", [joint.p[:, :, di].sum(axis=1) for di in (0, 1)]
     else:

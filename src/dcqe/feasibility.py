@@ -161,8 +161,6 @@ def _construction_floor(q: float, e: np.ndarray, r: np.ndarray) -> float:
     support never constrain.
     """
     support = e > 0.0
-    if not np.any(support):
-        return 0.0
     ratio = float(np.min(r[support] / e[support]))
     return max(q * (1.0 - ratio), 0.0)
 
@@ -212,8 +210,6 @@ def construct_witness(prob: LossFeasibilityProblem) -> FeasibilityResult:
 def _exact_normalized(vec: np.ndarray) -> list[Fraction]:
     fracs = [Fraction(float(v)) for v in vec]
     total = sum(fracs)
-    if total <= 0:
-        raise InvalidArgument("target distribution has no mass")
     return [f / total for f in fracs]
 
 

@@ -29,7 +29,6 @@ from .events import EventLog
 from .feasibility import FeasibilityResult, LossFeasibilityProblem
 from .fringes import FringeModel
 from .joint import JointDistribution, OutcomeSpace
-from .regions import RegionMask
 
 SCHEMA_VERSION = 1
 
@@ -440,12 +439,16 @@ def read_joint(path: str) -> JointDistribution:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"malformed joint row {row!r} in {path}")
             where = f"on line {reader.line_num} of {path}"
+            if len(row) != 4:
+                raise ValueError(f"malformed joint row {row!r} {where}")
             if not _BARE_INT.fullmatch(row[0].encode()):
                 raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
-            x, c, d, p = int(row[0]), row[1], row[2], float(row[3])
+            x, c, d = int(row[0]), row[1], row[2]
+            try:
+                p = float(row[3])
+            except ValueError:
+                raise ValueError(f"probability {row[3]!r} {where} is not a number") from None
             if not 0 <= x <= _INTP.max:
                 raise ValueError(f"bin {x} {where} is not a valid index")
             if not math.isfinite(p):
@@ -528,7 +531,10 @@ def _float(doc: Mapping, key: str, default=None) -> float:
     value = doc.get(key, default)
     if not _is_number(value):
         raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} is too large for a float") from None
 
 
 def _floats(doc: Mapping, key: str) -> np.ndarray | None:
@@ -538,7 +544,10 @@ def _floats(doc: Mapping, key: str) -> np.ndarray | None:
         return None
     if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ValueError(f"{key!r} must be a list of numbers")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{key!r} holds a number too large for a float") from None
 
 
 def _check_keys(doc: Mapping, required: tuple, optional: tuple, what: str) -> None:
@@ -630,8 +639,9 @@ def _pbm_int(path: str, token: str, what: str) -> int:
         raise ValueError(f"PBM file {path} has {what} {token!r}, not an integer") from None
 
 
-def read_mask(path: str) -> RegionMask:
-    """Read a region mask: one row of 0/1 text, or a PBM (P1) bitmap.
+def read_mask(path: str) -> np.ndarray:
+    """Read a region mask, one 0/1 bit per bin: a row of 0/1 text, or a PBM
+    (P1) bitmap.
 
     PBM pixels are flattened row-major into bins, value 1 meaning inside.
     Each raster character is one pixel; whitespace between them is optional.
@@ -660,8 +670,8 @@ def read_mask(path: str) -> RegionMask:
             )
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"PBM file {path} has non-binary pixels")
-        return RegionMask.from_bits(bits)
+        return np.array(bits)
     row = "".join(text.split())
     if not row or any(ch not in "01" for ch in row):
         raise ValueError(f"mask file {path} must contain only 0 and 1 characters")
-    return RegionMask.from_bits(int(ch) for ch in row)
+    return np.array([int(ch) for ch in row])

@@ -35,12 +35,6 @@ NORMALIZATION_TOL = 1e-12
 _AXIS_INDEX = {"x": 0, "c": 1, "d": 2}
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Label sets for the three axes.

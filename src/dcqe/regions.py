@@ -11,8 +11,6 @@ conditional structure without any retroactive physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyLog, InvalidArgument, ShapeMismatch
@@ -20,63 +18,31 @@ from .events import EventLog
 from .joint import JointDistribution, OutcomeSpace
 
 
-@dataclass(frozen=True)
-class RegionMask:
-    """Per-bin membership of the routing region.
-
-    Degenerate masks (all inside or all outside) would starve one detector
-    and are rejected.
-    """
-
-    n_x: int
-    member: np.ndarray
-
-    def __post_init__(self):
-        member = np.asarray(self.member, dtype=bool).copy()
-        if member.shape != (self.n_x,):
-            raise InvalidArgument(
-                f"mask shape {member.shape} does not match {self.n_x} bins"
-            )
-        if bool(member.all()) or not bool(member.any()):
-            raise InvalidArgument("mask must contain at least one bin and exclude another")
-        member.setflags(write=False)
-        object.__setattr__(self, "member", member)
-
-    @classmethod
-    def from_bits(cls, bits) -> "RegionMask":
-        """Build from an iterable of 0/1 values."""
-        arr = np.asarray(list(bits), dtype=int)
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise InvalidArgument("mask bits must be 0 or 1")
-        return cls(n_x=arr.size, member=arr.astype(bool))
-
-    @property
-    def inside_bins(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.nonzero(self.member)[0])
-
-    @property
-    def outside_bins(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.nonzero(~self.member)[0])
-
-
-def route_by_region(mask: RegionMask, base_x) -> JointDistribution:
+def route_by_region(mask, base_x) -> JointDistribution:
     """Joint law of region-conditioned routing over a base distribution.
 
-    Bins inside the mask put their mass at D1, outside at D2, and the
-    recorded choice equals the detection outcome. The X marginal is the
-    base distribution bin-for-bin.
+    ``mask`` holds one 0/1 bit per bin. Bins marked 1 put their mass at D1,
+    bins marked 0 at D2, and the recorded choice equals the detection
+    outcome. A mask holding every bin or none would starve one detector
+    and is rejected. The X marginal is the base distribution bin-for-bin.
     """
+    bits = np.asarray(mask)
+    if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
+        raise InvalidArgument("mask bits must be 0 or 1")
+    member = bits == 1
+    if bool(member.all()) or not bool(member.any()):
+        raise InvalidArgument("mask must contain at least one bin and exclude another")
     base = np.asarray(base_x, dtype=float)
-    if base.shape != (mask.n_x,):
-        raise ShapeMismatch(base.shape, (mask.n_x,))
+    if base.shape != member.shape:
+        raise ShapeMismatch(base.shape, member.shape)
     if np.any(base < 0) or not np.all(np.isfinite(base)):
         raise InvalidArgument("base distribution must be finite and nonnegative")
     if abs(float(base.sum()) - 1.0) > 1e-9:
         raise InvalidArgument(f"base distribution sums to {float(base.sum())}")
-    space = OutcomeSpace(mask.n_x, ("D1", "D2"), ("D1", "D2"))
+    space = OutcomeSpace(member.size, ("D1", "D2"), ("D1", "D2"))
     table = np.zeros(space.shape)
-    table[:, 0, 0] = base * mask.member
-    table[:, 1, 1] = base * ~mask.member
+    table[:, 0, 0] = base * member
+    table[:, 1, 1] = base * ~member
     return JointDistribution(space, table)
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from dcqe import (
     FringeModel,
     LossFeasibilityProblem,
-    RegionMask,
     audit,
     berkson_gap,
     build_kim,
@@ -124,7 +123,7 @@ def test_violation_table_across_six_architectures():
     with criterion("violation table across six architectures"):
         model = default_fringe_model()
         kim = build_kim(model)
-        mask = RegionMask.from_bits([1] * (model.n_x // 2) + [0] * (model.n_x // 2))
+        mask = [1] * (model.n_x // 2) + [0] * (model.n_x // 2)
         regioned = route_by_region(mask, np.full(model.n_x, 1.0 / model.n_x))
         cases = [
             (coarse_grain(kim, kim_coarse_graining()), ("distinct_conditionals",)),
@@ -171,9 +170,8 @@ def test_region_routing_figure_partition():
     with criterion("region-routing figure partition"):
         n_x = 16
         bits = [1] * 8 + [0] * 8
-        mask = RegionMask.from_bits(bits)
         base = np.full(n_x, 1.0 / n_x)
-        j = route_by_region(mask, base)
+        j = route_by_region(bits, base)
         i1 = j.space.d_values.index("D1")
         i2 = j.space.d_values.index("D2")
         h1 = j.p[:, :, i1].sum(axis=1)

@@ -14,7 +14,6 @@ from dcqe import (
     LossFeasibilityProblem,
     NotNormalized,
     OutcomeSpace,
-    RegionMask,
     audit,
     check_deterministic_routing,
     check_distinct_conditionals,
@@ -289,7 +288,7 @@ def _pinned_table(name):
     if base == "witness":
         joint = construct_witness(LossFeasibilityProblem(q=0.5, n_x=4, p=0.25)).witness
     elif base == "region":
-        joint = route_by_region(RegionMask.from_bits([1] * 8 + [0] * 8), np.full(16, 1 / 16))
+        joint = route_by_region([1] * 8 + [0] * 8, np.full(16, 1 / 16))
     elif base == "ghost":
         space = OutcomeSpace(2, ("c0", "c1", "ghost"), ("D1", "D2"))
         table = np.zeros((2, 3, 2))

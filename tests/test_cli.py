@@ -121,7 +121,8 @@ class TestSimulate:
         ({"kind": "kim", "visibility": [1]}, "'visibility' must be a number"),
         ({"kind": "kim", "n_x": True}, "'n_x' must be an integer"),
         ({"kind": "kim", "fringe_cycle": 2}, "unknown key 'fringe_cycle' in architecture config"),
-    ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key"])
+        ({"kind": "mach_zehnder", "q": 10**400}, "'q' is too large for a float"),
+    ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
         config = tmp_path / "arch.json"
         config.write_text(json.dumps(doc))
@@ -307,7 +308,10 @@ class TestFeasibilityCommands:
          "'erase_conditional' must be a list of numbers"),
         ({"q": "0.5", "p": 0.3, "n_x": "4"}, "'q' must be a number"),
         ({"q": 0.5, "p": 0.3, "n_x": 4, "extra": 1}, "unknown key 'extra' in feasibility problem"),
-    ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key"])
+        ({"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": [10**400, 0, 0, 0]},
+         "'erase_conditional' holds a number too large for a float"),
+    ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key",
+            "huge_erase_conditional"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(doc))
@@ -377,6 +381,18 @@ class TestFigure:
         assert main(["figure", "--mask", str(mask), "--out-dir", str(out)]) == 0
         doc = json.loads((out / "figure_manifest.json").read_text())
         assert sorted(doc["artifacts"]) == ["figure_D1.csv", "figure_D2.csv"]
+
+    def test_all_ones_mask_exit_1(self, tmp_path, capsys):
+        mask = tmp_path / "mask.txt"
+        mask.write_text("1111\n")
+        out = tmp_path / "fig"
+        assert main(["figure", "--mask", str(mask), "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "InvalidArgument",
+            "message": "mask must contain at least one bin and exclude another",
+        }
+        assert not (out / "figure_manifest.json").exists()
 
     def test_pbm_negative_dimensions_exit_2(self, tmp_path, capsys):
         mask = tmp_path / "mask.pbm"

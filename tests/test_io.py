@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestEventLogFiles:
             "trial,x,c,d\n0,1,a,D1\n1,99999999999999999999,b,D2\n2,0,a,D1\n3,x,b,D2\n"
         )
         with pytest.raises(ValueError, match="bin 99999999999999999999 in event row 2 "):
+            read_event_log(path)
+
+    def test_trial_beyond_int64_is_named(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n0,1,a,D1\n99999999999999999999,0,b,D2\n")
+        with pytest.raises(
+            ValueError, match="trial 99999999999999999999 in event row 2 .* does not fit an index"
+        ):
             read_event_log(path)
 
     def test_rejects_non_increasing_trials(self, tmp_path):
@@ -437,9 +446,28 @@ class TestJointFiles:
 
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "joint.csv"
-        path.write_text("x,c,d,p\n0,a,D1,not_a_number\n")
-        with pytest.raises(ValueError):
+        for row in ("0,a,D1,not_a_number", "1,b,D2"):
+            path.write_text(f"x,c,d,p\n0,a,D1,0.5\n{row}\n")
+            with pytest.raises(ValueError, match=f"on line 3 of {re.escape(str(path))}"):
+                read_joint(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("x,c,d\n0,a,D1\n", "expected header 'x,c,d,p'"), ("", "expected header"),
+         ("x,c,d,p\n", "no cells in"), ("x,c,d,p\n\n\n", "no cells in")],
+        ids=["short-header", "empty", "header-only", "blank-rows-only"],
+    )
+    def test_rejects_a_file_without_cells(self, tmp_path, body, message):
+        path = tmp_path / "joint.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
             read_joint(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n\n0,a,D1,0.5\n\n1,b,D2,0.5\n\n")
+        joint = read_joint(path)
+        assert joint.p[0, 0, 0] == joint.p[1, 1, 1] == 0.5
 
     def test_unallocatable_table_names_its_line(self, tmp_path, monkeypatch):
         path = tmp_path / "joint.csv"
@@ -647,27 +675,24 @@ class TestMaskFiles:
         path = tmp_path / "mask.txt"
         path.write_text("0110\n")
         mask = read_mask(path)
-        assert mask.inside_bins == (1, 2)
+        assert mask.shape == (4,)
+        assert mask.tolist() == [0, 1, 1, 0]
 
     def test_spaced_text_row(self, tmp_path):
         path = tmp_path / "mask.txt"
         path.write_text("0 1 1 0\n")
-        assert read_mask(path).inside_bins == (1, 2)
+        assert read_mask(path).tolist() == [0, 1, 1, 0]
 
     def test_pbm_row_major(self, tmp_path):
         path = tmp_path / "mask.pbm"
         path.write_text("P1\n# a comment\n3 2\n0 1 0\n1 1 1\n")
-        mask = read_mask(path)
-        assert mask.n_x == 6
-        assert mask.inside_bins == (1, 3, 4, 5)
+        assert read_mask(path).tolist() == [0, 1, 0, 1, 1, 1]
 
     @pytest.mark.parametrize("raster", ["010\n111\n", "010111", "0 1\n0111"])
     def test_pbm_pixels_need_no_separator(self, tmp_path, raster):
         path = tmp_path / "mask.pbm"
         path.write_text("P1\n3 2\n" + raster)
-        mask = read_mask(path)
-        assert mask.n_x == 6
-        assert mask.inside_bins == (1, 3, 4, 5)
+        assert read_mask(path).tolist() == [0, 1, 0, 1, 1, 1]
 
     def test_pbm_size_mismatch(self, tmp_path):
         path = tmp_path / "mask.pbm"
@@ -703,6 +728,23 @@ class TestMaskFiles:
         with pytest.raises(ValueError) as info:
             read_mask(path)
         assert str(path) in str(info.value) and token in str(info.value)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("P10 2\n1 0\n", "malformed PBM file"),
+            ("P1\n3\n", "is missing dimensions"),
+            ("P1\n2 1\n1 2\n", "has non-binary pixels"),
+        ],
+        ids=["magic-P10", "no-height", "pixel-2"],
+    )
+    def test_malformed_pbm_names_the_path(self, tmp_path, body, message):
+        path = tmp_path / "mask.pbm"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message) as info:
+            read_mask(path)
+        assert str(path) in str(info.value)
+        assert not isinstance(info.value, InvalidArgument)
 
 
 class TestEmpiricalRoundTrip:

@@ -7,7 +7,6 @@ from dcqe import (
     FringeModel,
     InvalidArgument,
     OutcomeSpace,
-    RegionMask,
     ShapeMismatch,
     audit,
     build_polarization,
@@ -21,24 +20,7 @@ from dcqe import (
 
 
 def left_half_mask(n_x=8):
-    return RegionMask.from_bits([1] * (n_x // 2) + [0] * (n_x // 2))
-
-
-class TestRegionMask:
-    def test_from_bits(self):
-        mask = RegionMask.from_bits([0, 1, 1, 0])
-        assert mask.n_x == 4
-        assert mask.inside_bins == (1, 2)
-        assert mask.outside_bins == (0, 3)
-
-    @pytest.mark.parametrize("bits", [[1, 1, 1], [0, 0, 0]])
-    def test_rejects_trivial_masks(self, bits):
-        with pytest.raises(InvalidArgument):
-            RegionMask.from_bits(bits)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(InvalidArgument):
-            RegionMask.from_bits([0, 2, 1])
+    return [1] * (n_x // 2) + [0] * (n_x // 2)
 
 
 class TestRouteByRegion:
@@ -67,6 +49,19 @@ class TestRouteByRegion:
         assert report.violations == ("independence",)
         assert report.no_go_consistent
 
+    @pytest.mark.parametrize("bits", [[1, 1, 1], [0, 0, 0], []])
+    def test_rejects_trivial_masks(self, bits):
+        with pytest.raises(InvalidArgument, match="at least one bin and exclude another"):
+            route_by_region(bits, np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize(
+        "bits", [[0, 2, 1], [0, 0.5, 1], [0, np.nan, 1], [[0, 1], [1, 0]]],
+        ids=["two", "half", "nan", "2-d"],
+    )
+    def test_rejects_non_binary(self, bits):
+        with pytest.raises(InvalidArgument, match="mask bits must be 0 or 1"):
+            route_by_region(bits, np.full(3, 1 / 3))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             route_by_region(left_half_mask(8), np.full(4, 0.25))
@@ -80,12 +75,12 @@ class TestRouteByRegion:
 
 class TestCoincidenceImage:
     def test_partition_is_exact(self):
-        mask = RegionMask.from_bits([0, 1, 0, 1, 1, 0, 0, 0])
-        joint = route_by_region(mask, np.full(8, 0.125))
+        member = np.array([0, 1, 0, 1, 1, 0, 0, 0], dtype=bool)
+        joint = route_by_region(member, np.full(8, 0.125))
         log = sample_events(joint, 10**4, 21)
         inside, outside = coincidence_image(log)
-        assert inside[list(mask.outside_bins)].sum() == 0
-        assert outside[list(mask.inside_bins)].sum() == 0
+        assert inside[~member].sum() == 0
+        assert outside[member].sum() == 0
         assert inside.sum() + outside.sum() == len(log)
 
     def test_half_mask_counts_within_3_sigma(self):

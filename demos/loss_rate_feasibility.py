@@ -16,7 +16,6 @@ from dcqe import (
     check_independence,
     construct_witness,
     loss_bounds,
-    marginal,
 )
 
 for q in (0.2, 0.5, 0.8):
@@ -37,7 +36,7 @@ print()
 # choice marginal stays independent of the signal position.
 witness = construct_witness(LossFeasibilityProblem(q=q, n_x=4, p=0.25)).witness
 print("witness P(C, D) at p = q/2:")
-cd = marginal(witness, "cd")
+cd = witness.p.sum(axis=0)
 print(f"{'':>10}" + "".join(f"{d:>10}" for d in witness.space.d_values))
 for i, c in enumerate(witness.space.c_values):
     print(f"{c:>10}" + "".join(f"{cd[i, k]:>10.4f}" for k in range(cd.shape[1])))

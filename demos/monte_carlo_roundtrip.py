@@ -15,7 +15,6 @@ from dcqe import (
     build_polarization,
     default_fringe_model,
     estimate_from_events,
-    marginal,
     sample_events,
 )
 
@@ -32,7 +31,7 @@ print(f"empirical violations: {empirical.violations}  (tolerance {empirical.tole
 assert empirical.violations == analytic.violations
 
 loss_idx = estimate.space.d_values.index("LOSS")
-p_hat = marginal(estimate, "d")[loss_idx]
+p_hat = estimate.p.sum(axis=(0, 1))[loss_idx]
 sigma = np.sqrt(q / 2 * (1 - q / 2) / n)
 print(f"loss rate: measured {p_hat:.5f}, analytic {q / 2}, counting sigma {sigma:.5f}")
 assert abs(p_hat - q / 2) <= 3 * sigma

@@ -40,6 +40,7 @@ from .audit import (
     AuditReport,
     Verdict,
     audit,
+    berkson_gap,
     check_deterministic_routing,
     check_distinct_conditionals,
     check_independence,
@@ -67,7 +68,6 @@ from .events import CHUNK_TRIALS, EventLog, estimate_from_events, sample_events
 from .feasibility import (
     FeasibilityResult,
     LossFeasibilityProblem,
-    berkson_gap,
     check_feasible,
     construct_witness,
     loss_bounds,
@@ -79,13 +79,11 @@ from .joint import (
     JointDistribution,
     OutcomeSpace,
     coarse_grain,
-    conditional_x_given_c,
     conditional_x_given_d,
-    marginal,
     total_variation,
     validate,
 )
-from .regions import coincidence_image, route_by_region
+from .regions import route_by_region
 
 __version__ = "0.1.0"
 
@@ -134,8 +132,6 @@ __all__ = [
     "check_independence",
     "check_lossless",
     "coarse_grain",
-    "coincidence_image",
-    "conditional_x_given_c",
     "conditional_x_given_d",
     "construct_witness",
     "default_fringe_model",
@@ -144,7 +140,6 @@ __all__ = [
     "fringe_profile",
     "kim_coarse_graining",
     "loss_bounds",
-    "marginal",
     "route_by_region",
     "sample_events",
     "total_variation",

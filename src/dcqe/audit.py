@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllMassLost, InsufficientOutcomes, InvalidArgument
+from .errors import (
+    AllMassLost, DegenerateLossMass, InsufficientOutcomes, InvalidArgument, NoLossOutcome
+)
 from .joint import JointDistribution, total_variation, validate
 
 #: Check names, in report order.
@@ -56,6 +58,15 @@ def default_tolerance(joint: JointDistribution) -> float:
     return 3.0 / math.sqrt(joint.n_samples)
 
 
+def _tolerance(joint: JointDistribution, tol: float | None) -> float:
+    """``tol``, or the table's default if None; refused unless finite and positive."""
+    if tol is None:
+        tol = default_tolerance(joint)
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one structural check on one table.
@@ -80,6 +91,12 @@ class Verdict:
         }
 
 
+def _dependence(p_xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|p(x,c) - p(x) p(c)| per cell of an (X, C) table, and its C marginal."""
+    p_c = p_xc.sum(axis=0)
+    return np.abs(p_xc - np.outer(p_xc.sum(axis=1), p_c)), p_c
+
+
 def check_independence(joint: JointDistribution, tol: float | None = None) -> Verdict:
     """Compare the (X, C) marginal against the product of its marginals.
 
@@ -88,17 +105,35 @@ def check_independence(joint: JointDistribution, tol: float | None = None) -> Ve
     carrying no mass cannot witness dependence and are listed in
     ``skipped_choices``.
     """
-    if tol is None:
-        tol = default_tolerance(joint)
-    p_xc = joint.p.sum(axis=2)
-    p_x = p_xc.sum(axis=1)
-    p_c = p_xc.sum(axis=0)
-    deviation = np.abs(p_xc - np.outer(p_x, p_c))
+    tol = _tolerance(joint, tol)
+    deviation, p_c = _dependence(joint.p.sum(axis=2))
     x, c = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     worst = float(deviation[x, c])
     skipped = [joint.space.c_values[ci] for ci in range(joint.space.n_c) if p_c[ci] <= 0.0]
     detail = {"witness": {"x": int(x), "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
+
+
+def berkson_gap(joint: JointDistribution) -> float:
+    """Dependence between X and C induced purely by discarding lost trials.
+
+    Returns the largest cell-wise gap |P(x,c | D != LOSS) -
+    P(x | D != LOSS) * P(c | D != LOSS)|. A joint with exact unconditional
+    independence can still show a large gap here: conditioning on detection
+    is a selection effect.
+    """
+    space = joint.space
+    if not space.has_loss:
+        raise NoLossOutcome("joint has no loss outcome to condition away")
+    li = space.loss_index
+    loss_mass = float(joint.p[:, :, li].sum())
+    total = float(joint.p.sum())
+    detected_mass = total - loss_mass
+    if loss_mass <= 0.0 or detected_mass <= 0.0:
+        raise DegenerateLossMass(loss_mass)
+    detected = list(space.detected_indices)
+    deviation, _ = _dependence(joint.p[:, :, detected].sum(axis=2) / detected_mass)
+    return float(np.max(deviation))
 
 
 def check_lossless(joint: JointDistribution) -> Verdict:
@@ -126,8 +161,7 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    if tol is None:
-        tol = default_tolerance(joint)
+    tol = _tolerance(joint, tol)
     space = joint.space
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
@@ -174,8 +208,7 @@ def check_distinct_conditionals(joint: JointDistribution, tol: float | None = No
     p(x|d'), which realizes the gap as a probability difference. Ties
     resolve to the first pair in detector axis order.
     """
-    if tol is None:
-        tol = default_tolerance(joint)
+    tol = _tolerance(joint, tol)
     space = joint.space
     conditionals: list[tuple[str, np.ndarray]] = []
     for di in space.detected_indices:
@@ -243,10 +276,7 @@ class AuditReport:
 def audit(joint: JointDistribution, tol: float | None = None) -> AuditReport:
     """Validate the table, run all four checks, and bundle the verdicts."""
     validate(joint)
-    if tol is None:
-        tol = default_tolerance(joint)
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
+    tol = _tolerance(joint, tol)
     return AuditReport(
         independence=check_independence(joint, tol),
         lossless=check_lossless(joint),

@@ -63,7 +63,7 @@ from .io import (
     write_json,
 )
 from .joint import coarse_grain, conditional_x_given_d
-from .regions import coincidence_image, route_by_region
+from .regions import route_by_region
 
 #: Environment variable naming the default output directory.
 ENV_OUT_DIR = "DCQE_OUT_DIR"
@@ -289,12 +289,12 @@ def _cmd_figure(args) -> None:
     mask = read_mask(args.mask_path)
     joint = route_by_region(mask, np.full(mask.size, 1.0 / mask.size))
     if args.n is None:
-        name, columns = "p", [joint.p[:, :, di].sum(axis=1) for di in (0, 1)]
+        name, table = "p", joint.p
     else:
         config.update(n=args.n, seed=args.seed)
-        name, columns = "count", coincidence_image(sample_events(joint, args.n, args.seed))
+        name, table = "count", sample_events(joint, args.n, args.seed).counts()
     artifacts = ["figure_D1.csv", "figure_D2.csv"]
-    for artifact, column in zip(artifacts, columns):
+    for artifact, column in zip(artifacts, table.sum(axis=1).T):
         write_column(column, name, os.path.join(config["out_dir"], artifact))
     _write_manifest(config, artifacts)
 

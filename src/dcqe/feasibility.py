@@ -30,12 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .architectures import _check_q
-from .errors import (
-    DegenerateLossMass,
-    InfeasibleLossRate,
-    InvalidArgument,
-    NoLossOutcome,
-)
+from .errors import InfeasibleLossRate, InvalidArgument
 from .joint import LOSS, JointDistribution, OutcomeSpace
 
 #: Binding-constraint tags reported in FeasibilityResult.
@@ -375,26 +370,3 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         binding_constraint=_binding_tag(float(q), float(p), loss_slice),
     )
 
-
-def berkson_gap(joint: JointDistribution) -> float:
-    """Dependence between X and C induced purely by discarding lost trials.
-
-    Returns the largest cell-wise gap |P(x,c | D != LOSS) -
-    P(x | D != LOSS) * P(c | D != LOSS)|. A joint with exact unconditional
-    independence can still show a large gap here: conditioning on detection
-    is a selection effect.
-    """
-    space = joint.space
-    if not space.has_loss:
-        raise NoLossOutcome("joint has no loss outcome to condition away")
-    li = space.loss_index
-    loss_mass = float(joint.p[:, :, li].sum())
-    total = float(joint.p.sum())
-    detected_mass = total - loss_mass
-    if loss_mass <= 0.0 or detected_mass <= 0.0:
-        raise DegenerateLossMass(loss_mass)
-    detected = list(space.detected_indices)
-    cond_xc = joint.p[:, :, detected].sum(axis=2) / detected_mass
-    p_x = cond_xc.sum(axis=1)
-    p_c = cond_xc.sum(axis=0)
-    return float(np.max(np.abs(cond_xc - np.outer(p_x, p_c))))

@@ -137,6 +137,7 @@ _LOW_BYTES = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 _BARE_INT = re.compile(rb"-?[0-9]+")
+_DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 _LABEL = rb'(?:[^",\r\n]*|"(?:[^"]|"")*")'
 _LABEL_PAIR = re.compile(_LABEL + b"," + _LABEL)
 
@@ -198,12 +199,22 @@ def _record_blocks(fh):
             return
 
 
+def _int64(field: bytes) -> int | None:
+    """A ``-?[0-9]+`` field as an int, or None outside int64: told by its digit
+    count, leading zeros aside, as ``int`` refuses fields past Python's limit."""
+    digits = field.lstrip(b"-").lstrip(b"0")
+    if len(digits) > 19:
+        return None
+    value = -int(digits or b"0") if field.startswith(b"-") else int(digits or b"0")
+    return value if _INTP.min <= value <= _INTP.max else None
+
+
 def _decode_ints(buf, starts, stops):
     """Decode fields ``buf[start:stop]`` of the form ``-?[0-9]+``.
 
     Pass k adds the k-th digit from the right of every field that has one,
     so fields are right-aligned and read a column at a time. Fields of 19
-    digits or more are parsed by ``int``. Returns the int64 values and a
+    digits or more are parsed by ``_int64``. Returns the int64 values and a
     mask of the fields that are well formed and fit int64.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
@@ -222,9 +233,10 @@ def _decode_ints(buf, starts, stops):
     np.negative(signed, out=signed, where=neg)
     for i in np.flatnonzero(ok & (n_digits > 18)).tolist():
         field = buf[starts[i]:stops[i]]
-        ok[i] = bool(_BARE_INT.fullmatch(field)) and _INTP.min <= int(field) <= _INTP.max
+        value = _int64(field) if _BARE_INT.fullmatch(field) else None
+        ok[i] = value is not None
         if ok[i]:
-            signed[i] = int(field)
+            signed[i] = value
     return signed, ok
 
 
@@ -321,14 +333,16 @@ def _row_error(record: bytes, row: int, last_trial: int, path) -> ValueError:
     trial, x, tail = record.split(b",", 2)
     if not _BARE_INT.fullmatch(trial):
         return ValueError(f"trial {trial!r} in {where} is not a bare decimal integer")
-    if not _INTP.min <= int(trial) <= _INTP.max:
-        return ValueError(f"trial {int(trial)} in {where} does not fit an index")
-    if int(trial) <= last_trial:
+    index = _int64(trial)
+    if index is None:
+        return ValueError(f"trial {trial.decode()} in {where} does not fit an index")
+    if index <= last_trial:
         return ValueError(f"trial indices must be strictly increasing in {path}")
     if not _BARE_INT.fullmatch(x):
         return ValueError(f"bin {x!r} in {where} is not a bare decimal integer")
-    if not 0 <= int(x) <= _INTP.max:
-        return ValueError(f"bin {int(x)} in {where} is not a valid index")
+    x_index = _int64(x)
+    if x_index is None or x_index < 0:
+        return ValueError(f"bin {x.decode()} in {where} is not a valid index")
     return ValueError(f"labels {tail!r} in {where} are not two RFC 4180 fields")
 
 
@@ -444,13 +458,16 @@ def read_joint(path: str) -> JointDistribution:
                 raise ValueError(f"malformed joint row {row!r} {where}")
             if not _BARE_INT.fullmatch(row[0].encode()):
                 raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
-            x, c, d = int(row[0]), row[1], row[2]
+            x, c, d = _int64(row[0].encode()), row[1], row[2]
             try:
                 p = float(row[3])
             except ValueError:
-                raise ValueError(f"probability {row[3]!r} {where} is not a number") from None
-            if not 0 <= x <= _INTP.max:
-                raise ValueError(f"bin {x} {where} is not a valid index")
+                p = None
+            # float() also takes "5_0" and padding; nan and inf are named below
+            if p is None or math.isfinite(p) and not _DECIMAL.fullmatch(row[3]):
+                raise ValueError(f"probability {row[3]!r} {where} is not a number")
+            if x is None or x < 0:
+                raise ValueError(f"bin {row[0]} {where} is not a valid index")
             if not math.isfinite(p):
                 raise ValueError(f"non-finite probability {row[3]!r} {where}")
             if (x, c, d) in cells:
@@ -519,10 +536,12 @@ def _is_number(value) -> bool:
 
 
 def _integer(doc: Mapping, key: str, default=None) -> int:
-    """``doc[key]`` as an int; a fraction or a non-number names the key."""
+    """``doc[key]`` as an int; a fraction, a non-number or a non-int64 names the key."""
     value = doc.get(key, default)
     if not _is_number(value) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if not _INTP.min <= value <= _INTP.max:
+        raise ValueError(f"{key!r} does not fit a 64-bit integer")
     return int(value)
 
 

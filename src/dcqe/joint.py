@@ -32,8 +32,6 @@ LOSS = "LOSS"
 #: Normalization tolerance for exactly constructed tables.
 NORMALIZATION_TOL = 1e-12
 
-_AXIS_INDEX = {"x": 0, "c": 1, "d": 2}
-
 
 @dataclass(frozen=True)
 class OutcomeSpace:
@@ -62,8 +60,6 @@ class OutcomeSpace:
             raise InvalidArgument(f"duplicate choice labels in {self.c_values}")
         if len(set(self.d_values)) != len(self.d_values):
             raise InvalidArgument(f"duplicate detection labels in {self.d_values}")
-        if self.d_values.count(LOSS) > 1:
-            raise InvalidArgument("loss label may appear at most once")
         if LOSS in self.c_values:
             raise InvalidArgument("loss label is reserved for the detection axis")
 
@@ -143,34 +139,6 @@ def validate(joint: JointDistribution) -> JointDistribution:
     return joint
 
 
-def _axes_to_indices(axes) -> tuple[int, ...]:
-    if isinstance(axes, str):
-        names = tuple(axes.lower())
-    else:
-        names = tuple(str(a).lower() for a in axes)
-    if not names:
-        raise InvalidArgument("marginal needs at least one axis to keep")
-    if len(set(names)) != len(names):
-        raise InvalidArgument(f"duplicate axes in {names}")
-    try:
-        kept = tuple(sorted(_AXIS_INDEX[n] for n in names))
-    except KeyError as exc:
-        raise InvalidArgument(f"unknown axis {exc.args[0]!r}; use 'x', 'c', 'd'") from None
-    return kept
-
-
-def marginal(joint: JointDistribution, axes) -> np.ndarray:
-    """Sum the table over the dropped axes.
-
-    ``axes`` names the axes to keep, e.g. ``"c"``, ``"cd"`` or ``("x", "d")``.
-    The result's axes follow the canonical (x, c, d) order regardless of the
-    order given.
-    """
-    kept = _axes_to_indices(axes)
-    dropped = tuple(i for i in range(3) if i not in kept)
-    return joint.p.sum(axis=dropped) if dropped else joint.p.copy()
-
-
 def conditional_x_given_d(joint: JointDistribution, d: str) -> np.ndarray:
     """p(x | D = d), normalized over bins."""
     di = joint.space.d_index(d)
@@ -179,16 +147,6 @@ def conditional_x_given_d(joint: JointDistribution, d: str) -> np.ndarray:
     if mass <= 0.0:
         raise ZeroConditioningMass(d)
     return slice_xd / mass
-
-
-def conditional_x_given_c(joint: JointDistribution, c: str) -> np.ndarray:
-    """p(x | C = c) over all detection outcomes, loss included."""
-    ci = joint.space.c_index(c)
-    slice_xc = joint.p[:, ci, :].sum(axis=1)
-    mass = float(slice_xc.sum())
-    if mass <= 0.0:
-        raise ZeroConditioningMass(c)
-    return slice_xc / mass
 
 
 def total_variation(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyLog, InvalidArgument, ShapeMismatch
-from .events import EventLog
+from .errors import InvalidArgument, ShapeMismatch
 from .joint import JointDistribution, OutcomeSpace
 
 
@@ -45,22 +44,3 @@ def route_by_region(mask, base_x) -> JointDistribution:
     table[:, 1, 1] = base * ~member
     return JointDistribution(space, table)
 
-
-def coincidence_image(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin event counts conditioned on each of the two detectors.
-
-    Returns the histograms for the first and second non-loss detection
-    labels, in axis order; loss events, if any, are not counted. For logs
-    of region-routed trials the two histograms draw the region and its
-    complement.
-    """
-    if len(log) == 0:
-        raise EmptyLog("no events to histogram")
-    space = log.space
-    detected = space.detected_indices
-    if len(detected) != 2:
-        raise InvalidArgument(
-            f"need exactly 2 non-loss detection labels, got {len(detected)}"
-        )
-    first, second = log.counts().sum(axis=1).T[list(detected)].astype(np.int64)
-    return first, second

@@ -24,14 +24,12 @@ from dcqe import (
     check_feasible,
     check_independence,
     coarse_grain,
-    conditional_x_given_c,
     conditional_x_given_d,
     construct_witness,
     default_fringe_model,
     estimate_from_events,
     kim_coarse_graining,
     loss_bounds,
-    marginal,
     route_by_region,
     sample_events,
     total_variation,
@@ -86,7 +84,7 @@ def test_witness_independence_and_choice_detector_table():
         w = result.witness
         assert check_independence(w).statistic <= 1e-12
         expected_cd = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
-        assert np.array_equal(marginal(w, "cd"), expected_cd)
+        assert np.array_equal(w.p.sum(axis=0), expected_cd)
 
 
 def test_kim_cancellation_coarse_and_fine():
@@ -141,13 +139,9 @@ def test_no_signaling_of_conditional_signal_marginals():
     with criterion("no-signaling of conditional signal marginals"):
         model = default_fringe_model()
         for j in (build_mach_zehnder(model, 0.5), build_polarization(model, 0.5)):
-            gap = np.max(
-                np.abs(
-                    conditional_x_given_c(j, "erase")
-                    - conditional_x_given_c(j, "preserve")
-                )
-            )
-            assert gap <= 1e-12
+            # p(x | c) for erase and preserve, loss included
+            erase, preserve = (j.p.sum(axis=2) / j.p.sum(axis=(0, 2))).T
+            assert np.max(np.abs(erase - preserve)) <= 1e-12
 
 
 def test_monte_carlo_loss_rate():
@@ -155,7 +149,7 @@ def test_monte_carlo_loss_rate():
         j = build_polarization(default_fringe_model(), 0.5)
         est = estimate_from_events(sample_events(j, 1_000_000, seed=7))
         loss_idx = est.space.d_values.index("LOSS")
-        p_loss = marginal(est, "d")[loss_idx]
+        p_loss = est.p.sum(axis=(0, 1))[loss_idx]
         assert abs(p_loss - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / 1_000_000)
 
 
@@ -180,4 +174,4 @@ def test_region_routing_figure_partition():
         assert np.all(h1[~member] == 0.0)
         assert np.all(h2[member] == 0.0)
         assert np.array_equal(h1 + h2, base)
-        assert np.array_equal(marginal(j, "x"), base)
+        assert np.array_equal(j.p.sum(axis=(1, 2)), base)

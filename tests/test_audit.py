@@ -147,6 +147,13 @@ class TestRouting:
             check_deterministic_routing(JointDistribution(space, table))
         assert exc.value.c == "c0"
 
+    def test_all_zero_table_raises(self):
+        # every choice is skipped, so no choice is left to route
+        space = OutcomeSpace(2, ("c0", "c1"), ("D1", "D2"))
+        with pytest.raises(AllMassLost) as exc:
+            check_deterministic_routing(JointDistribution(space, np.zeros((2, 2, 2))))
+        assert exc.value.c == "c0"
+
     def test_zero_mass_choice_skipped(self):
         space = OutcomeSpace(2, ("c0", "c1", "ghost"), ("D1", "D2"))
         table = np.zeros((2, 3, 2))
@@ -244,8 +251,11 @@ class TestAudit:
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         joint = product_joint([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], ("D1", "D2"))
-        with pytest.raises(InvalidArgument, match="tolerance must be finite and positive"):
-            audit(joint, tol=tol)
+        for check in (
+            audit, check_independence, check_deterministic_routing, check_distinct_conditionals
+        ):
+            with pytest.raises(InvalidArgument, match="tolerance must be finite and positive"):
+                check(joint, tol=tol)
 
     def test_audit_is_pure(self):
         joint = product_joint(

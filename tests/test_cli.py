@@ -122,7 +122,9 @@ class TestSimulate:
         ({"kind": "kim", "n_x": True}, "'n_x' must be an integer"),
         ({"kind": "kim", "fringe_cycle": 2}, "unknown key 'fringe_cycle' in architecture config"),
         ({"kind": "mach_zehnder", "q": 10**400}, "'q' is too large for a float"),
-    ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q"])
+        ({"kind": "kim", "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
+    ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q",
+            "huge_n_x"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
         config = tmp_path / "arch.json"
         config.write_text(json.dumps(doc))
@@ -310,8 +312,9 @@ class TestFeasibilityCommands:
         ({"q": 0.5, "p": 0.3, "n_x": 4, "extra": 1}, "unknown key 'extra' in feasibility problem"),
         ({"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": [10**400, 0, 0, 0]},
          "'erase_conditional' holds a number too large for a float"),
+        ({"q": 0.5, "p": 0.3, "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
     ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key",
-            "huge_erase_conditional"])
+            "huge_erase_conditional", "huge_n_x"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(doc))

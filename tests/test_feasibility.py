@@ -24,7 +24,6 @@ from dcqe import (
     construct_witness,
     estimate_from_events,
     loss_bounds,
-    marginal,
     sample_events,
     validate,
     worst_case_erase_conditional,
@@ -75,6 +74,10 @@ class TestWorstCaseTarget:
             dark = target == 0
             assert dark.sum() / n_x == 0.5
 
+    def test_rejects_a_single_bin(self):
+        with pytest.raises(InvalidArgument):
+            worst_case_erase_conditional(1)
+
     def test_odd_width_peak_doubles_flat(self):
         target = worst_case_erase_conditional(5)
         assert target.sum() == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +126,7 @@ class TestConstructWitness:
         assert result.feasible
         witness = result.witness
         validate(witness)
-        assert np.array_equal(marginal(witness, "cd"), CD_TABLE_HALF)
+        assert np.array_equal(witness.p.sum(axis=0), CD_TABLE_HALF)
         report = audit(witness)
         assert report.independence.holds
         assert report.independence.statistic <= 1e-12
@@ -170,8 +173,8 @@ class TestConstructWitness:
                 witness = construct_witness(
                     LossFeasibilityProblem(q=q, n_x=4, p=p)
                 ).witness
-                xc = marginal(witness, "xc")
-                outer = np.outer(marginal(witness, "x"), marginal(witness, "c"))
+                xc = witness.p.sum(axis=2)
+                outer = np.outer(witness.p.sum(axis=(1, 2)), witness.p.sum(axis=(0, 2)))
                 assert np.max(np.abs(xc - outer)) <= 1e-12
 
 
@@ -208,12 +211,12 @@ class TestCheckFeasible:
         witness = result.witness
         validate(witness)
         assert np.allclose(
-            marginal(witness, "cd"),
+            witness.p.sum(axis=0),
             np.array([[0.2, 0.0, 0.3], [0.0, 0.5, 0.0]]),
             atol=1e-12,
         )
-        xc = marginal(witness, "xc")
-        outer = np.outer(marginal(witness, "x"), marginal(witness, "c"))
+        xc = witness.p.sum(axis=2)
+        outer = np.outer(witness.p.sum(axis=(1, 2)), witness.p.sum(axis=(0, 2)))
         assert np.max(np.abs(xc - outer)) <= 1e-12
         report = audit(witness)
         assert report.independence.holds

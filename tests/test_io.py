@@ -157,6 +157,23 @@ class TestEventLogFiles:
         ):
             read_event_log(path)
 
+    @pytest.mark.parametrize("field", ["trial", "bin"])
+    def test_field_past_the_int_digit_limit_is_named(self, tmp_path, field):
+        long = "9" * 5000
+        row = f"{long},0,b,D2" if field == "trial" else f"1,{long},b,D2"
+        path = tmp_path / "events.csv"
+        path.write_text(f"trial,x,c,d\n0,1,a,D1\n{row}\n")
+        with pytest.raises(ValueError, match=f"{field} 9+ in event row 2 "):
+            read_event_log(path)
+
+    def test_zero_padding_does_not_count_toward_the_digit_limit(self, tmp_path):
+        padded = "0" * 5000
+        events, joint = tmp_path / "events.csv", tmp_path / "joint.csv"
+        events.write_text(f"trial,x,c,d\n{padded}0,{padded}1,a,D1\n{padded}1,0,b,D2\n")
+        joint.write_text(f"x,c,d,p\n{padded}1,a,D1,0.5\n0,b,D2,0.5\n")
+        assert read_event_log(events).x.tolist() == [1, 0]
+        assert read_joint(joint).p[1, 0, 0] == 0.5
+
     def test_rejects_non_increasing_trials(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("trial,x,c,d\n5,0,a,D1\n5,1,a,D1\n")
@@ -446,7 +463,10 @@ class TestJointFiles:
 
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "joint.csv"
-        for row in ("0,a,D1,not_a_number", "1,b,D2"):
+        # a bin past Python's 4,300-digit int conversion limit is named by its line too
+        rows = ("0,a,D1,not_a_number", "1,b,D2", "1,b,D2,5_0e-2", "1,b,D2, 0.5",
+                "1,b,D2,0.5 ", "9" * 5000 + ",b,D2,0.5")
+        for row in rows:
             path.write_text(f"x,c,d,p\n0,a,D1,0.5\n{row}\n")
             with pytest.raises(ValueError, match=f"on line 3 of {re.escape(str(path))}"):
                 read_joint(path)

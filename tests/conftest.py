@@ -57,16 +57,17 @@ def random_joint(rng, with_loss=False, n_x=None, n_c=None, n_d=None):
 
 
 def no_memory_for_big_tables(monkeypatch):
-    """Make ``np.zeros`` refuse tables of more than 2**32 cells.
+    """Make ``np.zeros`` and ``np.full`` refuse arrays of more than 2**32 cells.
 
     Stands in for a failed allocation of tens of GiB, which not every host
-    refuses; smaller tables are allocated as usual.
+    refuses; smaller arrays are allocated as usual.
     """
-    zeros = np.zeros
+    for name in ("zeros", "full"):
+        allocate = getattr(np, name)
 
-    def guarded(shape, *args, **kwargs):
-        if math.prod(np.atleast_1d(shape).tolist()) > 2**32:
-            raise MemoryError(shape)
-        return zeros(shape, *args, **kwargs)
+        def guarded(shape, *args, allocate=allocate, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 2**32:
+                raise MemoryError(shape)
+            return allocate(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "zeros", guarded)
+        monkeypatch.setattr(np, name, guarded)

@@ -123,16 +123,28 @@ class TestSimulate:
         ({"kind": "kim", "fringe_cycle": 2}, "unknown key 'fringe_cycle' in architecture config"),
         ({"kind": "mach_zehnder", "q": 10**400}, "'q' is too large for a float"),
         ({"kind": "kim", "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
+        (b'{"kind": "kim",\n "n_x": 8\xff}\n', "line 2 of {path} is not UTF-8"),
     ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q",
-            "huge_n_x"])
+            "huge_n_x", "non_utf8"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
+        # a bytes doc is written as it is; any other is written as JSON
         config = tmp_path / "arch.json"
-        config.write_text(json.dumps(doc))
+        config.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and expected in err["message"]
+        assert err["error"] == "ValueError" and expected.format(path=config) in err["message"]
         assert not (out / "simulate_manifest.json").exists()
+
+    def test_unallocatable_n_x_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the builders' first allocation is refused; nothing of 2**37 bins is allocated
+        no_memory_for_big_tables(monkeypatch)
+        argv = ["simulate", "--arch", "kim", "--n-x", str(2**37), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryError"
+        assert f"n_x = {2**37} bins are too many to allocate" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSampleAndAudit:
@@ -239,8 +251,9 @@ class TestSampleAndAudit:
 
     @pytest.mark.parametrize(
         "body",
-        ["trial, x, c, d\n0,1,a,D1\n1,0,b,D2\n", " x , c , d , p\n0,a,D1,0.5\n1,b,D2,0.5\n"],
-        ids=["events", "joint"],
+        ["trial, x, c, d\n0,1,a,D1\n1,0,b,D2\n", " x , c , d , p\n0,a,D1,0.5\n1,b,D2,0.5\n",
+         " x , c , d , p\r0,a,D1,0.5\r1,b,D2,0.5\r"],
+        ids=["events", "joint", "joint-bare-cr"],
     )
     def test_audit_spaced_header(self, tmp_path, body):
         path = tmp_path / "spaced.csv"
@@ -253,6 +266,23 @@ class TestSampleAndAudit:
         bad = tmp_path / "bad.csv"
         bad.write_text("alpha,beta\n1,2\n")
         assert main(["audit", "--in", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [(b"trial,x,c,d\n0,1,a,D1\n1,0,b\xff,D2\n", "event row 2 of {path}"),
+         (b"tri\xffal,x,c,d\n0,1,a,D1\n",
+          "unrecognized input header 'tri\ufffdal,x,c,d' in {path}"),
+         (b"x,c,d,p\n0,a,D1,0.5\n1,b\xff,D2,0.5\n", "line 3 of {path} is not UTF-8")],
+        ids=["event-row", "event-header", "joint-row"],
+    )
+    def test_audit_non_utf8_byte_names_where_exit_2(self, tmp_path, capsys, body, where):
+        path = tmp_path / "table.csv"
+        path.write_bytes(body)
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert where.format(path=path) in err["message"]
+        assert not (tmp_path / "audit_report.json").exists()
 
     def test_audit_header_past_csv_field_limit_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -313,14 +343,16 @@ class TestFeasibilityCommands:
         ({"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": [10**400, 0, 0, 0]},
          "'erase_conditional' holds a number too large for a float"),
         ({"q": 0.5, "p": 0.3, "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
+        (b'{"q": 0.5, "p": 0.3,\n\n "n_x": 4} \xfe\n', "line 3 of {path} is not UTF-8"),
     ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key",
-            "huge_erase_conditional", "huge_n_x"])
+            "huge_erase_conditional", "huge_n_x", "non_utf8"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
+        # a bytes doc is written as it is; any other is written as JSON
         problem = tmp_path / "problem.json"
-        problem.write_text(json.dumps(doc))
+        problem.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and expected in err["message"]
+        assert err["error"] == "ValueError" and expected.format(path=problem) in err["message"]
         assert not (tmp_path / "feasible_result.json").exists()
 
     def test_integral_float_n_x_in_problem_runs(self, tmp_path):

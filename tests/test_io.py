@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -127,9 +128,24 @@ class TestEventLogFiles:
         assert len(log) == 3
 
     def test_rejects_bad_header(self, tmp_path):
+        # a header that will not decode, or has a field past csv's size limit, is no header
         path = tmp_path / "events.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError):
+        long = b"d" * (csv.field_size_limit() + 1)
+        for body in (b"a,b,c\n", b"tri\xffal,x,c,d\n0,1,a,D1\n", b"trial,x,c," + long + b"\n"):
+            path.write_bytes(body)
+            with pytest.raises(ValueError, match="expected header 'trial,x,c,d'"):
+                read_event_log(path)
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("1,0,b\udcff,D2", "can't decode byte 0xff"),
+         ("1,0," + "b" * (csv.field_size_limit() + 1) + ",D2", "field larger than field limit")],
+        ids=["non-utf8", "past-field-limit"],
+    )
+    def test_row_csv_cannot_read_is_named(self, tmp_path, row, reason):
+        path = tmp_path / "events.csv"
+        path.write_bytes(f"trial,x,c,d\n0,1,a,D1\n{row}\n".encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"event row 2 of {re.escape(str(path))}: .*{reason}"):
             read_event_log(path)
 
     @pytest.mark.parametrize("x", [-1, -(2**62), 2**62])
@@ -466,9 +482,10 @@ class TestJointFiles:
         # a bin past Python's 4,300-digit int conversion limit is named by its line too
         rows = ("0,a,D1,not_a_number", "1,b,D2", "1,b,D2,5_0e-2", "1,b,D2, 0.5",
                 "1,b,D2,0.5 ", "9" * 5000 + ",b,D2,0.5")
-        for row in rows:
-            path.write_text(f"x,c,d,p\n0,a,D1,0.5\n{row}\n")
-            with pytest.raises(ValueError, match=f"on line 3 of {re.escape(str(path))}"):
+        # a byte that is not UTF-8 is named by its line before any field is parsed
+        for row in rows + ("1,b\udcff,D2,0.5",):
+            path.write_bytes(f"x,c,d,p\n0,a,D1,0.5\n{row}\n".encode("utf-8", "surrogateescape"))
+            with pytest.raises(ValueError, match=f"(^|on )line 3 of {re.escape(str(path))}"):
                 read_joint(path)
 
     @pytest.mark.parametrize(
@@ -755,12 +772,13 @@ class TestMaskFiles:
             ("P10 2\n1 0\n", "malformed PBM file"),
             ("P1\n3\n", "is missing dimensions"),
             ("P1\n2 1\n1 2\n", "has non-binary pixels"),
+            ("P1\n2 1\n1 \udcff\n", "line 3 of .* is not UTF-8"),
         ],
-        ids=["magic-P10", "no-height", "pixel-2"],
+        ids=["magic-P10", "no-height", "pixel-2", "non-utf8"],
     )
     def test_malformed_pbm_names_the_path(self, tmp_path, body, message):
         path = tmp_path / "mask.pbm"
-        path.write_text(body)
+        path.write_bytes(body.encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=message) as info:
             read_mask(path)
         assert str(path) in str(info.value)

@@ -205,7 +205,10 @@ def _arch_joint(args):
     }
     try:
         joint = spec.build()
-    except MemoryError:
+    except DcqeError:
+        raise
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for an array too big to even shape
         raise MemoryError(f"n_x = {spec.fringe.n_x} bins are too many to allocate") from None
     if args.coarse:
         if spec.kind != "kim":

@@ -27,16 +27,27 @@ from .joint import JointDistribution, OutcomeSpace, validate
 CHUNK_TRIALS = 1 << 16
 
 
+def cell_dtype(n_cells: int) -> np.dtype:
+    """The dtype of a log's cells on a space of ``n_cells`` cells: the least
+    of uint8, uint16 and uint32 that holds index ``n_cells - 1``, else ``intp``."""
+    dtype = np.min_scalar_type(n_cells - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.intp)
+
+
 @dataclass(frozen=True)
 class EventLog:
     """Immutable record of trials as flat cell indices.
 
     ``cells[t]`` is trial t's row-major index into the ``space.shape``
-    grid, the order of ``joint.p.reshape(-1)``. Build one from per-axis
-    indices with ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``;
-    ``x``, ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access.
-    A read-only ``intp`` array that owns its data is kept as given; any
-    other input is copied.
+    grid, the order of ``joint.p.reshape(-1)``. Cells are stored as
+    ``cell_dtype(n_x * n_c * n_d)``, 1 to 4 bytes per trial for any table
+    that fits in memory. Build one from per-axis indices with
+    ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``; ``x``,
+    ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access, as
+    ``intp``. A read-only array of the cell dtype that owns its data is kept
+    as given. Any other input is read as ``intp``, range-checked and only
+    then copied to the cell dtype, so an index such as -1 cannot wrap into
+    range.
     """
 
     space: OutcomeSpace
@@ -44,14 +55,21 @@ class EventLog:
 
     def __post_init__(self):
         cells = self.cells
-        owned = isinstance(cells, np.ndarray) and cells.base is None
-        if not (owned and cells.dtype == np.intp and not cells.flags.writeable):
-            cells = np.array(cells, dtype=np.intp)
+        n_cells = math.prod(self.space.shape)
+        dtype = cell_dtype(n_cells)
+        kept = (
+            isinstance(cells, np.ndarray) and cells.base is None
+            and cells.dtype == dtype and not cells.flags.writeable
+        )
+        if not kept:
+            cells = np.asarray(cells, dtype=np.intp)
         if cells.ndim != 1:
             raise InvalidArgument("cell indices must be one-dimensional")
-        if cells.size and (cells.min() < 0 or cells.max() >= math.prod(self.space.shape)):
+        if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
             raise InvalidArgument("cell index out of range for the outcome space")
-        cells.setflags(write=False)
+        if not kept:
+            cells = cells.astype(dtype)
+            cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
@@ -59,15 +77,15 @@ class EventLog:
 
     @property
     def x(self) -> np.ndarray:
-        return self.cells // (self.space.n_c * self.space.n_d)
+        return np.floor_divide(self.cells, self.space.n_c * self.space.n_d, dtype=np.intp)
 
     @property
     def c_idx(self) -> np.ndarray:
-        return self.cells // self.space.n_d % self.space.n_c
+        return np.floor_divide(self.cells, self.space.n_d, dtype=np.intp) % self.space.n_c
 
     @property
     def d_idx(self) -> np.ndarray:
-        return self.cells % self.space.n_d
+        return np.remainder(self.cells, self.space.n_d, dtype=np.intp)
 
     def counts(self) -> np.ndarray:
         """Event counts on the full (n_x, n_c, n_d) grid."""
@@ -89,8 +107,11 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     """Draw i.i.d. trials from a validated table.
 
     The guide has K buckets, K the least power of two >= 4 * cells, so u * K
-    is exact and ``guide[floor(u * K)]`` is ``searchsorted(cdf, u, "right")``
-    unless the cdf steps between u's bucket edge and u; only those are searched.
+    is exact and ``guess = guide[floor(u * K)]`` is
+    ``searchsorted(cdf, u, "right")`` unless ``u >= cdf[guess]``, when the
+    cdf steps between u's bucket edge and u; only those are searched. Cells
+    are written straight into an array of the log's ``cell_dtype``, with one
+    bucket buffer reused across chunks.
     """
     validate(joint)
     if n_trials < 1:
@@ -98,14 +119,23 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     cdf = np.cumsum(joint.p.reshape(-1))
     cdf[-1] = 1.0
     k = 4 << (cdf.size - 1).bit_length()
-    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
-    cells = np.empty(n_trials, dtype=np.intp)
+    # guide[b] = searchsorted(cdf, b / k, "right"), the number of cdf values
+    # <= b / k; as k is a power of two, those are the ones with ceil(cdf * k) <= b
+    guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1)[:k])
+    # per bucket, the u at and above which its guess is wrong
+    bound = cdf[guide]
+    guide = guide.astype(cell_dtype(cdf.size))
+    cells = np.empty(n_trials, dtype=guide.dtype)
+    bucket = np.empty(min(CHUNK_TRIALS, n_trials), dtype=np.intp)
     for start in range(0, n_trials, CHUNK_TRIALS):
         u = _chunk_uniforms(seed, start // CHUNK_TRIALS, min(CHUNK_TRIALS, n_trials - start))
+        ix = bucket[:u.size]
+        np.multiply(u, k, out=ix, casting="unsafe")
         out = cells[start:start + u.size]
-        np.take(guide, (u * k).astype(np.intp), out=out)
-        miss = np.flatnonzero(cdf[out] <= u)
-        out[miss] = np.searchsorted(cdf, u[miss], side="right")
+        np.take(guide, ix, out=out)
+        miss = np.flatnonzero(np.take(bound, ix) <= u)
+        if miss.size:
+            out[miss] = np.searchsorted(cdf, u[miss], side="right")
     cells.setflags(write=False)
     return EventLog(joint.space, cells)
 

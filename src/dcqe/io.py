@@ -25,7 +25,7 @@ from .architectures import (
 )
 from .audit import AuditReport
 from .errors import InvalidArgument
-from .events import EventLog, estimate_from_events
+from .events import EventLog, cell_dtype, estimate_from_events
 from .feasibility import FeasibilityResult, LossFeasibilityProblem
 from .fringes import FringeModel
 from .joint import JointDistribution, OutcomeSpace
@@ -430,8 +430,9 @@ def read_event_log(path: str) -> EventLog:
     )
     x *= space.n_c * space.n_d
     x += offsets[np.concatenate(pair_codes)]
-    x.setflags(write=False)
-    return EventLog(space, x)
+    cells = x.astype(cell_dtype(math.prod(space.shape)))
+    cells.setflags(write=False)
+    return EventLog(space, cells)
 
 
 # -------------------------------------------------------------- joint tables
@@ -450,19 +451,33 @@ def write_joint(joint: JointDistribution, path: str) -> None:
         fh.write(data)
 
 
+def _csv_lines(text: str, path):
+    """``(line, row)`` for each record ``csv.reader`` reads from ``text``;
+    a record it cannot read, such as a field past ``csv.field_size_limit()``,
+    raises ValueError naming its line."""
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        where = f"on line {reader.line_num} of {path}"
+        raise ValueError(f"unreadable CSV record {where}: {exc}") from None
+
+
 def read_joint(path: str) -> JointDistribution:
     """Parse a joint CSV; label order follows first appearance in the file."""
     cells: dict[tuple[int, str, str], float] = {}
     c_values: list[str] = []
     d_values: list[str] = []
     max_x = -1
-    reader = csv.reader(StringIO(_text(path), newline=""))
-    if [h.strip() for h in next(reader, [])] != JOINT_HEADER:
+    lines = _csv_lines(_text(path), path)
+    _, header = next(lines, (1, []))
+    if [h.strip() for h in header] != JOINT_HEADER:
         raise ValueError(f"expected header {','.join(JOINT_HEADER)!r} in {path}")
-    for row in reader:
+    for line, row in lines:
         if not row:
             continue
-        where = f"on line {reader.line_num} of {path}"
+        where = f"on line {line} of {path}"
         if len(row) != 4:
             raise ValueError(f"malformed joint row {row!r} {where}")
         if not _BARE_INT.fullmatch(row[0].encode()):

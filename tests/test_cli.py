@@ -146,6 +146,14 @@ class TestSimulate:
         assert f"n_x = {2**37} bins are too many to allocate" in err["message"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_unshapeable_n_x_exit_2(self, tmp_path, capsys):
+        # numpy refuses 2**62 float bins before allocating anything
+        argv = ["simulate", "--arch", "kim", "--n-x", str(2**62), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert f"n_x = {2**62} bins are too many to allocate" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleAndAudit:
     def test_sample_then_audit_round_trip(self, tmp_path, capsys):
@@ -289,6 +297,14 @@ class TestSampleAndAudit:
         bad.write_text("x" * 200_000 + "\n0,a,D1,1.0\n")
         assert main(["audit", "--in", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert "unrecognized input header" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_audit_joint_field_past_csv_field_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "joint.csv"
+        path.write_text("x,c,d,p\n0,a,D1,0.5\n1," + "b" * 140_000 + ",D2,0.5\n")
+        assert main(["audit", "--in", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and f"on line 3 of {path}" in err["message"]
+        assert not (tmp_path / "audit_report.json").exists()
 
 
 class TestFeasibilityCommands:

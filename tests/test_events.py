@@ -24,7 +24,7 @@ from dcqe import (
     sample_events,
 )
 import dcqe.events
-from dcqe.events import _chunk_uniforms
+from dcqe.events import _chunk_uniforms, cell_dtype
 
 from conftest import FOUR_BIN_PHASE0
 
@@ -51,28 +51,65 @@ class TestEventLog:
         assert log.cells.tolist() == [3, 5]
         assert not log.cells.flags.writeable
 
+    @pytest.mark.parametrize("n_cells, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+        (65_537, np.uint32), (2**32, np.uint32), (2**32 + 1, np.intp),
+    ])
+    def test_cell_dtype_edges(self, n_cells, dtype):
+        # the largest cell index, n_cells - 1, sets the dtype
+        assert cell_dtype(n_cells) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("n_x, dtype", [
+        (128, np.uint8), (129, np.uint16), (32_768, np.uint16), (32_769, np.uint32),
+    ])
+    def test_cells_are_stored_compact(self, n_x, dtype):
+        space = OutcomeSpace(n_x, ("a", "b"), ("D1",))
+        top = 2 * n_x - 1
+        log = EventLog(space, [0, top])
+        assert log.cells.dtype == dtype and log.cells.tolist() == [0, top]
+        assert log.x.tolist() == [0, n_x - 1] and log.c_idx.tolist() == [0, 1]
+        for axis in (log.x, log.c_idx, log.d_idx):
+            assert axis.dtype == np.intp
+
+    def test_a_space_past_uint32_keeps_intp_cells(self):
+        space = OutcomeSpace(2**31 + 1, ("a", "b"), ("D1",))
+        log = EventLog(space, [2**32 + 1])
+        assert log.cells.dtype == np.intp and log.x.tolist() == [2**31]
+
     def test_read_only_owned_cells_are_kept(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
-        cells = np.array([3, 5], dtype=np.intp)
+        cells = np.array([3, 5], dtype=np.uint8)
         cells.setflags(write=False)
         assert EventLog(space, cells).cells is cells
         sampled = sample_events(uniform_222(), 1000, 2)
         assert sampled.cells.base is None and not sampled.cells.flags.writeable
+        assert sampled.cells.dtype == np.uint8
 
     def test_read_only_views_and_other_dtypes_are_copied(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
-        owner = np.array([3, 5, 1], dtype=np.intp)
+        owner = np.array([3, 5, 1], dtype=np.uint8)
         view = owner[:2]
         view.setflags(write=False)
+        wide = np.array([3, 5], dtype=np.intp)
+        wide.setflags(write=False)
         narrow = np.array([3, 5], dtype=np.int32)
         narrow.setflags(write=False)
-        for cells in (view, narrow):
+        writable = np.array([3, 5], dtype=np.uint8)
+        for cells in (view, wide, narrow, writable):
             log = EventLog(space, cells)
             assert log.cells is not cells and log.cells.base is None
-            assert log.cells.dtype == np.intp and not log.cells.flags.writeable
+            assert log.cells.dtype == np.uint8 and not log.cells.flags.writeable
         log = EventLog(space, view)
         owner[0] = 0
         assert log.cells.tolist() == [3, 5]
+
+    def test_negative_cells_do_not_wrap(self):
+        # each of these is a valid uint8 cell once wrapped; the space has 8 cells
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        for cells in ([-1], np.array([-1], dtype=np.int8), [256],
+                      np.array([2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(InvalidArgument):
+                EventLog(space, cells)
 
     def test_kept_cells_are_range_checked(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
@@ -117,7 +154,8 @@ class TestEventLog:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < log.cells.nbytes / 8
+        # bincount copies each slice to intp, so a slice's copy is the allowance
+        assert peak < 2 * CHUNK_TRIALS * np.dtype(np.intp).itemsize
 
 
 class TestSampleEvents:
@@ -150,6 +188,21 @@ class TestSampleEvents:
         with pytest.raises(InvalidArgument):
             sample_events(uniform_222(), 0, 1)
 
+    def test_memory_is_the_cells_and_one_chunk(self):
+        joint = build_polarization(default_fringe_model(), 0.5)
+        # a first call sets up numpy's random machinery once per process
+        sample_events(joint, 1000, 6)
+        tracemalloc.start()
+        try:
+            log = sample_events(joint, 2_000_000, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk's uniforms, bucket indices and miss test; intp cells alone
+        # would add 6 bytes a trial, 12 MB here
+        assert log.cells.itemsize == 2
+        assert peak < log.cells.nbytes + 4 * CHUNK_TRIALS * 8
+
     def test_never_emits_zero_mass_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         table = np.zeros((2, 2, 2))
@@ -175,6 +228,13 @@ def sampler_tables():
         "passive_choice": build_passive_choice(m),
         "zero_ends": JointDistribution(space, ends.reshape(space.shape)),
     }
+
+
+def wide_joint():
+    """Random masses on 65,600 cells, so cells are uint32."""
+    space = OutcomeSpace(16_400, ("a", "b"), ("D1", "D2"))
+    p = np.random.default_rng(9).random(space.shape)
+    return JointDistribution(space, p / p.sum())
 
 
 def crowded_joint():
@@ -246,7 +306,7 @@ class TestSamplerIsBitIdentical:
 
     @pytest.mark.parametrize("n", [1, 999, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS - 5])
     def test_matches_plain_sampler(self, n):
-        for joint in (crowded_joint(), sampler_tables()["zero_ends"]):
+        for joint in (crowded_joint(), sampler_tables()["zero_ends"], wide_joint()):
             assert np.array_equal(sample_events(joint, n, 8).cells, reference_cells(joint, n, 8))
 
     @pytest.mark.parametrize("name", sorted(sampler_tables()) + ["crowded"])

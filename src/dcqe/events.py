@@ -9,13 +9,18 @@ Sampling is deterministic given (table, n_trials, seed) and independent of
 batching: chunk k of every run has its own stream, seeded from the root seed
 and k, and a partial tail draws only the uniforms it keeps, which under PCG64
 are a prefix of the full chunk's draw. So logs share prefixes, and chunks may
-be generated out of order or in parallel. A guide table (Chen & Asau 1974;
-Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search would.
+be generated out of order or in parallel. Runs of at least eight chunks are
+sampled on a few threads, at most one per CPU the process may run on and with
+at least four chunks each; the cells are the same to the bit on any number of
+threads, and CPU affinity (e.g. ``taskset -c 0``) is the only control. A
+guide table (Chen & Asau 1974; Devroye 1986, III.2.4) inverts the cdf
+exactly as a sorted search would.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +50,9 @@ class EventLog:
     ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``; ``x``,
     ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access, as
     ``intp``. A read-only array of the cell dtype that owns its data is kept
-    as given. Any other input is read as ``intp``, range-checked and only
-    then copied to the cell dtype, so an index such as -1 cannot wrap into
-    range.
+    as given. Any other input must have an integer dtype (an empty list is
+    accepted too); it is read as ``intp``, range-checked and only then copied
+    to the cell dtype, so an index such as -1 cannot wrap into range.
     """
 
     space: OutcomeSpace
@@ -62,7 +67,11 @@ class EventLog:
             and cells.dtype == dtype and not cells.flags.writeable
         )
         if not kept:
-            cells = np.asarray(cells, dtype=np.intp)
+            cells = np.asarray(cells)
+            # a float would be truncated and a Python int past 64 bits is an object
+            if cells.size and cells.dtype.kind not in "iu":
+                raise InvalidArgument(f"cell indices must be integers, got dtype {cells.dtype}")
+            cells = cells.astype(np.intp, copy=False)
         if cells.ndim != 1:
             raise InvalidArgument("cell indices must be one-dimensional")
         if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
@@ -103,6 +112,18 @@ def _chunk_uniforms(seed: int, chunk_index: int, size: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(ss)).random(size)
 
 
+def _workers(n_chunks: int) -> int:
+    """Threads to sample ``n_chunks`` chunks on: one per CPU this process may
+    run on, with at least four chunks each."""
+    if n_chunks < 8:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks // 4)
+
+
 def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLog:
     """Draw i.i.d. trials from a validated table.
 
@@ -110,8 +131,15 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     is exact and ``guess = guide[floor(u * K)]`` is
     ``searchsorted(cdf, u, "right")`` unless ``u >= cdf[guess]``, when the
     cdf steps between u's bucket edge and u; only those are searched. Cells
-    are written straight into an array of the log's ``cell_dtype``, with one
-    bucket buffer reused across chunks.
+    are written straight into an array of the log's ``cell_dtype``.
+
+    W workers fill chunks ``w, w + W, ...`` into their own slices of the
+    cells, each with one bucket buffer: the calling thread and W - 1 threads
+    of a pool that lives for the call. W is the number of CPUs in the
+    process's affinity mask (``taskset`` sets it), capped so that each
+    worker has at least four chunks, so below eight chunks the calling
+    thread samples alone. Each chunk has its own stream, so the cells are
+    the same to the bit for every W.
     """
     validate(joint)
     if n_trials < 1:
@@ -126,16 +154,36 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     bound = cdf[guide]
     guide = guide.astype(cell_dtype(cdf.size))
     cells = np.empty(n_trials, dtype=guide.dtype)
-    bucket = np.empty(min(CHUNK_TRIALS, n_trials), dtype=np.intp)
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        u = _chunk_uniforms(seed, start // CHUNK_TRIALS, min(CHUNK_TRIALS, n_trials - start))
-        ix = bucket[:u.size]
-        np.multiply(u, k, out=ix, casting="unsafe")
-        out = cells[start:start + u.size]
-        np.take(guide, ix, out=out)
-        miss = np.flatnonzero(np.take(bound, ix) <= u)
-        if miss.size:
-            out[miss] = np.searchsorted(cdf, u[miss], side="right")
+    n_chunks = -(-n_trials // CHUNK_TRIALS)
+    workers = _workers(n_chunks)
+
+    def fill(first: int) -> None:
+        bucket = np.empty(min(CHUNK_TRIALS, n_trials), dtype=np.intp)
+        for chunk in range(first, n_chunks, workers):
+            start = chunk * CHUNK_TRIALS
+            u = _chunk_uniforms(seed, chunk, min(CHUNK_TRIALS, n_trials - start))
+            ix = bucket[:u.size]
+            np.multiply(u, k, out=ix, casting="unsafe")
+            out = cells[start:start + u.size]
+            np.take(guide, ix, out=out)
+            miss = np.flatnonzero(np.take(bound, ix) <= u)
+            if miss.size:
+                out[miss] = np.searchsorted(cdf, u[miss], side="right")
+
+    if workers == 1:
+        fill(0)
+    else:
+        # imported here, as it adds ~10 ms to every start-up and most runs
+        # are too short to use it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread is worker 0, so its heap, not a new thread's,
+        # holds that share of the temporaries
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(fill, w) for w in range(1, workers)]
+            fill(0)
+            for future in others:
+                future.result()
     cells.setflags(write=False)
     return EventLog(joint.space, cells)
 

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -111,6 +113,19 @@ class TestEventLog:
             with pytest.raises(InvalidArgument):
                 EventLog(space, cells)
 
+    @pytest.mark.parametrize("cells", [
+        [0.5, 1.7], np.array([1.0, 2.0]), np.array([True, False]), [2**64], [-1, 2**63],
+    ], ids=["floats", "integral-floats", "bools", "past-uint64", "object"])
+    def test_non_integer_cells_are_refused(self, cells):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        with pytest.raises(InvalidArgument, match="integers"):
+            EventLog(space, cells)
+
+    def test_an_empty_list_is_an_empty_log(self):
+        # numpy reads [] as float64, which holds no non-integer cell
+        log = EventLog(OutcomeSpace(2, ("a", "b"), ("D1", "D2")), [])
+        assert len(log) == 0 and log.cells.dtype == np.uint8
+
     def test_kept_cells_are_range_checked(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         cells = np.array([0, 8], dtype=np.intp)
@@ -188,20 +203,33 @@ class TestSampleEvents:
         with pytest.raises(InvalidArgument):
             sample_events(uniform_222(), 0, 1)
 
-    def test_memory_is_the_cells_and_one_chunk(self):
+    @staticmethod
+    def sampling_peak(n):
+        """tracemalloc's peak over ``sample_events`` of n polarization trials."""
         joint = build_polarization(default_fringe_model(), 0.5)
         # a first call sets up numpy's random machinery once per process
         sample_events(joint, 1000, 6)
         tracemalloc.start()
         try:
-            log = sample_events(joint, 2_000_000, 6)
+            log = sample_events(joint, n, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a chunk's uniforms, bucket indices and miss test; intp cells alone
-        # would add 6 bytes a trial, 12 MB here
         assert log.cells.itemsize == 2
-        assert peak < log.cells.nbytes + 4 * CHUNK_TRIALS * 8
+        return peak, log.cells.nbytes
+
+    def test_memory_is_the_cells_and_one_chunk(self):
+        # 4 chunks, which the calling thread samples alone
+        peak, nbytes = self.sampling_peak(4 * CHUNK_TRIALS - 1)
+        # a chunk's uniforms, bucket indices and miss test; intp cells alone
+        # would add 6 bytes a trial, 1.6 MB here
+        assert peak < nbytes + 4 * CHUNK_TRIALS * 8
+
+    def test_memory_is_the_cells_and_one_chunk_per_worker(self, monkeypatch):
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: 2)
+        peak, nbytes = self.sampling_peak(2_000_000)
+        # intp cells alone would add 12 MB
+        assert peak < nbytes + 2 * 4 * CHUNK_TRIALS * 8
 
     def test_never_emits_zero_mass_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
@@ -280,6 +308,9 @@ def cells_digest(log):
 #: Two full chunks and a partial tail.
 N_TAIL = 2 * CHUNK_TRIALS + 123
 
+#: Eight full chunks and a partial tail: enough for two sampling workers.
+N_WIDE = 8 * CHUNK_TRIALS + 123
+
 #: sha256 of the little-endian int64 cells, captured from the plain sampler
 #: (a full block of uniforms per chunk, sorted search) before the guide table.
 PINNED_LOGS = {
@@ -295,6 +326,9 @@ PINNED_LOGS = {
     ("passive_choice", N_TAIL, 11): "e6ef4dec6830c037801f9c27a5039661bfbcc1d18219606f682ae2e540a26e08",
     ("zero_ends", 1000, 3): "aa143421d83160095ea24d4e365eef30ba709c998ba66b2747e43df8b04650b0",
     ("zero_ends", N_TAIL, 11): "001c8141b8ae7ed65f0b8646c7c48900a426ba3e59152c1e5e03645bcdb4d1bf",
+    # captured from the one-thread sampler (guide table, compact cells)
+    # before chunks were sampled on several threads
+    ("kim", N_WIDE, 11): "ecadd1c891e2003dc00af769d57b610fc6db2a298ef63284f067e7c191baefc2",
 }
 
 
@@ -308,6 +342,37 @@ class TestSamplerIsBitIdentical:
     def test_matches_plain_sampler(self, n):
         for joint in (crowded_joint(), sampler_tables()["zero_ends"], wide_joint()):
             assert np.array_equal(sample_events(joint, n, 8).cells, reference_cells(joint, n, 8))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [3 * CHUNK_TRIALS - 5, N_WIDE])
+    def test_any_worker_count_matches_plain_sampler(self, workers, n, monkeypatch):
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        # more workers than most hosts have CPUs, switching as often as they can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for joint in (crowded_joint(), sampler_tables()["zero_ends"], wide_joint()):
+                assert np.array_equal(sample_events(joint, n, 8).cells,
+                                      reference_cells(joint, n, 8))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_a_failing_chunk_raises_and_stops_every_thread(self, workers, monkeypatch):
+        plain = _chunk_uniforms
+
+        def failing(seed, chunk_index, size):
+            if chunk_index == 5:
+                raise RuntimeError("chunk 5")
+            return plain(seed, chunk_index, size)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "_chunk_uniforms", failing)
+        # chunk 5 falls to a pool thread for 2 and 3 workers, to the caller for 5
+        with pytest.raises(RuntimeError, match="chunk 5"):
+            sample_events(uniform_222(), N_WIDE, 1)
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("name", sorted(sampler_tables()) + ["crowded"])
     def test_inversion_at_cdf_values_and_bucket_edges(self, name, monkeypatch):
@@ -338,6 +403,30 @@ class TestSamplerIsBitIdentical:
             for chunk in (0, 5):
                 full = _chunk_uniforms(seed, chunk, CHUNK_TRIALS)
                 assert np.array_equal(_chunk_uniforms(seed, chunk, take), full[:take])
+
+
+class TestWorkers:
+    def test_few_chunks_skip_the_affinity_query(self, monkeypatch):
+        def unused(pid):
+            raise AssertionError("affinity queried")
+
+        monkeypatch.setattr(dcqe.events.os, "sched_getaffinity", unused, raising=False)
+        assert [dcqe.events._workers(n) for n in range(1, 8)] == [1] * 7
+
+    @pytest.mark.parametrize("n_chunks, cpus, workers", [
+        (8, 64, 2), (11, 64, 2), (12, 64, 3), (153, 64, 38), (153, 2, 2), (8, 1, 1), (10**6, 3, 3),
+    ])
+    def test_one_per_cpu_with_four_chunks_each(self, n_chunks, cpus, workers, monkeypatch):
+        monkeypatch.setattr(dcqe.events.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert dcqe.events._workers(n_chunks) == workers
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(dcqe.events.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dcqe.events.os, "cpu_count", lambda: 3)
+        assert dcqe.events._workers(153) == 3
+        monkeypatch.setattr(dcqe.events.os, "cpu_count", lambda: None)
+        assert dcqe.events._workers(153) == 1
 
 
 class TestEstimateFromEvents:

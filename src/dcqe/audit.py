@@ -9,10 +9,17 @@ jointly unsatisfiable: enforce the first three and every detector conditional
 collapses onto the X marginal, so distinctness fails. The audit runs all
 four, each giving one :class:`Verdict`, and reports which fail;
 ``no_go_consistent`` records that at least one did.
+
+A table estimated from events can instead be audited at a significance
+level ``alpha``: independence and distinctness become G-tests
+(log-likelihood ratio tests, Sokal & Rohlf 1995, ch. 17) on the event
+counts, and loss and stray detections are structural zeros, so a single
+one violates its property.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +45,9 @@ STATISTIC_KEYS = {
     CHECK_ROUTING: "max_stray_mass",
     CHECK_DISTINCT: "gap",
 }
+
+#: Report key of a G-test verdict's statistic, in place of its check's own.
+G_STATISTIC_KEY = "g_statistic"
 
 
 #: Loss mass above this is a real loss channel regardless of sample noise.
@@ -67,13 +77,88 @@ def _tolerance(joint: JointDistribution, tol: float | None) -> float:
     return tol
 
 
+def _alpha(joint: JointDistribution, tol: float | None, alpha: float) -> float:
+    """``alpha``, refused unless in (0, 1), given without ``tol`` and on a sampled table."""
+    if tol is not None:
+        raise InvalidArgument("give a tolerance or alpha, not both")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+    if joint.n_samples is None:
+        raise InvalidArgument("alpha applies to a table estimated from events, not an exact one")
+    return alpha
+
+
+#: Relative accuracy at which ``upper_gamma`` stops its series or fraction.
+_GAMMA_EPS = 1e-15
+#: Stand-in for zero in the modified Lentz method.
+_GAMMA_TINY = 1e-300
+
+
+def upper_gamma(a: float, x: float) -> float:
+    """Q(a, x) = Γ(a, x) / Γ(a), the regularized upper incomplete gamma.
+
+    For x < a + 1 it is 1 - P(a, x) by P's power series; otherwise its
+    continued fraction, evaluated by the modified Lentz method (*Numerical
+    Recipes*, 3rd ed., §6.2). The chi-square tail with k degrees of freedom
+    at s is Q(k/2, s/2). Needs a > 0 and x >= 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _GAMMA_EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        return max(1.0 - front * total, 0.0)
+    b = x + 1.0 - a
+    c, d = 1.0 / _GAMMA_TINY, 1.0 / b
+    h = d
+    for i in itertools.count(1):
+        an, b = -i * (i - a), b + 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
+        c = b + an / c
+        c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
+        h *= d * c
+        if abs(d * c - 1.0) <= _GAMMA_EPS:
+            return front * h
+
+
+def g_test(counts: np.ndarray) -> tuple[float, int, float]:
+    """G-test of independence between the rows and columns of a count table.
+
+    Rows and columns without counts are dropped, leaving r x c cells with
+    df = (r - 1)(c - 1). Returns G = 2 Σ O ln(O / E) over the observed
+    cells, df, and the p-value Q(df/2, G/2); with df = 0 nothing can
+    depend on anything, and the p-value is 1.
+    """
+    counts = counts[counts.sum(axis=1) > 0]
+    counts = counts[:, counts.sum(axis=0) > 0]
+    df = (counts.shape[0] - 1) * (counts.shape[1] - 1)
+    observed = counts > 0
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0))[observed] / counts.sum()
+    o = counts[observed]
+    g = max(2.0 * float(np.sum(o * np.log(o / expected))), 0.0)
+    return g, df, upper_gamma(df / 2, g / 2) if df else 1.0
+
+
+def _counts(joint: JointDistribution) -> np.ndarray:
+    """The event counts a sampled table was estimated from."""
+    return np.rint(joint.p * joint.n_samples)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one structural check on one table.
 
     ``statistic`` is the number the check compares with ``tolerance``;
     ``detail`` holds the check's witness fields as they appear in the
-    report, with JSON-native values only.
+    report, with JSON-native values only. A G-test's verdict has G as its
+    statistic, alpha as its tolerance, and ``p_value`` and ``df`` in
+    ``detail``; its report names the statistic ``g_statistic``.
     """
 
     check: str
@@ -85,7 +170,8 @@ class Verdict:
     def as_dict(self) -> dict:
         return {
             "holds": self.holds,
-            STATISTIC_KEYS[self.check]: self.statistic,
+            G_STATISTIC_KEY if "p_value" in self.detail else STATISTIC_KEYS[self.check]:
+                self.statistic,
             "tolerance": self.tolerance,
             **self.detail,
         }
@@ -97,20 +183,31 @@ def _dependence(p_xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(p_xc - np.outer(p_xc.sum(axis=1), p_c)), p_c
 
 
-def check_independence(joint: JointDistribution, tol: float | None = None) -> Verdict:
+def check_independence(
+    joint: JointDistribution, tol: float | None = None, alpha: float | None = None
+) -> Verdict:
     """Compare the (X, C) marginal against the product of its marginals.
 
     The statistic is the largest cell deviation and ``witness`` its
     (x, c) cell; ties resolve to the lexicographically first cell. Choices
     carrying no mass cannot witness dependence and are listed in
-    ``skipped_choices``.
+    ``skipped_choices``. With ``alpha``, a sampled table is instead put to
+    a G-test of independence on its X x C counts; independence holds iff
+    the p-value is at least alpha.
     """
-    tol = _tolerance(joint, tol)
+    if alpha is None:
+        tol = _tolerance(joint, tol)
+    else:
+        alpha = _alpha(joint, tol, alpha)
     deviation, p_c = _dependence(joint.p.sum(axis=2))
     x, c = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     worst = float(deviation[x, c])
     skipped = [joint.space.c_values[ci] for ci in range(joint.space.n_c) if p_c[ci] <= 0.0]
     detail = {"witness": {"x": int(x), "c": joint.space.c_values[c]}, "skipped_choices": skipped}
+    if alpha is not None:
+        g, df, p_value = g_test(_counts(joint).sum(axis=2))
+        detail.update(p_value=p_value, df=df)
+        return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
 
 
@@ -198,7 +295,9 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     return Verdict(CHECK_ROUTING, holds, max_stray, tol, detail)
 
 
-def check_distinct_conditionals(joint: JointDistribution, tol: float | None = None) -> Verdict:
+def check_distinct_conditionals(
+    joint: JointDistribution, tol: float | None = None, alpha: float | None = None
+) -> Verdict:
     """Largest pairwise total variation among detector conditionals.
 
     Distinctness asks whether ANY pair of detectors separates, so the gap
@@ -206,16 +305,24 @@ def check_distinct_conditionals(joint: JointDistribution, tol: float | None = No
     two of those leaves nothing to compare. ``witness`` names the
     maximizing pair (d, d') and the ``bin_set`` where p(x|d) exceeds
     p(x|d'), which realizes the gap as a probability difference. Ties
-    resolve to the first pair in detector axis order.
+    resolve to the first pair in detector axis order. With ``alpha``, a
+    sampled table is instead put to a G-test of homogeneity of X across
+    those detectors, on its X x D counts; the conditionals are distinct iff
+    the p-value is below alpha.
     """
-    tol = _tolerance(joint, tol)
+    if alpha is None:
+        tol = _tolerance(joint, tol)
+    else:
+        alpha = _alpha(joint, tol, alpha)
     space = joint.space
     conditionals: list[tuple[str, np.ndarray]] = []
+    observed: list[int] = []
     for di in space.detected_indices:
         slice_xd = joint.p[:, :, di].sum(axis=1)
         mass = float(slice_xd.sum())
         if mass > 0.0:
             conditionals.append((space.d_values[di], slice_xd / mass))
+            observed.append(di)
     if len(conditionals) < 2:
         raise InsufficientOutcomes(
             f"need at least 2 detectors with positive mass, found {len(conditionals)}"
@@ -233,12 +340,20 @@ def check_distinct_conditionals(joint: JointDistribution, tol: float | None = No
                 bin_set = [int(x) for x in np.nonzero(diff > 0)[0]]
     gap = float(gap)
     witness = {"bin_set": bin_set, "d": pair[0], "d_prime": pair[1], "gap": gap}
+    if alpha is not None:
+        g, df, p_value = g_test(_counts(joint).sum(axis=1)[:, observed])
+        detail = {"witness": witness, "p_value": p_value, "df": df}
+        return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """The four verdicts on one table, each in the field named by its check."""
+    """The four verdicts on one table, each in the field named by its check.
+
+    ``tolerance`` is the one routing used; ``alpha`` is the G-tests'
+    level, and None (and left out of the report) when none ran.
+    """
 
     independence: Verdict
     lossless: Verdict
@@ -246,6 +361,7 @@ class AuditReport:
     distinct_conditionals: Verdict
     tolerance: float
     n_samples: int | None = None
+    alpha: float | None = None
 
     @property
     def verdicts(self) -> tuple[Verdict, ...]:
@@ -270,18 +386,34 @@ class AuditReport:
             tolerance=self.tolerance,
             n_samples=self.n_samples,
         )
+        if self.alpha is not None:
+            doc["alpha"] = self.alpha
         return doc
 
 
-def audit(joint: JointDistribution, tol: float | None = None) -> AuditReport:
-    """Validate the table, run all four checks, and bundle the verdicts."""
+def audit(
+    joint: JointDistribution, tol: float | None = None, alpha: float | None = None
+) -> AuditReport:
+    """Validate the table, run all four checks, and bundle the verdicts.
+
+    With ``alpha``, which must lie in (0, 1) and needs a sampled table and
+    no ``tol``, independence and distinctness are G-tests at level alpha,
+    and routing, like losslessness, tolerates no more than ``LOSSLESS_TOL``:
+    any stray detection violates it.
+    """
     validate(joint)
-    tol = _tolerance(joint, tol)
+    if alpha is None:
+        tol = _tolerance(joint, tol)
+        statistical = {"tol": tol}
+    else:
+        statistical = {"alpha": _alpha(joint, tol, alpha)}
+        tol = LOSSLESS_TOL
     return AuditReport(
-        independence=check_independence(joint, tol),
+        independence=check_independence(joint, **statistical),
         lossless=check_lossless(joint),
         deterministic_routing=check_deterministic_routing(joint, tol),
-        distinct_conditionals=check_distinct_conditionals(joint, tol),
+        distinct_conditionals=check_distinct_conditionals(joint, **statistical),
         tolerance=tol,
         n_samples=joint.n_samples,
+        alpha=alpha,
     )

@@ -118,6 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit an event-log or joint CSV")
     p.add_argument("--in", dest="input_path", required=True, help="input CSV path")
     p.add_argument("--tol", type=float, help="override the audit tolerance")
+    p.add_argument(
+        "--alpha", type=float, help="audit a sampled table by G-tests at this level, in (0, 1)"
+    )
     _add_out_flag(p)
     p.set_defaults(run=_cmd_audit)
 
@@ -244,7 +247,9 @@ def _cmd_audit(args) -> None:
     config = {"command": "audit", "out_dir": _resolve_out_dir(args), "input": args.input_path}
     if args.tol is not None:
         config["tolerance"] = args.tol
-    report = audit(read_table(args.input_path), tol=args.tol)
+    if args.alpha is not None:
+        config["alpha"] = args.alpha
+    report = audit(read_table(args.input_path), tol=args.tol, alpha=args.alpha)
     write_audit_report(report, os.path.join(config["out_dir"], "audit_report.json"), config=config)
     _write_manifest(config, ["audit_report.json"])
 

@@ -140,10 +140,21 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     worker has at least four chunks, so below eight chunks the calling
     thread samples alone. Each chunk has its own stream, so the cells are
     the same to the bit for every W.
+
+    A seed that is not a non-negative integer (a bool is not one) raises
+    ``InvalidArgument``, and a trial count whose cells cannot be allocated
+    raises ``MemoryError``, both before the table is looked at.
     """
-    validate(joint)
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
     if n_trials < 1:
         raise InvalidArgument(f"need at least 1 trial, got {n_trials}")
+    try:
+        cells = np.empty(n_trials, dtype=cell_dtype(math.prod(joint.space.shape)))
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for an array too big to even shape
+        raise MemoryError(f"n = {n_trials} trials are too many to allocate") from None
+    validate(joint)
     cdf = np.cumsum(joint.p.reshape(-1))
     cdf[-1] = 1.0
     k = 4 << (cdf.size - 1).bit_length()
@@ -152,8 +163,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1)[:k])
     # per bucket, the u at and above which its guess is wrong
     bound = cdf[guide]
-    guide = guide.astype(cell_dtype(cdf.size))
-    cells = np.empty(n_trials, dtype=guide.dtype)
+    guide = guide.astype(cells.dtype)
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)
 

@@ -134,8 +134,9 @@ def write_event_log(log: EventLog, path: str) -> None:
             fh.write(flat[flat != _GAP])
 
 
-#: Bytes read per block by ``read_event_log``. Its working memory is a small
-#: multiple of this (plus the longest record), whatever the file size.
+#: Bytes read per block by ``read_event_log``. Apart from the log it returns
+#: and about 2 bytes per event of compact bins and pair codes, its working
+#: memory is a small multiple of this (plus the longest record).
 _BLOCK_BYTES = 1 << 18
 
 #: Label tails up to this many 8-byte words are coded in array passes;
@@ -379,6 +380,8 @@ def read_event_log(path: str) -> EventLog:
     The file is parsed in blocks of ``_BLOCK_BYTES`` by array operations
     (records in ``_record_blocks``, integers in ``_decode_ints``, labels
     in ``_LabelCodes``); the first malformed record is named in the error.
+    Each block's bins and pair codes are kept in the least unsigned dtype
+    that holds them, and the cells are built in the log's own dtype.
     """
     label_codes = _LabelCodes()
     xs: list[np.ndarray] = []
@@ -412,25 +415,30 @@ def read_event_log(path: str) -> EventLog:
             if trial.size:
                 last_trial = int(trial[-1])
             n_rows += trial.size
-            xs.append(x)
-            pair_codes.append(codes)
+            # kept compact: every bin is >= 0 and every code < len(pairs)
+            xs.append(x.astype(np.min_scalar_type(int(x.max(initial=0)))))
+            pair_codes.append(codes.astype(np.min_scalar_type(max(len(label_codes.pairs) - 1, 0))))
     if not header_ok:
         raise ValueError(f"expected header {','.join(EVENT_HEADER)!r} in {path}")
     if not n_rows:
         raise ValueError(f"no events in {path}; cannot infer an outcome space")
+    # blocks of different dtypes concatenate to the widest
     x = np.concatenate(xs)
     del xs
     row = int(x.argmax())
     c_values, d_values = (sorted(set(axis)) for axis in zip(*label_codes.pairs))
-    # probes the table ``EventLog.counts`` fills; that it fits bounds the cells below
+    # probes the table ``EventLog.counts`` fills; that it fits means every
+    # cell, and each step toward it below, fits the cell dtype
     space, _ = _zero_table(int(x[row]), f"in event row {row + 1} of {path}", c_values, d_values)
+    dtype = cell_dtype(math.prod(space.shape))
     offsets = np.array(
         [space.c_index(c) * space.n_d + space.d_index(d) for c, d in label_codes.pairs],
-        dtype=np.intp,
+        dtype=dtype,
     )
-    x *= space.n_c * space.n_d
-    x += offsets[np.concatenate(pair_codes)]
-    cells = x.astype(cell_dtype(math.prod(space.shape)))
+    cells = x.astype(dtype)
+    del x
+    cells *= dtype.type(space.n_c * space.n_d)
+    cells += offsets[np.concatenate(pair_codes)]
     cells.setflags(write=False)
     return EventLog(space, cells)
 

@@ -28,6 +28,8 @@ from dcqe import (
     route_by_region,
     sample_events,
 )
+from dcqe import LOSS
+from dcqe.audit import LOSSLESS_TOL, _counts, g_test, upper_gamma
 from dcqe.io import audit_report_dict
 
 
@@ -356,3 +358,164 @@ class TestPinnedReports:
         doc = audit_report_dict(audit(_pinned_table(name), tol))
         text = json.dumps(doc, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256[case]
+
+
+class TestUpperGamma:
+    def test_even_df_matches_the_closed_form(self):
+        # Q(k, x) = e^-x Σ_{i<k} x^i / i! for integer k, i.e. even df = 2k
+        for df in range(2, 127, 2):
+            for statistic in (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, df - 1.0, df, df + 3.0, 100.0, 200.0):
+                x = statistic / 2
+                term, closed = math.exp(-x), 0.0
+                for i in range(df // 2):
+                    closed += term
+                    term *= x / (i + 1)
+                assert upper_gamma(df / 2, x) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    def test_odd_df_matches_erfc(self):
+        # Q(1/2, x) = erfc(√x) and Q(3/2, x) = erfc(√x) + 2 √(x/π) e^-x
+        for x in (0.01, 0.3, 1.0, 1.5, 2.0, 7.0, 40.0, 200.0):
+            half = math.erfc(math.sqrt(x))
+            assert upper_gamma(0.5, x) == pytest.approx(half, rel=1e-12, abs=0.0)
+            three_halves = half + 2 * math.sqrt(x / math.pi) * math.exp(-x)
+            assert upper_gamma(1.5, x) == pytest.approx(three_halves, rel=1e-12, abs=0.0)
+
+    def test_zero_is_the_whole_tail(self):
+        assert upper_gamma(3.5, 0.0) == 1.0
+
+
+class TestGTest:
+    def test_matches_the_definition(self):
+        counts = np.array([[10.0, 20.0, 5.0], [30.0, 40.0, 1.0]])
+        n = counts.sum()
+        g = 2 * sum(
+            o * math.log(o * n / (counts[i].sum() * counts[:, j].sum()))
+            for (i, j), o in np.ndenumerate(counts)
+        )
+        statistic, df, p_value = g_test(counts)
+        assert statistic == pytest.approx(g, rel=1e-12)
+        assert df == 2
+        assert p_value == pytest.approx(math.exp(-g / 2), rel=1e-12)  # Q(1, x) = e^-x
+
+    def test_empty_rows_and_columns_are_dropped(self):
+        counts = np.array([[10.0, 0.0, 20.0], [0.0, 0.0, 0.0], [30.0, 0.0, 40.0]])
+        assert g_test(counts) == g_test(np.array([[10.0, 20.0], [30.0, 40.0]]))
+
+    def test_one_row_or_column_has_nothing_to_test(self):
+        assert g_test(np.array([[3.0, 0.0, 7.0]])) == (0.0, 0, 1.0)
+        assert g_test(np.array([[3.0], [0.0], [7.0]])) == (0.0, 0, 1.0)
+
+    def test_proportional_rows_give_zero(self):
+        statistic, df, p_value = g_test(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
+        assert (statistic, df) == (0.0, 2) and p_value == 1.0
+
+
+def _sampled(joint, n, seed):
+    return estimate_from_events(sample_events(joint, n, seed))
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
+        joint = _sampled(_paper_table("kim"), 1000, 0)
+        for check in (audit, check_independence, check_distinct_conditionals):
+            with pytest.raises(InvalidArgument, match="alpha must be in"):
+                check(joint, alpha=alpha)
+
+    def test_alpha_needs_a_sampled_table(self):
+        for check in (audit, check_independence, check_distinct_conditionals):
+            with pytest.raises(InvalidArgument, match="not an exact one"):
+                check(_paper_table("kim"), alpha=1e-6)
+
+    def test_alpha_and_tolerance_exclude_each_other(self):
+        joint = _sampled(_paper_table("kim"), 1000, 0)
+        for check in (audit, check_independence, check_distinct_conditionals):
+            with pytest.raises(InvalidArgument, match="not both"):
+                check(joint, tol=0.05, alpha=1e-6)
+
+    def test_report_fields(self):
+        joint = _sampled(_paper_table("passive_choice"), 10_000, 1)
+        report = audit(joint, alpha=1e-6)
+        assert report.alpha == 1e-6 and report.tolerance == LOSSLESS_TOL
+        doc = report.as_dict()
+        assert doc["alpha"] == 1e-6 and doc["tolerance"] == LOSSLESS_TOL
+        for check in ("independence", "distinct_conditionals"):
+            verdict = getattr(report, check)
+            assert verdict.tolerance == 1e-6
+            statistic, df, p_value = g_test(
+                _counts(joint).sum(axis=2 if check == "independence" else 1)
+            )
+            assert (verdict.statistic, verdict.detail["df"]) == (statistic, df)
+            assert verdict.detail["p_value"] == p_value
+            assert doc[check]["g_statistic"] == statistic
+            assert "max_deviation" not in doc[check] and "gap" not in doc[check]
+        assert doc["independence"]["witness"] == audit(joint).as_dict()["independence"]["witness"]
+        assert report.deterministic_routing.tolerance == LOSSLESS_TOL
+        assert report.violations == ("independence",)
+
+    def test_without_alpha_nothing_changes(self):
+        joint = _sampled(_paper_table("kim"), 1000, 0)
+        assert audit(joint, alpha=None) == audit(joint)
+        assert "alpha" not in audit(joint).as_dict()
+
+    def test_one_stray_or_lost_event_is_a_violation(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", LOSS))
+        counts = np.zeros(space.shape)
+        counts[:, 0, 0] = 2_500
+        counts[:, 1, 1] = 2_500
+        counts[0, 0, 1] = 1
+        joint = JointDistribution(space, counts / counts.sum(), n_samples=int(counts.sum()))
+        assert audit(joint).deterministic_routing.holds  # 1e-4 stray mass < 3/sqrt(n)
+        assert not audit(joint, alpha=1e-6).deterministic_routing.holds
+        counts[0, 0, 1] = 0
+        counts[1, 1, 2] = 1
+        joint = JointDistribution(space, counts / counts.sum(), n_samples=int(counts.sum()))
+        report = audit(joint, alpha=1e-6)
+        assert report.deterministic_routing.holds and not report.lossless.holds
+
+
+PAPER_TABLES = ("kim", "kim_coarse", "mach_zehnder", "polarization", "passive_choice")
+
+
+class TestSampledCalibration:
+    """The G-test audit at alpha = 1e-6 on event logs of the five paper tables."""
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_violations_match_the_exact_table(self, n):
+        for name in PAPER_TABLES:
+            joint = _paper_table(name)
+            exact = audit(joint).violations
+            for seed in range(5):
+                assert audit(_sampled(joint, n, seed), alpha=1e-6).violations == exact, (name, seed)
+
+    def test_small_samples_only_add_violations(self):
+        # at n = 1e3 a weak fringe may go undetected; the no-go never breaks
+        extra = []
+        for name in PAPER_TABLES:
+            joint = _paper_table(name)
+            exact = set(audit(joint).violations)
+            for seed in range(300):
+                report = audit(_sampled(joint, 1000, seed), alpha=1e-6)
+                assert report.no_go_consistent
+                assert set(report.violations) >= exact, (name, seed)
+                if set(report.violations) != exact:
+                    extra.append((name, seed))
+        # 4 of the 1,500 runs when written: a missed distinctness at MZ and polarization
+        assert len(extra) <= 8, extra
+
+    def test_null_rejections_are_binomial(self):
+        # coarse Kim's X is independent of C and has the same law at both
+        # detectors; the rejections at alpha = 0.01 in 200 runs must not be
+        # farther out in either tail of Binomial(200, 0.01) than 1e-6
+        joint = _paper_table("kim_coarse")
+        reports = [audit(_sampled(joint, 1000, seed), alpha=0.01) for seed in range(200)]
+
+        def tail(ks):
+            return sum(math.comb(200, k) * 0.01**k * 0.99 ** (200 - k) for k in ks)
+
+        for rejections in (
+            sum(not r.independence.holds for r in reports),
+            sum(r.distinct_conditionals.holds for r in reports),
+        ):
+            assert tail(range(rejections, 201)) > 1e-6
+            assert tail(range(rejections + 1)) > 1e-6

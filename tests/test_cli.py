@@ -156,6 +156,24 @@ class TestSimulate:
 
 
 class TestSampleAndAudit:
+    @pytest.mark.parametrize("seed", ["-1", "-9223372036854775808"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, seed):
+        argv = ["sample", "--arch", "kim", "--n", "10", "--seed", seed, "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument"
+        assert f"seed must be a non-negative integer, got {seed}" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unshapeable_trial_count_exit_2(self, tmp_path, capsys):
+        # numpy refuses 2**62 two-byte cells before allocating anything
+        argv = ["sample", "--arch", "kim", "--n", str(2**62), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryError"
+        assert f"n = {2**62} trials are too many to allocate" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_sample_then_audit_round_trip(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(
@@ -205,6 +223,43 @@ class TestSampleAndAudit:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidArgument"
         assert "tolerance must be finite and positive" in err["message"]
+        assert not (out / "audit_report.json").exists()
+
+    def test_audit_alpha_runs_g_tests(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["sample", "--arch", "polarization", "--n", "20000", "--seed", "7"]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        events = out / "sample_events.csv"
+        assert main(["audit", "--in", str(events), "--alpha", "1e-6", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "audit_report.json").read_text())
+        assert report["violations"] == ["lossless"]
+        assert report["alpha"] == 1e-6 and report["config"]["alpha"] == 1e-6
+        independence = report["independence"]
+        assert independence["tolerance"] == 1e-6 and independence["p_value"] >= 1e-6
+        assert {"g_statistic", "df"} <= set(independence)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--alpha", "0"], "alpha must be in (0, 1)"),
+         (["--alpha", "nan"], "alpha must be in (0, 1)"),
+         (["--alpha", "1e-6", "--tol", "0.05"], "not both")],
+    )
+    def test_audit_bad_alpha_exit_1(self, tmp_path, capsys, flags, message):
+        assert main(["sample", "--arch", "kim", "--n", "100", "--out-dir", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        argv = ["audit", "--in", str(tmp_path / "sample_events.csv"), "--out-dir", str(out)]
+        assert main(argv + flags) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument" and message in err["message"]
+        assert not (out / "audit_report.json").exists()
+
+    def test_audit_alpha_on_an_exact_table_exit_1(self, tmp_path, capsys):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("x,c,d,p\n0,a,D1,0.5\n1,b,D2,0.5\n")
+        out = tmp_path / "out"
+        assert main(["audit", "--in", str(joint), "--alpha", "1e-6", "--out-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument" and "not an exact one" in err["message"]
         assert not (out / "audit_report.json").exists()
 
     def test_audit_duplicate_joint_cell_exit_2(self, tmp_path, capsys):
@@ -535,6 +590,14 @@ PINNED_MANIFESTS = {
          "command": "audit",
          "config": {"command": "audit", "input": "smp/sample_events.csv", "out_dir": "aud",
                     "tolerance": 0.05},
+         "schema_version": 1},
+    ),
+    "audit_alpha": (
+        ["audit", "--in", "smp/sample_events.csv", "--alpha", "1e-6", "--out-dir", "aud"],
+        {"artifacts": ["audit_report.json"],
+         "command": "audit",
+         "config": {"alpha": 1e-6, "command": "audit", "input": "smp/sample_events.csv",
+                    "out_dir": "aud"},
          "schema_version": 1},
     ),
     "witness": (

@@ -203,6 +203,38 @@ class TestSampleEvents:
         with pytest.raises(InvalidArgument):
             sample_events(uniform_222(), 0, 1)
 
+    @pytest.mark.parametrize(
+        "seed", [-1, np.int64(-2), 1.5, 2.0, True, np.bool_(False), "3", None], ids=repr
+    )
+    def test_bad_seed_is_named_before_any_work(self, seed, monkeypatch):
+        monkeypatch.setattr(dcqe.events, "validate", None)
+        with pytest.raises(InvalidArgument, match="seed must be a non-negative integer, got "):
+            sample_events(uniform_222(), 10, seed)
+
+    @pytest.mark.parametrize("seed", [np.uint8(3), np.int64(3)], ids=repr)
+    def test_numpy_integer_seeds_are_accepted(self, seed):
+        joint = uniform_222()
+        assert np.array_equal(sample_events(joint, 100, seed).cells, sample_events(joint, 100, 3).cells)
+
+    def test_unshapeable_trial_count_is_named(self, monkeypatch):
+        # numpy refuses 2**62 two-byte cells before allocating anything
+        monkeypatch.setattr(dcqe.events, "validate", None)
+        with pytest.raises(MemoryError, match=f"n = {2**62} trials are too many to allocate"):
+            sample_events(build_kim(default_fringe_model()), 2**62, 0)
+
+    def test_unallocatable_trial_count_is_named(self, monkeypatch):
+        empty = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if np.prod(shape) > 2**32:
+                raise MemoryError(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        monkeypatch.setattr(dcqe.events, "validate", None)
+        with pytest.raises(MemoryError, match=f"n = {2**40} trials are too many to allocate"):
+            sample_events(uniform_222(), 2**40, 0)
+
     @staticmethod
     def sampling_peak(n):
         """tracemalloc's peak over ``sample_events`` of n polarization trials."""

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dcqe import (
     build_mach_zehnder,
     build_polarization,
     construct_witness,
+    default_fringe_model,
     estimate_from_events,
     sample_events,
 )
@@ -443,6 +445,50 @@ class TestEventReaderBlocks:
         assert labelled_trials(read_event_log(path)) == labelled_trials(log)
         pairs = set(zip(log.c_idx.tolist(), log.d_idx.tolist()))
         assert len(calls) == len(set(calls)) == len(pairs)
+
+    def test_blocks_of_mixed_widths_concatenate(self, tmp_path, monkeypatch):
+        # bins on both sides of 255 and 65,535 and 300 label pairs, so small
+        # blocks hold bins and pair codes of one, two and four bytes
+        space = OutcomeSpace(
+            70_000, tuple(f"c{k:02}" for k in range(20)), tuple(f"D{k:02}" for k in range(15))
+        )
+        rng = np.random.default_rng(0)
+        x = np.concatenate((
+            rng.integers(0, 256, 200),
+            rng.integers(256, 65_536, 400),
+            rng.integers(65_536, 70_000, 200),
+            [69_999],
+            rng.integers(0, 256, 100),
+        ))
+        pair = np.concatenate((np.arange(200) % 10, np.arange(400) % 300, rng.integers(0, 300, 301)))
+        log = EventLog(space, np.ravel_multi_index((x, pair // 15, pair % 15), space.shape))
+        assert log.cells.dtype == np.uint32
+        path = tmp_path / "events.csv"
+        # row by row: write_event_log renders every one of the 21e6 cells once
+        reference_write_events(log, path)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
+        assert_reads_like_reference(path)
+        read = read_event_log(path)
+        assert read.space == space
+        assert read.cells.dtype == log.cells.dtype
+        assert np.array_equal(read.cells, log.cells)
+
+
+class TestEventReaderMemory:
+    def test_memory_is_the_cells_and_a_few_blocks(self, tmp_path):
+        # bins and pair codes are kept in a byte each, and the cells are built
+        # in their own dtype, so no per-event int64 array is ever made
+        log = sample_events(build_polarization(default_fringe_model(), 0.5), 10**6, 7)
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        tracemalloc.start()
+        try:
+            read = read_event_log(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read.cells, log.cells)
+        assert peak < 4 * read.cells.nbytes + 16 * dcqe.io._BLOCK_BYTES
 
 
 class TestJointFiles:

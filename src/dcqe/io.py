@@ -8,7 +8,6 @@ JSON documents carry a ``schema_version`` field.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import re
@@ -71,8 +70,8 @@ def read_json(path: str) -> dict:
 # ---------------------------------------------------------------- event logs
 
 
-def _cell_fields(space: OutcomeSpace) -> list[str]:
-    """CSV text of each cell's ``x,c,d`` fields, indexed by flat cell.
+def _cell_fields(space: OutcomeSpace, cells) -> list[str]:
+    """CSV text of the ``x,c,d`` fields of each flat cell in ``cells``.
 
     Each cell is rendered once by a ``csv.writer``, so every label is quoted
     exactly as it would be within a whole row. The writer ends rows with
@@ -81,18 +80,21 @@ def _cell_fields(space: OutcomeSpace) -> list[str]:
     """
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
+    per_x = space.n_c * space.n_d
     fields = []
-    for cell in itertools.product(range(space.n_x), space.c_values, space.d_values):
+    for cell in cells:
+        x, rest = divmod(cell, per_x)
         buf.seek(0)
         buf.truncate()
-        writer.writerow(cell)
+        writer.writerow((x, space.c_values[rest // space.n_d], space.d_values[rest % space.n_d]))
         fields.append(buf.getvalue()[:-2])
     return fields
 
 
-#: Bytes of row matrix ``write_event_log`` renders at a time; its working
-#: memory is a small multiple of this (plus the per-cell table).
-_WRITE_BLOCK_BYTES = 1 << 20
+#: ``write_event_log`` renders blocks of ``10 ** _LOW_DIGITS`` trials that
+#: start at multiples of that size, so a block's trials differ only in their
+#: last ``_LOW_DIGITS`` digits.
+_LOW_DIGITS = 4
 
 #: Filler between the fields of a rendered row; UTF-8 never holds this byte.
 _GAP = 0xFF
@@ -101,36 +103,42 @@ _GAP = 0xFF
 def write_event_log(log: EventLog, path: str) -> None:
     """CSV with header ``trial,x,c,d``; the loss outcome is spelled LOSS.
 
-    Rows are rendered a block at a time into one byte matrix: the trial's
-    digits come from a table of 4-digit groups, right-aligned, and each
-    cell's ``,x,c,d\\n`` bytes from a per-cell table. Unused positions hold
-    ``_GAP`` and are dropped before the block is written.
+    Rows are rendered an aligned block at a time into one structured array
+    whose rows hold three byte fields: the leading trial digits, the same on
+    every row of the block; the last ``_LOW_DIGITS`` digits, from a table;
+    and the cell's ``,x,c,d\\n`` bytes, from a per-cell table padded with
+    ``_GAP``. Leading zeros of the first block are ``_GAP`` too, and every
+    ``_GAP`` is dropped before the block is written. A log with fewer events
+    than its space has cells renders only the cells it holds.
     """
-    encoded = [f",{field}\n".encode("utf-8") for field in _cell_fields(log.space)]
-    lengths = np.array([len(b) for b in encoded])
-    tails = np.full((lengths.size, lengths.max()), _GAP, dtype=np.uint8)
-    filled = np.arange(tails.shape[1]) < lengths[:, None]
-    tails[filled] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    quads = quads.astype(np.uint8).view(np.uint32).reshape(-1)
+    cells = log.cells
+    table_cells = range(math.prod(log.space.shape))
+    if 0 < cells.size < len(table_cells):
+        table_cells, cells = np.unique(cells, return_inverse=True)
+        table_cells = table_cells.tolist()
+    encoded = [f",{field}\n".encode("utf-8") for field in _cell_fields(log.space, table_cells)]
+    width = max(map(len, encoded))
+    tails = np.array([b.ljust(width, bytes([_GAP])) for b in encoded], dtype=f"S{width}")
+    size = 10**_LOW_DIGITS
+    trials = np.arange(size)[:, None]
+    low = (trials // 10 ** np.arange(_LOW_DIGITS - 1, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    first_low = low.copy()
+    # the last digit is always shown, so 0 prints as "0"
+    first_low[:, :-1][trials < 10 ** np.arange(_LOW_DIGITS - 1, 0, -1)] = _GAP
+    low, first_low = (table.view(f"S{_LOW_DIGITS}").reshape(-1) for table in (low, first_low))
     n = len(log)
-    rows = max(1, _WRITE_BLOCK_BYTES // (len(str(n)) + tails.shape[1]))
     with open(path, "wb") as fh:
         fh.write(",".join(EVENT_HEADER).encode() + b"\n")
-        for start in range(0, n, rows):
-            trial = np.arange(start, min(start + rows, n))
-            width = len(str(trial[-1]))
-            n_quads = -(-width // 4)
-            quad = trial[:, None] // 10 ** (4 * np.arange(n_quads - 1, -1, -1)) % 10000
-            block = np.empty((trial.size, width + tails.shape[1]), dtype=np.uint8)
-            block[:, :width] = quads[quad].view(np.uint8)[:, 4 * n_quads - width:]
-            if start < 10 ** (width - 1):
-                # the last digit is always shown, so 0 prints as "0"
-                block[:, :width - 1][trial[:, None] < 10 ** np.arange(width - 1, 0, -1)] = _GAP
-            # EventLog keeps its cells in range, so clipping never applies
-            cells = log.cells[start:start + trial.size]
-            np.take(tails, cells, axis=0, out=block[:, width:], mode="clip")
-            flat = block.reshape(-1)
+        for start in range(0, n, size):
+            lead = str(start // size).encode() if start else bytes([_GAP])
+            block = np.empty(
+                min(size, n - start),
+                dtype=[("lead", f"S{len(lead)}"), ("low", low.dtype), ("tail", tails.dtype)],
+            )
+            block["lead"] = lead
+            block["low"] = (low if start else first_low)[:block.size]
+            block["tail"] = tails[cells[start:start + block.size]]
+            flat = block.view(np.uint8)
             fh.write(flat[flat != _GAP])
 
 
@@ -174,15 +182,39 @@ def _label_pair(tail: bytes) -> tuple[str, str] | None:
     return c, d
 
 
+def _separators(arr, last: bool):
+    """``(seps, terminators)`` of the records in ``arr``, a padded block.
+
+    One scan for bytes up to ``,`` finds every newline, quote and comma. A
+    newline outside quotes, which a running parity of ``"`` bytes tells
+    apart, ends a record; so does the first trailing zero byte of the
+    ``last`` block. ``seps`` holds, in order, every comma, every record
+    terminator and the 8 trailing zero bytes; ``terminators`` indexes the
+    terminators in ``seps``.
+    """
+    hits = np.flatnonzero(arr <= ord(","))
+    kind = arr[hits]
+    is_end = kind == ord("\n")
+    quotes = kind == ord('"')
+    if quotes.any():
+        is_end &= ~np.logical_xor.accumulate(quotes)
+    if last:
+        is_end[-len(_PAD)] = True
+    is_sep = is_end | (kind == ord(","))
+    is_sep[-len(_PAD):] = True
+    return hits[is_sep], np.flatnonzero(is_end[is_sep])
+
+
 def _record_blocks(fh):
-    """Yield ``(buf, words, starts, ends)`` for each run of whole records.
+    """Yield ``(buf, words, starts, ends, seps, after)`` for each run of whole records.
 
     ``buf`` is 8 zero bytes, a carried-over partial record, the next block
     of the file, and 8 zero bytes; ``words[i]`` is the little-endian
-    uint64 of ``buf[i:i + 8]``. A record ends at a ``\\n`` outside quotes,
-    which a running parity of ``"`` bytes tells apart; its span
-    ``buf[start:end]`` leaves out the ``\\n`` and one ``\\r`` before it.
-    The last record of the file needs no terminator.
+    uint64 of ``buf[i:i + 8]``. A record's span ``buf[start:end]`` leaves
+    out its ``\\n`` and one ``\\r`` before it; the last record of the file
+    needs no terminator. Record i's first separator in ``seps`` (see
+    ``_separators``), its first comma or else its terminator, is
+    ``seps[after[i]]``.
     """
     carry = b""
     while True:
@@ -191,21 +223,17 @@ def _record_blocks(fh):
             return
         buf = b"".join((_PAD, carry, data, _PAD))
         arr = np.frombuffer(buf, dtype=np.uint8)
-        if data:
-            ends = np.flatnonzero(arr == ord("\n"))
-            quotes = np.flatnonzero(arr == ord('"'))
-            if quotes.size:
-                ends = ends[np.searchsorted(quotes, ends) % 2 == 0]
-            if not ends.size:
-                carry = buf[len(_PAD):-len(_PAD)]
-                continue
-            carry = buf[ends[-1] + 1:-len(_PAD)]
-        else:
-            ends = np.array([len(buf) - len(_PAD)])
+        seps, terminators = _separators(arr, last=not data)
+        if not terminators.size:
+            carry = buf[len(_PAD):-len(_PAD)]
+            continue
+        ends = seps[terminators]
+        carry = buf[ends[-1] + 1:-len(_PAD)]
+        after = np.concatenate(([0], terminators[:-1] + 1))
         starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
         ends = ends - ((arr[ends - 1] == ord("\r")) & (ends > starts))
         words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-        yield buf, words, starts, ends
+        yield buf, words, starts, ends, seps, after
         if not data:
             return
 
@@ -390,19 +418,17 @@ def read_event_log(path: str) -> EventLog:
     last_trial = -1
     n_rows = 0
     with open(path, "rb") as fh:
-        for buf, words, starts, ends in _record_blocks(fh):
+        for buf, words, starts, ends, seps, after in _record_blocks(fh):
             if header_ok is None:
                 header_ok = _header(buf[starts[0]:ends[0]]) == EVENT_HEADER
                 if not header_ok:
                     break
-                starts, ends = starts[1:], ends[1:]
+                starts, ends, after = starts[1:], ends[1:], after[1:]
             filled = ends > starts
-            starts, ends = starts[filled], ends[filled]
-            commas = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord(","))
-            first = np.searchsorted(commas, starts)
-            commas = np.append(commas, [len(buf), len(buf)])
-            second = np.minimum(commas[first + 1], ends)
-            first = np.minimum(commas[first], second)
+            starts, ends, after = starts[filled], ends[filled], after[filled]
+            # seps end in the 8 trailing zero bytes, so after + 1 is in range
+            second = np.minimum(seps[after + 1], ends)
+            first = np.minimum(seps[after], second)
             trial, trial_ok = _decode_ints(buf, starts, first)
             x, x_ok = _decode_ints(buf, np.minimum(first + 1, second), second)
             codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
@@ -452,7 +478,7 @@ def write_joint(joint: JointDistribution, path: str) -> None:
     The whole table is encoded before the file is opened, so a label that
     UTF-8 cannot encode raises ``UnicodeEncodeError`` and leaves no file.
     """
-    cells = zip(_cell_fields(joint.space), joint.p.reshape(-1).tolist())
+    cells = zip(_cell_fields(joint.space, range(joint.p.size)), joint.p.reshape(-1).tolist())
     rows = [",".join(JOINT_HEADER)] + [f"{fields},{p!r}" for fields, p in cells]
     data = "\n".join(rows + [""]).encode("utf-8")
     with open(path, "wb") as fh:

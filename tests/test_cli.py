@@ -717,6 +717,11 @@ PINNED_CSVS = {
         {"figure_D1.csv": "b81588cf2c207512cd5b06cdb1ea1ff9694cb6567cd4d2d46ffce2cb0487dd90",
          "figure_D2.csv": "171d1abbd008c4e141523fc4d09964b6cd00795808092a3dbfde0bec9e21a248"},
     ),
+    # 1,000,001 trials: about 100 writer blocks, and trial digits from 1 to 7
+    "sample_polarization_1000001": (
+        ["sample", "--arch", "polarization", "--n", "1000001", "--seed", "1"],
+        {"sample_events.csv": "b055d35d1496dfb9199fd6913a6cc01da2c62d404069dac2793c3e2459fbafa6"},
+    ),
     "figure_sampled": (
         ["figure", "--mask", "mask.txt", "--n", "1000", "--seed", "3"],
         {"figure_D1.csv": "432b4ae520d2aad55ac3ac76a46037f72dac6ca8ec4dcb2ede0a6290a040c42e",

@@ -239,7 +239,11 @@ class TestEventLogFiles:
             read_event_log(path)
 
 
-LABEL_TEXT = st.text(st.sampled_from(["a", "Z", " ", ",", '"', "\n", "\r", "é", "日"]), max_size=5)
+# tab, "!", "#", "'" and "+" lie below "," but separate nothing
+LABEL_TEXT = st.text(
+    st.sampled_from(["a", "Z", " ", ",", '"', "\n", "\r", "\t", "!", "#", "'", "+", "é", "日"]),
+    max_size=5,
+)
 
 
 @st.composite
@@ -279,10 +283,28 @@ class TestEventWriterMatchesReference:
     def test_digit_widths_and_sizes(self, tmp_path, n_trials):
         assert_writes_like_reference(quoted_label_log(n_trials), tmp_path)
 
-    @pytest.mark.parametrize("block_bytes", [1, 7, 30, 100, 1000])
-    def test_small_blocks(self, tmp_path, monkeypatch, block_bytes):
-        monkeypatch.setattr(dcqe.io, "_WRITE_BLOCK_BYTES", block_bytes)
-        assert_writes_like_reference(quoted_label_log(1234), tmp_path)
+    @pytest.mark.parametrize("low_digits", [1, 2, 3])
+    def test_small_blocks(self, tmp_path, monkeypatch, low_digits):
+        # blocks of 10, 100 and 1,000 trials; 12,345 trials cross 5 digits
+        monkeypatch.setattr(dcqe.io, "_LOW_DIGITS", low_digits)
+        assert_writes_like_reference(quoted_label_log(12345), tmp_path)
+
+    def test_log_smaller_than_its_space_renders_only_its_cells(self, tmp_path, monkeypatch):
+        rendered = []
+        cell_fields = dcqe.io._cell_fields
+
+        def counted(space, cells):
+            fields = cell_fields(space, cells)
+            rendered.extend(fields)
+            return fields
+
+        monkeypatch.setattr(dcqe.io, "_cell_fields", counted)
+        space = OutcomeSpace(
+            7000, tuple(f"c{k:02}" for k in range(15)), tuple(f"D{k:02}" for k in range(20))
+        )
+        cells = np.random.default_rng(4).integers(0, math.prod(space.shape), 301)
+        assert_writes_like_reference(EventLog(space, cells), tmp_path)
+        assert len(rendered) == len(set(cells.tolist())) <= 301
 
     @pytest.mark.parametrize(
         "kind, q",
@@ -331,6 +353,8 @@ class TestEventReaderMatchesReference:
             pytest.param(b"trial,x,c,d\n0,007,a,D1\n1,-0,b,D2\n", id="zero-padded"),
             pytest.param(b"trial,x,c,d\n0,1,a,D1\n1,0,b\n", id="3-fields"),
             pytest.param(b"trial,x,c,d\n0,1,a,D1,E\n1,0,b,D2\n", id="5-fields"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1\n", id="1-field-last"),
+            pytest.param(b"trial,x,c,d\n0,1,a,D1\n1", id="1-field-no-final-newline"),
             pytest.param(b"trial,x,c,d\n0,1,a,D1\n0,0,b,D2\n", id="repeated-trial"),
             pytest.param(b"trial,x,c,d\n5,1,a,D1\n3,0,b,D2\n", id="decreasing-trials"),
             pytest.param(b"trial,x,c,d\n-1,1,a,D1\n3,0,b,D2\n", id="negative-trial"),
@@ -405,6 +429,26 @@ class TestEventReaderBlocks:
         with pytest.raises(ValueError, match="event row 2 "):
             read_event_log(path)
 
+    LOW_BYTE_TEXT = (
+        b"trial,x,c,d\n0,1,a\t!,#'+\n1,0,' +,\"!\n#\"\n2,3,a\t!,D\t\t\r\n"
+        b"3,2,' +,#'+\n4,1,a\t!,\"!\n#\"\n"
+    )
+
+    @pytest.mark.parametrize("block_bytes", [1, 3, 7, 12, 1000])
+    def test_low_bytes_that_separate_nothing(self, tmp_path, monkeypatch, block_bytes):
+        # tab, "!", "#", "'" and "+" are found by the scan for separators too
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.LOW_BYTE_TEXT)
+        whole = read_event_log(path)
+        assert whole.space.c_values == ("' +", "a\t!")
+        assert whole.space.d_values == ("!\n#", "#'+", "D\t\t")
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+        assert np.array_equal(read_event_log(path).cells, whole.cells)
+        path.write_bytes(self.LOW_BYTE_TEXT + b"5,\t1,a\t!,#'+\n")
+        with pytest.raises(ValueError, match="event row 6 "):
+            read_event_log(path)
+
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
         # with a zero multiplier a tail's key is its last word, so these collide;
         # one record per block makes the second one find the first one's key
@@ -464,7 +508,6 @@ class TestEventReaderBlocks:
         log = EventLog(space, np.ravel_multi_index((x, pair // 15, pair % 15), space.shape))
         assert log.cells.dtype == np.uint32
         path = tmp_path / "events.csv"
-        # row by row: write_event_log renders every one of the 21e6 cells once
         reference_write_events(log, path)
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
         assert_reads_like_reference(path)
@@ -489,6 +532,23 @@ class TestEventReaderMemory:
             tracemalloc.stop()
         assert np.array_equal(read.cells, log.cells)
         assert peak < 4 * read.cells.nbytes + 16 * dcqe.io._BLOCK_BYTES
+
+
+class TestEventWriterMemory:
+    def test_memory_is_the_cell_table_and_a_few_blocks(self, tmp_path):
+        log = sample_events(build_polarization(default_fringe_model(), 0.5), 10**6, 7)
+        path = tmp_path / "events.csv"
+        fields = dcqe.io._cell_fields(log.space, range(math.prod(log.space.shape)))
+        row_bytes = len(str(len(log))) + max(len(f",{f}\n".encode()) for f in fields)
+        tracemalloc.start()
+        try:
+            write_event_log(log, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per cell, its table row and the str and bytes it is rendered from
+        table = len(fields) * (row_bytes + 200)
+        assert peak < table + 8 * 10**dcqe.io._LOW_DIGITS * row_bytes
 
 
 class TestJointFiles:

@@ -6,15 +6,16 @@ the joint table. Logs store one flat cell index per trial against an
 boundary.
 
 Sampling is deterministic given (table, n_trials, seed) and independent of
-batching: chunk k of every run has its own stream, seeded from the root seed
-and k, and a partial tail draws only the uniforms it keeps, which under PCG64
-are a prefix of the full chunk's draw. So logs share prefixes, and chunks may
-be generated out of order or in parallel. Runs of at least eight chunks are
+batching: chunk k of every run has its own PCG64 stream, seeded from the root
+seed and k, and a partial tail draws only the 64-bit words it keeps, which are
+a prefix of the full chunk's draw. So logs share prefixes, and chunks may be
+generated out of order or in parallel. Runs of at least eight chunks are
 sampled on a few threads, at most one per CPU the process may run on and with
 at least four chunks each; the cells are the same to the bit on any number of
 threads, and CPU affinity (e.g. ``taskset -c 0``) is the only control. A
 guide table (Chen & Asau 1974; Devroye 1986, III.2.4) inverts the cdf
-exactly as a sorted search would.
+exactly as a sorted search of ``Generator.random``'s doubles would, working
+on the raw words those doubles are made from.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .joint import JointDistribution, OutcomeSpace, validate
 
 #: Trials per deterministic sampling chunk. Fixed: changing it changes logs.
 CHUNK_TRIALS = 1 << 16
+
+# a raw word r is the double (r >> 11) / 2**53, as Generator.random makes it
+_LOW_BITS = np.uint64(11)
+_TWO53 = 2.0**53
 
 
 def cell_dtype(n_cells: int) -> np.dtype:
@@ -50,9 +55,11 @@ class EventLog:
     ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``; ``x``,
     ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access, as
     ``intp``. A read-only array of the cell dtype that owns its data is kept
-    as given. Any other input must have an integer dtype (an empty list is
-    accepted too); it is read as ``intp``, range-checked and only then copied
-    to the cell dtype, so an index such as -1 cannot wrap into range.
+    as given once its largest cell (and, if the dtype is ``intp``, its
+    smallest) is checked against the space. Any other input must have an
+    integer dtype (an empty list is accepted too); it is read as ``intp``,
+    range-checked and only then copied to the cell dtype, so an index such
+    as -1 cannot wrap into range.
     """
 
     space: OutcomeSpace
@@ -74,7 +81,9 @@ class EventLog:
             cells = cells.astype(np.intp, copy=False)
         if cells.ndim != 1:
             raise InvalidArgument("cell indices must be one-dimensional")
-        if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
+        # unsigned cells (kept ones of a compact dtype) cannot be negative
+        signed = cells.dtype.kind == "i"
+        if cells.size and ((signed and cells.min() < 0) or cells.max() >= n_cells):
             raise InvalidArgument("cell index out of range for the outcome space")
         if not kept:
             cells = cells.astype(dtype)
@@ -107,9 +116,18 @@ class EventLog:
         return counts.reshape(self.space.shape)
 
 
-def _chunk_uniforms(seed: int, chunk_index: int, size: int) -> np.ndarray:
+def _chunk_bits(seed: int, chunk_index: int, size: int) -> np.ndarray:
+    """The first ``size`` raw 64-bit words of chunk ``chunk_index``'s stream."""
     ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.PCG64(ss)).random(size)
+    return np.random.PCG64(ss).random_raw(size)
+
+
+def _bucket_bits(n_cells: int, n_trials: int) -> int:
+    """log2 of the guide's bucket count: the least power of two >= 4 * cells,
+    grown to the greatest one <= n_trials / 16, but never past the least one
+    >= 32 * cells."""
+    least = (n_cells - 1).bit_length() + 2
+    return min(max(least, (n_trials // 16).bit_length() - 1), least + 3)
 
 
 def _workers(n_chunks: int) -> int:
@@ -127,11 +145,19 @@ def _workers(n_chunks: int) -> int:
 def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLog:
     """Draw i.i.d. trials from a validated table.
 
-    The guide has K buckets, K the least power of two >= 4 * cells, so u * K
-    is exact and ``guess = guide[floor(u * K)]`` is
-    ``searchsorted(cdf, u, "right")`` unless ``u >= cdf[guess]``, when the
-    cdf steps between u's bucket edge and u; only those are searched. Cells
-    are written straight into an array of the log's ``cell_dtype``.
+    Each trial is ``searchsorted(cdf, u, "right")`` for the double
+    ``u = (r >> 11) / 2**53`` that ``Generator.random`` makes of the
+    stream's next raw word r, but it is computed on r. The guide has K
+    buckets, K the least power of two >= 4 * cells, grown toward
+    n_trials / 16 but never past the least one >= 32 * cells, so longer
+    runs search less and the tables stay small beside the draws. A draw's
+    bucket is ``r >> (64 - log2 K)``, which is ``floor(u * K)``; its guess
+    ``guide[bucket]`` is wrong iff ``u >= cdf[guess]``, that is iff r
+    reaches ``ceil(cdf[guess] * 2**53) << 11``, a limit capped at
+    ``(2**53 - 1) << 11`` to fit 64 bits, which only adds a search. Only
+    wrong guesses are made into u and searched, so the cells are the sorted
+    search's to the bit, for every K. Cells are written straight into an
+    array of the log's ``cell_dtype``.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, each with one bucket buffer: the calling thread and W - 1 threads
@@ -157,13 +183,15 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     validate(joint)
     cdf = np.cumsum(joint.p.reshape(-1))
     cdf[-1] = 1.0
-    k = 4 << (cdf.size - 1).bit_length()
+    bits = _bucket_bits(cdf.size, n_trials)
+    k = 1 << bits
     # guide[b] = searchsorted(cdf, b / k, "right"), the number of cdf values
     # <= b / k; as k is a power of two, those are the ones with ceil(cdf * k) <= b
     guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1)[:k])
-    # per bucket, the u at and above which its guess is wrong
-    bound = cdf[guide]
+    # per bucket, the word at and above which its guess is wrong
+    limit = np.minimum(np.ceil(cdf * _TWO53), _TWO53 - 1).astype(np.uint64)[guide] << _LOW_BITS
     guide = guide.astype(cells.dtype)
+    shift = np.uint64(64 - bits)
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)
 
@@ -171,14 +199,15 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
         bucket = np.empty(min(CHUNK_TRIALS, n_trials), dtype=np.intp)
         for chunk in range(first, n_chunks, workers):
             start = chunk * CHUNK_TRIALS
-            u = _chunk_uniforms(seed, chunk, min(CHUNK_TRIALS, n_trials - start))
-            ix = bucket[:u.size]
-            np.multiply(u, k, out=ix, casting="unsafe")
-            out = cells[start:start + u.size]
+            raw = _chunk_bits(seed, chunk, min(CHUNK_TRIALS, n_trials - start))
+            ix = bucket[:raw.size]
+            # a bucket is below 2**53, so its uint64 bits are its intp value
+            np.right_shift(raw, shift, out=ix.view(np.uint64))
+            out = cells[start:start + raw.size]
             np.take(guide, ix, out=out)
-            miss = np.flatnonzero(np.take(bound, ix) <= u)
+            miss = np.flatnonzero(np.take(limit, ix) <= raw)
             if miss.size:
-                out[miss] = np.searchsorted(cdf, u[miss], side="right")
+                out[miss] = np.searchsorted(cdf, (raw[miss] >> _LOW_BITS) / _TWO53, side="right")
 
     if workers == 1:
         fill(0)

@@ -26,7 +26,7 @@ from dcqe import (
     sample_events,
 )
 import dcqe.events
-from dcqe.events import _chunk_uniforms, cell_dtype
+from dcqe.events import _chunk_bits, cell_dtype
 
 from conftest import FOUR_BIN_PHASE0
 
@@ -132,6 +132,23 @@ class TestEventLog:
         cells.setflags(write=False)
         with pytest.raises(InvalidArgument):
             EventLog(space, cells)
+
+    def test_unsigned_cells_past_the_space_raise(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        kept = np.array([0, 8], dtype=np.uint8)
+        kept.setflags(write=False)
+        for cells in (kept, np.array([8], dtype=np.uint16), np.array([2**32], dtype=np.uint64)):
+            with pytest.raises(InvalidArgument, match="out of range"):
+                EventLog(space, cells)
+
+    def test_signed_minus_one_raises_on_intp_cells(self):
+        # a space past uint32, so read-only intp cells are kept and the sign is checked
+        space = OutcomeSpace(2**31 + 1, ("a", "b"), ("D1",))
+        kept = np.array([0, -1], dtype=np.intp)
+        kept.setflags(write=False)
+        for cells in (kept, [-1], np.array([-1], dtype=np.int8)):
+            with pytest.raises(InvalidArgument, match="out of range"):
+                EventLog(space, cells)
 
     def test_rejects_non_1d_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
@@ -312,23 +329,59 @@ def table_cdf(joint):
     return cdf
 
 
-def inverted(joint, u, monkeypatch):
-    """The cells ``sample_events`` gives when its uniforms are ``u``."""
-    def given(seed, chunk_index, size):
-        return u[chunk_index * CHUNK_TRIALS:][:size]
+def chunk_uniforms(seed, chunk_index, size):
+    """numpy's own doubles for a sampling chunk's stream."""
+    ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.PCG64(ss)).random(size)
 
-    monkeypatch.setattr(dcqe.events, "_chunk_uniforms", given)
-    return sample_events(joint, u.size, 0).cells
+
+def uniforms_of(words):
+    """The doubles ``Generator.random`` makes of raw 64-bit words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def words_near(values):
+    """Raw words whose uniforms are at, one 2**-53 step below and one step
+    above each value in [0, 1], each with its 11 low bits clear and set."""
+    steps = np.ceil(np.asarray(values) * 2.0**53).astype(np.int64)
+    steps = np.unique(np.concatenate([steps - 1, steps, steps + 1]))
+    steps = steps[(steps >= 0) & (steps < 2**53)].astype(np.uint64) << np.uint64(11)
+    return np.concatenate([steps, steps | np.uint64(0x7FF)])
+
+
+SEARCHSORTED = np.searchsorted
+
+
+def searched_uniforms(monkeypatch):
+    """The list of every value ``np.searchsorted`` is asked to place from now
+    on in the test."""
+    searched = []
+
+    def counting(a, v, *args, **kwargs):
+        searched.extend(np.atleast_1d(v).tolist())
+        return SEARCHSORTED(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    return searched
+
+
+def inverted(joint, words, monkeypatch):
+    """The cells ``sample_events`` gives when its raw words are ``words``."""
+    def given(seed, chunk_index, size):
+        return words[chunk_index * CHUNK_TRIALS:][:size]
+
+    monkeypatch.setattr(dcqe.events, "_chunk_bits", given)
+    return sample_events(joint, words.size, 0).cells
 
 
 def reference_cells(joint, n, seed):
-    """The plain sampler: a full block of uniforms per chunk, sliced, then
-    a sorted search."""
+    """The plain sampler: a full block of ``Generator.random`` doubles per
+    chunk, sliced, then a sorted search."""
     cdf = table_cdf(joint)
     pieces = []
     for k in range(-(-n // CHUNK_TRIALS)):
         take = min(CHUNK_TRIALS, n - k * CHUNK_TRIALS)
-        u = _chunk_uniforms(seed, k, CHUNK_TRIALS)[:take]
+        u = chunk_uniforms(seed, k, CHUNK_TRIALS)[:take]
         pieces.append(np.searchsorted(cdf, u, side="right"))
     return np.concatenate(pieces)
 
@@ -391,7 +444,7 @@ class TestSamplerIsBitIdentical:
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_a_failing_chunk_raises_and_stops_every_thread(self, workers, monkeypatch):
-        plain = _chunk_uniforms
+        plain = _chunk_bits
 
         def failing(seed, chunk_index, size):
             if chunk_index == 5:
@@ -400,7 +453,7 @@ class TestSamplerIsBitIdentical:
 
         baseline = threading.active_count()
         monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
-        monkeypatch.setattr(dcqe.events, "_chunk_uniforms", failing)
+        monkeypatch.setattr(dcqe.events, "_chunk_bits", failing)
         # chunk 5 falls to a pool thread for 2 and 3 workers, to the caller for 5
         with pytest.raises(RuntimeError, match="chunk 5"):
             sample_events(uniform_222(), N_WIDE, 1)
@@ -410,31 +463,78 @@ class TestSamplerIsBitIdentical:
     def test_inversion_at_cdf_values_and_bucket_edges(self, name, monkeypatch):
         joint = crowded_joint() if name == "crowded" else sampler_tables()[name]
         cdf = table_cdf(joint)
-        # the guide's bucket count: the least power of two >= 4 * cells
-        buckets = 4 << (cdf.size - 1).bit_length()
-        u = np.concatenate([
-            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
-            np.arange(buckets) / buckets, [0.0, np.nextafter(1.0, 0.0)],
-        ])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        assert np.array_equal(inverted(joint, u, monkeypatch), np.searchsorted(cdf, u, side="right"))
+        used = []
+        plain = dcqe.events._bucket_bits
+
+        def spied(n_cells, n_trials):
+            used.append(plain(n_cells, n_trials))
+            return used[-1]
+
+        monkeypatch.setattr(dcqe.events, "_bucket_bits", spied)
+        searched = searched_uniforms(monkeypatch)
+        least = 4 << (cdf.size - 1).bit_length()
+        # the least bucket count, a power of two >= 4 * cells, and the most
+        for buckets in (least, 8 * least):
+            words = words_near(np.concatenate([cdf, np.arange(buckets) / buckets, [0.0, 1.0]]))
+            if buckets > least:
+                # a run long enough for the largest guide
+                words = np.resize(words, 16 * buckets)
+            searched.clear()
+            cells = inverted(joint, words, monkeypatch)
+            # the run's guide has exactly the buckets whose edges are fed
+            assert used.pop() == buckets.bit_length() - 1
+            u = uniforms_of(words)
+            assert np.array_equal(cells, SEARCHSORTED(cdf, u, side="right"))
+            # only wrong guesses are searched, and the top draw when the
+            # guess's cdf is 1.0, whose limit is capped
+            guess = SEARCHSORTED(cdf, np.floor(u * buckets) / buckets, side="right")
+            wrong = u >= np.minimum(cdf[guess], 1.0 - 2.0**-53)
+            assert np.array_equal(np.sort(searched), np.sort(u[wrong]))
+
+    def test_a_cdf_of_one_reaches_the_capped_limit(self, monkeypatch):
+        # the last bucket guesses the last cell, whose cdf is exactly 1.0
+        cap = (2**53 - 1) << 11
+        words = np.array([cap - 1, cap, 2**64 - 1], dtype=np.uint64)
+        searched = searched_uniforms(monkeypatch)
+        assert inverted(uniform_222(), words, monkeypatch).tolist() == [7, 7, 7]
+        # a word below the cap keeps its guess; the cap and above are searched
+        assert searched == uniforms_of(words[1:]).tolist()
 
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()
         cdf = table_cdf(joint)
-        u = 0.5 + np.random.default_rng(0).random(20000) * 700e-12
-        expected = np.searchsorted(cdf, u, side="right")
-        # these uniforms span at most two guide buckets but hundreds of
+        low, high = (int(np.ceil(v * 2.0**53)) << 11 for v in (0.5, 0.5 + 700e-12))
+        words = np.random.default_rng(0).integers(low, high, size=20000, dtype=np.uint64)
+        expected = np.searchsorted(cdf, uniforms_of(words), side="right")
+        # these draws span at most two guide buckets but hundreds of
         # cells, so nearly all of them need the fallback search
         assert np.unique(expected).size > 500
-        assert np.array_equal(inverted(joint, u, monkeypatch), expected)
+        assert np.array_equal(inverted(joint, words, monkeypatch), expected)
+
+    @pytest.mark.parametrize("size", [1, 2, 1000, CHUNK_TRIALS - 1, CHUNK_TRIALS])
+    def test_chunk_bits_are_the_generators_doubles(self, size):
+        for seed in range(20):
+            for chunk in (0, 5):
+                bits = _chunk_bits(seed, chunk, size)
+                assert bits.dtype == np.uint64
+                assert np.array_equal(uniforms_of(bits), chunk_uniforms(seed, chunk, size))
 
     @pytest.mark.parametrize("take", [1, 2, 1000, CHUNK_TRIALS - 1])
     def test_short_draw_is_prefix_of_full_chunk(self, take):
         for seed in range(20):
             for chunk in (0, 5):
-                full = _chunk_uniforms(seed, chunk, CHUNK_TRIALS)
-                assert np.array_equal(_chunk_uniforms(seed, chunk, take), full[:take])
+                full = _chunk_bits(seed, chunk, CHUNK_TRIALS)
+                assert np.array_equal(_chunk_bits(seed, chunk, take), full[:take])
+
+    @pytest.mark.parametrize("n_cells, n_trials, buckets", [
+        # polarization: 4 * 512 until n / 16 passes it, then at most 32 * 512
+        (384, 1, 2048), (384, 10**3, 2048), (384, 10**5, 4096), (384, 10**7, 16384),
+        # wide_joint's uint32 cells: 4 * 2**17 until n = 2**24, then at most 32 * 2**17
+        (65_600, 1, 2**19), (65_600, 10**3, 2**19), (65_600, 10**5, 2**19),
+        (65_600, 10**7, 2**19), (65_600, 2**25, 2**21), (65_600, 10**9, 2**22),
+    ])
+    def test_bucket_rule(self, n_cells, n_trials, buckets):
+        assert 1 << dcqe.events._bucket_bits(n_cells, n_trials) == buckets
 
 
 class TestWorkers:

@@ -9,19 +9,23 @@ Sampling is deterministic given (table, n_trials, seed) and independent of
 batching: chunk k of every run has its own PCG64 stream, seeded from the root
 seed and k, and a partial tail draws only the 64-bit words it keeps, which are
 a prefix of the full chunk's draw. So logs share prefixes, and chunks may be
-generated out of order or in parallel. Runs of at least eight chunks are
-sampled on a few threads, at most one per CPU the process may run on and with
-at least four chunks each; the cells are the same to the bit on any number of
-threads, and CPU affinity (e.g. ``taskset -c 0``) is the only control. A
-guide table (Chen & Asau 1974; Devroye 1986, III.2.4) inverts the cdf
-exactly as a sorted search of ``Generator.random``'s doubles would, working
-on the raw words those doubles are made from.
+generated out of order or in parallel. A chunk is drawn and inverted in
+slices of ``SLICE_WORDS`` words, consecutive draws from its one stream, so
+each worker's scratch memory is a slice's and the logs do not depend on the
+slice size. Runs of at least eight chunks are sampled on a few threads, at
+most one per CPU the process may run on and with at least four chunks each;
+the cells are the same to the bit on any number of threads, and CPU
+affinity (e.g. ``taskset -c 0``) is the only control. A guide table (Chen &
+Asau 1974; Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search
+of ``Generator.random``'s doubles would, working on the raw words those
+doubles are made from.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,10 @@ from .joint import JointDistribution, OutcomeSpace, validate
 
 #: Trials per deterministic sampling chunk. Fixed: changing it changes logs.
 CHUNK_TRIALS = 1 << 16
+
+#: Raw words drawn and inverted at a time within a chunk. It bounds each
+#: worker's scratch memory; the logs do not depend on it.
+SLICE_WORDS = 1 << 15
 
 # a raw word r is the double (r >> 11) / 2**53, as Generator.random makes it
 _LOW_BITS = np.uint64(11)
@@ -116,10 +124,13 @@ class EventLog:
         return counts.reshape(self.space.shape)
 
 
-def _chunk_bits(seed: int, chunk_index: int, size: int) -> np.ndarray:
-    """The first ``size`` raw 64-bit words of chunk ``chunk_index``'s stream."""
+def _chunk_bits(seed: int, chunk_index: int, size: int) -> Iterator[np.ndarray]:
+    """The first ``size`` raw 64-bit words of chunk ``chunk_index``'s stream,
+    as consecutive slices of ``SLICE_WORDS`` words, the last one shorter."""
     ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    return np.random.PCG64(ss).random_raw(size)
+    bit_generator = np.random.PCG64(ss)
+    for start in range(0, size, SLICE_WORDS):
+        yield bit_generator.random_raw(min(SLICE_WORDS, size - start))
 
 
 def _bucket_bits(n_cells: int, n_trials: int) -> int:
@@ -128,6 +139,21 @@ def _bucket_bits(n_cells: int, n_trials: int) -> int:
     >= 32 * cells."""
     least = (n_cells - 1).bit_length() + 2
     return min(max(least, (n_trials // 16).bit_length() - 1), least + 3)
+
+
+def _guide_tables(cdf: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The guide of K = 2**bits buckets, ``guide[b] = searchsorted(cdf, b / K,
+    "right")``, and per bucket the raw word at and above which its guess is
+    wrong, ``min(ceil(cdf[guide[b]] * 2**53), 2**53 - 1) << 11``."""
+    k = 1 << bits
+    # ceil(cdf * 2**53) is exact, as scaling by a power of two is
+    steps = np.ceil(cdf * _TWO53).astype(np.int64)
+    # guide[b] counts the cdf values <= b / K, those with ceil(cdf * K) <= b;
+    # as K divides 2**53, ceil(cdf * K) = ceil(steps / 2**drop), in integers
+    drop = 53 - bits
+    guide = np.cumsum(np.bincount((steps + ((1 << drop) - 1)) >> drop, minlength=k + 1)[:k])
+    limit = np.minimum(steps, 2**53 - 1).astype(np.uint64)[guide] << _LOW_BITS
+    return guide, limit
 
 
 def _workers(n_chunks: int) -> int:
@@ -160,9 +186,10 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     array of the log's ``cell_dtype``.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
-    cells, each with one bucket buffer: the calling thread and W - 1 threads
-    of a pool that lives for the call. W is the number of CPUs in the
-    process's affinity mask (``taskset`` sets it), capped so that each
+    cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one
+    slice's words, buckets and miss mask: the calling thread and W - 1
+    threads of a pool that lives for the call. W is the number of CPUs in
+    the process's affinity mask (``taskset`` sets it), capped so that each
     worker has at least four chunks, so below eight chunks the calling
     thread samples alone. Each chunk has its own stream, so the cells are
     the same to the bit for every W.
@@ -184,30 +211,31 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     cdf = np.cumsum(joint.p.reshape(-1))
     cdf[-1] = 1.0
     bits = _bucket_bits(cdf.size, n_trials)
-    k = 1 << bits
-    # guide[b] = searchsorted(cdf, b / k, "right"), the number of cdf values
-    # <= b / k; as k is a power of two, those are the ones with ceil(cdf * k) <= b
-    guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1)[:k])
-    # per bucket, the word at and above which its guess is wrong
-    limit = np.minimum(np.ceil(cdf * _TWO53), _TWO53 - 1).astype(np.uint64)[guide] << _LOW_BITS
+    guide, limit = _guide_tables(cdf, bits)
     guide = guide.astype(cells.dtype)
     shift = np.uint64(64 - bits)
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)
 
     def fill(first: int) -> None:
-        bucket = np.empty(min(CHUNK_TRIALS, n_trials), dtype=np.intp)
+        bucket = np.empty(min(SLICE_WORDS, n_trials), dtype=np.intp)
         for chunk in range(first, n_chunks, workers):
             start = chunk * CHUNK_TRIALS
-            raw = _chunk_bits(seed, chunk, min(CHUNK_TRIALS, n_trials - start))
-            ix = bucket[:raw.size]
-            # a bucket is below 2**53, so its uint64 bits are its intp value
-            np.right_shift(raw, shift, out=ix.view(np.uint64))
-            out = cells[start:start + raw.size]
-            np.take(guide, ix, out=out)
-            miss = np.flatnonzero(np.take(limit, ix) <= raw)
-            if miss.size:
-                out[miss] = np.searchsorted(cdf, (raw[miss] >> _LOW_BITS) / _TWO53, side="right")
+            for raw in _chunk_bits(seed, chunk, min(CHUNK_TRIALS, n_trials - start)):
+                ix = bucket[:raw.size]
+                # a bucket is below 2**53, so its uint64 bits are its intp value
+                np.right_shift(raw, shift, out=ix.view(np.uint64))
+                out = cells[start:start + raw.size]
+                # "clip" writes straight into out, where "raise" fills a copy
+                # first; every bucket is in range. The limits overwrite the
+                # buckets they are gathered by.
+                np.take(guide, ix, out=out, mode="clip")
+                np.take(limit, ix, out=ix.view(np.uint64), mode="clip")
+                miss = np.flatnonzero(ix.view(np.uint64) <= raw)
+                if miss.size:
+                    out[miss] = np.searchsorted(cdf, (raw[miss] >> _LOW_BITS) / _TWO53, side="right")
+                start += raw.size
+                del raw  # so the next slice is not drawn while these words are held
 
     if workers == 1:
         fill(0)

@@ -26,7 +26,7 @@ from dcqe import (
     sample_events,
 )
 import dcqe.events
-from dcqe.events import _chunk_bits, cell_dtype
+from dcqe.events import SLICE_WORDS, _chunk_bits, cell_dtype
 
 from conftest import FOUR_BIN_PHASE0
 
@@ -267,18 +267,22 @@ class TestSampleEvents:
         assert log.cells.itemsize == 2
         return peak, log.cells.nbytes
 
-    def test_memory_is_the_cells_and_one_chunk(self):
-        # 4 chunks, which the calling thread samples alone
-        peak, nbytes = self.sampling_peak(4 * CHUNK_TRIALS - 1)
-        # a chunk's uniforms, bucket indices and miss test; intp cells alone
-        # would add 6 bytes a trial, 1.6 MB here
-        assert peak < nbytes + 4 * CHUNK_TRIALS * 8
+    #: A worker's scratch: a slice's raw words, its bucket indices (which the
+    #: gathered limits overwrite) and its miss mask, with one more slice of
+    #: words' room for the tables and small objects.
+    SLICE_SCRATCH = 4 * SLICE_WORDS * 8 + 64 * 1024
 
-    def test_memory_is_the_cells_and_one_chunk_per_worker(self, monkeypatch):
+    def test_memory_is_the_cells_and_one_slice(self):
+        # 2 chunks, which the calling thread samples alone; a whole chunk's
+        # scratch, ~1.6 MB, would not fit, nor would intp cells (+600 kB)
+        peak, nbytes = self.sampling_peak(100_000)
+        assert peak - nbytes <= self.SLICE_SCRATCH
+
+    def test_memory_is_the_cells_and_one_slice_per_worker(self, monkeypatch):
         monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: 2)
-        peak, nbytes = self.sampling_peak(2_000_000)
-        # intp cells alone would add 12 MB
-        assert peak < nbytes + 2 * 4 * CHUNK_TRIALS * 8
+        # intp cells alone would add 60 MB
+        peak, nbytes = self.sampling_peak(10_000_000)
+        assert peak - nbytes <= 2 * self.SLICE_SCRATCH
 
     def test_never_emits_zero_mass_cells(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
@@ -368,10 +372,17 @@ def searched_uniforms(monkeypatch):
 def inverted(joint, words, monkeypatch):
     """The cells ``sample_events`` gives when its raw words are ``words``."""
     def given(seed, chunk_index, size):
-        return words[chunk_index * CHUNK_TRIALS:][:size]
+        chunk = words[chunk_index * CHUNK_TRIALS:][:size]
+        for start in range(0, size, SLICE_WORDS):
+            yield chunk[start:start + SLICE_WORDS]
 
     monkeypatch.setattr(dcqe.events, "_chunk_bits", given)
     return sample_events(joint, words.size, 0).cells
+
+
+def chunk_words(seed, chunk_index, size):
+    """A chunk's first ``size`` raw words, its slices joined."""
+    return np.concatenate(list(_chunk_bits(seed, chunk_index, size)))
 
 
 def reference_cells(joint, n, seed):
@@ -423,7 +434,12 @@ class TestSamplerIsBitIdentical:
         name, n, seed = key
         assert cells_digest(sample_events(sampler_tables()[name], n, seed)) == PINNED_LOGS[key]
 
-    @pytest.mark.parametrize("n", [1, 999, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS - 5])
+    @pytest.mark.parametrize("n", [
+        1, 999, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS - 5,
+        # on and beside the edges of slices and chunks
+        SLICE_WORDS - 1, SLICE_WORDS, SLICE_WORDS + 1, CHUNK_TRIALS - 1,
+        2 * CHUNK_TRIALS + SLICE_WORDS + 1,
+    ])
     def test_matches_plain_sampler(self, n):
         for joint in (crowded_joint(), sampler_tables()["zero_ends"], wide_joint()):
             assert np.array_equal(sample_events(joint, n, 8).cells, reference_cells(joint, n, 8))
@@ -441,6 +457,28 @@ class TestSamplerIsBitIdentical:
                                       reference_cells(joint, n, 8))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_short", [SLICE_WORDS + 5, CHUNK_TRIALS + SLICE_WORDS - 1])
+    def test_a_run_ending_inside_a_slice_is_a_prefix(self, n_short):
+        joint = sampler_tables()["kim"]
+        long = sample_events(joint, 2 * CHUNK_TRIALS, 5).cells
+        assert np.array_equal(sample_events(joint, n_short, 5).cells, long[:n_short])
+
+    @pytest.mark.parametrize("name", ["kim", "zero_ends", "crowded"])
+    def test_cdf_steps_on_both_sides_of_slice_edges(self, name, monkeypatch):
+        joint = crowded_joint() if name == "crowded" else sampler_tables()[name]
+        cdf = table_cdf(joint)
+        words = np.random.default_rng(1).integers(0, 2**64, size=2 * CHUNK_TRIALS + SLICE_WORDS + 1,
+                                                  dtype=np.uint64)
+        # one word a step below a cdf value and one at it, in both orders,
+        # at every edge between slices and between chunks
+        rng = np.random.default_rng(2)
+        for edge in range(SLICE_WORDS, words.size, SLICE_WORDS):
+            value = rng.choice(cdf[(cdf > 0.0) & (cdf < 1.0)])
+            below, at = (np.uint64(int(np.ceil(value * 2.0**53)) + d) << np.uint64(11) for d in (-1, 0))
+            words[edge - 1], words[edge] = (below, at) if edge // SLICE_WORDS % 2 else (at, below)
+        expected = SEARCHSORTED(cdf, uniforms_of(words), side="right")
+        assert np.array_equal(inverted(joint, words, monkeypatch), expected)
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_a_failing_chunk_raises_and_stops_every_thread(self, workers, monkeypatch):
@@ -511,20 +549,41 @@ class TestSamplerIsBitIdentical:
         assert np.unique(expected).size > 500
         assert np.array_equal(inverted(joint, words, monkeypatch), expected)
 
-    @pytest.mark.parametrize("size", [1, 2, 1000, CHUNK_TRIALS - 1, CHUNK_TRIALS])
+    @pytest.mark.parametrize("size", [
+        1, 2, 1000, SLICE_WORDS - 1, SLICE_WORDS, SLICE_WORDS + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS,
+    ])
     def test_chunk_bits_are_the_generators_doubles(self, size):
         for seed in range(20):
             for chunk in (0, 5):
-                bits = _chunk_bits(seed, chunk, size)
+                *full, last = _chunk_bits(seed, chunk, size)
+                assert all(s.size == SLICE_WORDS for s in full) and 0 < last.size <= SLICE_WORDS
+                bits = np.concatenate(full + [last])
                 assert bits.dtype == np.uint64
                 assert np.array_equal(uniforms_of(bits), chunk_uniforms(seed, chunk, size))
 
-    @pytest.mark.parametrize("take", [1, 2, 1000, CHUNK_TRIALS - 1])
+    @pytest.mark.parametrize("take", [1, 2, 1000, SLICE_WORDS + 1, CHUNK_TRIALS - 1])
     def test_short_draw_is_prefix_of_full_chunk(self, take):
         for seed in range(20):
             for chunk in (0, 5):
-                full = _chunk_bits(seed, chunk, CHUNK_TRIALS)
-                assert np.array_equal(_chunk_bits(seed, chunk, take), full[:take])
+                full = chunk_words(seed, chunk, CHUNK_TRIALS)
+                assert np.array_equal(chunk_words(seed, chunk, take), full[:take])
+
+    @pytest.mark.parametrize("name", sorted(sampler_tables()) + ["wide"])
+    def test_guide_bins_from_integer_steps(self, name):
+        joint = wide_joint() if name == "wide" else sampler_tables()[name]
+        cdf = table_cdf(joint)
+        steps = np.ceil(cdf * 2.0**53).astype(np.int64)
+        least = dcqe.events._bucket_bits(cdf.size, 1)
+        # the least bucket count and the largest the bucket rule gives
+        for bits in (least, dcqe.events._bucket_bits(cdf.size, 2**62)):
+            buckets = 1 << bits
+            drop = 53 - bits
+            # ceil(a / m) = ceil(ceil(a) / m) for an integer m
+            assert np.array_equal((steps + 2**drop - 1) >> drop, np.ceil(cdf * buckets))
+            guide, limit = dcqe.events._guide_tables(cdf, bits)
+            assert np.array_equal(guide, SEARCHSORTED(cdf, np.arange(buckets) / buckets, side="right"))
+            capped = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53 - 1).astype(np.uint64)
+            assert np.array_equal(limit, capped[guide] << np.uint64(11))
 
     @pytest.mark.parametrize("n_cells, n_trials, buckets", [
         # polarization: 4 * 512 until n / 16 passes it, then at most 32 * 512

@@ -68,24 +68,26 @@ def default_tolerance(joint: JointDistribution) -> float:
     return 3.0 / math.sqrt(joint.n_samples)
 
 
-def _tolerance(joint: JointDistribution, tol: float | None) -> float:
-    """``tol``, or the table's default if None; refused unless finite and positive."""
-    if tol is None:
-        tol = default_tolerance(joint)
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
-    return tol
-
-
-def _alpha(joint: JointDistribution, tol: float | None, alpha: float) -> float:
-    """``alpha``, refused unless in (0, 1), given without ``tol`` and on a sampled table."""
+def _level(
+    joint: JointDistribution, tol: float | None, alpha: float | None
+) -> tuple[float | None, float | None]:
+    """The statistical checks' level: ``(tol, None)``, ``tol`` or else the
+    table's default and refused unless finite and positive; or, with
+    ``alpha``, ``(None, alpha)``, alpha refused unless given without
+    ``tol``, in (0, 1) and on a sampled table."""
+    if alpha is None:
+        if tol is None:
+            tol = default_tolerance(joint)
+        if not 0.0 < tol < math.inf:
+            raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
+        return tol, None
     if tol is not None:
         raise InvalidArgument("give a tolerance or alpha, not both")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     if joint.n_samples is None:
         raise InvalidArgument("alpha applies to a table estimated from events, not an exact one")
-    return alpha
+    return None, alpha
 
 
 #: Relative accuracy at which ``upper_gamma`` stops its series or fraction.
@@ -195,10 +197,7 @@ def check_independence(
     a G-test of independence on its X x C counts; independence holds iff
     the p-value is at least alpha.
     """
-    if alpha is None:
-        tol = _tolerance(joint, tol)
-    else:
-        alpha = _alpha(joint, tol, alpha)
+    tol, alpha = _level(joint, tol, alpha)
     deviation, p_c = _dependence(joint.p.sum(axis=2))
     x, c = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     worst = float(deviation[x, c])
@@ -258,7 +257,7 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    tol = _tolerance(joint, tol)
+    tol, _ = _level(joint, tol, None)
     space = joint.space
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
@@ -310,10 +309,7 @@ def check_distinct_conditionals(
     those detectors, on its X x D counts; the conditionals are distinct iff
     the p-value is below alpha.
     """
-    if alpha is None:
-        tol = _tolerance(joint, tol)
-    else:
-        alpha = _alpha(joint, tol, alpha)
+    tol, alpha = _level(joint, tol, alpha)
     space = joint.space
     conditionals: list[tuple[str, np.ndarray]] = []
     observed: list[int] = []
@@ -402,18 +398,14 @@ def audit(
     any stray detection violates it.
     """
     validate(joint)
-    if alpha is None:
-        tol = _tolerance(joint, tol)
-        statistical = {"tol": tol}
-    else:
-        statistical = {"alpha": _alpha(joint, tol, alpha)}
-        tol = LOSSLESS_TOL
+    tol, alpha = _level(joint, tol, alpha)
+    routing_tol = LOSSLESS_TOL if tol is None else tol
     return AuditReport(
-        independence=check_independence(joint, **statistical),
+        independence=check_independence(joint, tol, alpha),
         lossless=check_lossless(joint),
-        deterministic_routing=check_deterministic_routing(joint, tol),
-        distinct_conditionals=check_distinct_conditionals(joint, **statistical),
-        tolerance=tol,
+        deterministic_routing=check_deterministic_routing(joint, routing_tol),
+        distinct_conditionals=check_distinct_conditionals(joint, tol, alpha),
+        tolerance=routing_tol,
         n_samples=joint.n_samples,
         alpha=alpha,
     )

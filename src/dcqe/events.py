@@ -194,14 +194,16 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     thread samples alone. Each chunk has its own stream, so the cells are
     the same to the bit for every W.
 
-    A seed that is not a non-negative integer (a bool is not one) raises
-    ``InvalidArgument``, and a trial count whose cells cannot be allocated
-    raises ``MemoryError``, both before the table is looked at.
+    A seed that is not a non-negative integer or a trial count that is not
+    a positive one (a bool is neither) raises ``InvalidArgument``, and a
+    trial count whose cells cannot be allocated raises ``MemoryError``, all
+    before the table is looked at.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
-    if n_trials < 1:
-        raise InvalidArgument(f"need at least 1 trial, got {n_trials}")
+    if not isinstance(n_trials, (int, np.integer)) or isinstance(n_trials, bool) or n_trials < 1:
+        raise InvalidArgument(f"trial count must be a positive integer, got {n_trials!r}")
+    n_trials = int(n_trials)
     try:
         cells = np.empty(n_trials, dtype=cell_dtype(math.prod(joint.space.shape)))
     except (MemoryError, ValueError):

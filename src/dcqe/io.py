@@ -152,7 +152,6 @@ _BLOCK_BYTES = 1 << 18
 _TAIL_WORDS = 8
 
 _PAD = bytes(8)
-_LOW_BYTES = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 _BARE_INT = re.compile(rb"-?[0-9]+")
@@ -282,21 +281,17 @@ def _decode_ints(buf, starts, stops):
 class _LabelCodes:
     """Pair codes for ``c,d`` tails, each distinct tail decoded once.
 
-    Tails of up to ``_TAIL_WORDS`` words are matched in array passes: a
-    tail's key is a multiplicative hash of its length and its words, looked
-    up in a sorted table and confirmed by comparing length and words. A
-    block's new keys are entered first, one tail each, and the block is
-    looked up again, so only a hash collision falls back to the exact
-    per-record lookup.
+    A block's tails of up to ``_TAIL_WORDS`` words are coded in array
+    passes: a tail's key is a multiplicative hash of its length and its
+    words, the block's records are grouped by key, and one record of each
+    group is decoded. Every record is checked against its group's record,
+    by length and words; a hash collision or a longer tail fails the check
+    and is decoded one record at a time.
     """
 
     def __init__(self):
         self.pairs: dict[tuple[str, str], int] = {}
         self._by_tail: dict[bytes, int] = {}
-        self._keys = np.zeros(1, dtype=np.uint64)
-        self._lengths = np.full(1, -1)
-        self._words = np.zeros((_TAIL_WORDS, 1), dtype=np.uint64)
-        self._codes = np.full(1, -1, dtype=np.int32)
 
     def code(self, tail: bytes) -> int:
         """The pair code of one tail; -1 if it is not two labels."""
@@ -310,44 +305,30 @@ class _LabelCodes:
     def codes(self, buf, words, starts, stops) -> np.ndarray:
         """Pair codes of the tails ``buf[start:stop]``; -1 marks malformed ones."""
         lengths = stops - starts
+        # word j starts 8 * j bytes in, but no word ends past the tail, so a
+        # tail of up to _TAIL_WORDS words is its length and words; a tail
+        # under 8 bytes has the bytes before it shifted out of its word
+        shift = (8 * (8 - np.minimum(lengths, 8))).astype(np.uint64)
         key = lengths.astype(np.uint64)
         columns = []
         for j in range(min(-(-int(lengths.max(initial=0)) // 8), _TAIL_WORDS)):
-            left = np.minimum(np.maximum(lengths - 8 * j, 0), 8)
-            columns.append(words[np.minimum(starts + 8 * j, stops)] & _LOW_BYTES[left])
+            columns.append(words[np.minimum(starts + 8 * j, stops - 8)] >> shift)
             key = key * _HASH_MULTIPLIER + columns[j]
-        known, hit, codes = self._find(key, lengths, columns)
-        fresh = np.flatnonzero(~known & (lengths <= 8 * _TAIL_WORDS))
-        if fresh.size:
-            # one row per new key, decoded once; then the whole block looks again
-            rows = np.sort(fresh[np.unique(key[fresh], return_index=True)[1]])
-            entry_words = np.zeros((_TAIL_WORDS, rows.size), dtype=np.uint64)
-            for j, column in enumerate(columns):
-                entry_words[j] = column[rows]
-            entry_codes = np.array(
-                [self.code(buf[starts[i]:stops[i]]) for i in rows.tolist()], dtype=np.int32
-            )
-            keys = np.concatenate((self._keys, key[rows]))
-            order = np.argsort(keys, kind="stable")
-            self._keys = keys[order]
-            self._lengths = np.concatenate((self._lengths, lengths[rows]))[order]
-            self._words = np.concatenate((self._words, entry_words), axis=1)[:, order]
-            self._codes = np.concatenate((self._codes, entry_codes))[order]
-            known, hit, codes = self._find(key, lengths, columns)
-        # what still misses is a hash collision or a tail too long for the table
+        keys, group = np.unique(key, return_inverse=True)
+        # any one record stands for its group
+        stand_in = np.empty(keys.size, dtype=np.intp)
+        stand_in[group] = np.arange(group.size)
+        codes = np.array(
+            [self.code(buf[starts[i]:stops[i]]) for i in stand_in.tolist()], dtype=np.int32
+        )[group]
+        stand_in = stand_in[group]
+        hit = (lengths == lengths[stand_in]) & (lengths <= 8 * _TAIL_WORDS)
+        for column in columns:
+            hit &= column == column[stand_in]
+        # what misses is a hash collision or a tail too long for its words
         for i in np.flatnonzero(~hit).tolist():
             codes[i] = self.code(buf[starts[i]:stops[i]])
         return codes
-
-    def _find(self, key, lengths, columns):
-        """Per tail: whether its key is in the table, whether its length and
-        words match that entry too, and the entry's code."""
-        slot = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
-        known = self._keys[slot] == key
-        hit = known & (self._lengths[slot] == lengths)
-        for j, column in enumerate(columns):
-            hit &= self._words[j][slot] == column
-        return known, hit, self._codes[slot]
 
 
 def _header(record: bytes) -> list[str] | None:

@@ -228,6 +228,18 @@ class TestSampleEvents:
         with pytest.raises(InvalidArgument, match="seed must be a non-negative integer, got "):
             sample_events(uniform_222(), 10, seed)
 
+    @pytest.mark.parametrize("n_trials", [True, 1e3, "5", np.int64(0)], ids=repr)
+    def test_bad_trial_count_is_named_before_any_work(self, n_trials, monkeypatch):
+        monkeypatch.setattr(dcqe.events, "validate", None)
+        with pytest.raises(InvalidArgument, match="trial count must be a positive integer, got "):
+            sample_events(uniform_222(), n_trials, 1)
+
+    @pytest.mark.parametrize("n_trials", [5, CHUNK_TRIALS + 3])
+    def test_numpy_integer_trial_counts_are_accepted(self, n_trials):
+        joint = uniform_222()
+        log = sample_events(joint, np.int64(n_trials), 0)
+        assert np.array_equal(log.cells, sample_events(joint, n_trials, 0).cells)
+
     @pytest.mark.parametrize("seed", [np.uint8(3), np.int64(3)], ids=repr)
     def test_numpy_integer_seeds_are_accepted(self, seed):
         joint = uniform_222()

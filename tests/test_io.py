@@ -451,7 +451,8 @@ class TestEventReaderBlocks:
 
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
         # with a zero multiplier a tail's key is its last word, so these collide;
-        # one record per block makes the second one find the first one's key
+        # with one record per block each stands for its own group, so this
+        # checks that no key or code carries over from one block to the next
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 16)
         path = tmp_path / "events.csv"
@@ -462,8 +463,8 @@ class TestEventReaderBlocks:
         assert_reads_like_reference(path)
 
     def test_hash_collisions_within_one_block(self, tmp_path, monkeypatch):
-        # both colliding tails are new in the same block: one enters the table,
-        # the other still misses and takes the exact lookup
+        # both colliding tails share a block and a key: one record stands for
+        # the group, and the other tail fails the check and takes the exact lookup
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         path = tmp_path / "events.csv"
         path.write_bytes(
@@ -489,6 +490,91 @@ class TestEventReaderBlocks:
         assert labelled_trials(read_event_log(path)) == labelled_trials(log)
         pairs = set(zip(log.c_idx.tolist(), log.d_idx.tolist()))
         assert len(calls) == len(set(calls)) == len(pairs)
+
+    #: Tail lengths around the word size and the 64-byte limit of array coding.
+    TAIL_LENGTHS = [*range(1, 10), 16, 17, 64, 65]
+
+    @staticmethod
+    def tails_of_length(length):
+        """Tails of ``length`` bytes that each differ from the first in one
+        byte: the first, the last or one on either side of a word boundary."""
+        base = bytearray((b"abcdefghijklmnopqrstuvwxyz" * 3)[:length])
+        comma = length // 2
+        base[comma] = ord(",")
+        tails = [bytes(base)]
+        for i in sorted({0, 7, 8, 15, 16, 56, 63, 64, length - 1}):
+            if i < length and i != comma:
+                tails.append(bytes(base[:i] + b"Z" + base[i + 1:]))
+        return tails
+
+    def write_tails(self, path, tails, n_rows, n_bins):
+        """A log of ``n_rows`` rows drawing bins and tails at random."""
+        rng = np.random.default_rng(11)
+        xs = rng.integers(0, n_bins, n_rows).tolist()
+        picks = rng.integers(0, len(tails), n_rows).tolist()
+        rows = [b"%d,%d,%s" % (trial, x, tails[k]) for trial, (x, k) in enumerate(zip(xs, picks))]
+        path.write_bytes(b"\n".join([b"trial,x,c,d", *rows, b""]))
+
+    def all_tails(self):
+        return [t for length in self.TAIL_LENGTHS for t in self.tails_of_length(length)]
+
+    @pytest.mark.parametrize("block_bytes", [64, 512, 1 << 18])
+    def test_tails_around_word_boundaries(self, tmp_path, monkeypatch, block_bytes):
+        path = tmp_path / "events.csv"
+        self.write_tails(path, self.all_tails(), 3000, 1000)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+
+    def test_each_tail_is_parsed_once_per_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        tails = self.all_tails()
+        self.write_tails(path, tails, 3000, 1000)
+        parsed = []
+        label_pair = dcqe.io._label_pair
+
+        def counted(tail):
+            parsed.append(tail)
+            return label_pair(tail)
+
+        monkeypatch.setattr(dcqe.io, "_label_pair", counted)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
+        read_event_log(path)
+        assert path.stat().st_size > 100 * 512
+        assert len(parsed) == len(set(parsed)) == len(tails)
+
+    @pytest.mark.parametrize("block_bytes", [512, 1 << 18])
+    @pytest.mark.parametrize("short", [True, False], ids=["3-byte", "mixed"])
+    def test_code_runs_once_per_group_per_block(self, tmp_path, monkeypatch, block_bytes, short):
+        # a short tail's key must not hold the bin before it, or the 3-byte
+        # tails here would make about a group per record
+        path = tmp_path / "events.csv"
+        tails = [b"a,b", b"a,c", b"b,c"] if short else self.all_tails()
+        self.write_tails(path, tails, 3000, 300)
+        calls, blocks = [], []
+        code, codes = dcqe.io._LabelCodes.code, dcqe.io._LabelCodes.codes
+
+        def counted(self, tail):
+            calls.append(tail)
+            return code(self, tail)
+
+        def per_block(self, buf, words, starts, stops):
+            calls.clear()
+            out = codes(self, buf, words, starts, stops)
+            block = [buf[a:b] for a, b in zip(starts.tolist(), stops.tolist())]
+            misses = sum(len(t) > 8 * dcqe.io._TAIL_WORDS for t in block)
+            assert len(calls) <= len(set(block)) + misses
+            blocks.append(len(block))
+            return out
+
+        monkeypatch.setattr(dcqe.io._LabelCodes, "code", counted)
+        monkeypatch.setattr(dcqe.io._LabelCodes, "codes", per_block)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+        assert sum(blocks) == 3000
+        if block_bytes == 512:
+            assert len(blocks) > 10
+        else:
+            assert len(blocks) == 1
 
     def test_blocks_of_mixed_widths_concatenate(self, tmp_path, monkeypatch):
         # bins on both sides of 255 and 65,535 and 300 label pairs, so small

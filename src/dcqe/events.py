@@ -18,7 +18,8 @@ the cells are the same to the bit on any number of threads, and CPU
 affinity (e.g. ``taskset -c 0``) is the only control. A guide table (Chen &
 Asau 1974; Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search
 of ``Generator.random``'s doubles would, working on the raw words those
-doubles are made from.
+doubles are made from. A table's cdf and guide are built once per table
+object and guide size, and kept on it.
 """
 
 from __future__ import annotations
@@ -183,7 +184,10 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     ``(2**53 - 1) << 11`` to fit 64 bits, which only adds a search. Only
     wrong guesses are made into u and searched, so the cells are the sorted
     search's to the bit, for every K. Cells are written straight into an
-    array of the log's ``cell_dtype``.
+    array of the log's ``cell_dtype``. The table is validated, and its cdf,
+    guide and limits built, on its first call for a K; they are kept on the
+    table object, so later calls on it skip that set-up. A table that fails
+    validation keeps none, so it raises on every call.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one
@@ -209,12 +213,17 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     except (MemoryError, ValueError):
         # numpy raises ValueError for an array too big to even shape
         raise MemoryError(f"n = {n_trials} trials are too many to allocate") from None
-    validate(joint)
-    cdf = np.cumsum(joint.p.reshape(-1))
-    cdf[-1] = 1.0
-    bits = _bucket_bits(cdf.size, n_trials)
-    guide, limit = _guide_tables(cdf, bits)
-    guide = guide.astype(cells.dtype)
+    bits = _bucket_bits(joint.p.size, n_trials)
+    # kept on the table, whose p is a read-only copy; threads racing on a
+    # missing plan may each build an equal one
+    plans = vars(joint).setdefault("_sampling_plans", {})
+    if bits not in plans:
+        validate(joint)
+        cdf = np.cumsum(joint.p.reshape(-1))
+        cdf[-1] = 1.0
+        guide, limit = _guide_tables(cdf, bits)
+        plans[bits] = (cdf, guide.astype(cells.dtype), limit)
+    cdf, guide, limit = plans[bits]
     shift = np.uint64(64 - bits)
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)

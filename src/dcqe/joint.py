@@ -105,10 +105,11 @@ class OutcomeSpace:
 class JointDistribution:
     """A table p(x, c, d) of shape (n_x, n_c, n_d).
 
-    Construction only checks the shape; call :func:`validate` to enforce
-    nonnegativity and normalization. Empirical estimates carry the sample
-    count in ``n_samples`` so downstream tolerances can be scaled; exact
-    constructions leave it ``None``.
+    Construction only checks the shape and that ``n_samples`` is None or a
+    positive integer (a bool is not one), kept as an ``int``; call
+    :func:`validate` to enforce nonnegativity and normalization. Empirical
+    estimates carry the sample count in ``n_samples`` so downstream
+    tolerances can be scaled; exact constructions leave it ``None``.
     """
 
     space: OutcomeSpace
@@ -116,6 +117,11 @@ class JointDistribution:
     n_samples: int | None = None
 
     def __post_init__(self):
+        n = self.n_samples
+        if n is not None:
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+                raise InvalidArgument(f"sample count must be a positive integer, got {n!r}")
+            object.__setattr__(self, "n_samples", int(n))
         table = np.asarray(self.p, dtype=float)
         if table.shape != self.space.shape:
             raise ShapeMismatch(table.shape, self.space.shape)

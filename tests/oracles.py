@@ -176,3 +176,127 @@ def reference_read_events(path):
             xs.append(int(row[1]))
             labels.append((row[2], row[3]))
     return xs, labels
+
+
+#: The loss label and the fixed loss tolerance, as the audit spells them.
+LOSS_LABEL = "LOSS"
+LOSS_TOL = 1e-12
+
+
+class Refused(Exception):
+    """A reference check's refusal: the library error's class name and message."""
+
+    def __init__(self, name, message):
+        super().__init__(name, message)
+        self.name = name
+        self.message = message
+
+
+def reference_independence(p, c_values, tol, alpha=None, counts=None, g_test=None):
+    """The independence verdict as a report dict: the largest cell of
+    |p(x,c) - p(x) p(c)|, first cell on ties; with ``alpha``, ``g_test`` on
+    the X x C counts instead."""
+    p_xc = p.sum(axis=2)
+    p_c = p_xc.sum(axis=0)
+    deviation = np.abs(p_xc - np.outer(p_xc.sum(axis=1), p_c))
+    x, c = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+    detail = {
+        "witness": {"x": int(x), "c": c_values[c]},
+        "skipped_choices": [c_values[ci] for ci in range(len(c_values)) if p_c[ci] <= 0.0],
+    }
+    if alpha is not None:
+        g, df, p_value = g_test(counts.sum(axis=2))
+        return {"holds": p_value >= alpha, "g_statistic": g, "tolerance": alpha,
+                **detail, "p_value": p_value, "df": df}
+    worst = float(deviation[x, c])
+    return {"holds": worst <= tol, "max_deviation": worst, "tolerance": tol, **detail}
+
+
+def reference_lossless(p, d_values):
+    """The lossless verdict as a report dict."""
+    loss = float(p[:, :, d_values.index(LOSS_LABEL)].sum()) if LOSS_LABEL in d_values else 0.0
+    return {"holds": loss <= LOSS_TOL, "loss_mass": loss, "tolerance": LOSS_TOL}
+
+
+def reference_routing(p, c_values, d_values, tol):
+    """The routing verdict as a report dict, one choice at a time: each
+    choice's detected masses, its modal detector (the first on ties) and
+    the runner-up, each found with its own numpy calls."""
+    detected = [di for di, d in enumerate(d_values) if d != LOSS_LABEL]
+    routing, skipped, max_stray, worst = {}, [], -1.0, None
+    for ci, c in enumerate(c_values):
+        if float(p[:, ci, :].sum()) <= 0.0:
+            skipped.append(c)
+            continue
+        mass_d = p[:, ci, :].sum(axis=0)[detected] if detected else np.zeros(0)
+        total = float(mass_d.sum())
+        if total <= 0.0:
+            raise Refused("AllMassLost", f"choice {c!r} has no detected events; routing undefined")
+        cond = mass_d / total
+        target = int(np.argmax(cond))
+        stray = float(1.0 - cond[target])
+        routing[c] = d_values[detected[target]]
+        if stray > max_stray:
+            max_stray = stray
+            runner_up = cond.copy()
+            runner_up[target] = -1.0
+            second = int(np.argmax(runner_up)) if cond.size > 1 else target
+            worst = {"c": c, "d": routing[c], "d_prime": d_values[detected[second]]}
+    if not routing:
+        raise Refused("AllMassLost", f"choice {c_values[0]!r} has no detected events; routing undefined")
+    holds = max_stray <= tol
+    return {"holds": holds, "max_stray_mass": max_stray, "tolerance": tol,
+            "routing": routing if holds else None,
+            "counterexample": None if holds else worst, "skipped_choices": skipped}
+
+
+def reference_distinct(p, d_values, tol, alpha=None, counts=None, g_test=None):
+    """The distinctness verdict as a report dict, one detector pair at a
+    time: half the L1 distance of each pair's conditionals, the first pair
+    on ties; with ``alpha``, ``g_test`` on the X x D counts instead."""
+    conditionals, observed = [], []
+    for di, d in enumerate(d_values):
+        if d == LOSS_LABEL:
+            continue
+        slice_xd = p[:, :, di].sum(axis=1)
+        mass = float(slice_xd.sum())
+        if mass > 0.0:
+            conditionals.append((d, slice_xd / mass))
+            observed.append(di)
+    if len(conditionals) < 2:
+        raise Refused("InsufficientOutcomes",
+                      f"need at least 2 detectors with positive mass, found {len(conditionals)}")
+    gap, pair, bin_set = -1.0, None, []
+    for i in range(len(conditionals)):
+        for j in range(i + 1, len(conditionals)):
+            (d, a), (d_prime, b) = conditionals[i], conditionals[j]
+            tv = 0.5 * float(np.abs(a - b).sum())
+            if tv > gap:
+                gap, pair = tv, (d, d_prime)
+                bin_set = [int(x) for x in np.nonzero(a - b > 0)[0]]
+    witness = {"bin_set": bin_set, "d": pair[0], "d_prime": pair[1], "gap": gap}
+    if alpha is not None:
+        g, df, p_value = g_test(counts.sum(axis=1)[:, observed])
+        return {"holds": p_value < alpha, "g_statistic": g, "tolerance": alpha,
+                "witness": witness, "p_value": p_value, "df": df}
+    return {"holds": gap > tol, "gap": gap, "tolerance": tol, "witness": witness}
+
+
+def reference_audit(p, c_values, d_values, n_samples, tol, alpha=None, g_test=None):
+    """The audit report dict of a valid table at a resolved level: ``tol``,
+    or ``alpha`` (then ``tol`` is None) with ``g_test`` run on the counts
+    ``rint(p * n_samples)``. The checks run, and refuse, in report order."""
+    counts = None if alpha is None else np.rint(p * n_samples)
+    routing_tol = LOSS_TOL if alpha is not None else tol
+    verdicts = {
+        "independence": reference_independence(p, c_values, tol, alpha, counts, g_test),
+        "lossless": reference_lossless(p, d_values),
+        "deterministic_routing": reference_routing(p, c_values, d_values, routing_tol),
+        "distinct_conditionals": reference_distinct(p, d_values, tol, alpha, counts, g_test),
+    }
+    violations = [name for name, verdict in verdicts.items() if not verdict["holds"]]
+    doc = {**verdicts, "violations": violations, "no_go_consistent": bool(violations),
+           "tolerance": routing_tol, "n_samples": n_samples}
+    if alpha is not None:
+        doc["alpha"] = alpha
+    return doc

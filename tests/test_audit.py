@@ -8,6 +8,7 @@ import pytest
 from dcqe import (
     AllMassLost,
     ArchitectureSpec,
+    DcqeError,
     InsufficientOutcomes,
     InvalidArgument,
     JointDistribution,
@@ -31,6 +32,15 @@ from dcqe import (
 from dcqe import LOSS
 from dcqe.audit import LOSSLESS_TOL, _counts, g_test, upper_gamma
 from dcqe.io import audit_report_dict
+
+from oracles import (
+    Refused,
+    reference_audit,
+    reference_distinct,
+    reference_independence,
+    reference_lossless,
+    reference_routing,
+)
 
 
 def product_joint(p_x, p_c, kernel, d_values):
@@ -519,3 +529,128 @@ class TestSampledCalibration:
         ):
             assert tail(range(rejections, 201)) > 1e-6
             assert tail(range(rejections + 1)) > 1e-6
+
+
+def reference_tables(seed, count):
+    """Random valid tables, each with its tolerance and, when it is
+    sampled, its alpha, that reach the audit's edge cases.
+
+    They have 1 to 10 detectors, with and without LOSS, and 2 to 9 choices
+    over 2 to 64 bins; half are relative frequencies of 30 to 3,000 events.
+    Some have a choice without mass, a choice whose mass is all lost, a
+    choice whose two leading detectors tie (one detector's masses copied to
+    another), or two detectors with the same conditional (so pair gaps tie).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_det = int(rng.integers(1, 11))
+        lossy = bool(rng.integers(2))
+        space = OutcomeSpace(
+            int(rng.choice([2, 3, 8, 13, 64])),
+            tuple(f"c{k}" for k in range(int(rng.choice([2, 2, 3, 4, 9])))),
+            tuple(f"D{k}" for k in range(n_det)) + ((LOSS,) if lossy else ()),
+        )
+        n_c = space.n_c
+        w = rng.random(space.shape) ** 3
+        w[rng.random(space.shape) < 0.2] = 0.0
+        sampled = rng.random() < 0.5
+        if sampled:
+            n = int(rng.choice([30, 300, 3000]))
+            w = rng.multinomial(n, (w / w.sum()).reshape(-1)).reshape(space.shape).astype(float)
+        if rng.random() < 0.2:
+            w[:, rng.integers(n_c), :] = 0.0
+        if lossy and rng.random() < 0.1:
+            ci = rng.integers(n_c)
+            w[:, ci, :n_det] = 0.0
+            w[0, ci, n_det] += 1.0
+        if n_det >= 2 and rng.random() < 0.3:
+            ci = rng.integers(n_c)
+            top = int(np.argmax(w[:, ci, :n_det].sum(axis=0)))
+            w[:, ci, (top + 1 + rng.integers(n_det - 1)) % n_det] = w[:, ci, top]
+        if n_det >= 3 and rng.random() < 0.3:
+            d, d_prime = rng.choice(n_det, 2, replace=False)
+            w[:, :, d_prime] = w[:, :, d]
+        if w.sum() == 0.0:
+            w[0, 0, 0] = 1.0
+        # a sampled table's columns were copied as counts, so it stays one
+        n_samples = int(w.sum()) if sampled else None
+        tol = float(rng.choice([1e-9, 0.02, 0.1, 0.4]))
+        alpha = float(rng.choice([0.01, 1e-6])) if sampled else None
+        yield JointDistribution(space, w / w.sum(), n_samples=n_samples), tol, alpha
+
+
+def outcome(call):
+    """A call's report dict as sorted JSON, or its error's class and message."""
+    try:
+        return json.dumps(call(), sort_keys=True)
+    except DcqeError as err:
+        return type(err).__name__, str(err)
+    except Refused as refused:
+        return refused.name, refused.message
+
+
+class TestMatchesReference:
+    """Every verdict, witness and refusal equals a naive reference's, to the
+    bit: the per-choice routing loop and per-pair total variation loop the
+    checks were written as first (``oracles.reference_audit``)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reports_and_checks(self, seed):
+        for k, (joint, tol, alpha) in enumerate(reference_tables(seed, 80)):
+            p, space, n = joint.p, joint.space, joint.n_samples
+            pairs = [
+                (lambda: audit(joint, tol).as_dict(),
+                 lambda: reference_audit(p, space.c_values, space.d_values, n, tol)),
+                (lambda: check_independence(joint, tol).as_dict(),
+                 lambda: reference_independence(p, space.c_values, tol)),
+                (lambda: check_lossless(joint).as_dict(),
+                 lambda: reference_lossless(p, space.d_values)),
+                (lambda: check_deterministic_routing(joint, tol).as_dict(),
+                 lambda: reference_routing(p, space.c_values, space.d_values, tol)),
+                (lambda: check_distinct_conditionals(joint, tol).as_dict(),
+                 lambda: reference_distinct(p, space.d_values, tol)),
+            ]
+            if alpha is not None:
+                counts = np.rint(p * n)
+                pairs += [
+                    (lambda: audit(joint, alpha=alpha).as_dict(),
+                     lambda: reference_audit(p, space.c_values, space.d_values, n, None, alpha, g_test)),
+                    (lambda: check_independence(joint, alpha=alpha).as_dict(),
+                     lambda: reference_independence(p, space.c_values, None, alpha, counts, g_test)),
+                    (lambda: check_distinct_conditionals(joint, alpha=alpha).as_dict(),
+                     lambda: reference_distinct(p, space.d_values, None, alpha, counts, g_test)),
+                ]
+            for i, (call, reference) in enumerate(pairs):
+                assert outcome(call) == outcome(reference), (seed, k, i)
+
+    def test_tables_reach_the_edge_cases(self):
+        seen = set()
+        for seed in range(8):
+            for joint, tol, _ in reference_tables(seed, 80):
+                space, p = joint.space, joint.p
+                n_det = len(space.detected_indices)
+                routed = outcome(lambda: reference_routing(p, space.c_values, space.d_values, tol))
+                distinct = outcome(lambda: reference_distinct(p, space.d_values, tol))
+                seen.add(("detectors", n_det))
+                seen.add(("loss", space.has_loss))
+                if isinstance(routed, tuple):
+                    seen.add(routed[0])
+                else:
+                    doc = json.loads(routed)
+                    seen.add(("skipped", bool(doc["skipped_choices"])))
+                    mass = p.sum(axis=0)[:, list(space.detected_indices)]
+                    tops = np.sort(mass, axis=1)[:, -2:] if n_det > 1 else None
+                    seen.add(("modal tie", tops is not None and bool(np.any(
+                        (tops[:, 0] == tops[:, 1]) & (tops[:, 1] > 0)))))
+                if isinstance(distinct, tuple):
+                    seen.add(distinct[0])
+                else:
+                    conditionals = [p[:, :, di].sum(axis=1) for di in space.detected_indices]
+                    seen.add(("equal conditionals", any(
+                        np.array_equal(a, b) and a.any()
+                        for i, a in enumerate(conditionals) for b in conditionals[i + 1:])))
+        expected = {("detectors", k) for k in range(1, 11)} | {
+            ("loss", True), ("loss", False), ("skipped", True), ("modal tie", True),
+            ("equal conditionals", True), "AllMassLost", "InsufficientOutcomes",
+        }
+        assert expected <= seen, expected - seen

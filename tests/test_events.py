@@ -13,6 +13,7 @@ from dcqe import (
     FringeModel,
     InvalidArgument,
     JointDistribution,
+    NegativeMass,
     OutcomeSpace,
     audit,
     build_kim,
@@ -606,6 +607,78 @@ class TestSamplerIsBitIdentical:
     ])
     def test_bucket_rule(self, n_cells, n_trials, buckets):
         assert 1 << dcqe.events._bucket_bits(n_cells, n_trials) == buckets
+
+
+class TestSamplingPlan:
+    """A table's cdf, guide and limits are built on its first call for each
+    guide size and kept on the table object."""
+
+    #: kim runs at each of its four guide sizes, the least one twice and
+    #: the last the largest the bucket rule gives, on and off the pinned logs
+    RUNS = [(1000, 3), (N_TAIL, 11), (100_000, 3), (1000, 3), (N_WIDE, 11)]
+
+    def test_one_table_object_over_every_guide_size(self, monkeypatch):
+        joint = sampler_tables()["kim"]
+        bits = [dcqe.events._bucket_bits(joint.p.size, n) for n, _ in self.RUNS]
+        assert bits == [11, 13, 12, 11, 14] and dcqe.events._bucket_bits(512, 2**62) == 14
+        built = []
+        plain = dcqe.events._guide_tables
+
+        def counted(cdf, bits):
+            built.append(bits)
+            return plain(cdf, bits)
+
+        monkeypatch.setattr(dcqe.events, "_guide_tables", counted)
+        logs = [sample_events(joint, n, seed) for n, seed in self.RUNS]
+        assert built == [11, 13, 12, 14]
+        for (n, seed), log in zip(self.RUNS, logs):
+            assert np.array_equal(log.cells, sample_events(sampler_tables()["kim"], n, seed).cells)
+            if ("kim", n, seed) in PINNED_LOGS:
+                assert cells_digest(log) == PINNED_LOGS["kim", n, seed]
+
+    def test_a_table_that_fails_validation_raises_on_every_call(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        p = np.full(space.shape, 0.125)
+        p[0, 0, 0], p[1, 1, 1] = -0.125, 0.375
+        joint = JointDistribution(space, p)
+        for _ in range(2):
+            with pytest.raises(NegativeMass):
+                sample_events(joint, 1000, 0)
+
+    def test_threads_sharing_a_fresh_table_give_the_pinned_logs(self):
+        joint = sampler_tables()["kim"]
+        runs = [(1000, 3), (N_TAIL, 11), (N_WIDE, 11), (1000, 3)]
+        digests = [None] * len(runs)
+        start = threading.Barrier(len(runs))
+
+        def sample(k):
+            start.wait()
+            digests[k] = cells_digest(sample_events(joint, *runs[k]))
+
+        threads = [threading.Thread(target=sample, args=(k,)) for k in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [PINNED_LOGS["kim", n, seed] for n, seed in runs]
+
+    def test_the_plan_is_not_part_of_the_table(self):
+        sampled, unsampled = sampler_tables()["kim"], sampler_tables()["kim"]
+        text = repr(sampled)
+        sample_events(sampled, 1000, 3)
+        assert repr(sampled) == text == repr(unsampled)
+        # two equal tables compare their arrays, whose truth value numpy
+        # refuses, whether or not either has been sampled
+        for a, b in ((sampled, unsampled), (unsampled, sampler_tables()["kim"])):
+            with pytest.raises(ValueError, match="truth value of an array"):
+                a == b
+        assert sampled == sampled
 
 
 class TestWorkers:

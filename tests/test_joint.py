@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from dcqe import (
     ShapeMismatch,
     UnmappedLabel,
     ZeroConditioningMass,
+    audit,
     coarse_grain,
     conditional_x_given_d,
     total_variation,
     validate,
 )
+from dcqe.io import audit_report_dict
 
 
 def uniform_222():
@@ -85,6 +89,22 @@ class TestJointDistribution:
         assert analytic.n_samples is None
         empirical = JointDistribution(analytic.space, analytic.p, n_samples=100)
         assert empirical.n_samples == 100
+
+    # 0 once divided by zero in the default tolerance, -5 took a negative
+    # square root, and 2.5 and True gave tolerances of 1.897 and 3.0
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.bool_(True), "8", 8.0])
+    def test_sample_count_must_be_a_positive_integer(self, n_samples):
+        joint = uniform_222()
+        with pytest.raises(InvalidArgument, match="sample count must be a positive integer"):
+            JointDistribution(joint.space, joint.p, n_samples=n_samples)
+
+    def test_numpy_integer_sample_count_is_stored_as_int(self):
+        joint = uniform_222()
+        empirical = JointDistribution(joint.space, joint.p, n_samples=np.int64(8))
+        assert type(empirical.n_samples) is int and empirical.n_samples == 8
+        # a numpy integer in the report was not JSON serializable
+        doc = json.loads(json.dumps(audit_report_dict(audit(empirical))))
+        assert doc["n_samples"] == 8
 
 
 class TestValidate:

@@ -18,12 +18,13 @@ at q = 1/2.
 Two independent routes compute this: :func:`construct_witness` builds the
 closed-form table directly, and :func:`check_feasible` decides the same
 question as a generic exact-rational linear-feasibility problem over the
-full table, knowing nothing about the closed form.
+table, knowing nothing about the closed form.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,6 +91,10 @@ class LossFeasibilityProblem:
     profile from :func:`worst_case_erase_conditional`. A custom preserve
     conditional requires an explicit erase conditional, since "worst case"
     is defined against the flat channel.
+
+    ``q`` and ``p`` must be real numbers and ``n_x`` an integer (numpy
+    scalars included; a bool or a string is neither), else
+    ``InvalidArgument``; they are kept as ``float``, ``float`` and ``int``.
     """
 
     q: float
@@ -99,11 +104,20 @@ class LossFeasibilityProblem:
     preserve_conditional: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_q(self.q)
-        if self.n_x < 2:
-            raise InvalidArgument(f"need at least 2 bins, got {self.n_x}")
+        for name in ("q", "p"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+        n_x = self.n_x
+        if not isinstance(n_x, (int, np.integer)) or isinstance(n_x, bool):
+            raise InvalidArgument(f"bin count must be an integer, got {n_x!r}")
+        object.__setattr__(self, "q", _check_q(self.q))
+        if n_x < 2:
+            raise InvalidArgument(f"need at least 2 bins, got {n_x}")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgument(f"loss rate must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "n_x", int(n_x))
         for name in ("erase_conditional", "preserve_conditional"):
             if getattr(self, name) is not None:
                 target = _validated_target(getattr(self, name), self.n_x, name)
@@ -231,12 +245,18 @@ def _phase1_feasible(
     The tableau is sparse and fraction-free. Each row is a dict of non-zero
     integer numerators, the right-hand side in column n+m, all over one
     positive denominator: the row's own entry in its basic column. The
-    reduced-cost row is kept the same way, as a positive multiple of the
-    true reduced costs, so only the signs of its entries are read. A pivot
-    replaces every other row r by ``pivot * r - r[entering] * pivot_row``
-    and divides by the gcd of its entries, so no Fraction is formed inside
-    the loop; the pivot row itself is kept as it is, its entering entry
-    becoming its denominator. The ratio test compares b_i / a_i by
+    set-up forms no Fraction: row i is multiplied by the lcm s_i of its
+    denominators, each entry as ``a.numerator * (s_i // a.denominator)``,
+    and the reduced-cost row starts as -sum_i row_i * (L / s_i) over the
+    structural columns and the right-hand side, L the lcm of the s_i,
+    divided by its gcd. That is a positive multiple of the true reduced
+    costs, and it is kept as one through the loop, so only the signs of its
+    entries are read. A pivot finds the rows holding the entering column in
+    one scan and uses that list for both the ratio test and the
+    elimination: every such row r becomes ``pivot * r - r[entering] *
+    pivot_row``, divided by the gcd of its entries, so no Fraction is formed
+    inside the loop; the pivot row itself is kept as it is, its entering
+    entry becoming its denominator. The ratio test compares b_i / a_i by
     cross-multiplying, as the row denominators cancel. Entering is the
     least column with a negative reduced cost; leaving is the minimum
     ratio with ties to the smaller basic column. Exact arithmetic under
@@ -249,29 +269,34 @@ def _phase1_feasible(
     for i, (row, b) in enumerate(zip(rows, rhs)):
         sign = -1 if b < 0 else 1
         scale = math.lcm(b.denominator, *(a.denominator for a in row.values()))
-        num = {j: int(sign * a * scale) for j, a in row.items() if a}
+        num = {j: sign * a.numerator * (scale // a.denominator) for j, a in row.items() if a}
         num[n + i] = scale
         if b:
-            num[b_col] = int(sign * b * scale)
+            num[b_col] = sign * b.numerator * (scale // b.denominator)
         tableau.append(num)
     basis = list(range(n, n + m))
-    # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j],
+    # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j] / s_i,
     # which vanishes on the artificial columns; the objective is -sum_i b_i.
-    cbar: dict[int, Fraction] = {}
+    lcm = math.lcm(*(num[n + i] for i, num in enumerate(tableau)))
+    cost: dict[int, int] = {}
     for i, num in enumerate(tableau):
+        weight = lcm // num[n + i]
         for j, a in num.items():
             if j < n or j == b_col:
-                cbar[j] = cbar.get(j, 0) - Fraction(a, num[n + i])
-    scale = math.lcm(*(c.denominator for c in cbar.values()))
-    cost = {j: int(c * scale) for j, c in cbar.items() if c}
+                cost[j] = cost.get(j, 0) - a * weight
+    cost = {j: c for j, c in cost.items() if c}
+    g = math.gcd(*cost.values())
+    if g > 1:
+        cost = {j: c // g for j, c in cost.items()}
 
     while True:
         entering = min((j for j, c in cost.items() if c < 0 and j < b_col), default=None)
         if entering is None:
             break
+        hits = [i for i, row in enumerate(tableau) if entering in row]
         leaving = None
-        for i in range(m):
-            a = tableau[i].get(entering, 0)
+        for i in hits:
+            a = tableau[i][entering]
             if a > 0:
                 if leaving is None:
                     leaving = i
@@ -285,8 +310,8 @@ def _phase1_feasible(
             # cannot occur, so treat it as infeasibility defensively.
             return None
         pivot_row = tableau[leaving]
-        for i in range(m):
-            if i != leaving and entering in tableau[i]:
+        for i in hits:
+            if i != leaving:
                 tableau[i] = _eliminate(tableau[i], pivot_row, entering)
         cost = _eliminate(cost, pivot_row, entering)
         basis[leaving] = entering
@@ -303,22 +328,27 @@ def _phase1_feasible(
 def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     """Generic exact oracle for the same question as construct_witness.
 
-    Encodes the full table p(x, c, d) as 6*n_x nonnegative rationals under
-    linear equalities only: the (C, D) mass table ((q-p, 0, p), (0, 1-q, 0)),
-    the pinned detected conditionals, and per-bin proportionality of the
-    two choice rows (independence). Decides by exact phase-1 simplex and
-    returns the solved table as the witness; never raises on infeasible
-    input. Targets are renormalized in exact arithmetic so float dust in
-    the inputs cannot manufacture inconsistency.
+    Encodes the table p(x, c, d) as nonnegative rationals under linear
+    equalities only: the (C, D) mass table ((q-p, 0, p), (0, 1-q, 0)), the
+    pinned detected conditionals, and per-bin proportionality of the two
+    choice rows (independence). A cell is a variable only when its (C, D)
+    pair has non-zero mass: nonnegative cells that sum to zero are all
+    zero, so the others are fixed at 0 without a column. That drops
+    (erase, D_preserve), (preserve, D_erase) and (preserve, LOSS) always,
+    (erase, D_erase) when p = q and (erase, LOSS) when p = 0, and then any
+    equation left with no variable and a zero right-hand side; a negative
+    mass (p > q) keeps its cells, which the simplex finds infeasible. This
+    reads nothing but the mass table, so the route stays independent of
+    the closed form. Decides by exact phase-1 simplex and returns the
+    solved table as the witness; never raises on infeasible input. Targets
+    are renormalized in exact arithmetic so float dust in the inputs cannot
+    manufacture inconsistency.
     """
     n = prob.n_x
     q = Fraction(float(prob.q))
     p = Fraction(float(prob.p))
     e = _exact_normalized(prob.resolved_erase())
     r = _exact_normalized(prob.resolved_preserve())
-
-    def var(x: int, c: int, d: int) -> int:
-        return (x * 2 + c) * 3 + d
 
     cd_table = {
         (0, 0): q - p,
@@ -328,28 +358,36 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         (1, 1): 1 - q,
         (1, 2): Fraction(0),
     }
+    live = [cd for cd, mass in cd_table.items() if mass]
+    column = {cd: k for k, cd in enumerate(live)}
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for (c, d), mass in cd_table.items():
-        rows.append({var(x, c, d): Fraction(1) for x in range(n)})
-        rhs.append(mass)
-    for x in range(n):
-        rows.append({var(x, 0, 0): Fraction(1), var(x, 1, 0): Fraction(1)})
-        rhs.append(e[x] * (q - p))
-        rows.append({var(x, 0, 1): Fraction(1), var(x, 1, 1): Fraction(1)})
-        rhs.append(r[x] * (1 - q))
-        # Independence: the two choice rows of bin x in ratio q : (1-q).
-        cells = {var(x, 0, d): 1 - q for d in range(3)}
-        cells.update({var(x, 1, d): -q for d in range(3)})
-        rows.append(cells)
-        rhs.append(Fraction(0))
 
-    solution = _phase1_feasible(rows, rhs, 6 * n)
+    def equation(cells: dict[tuple[int, tuple[int, int]], Fraction], b: Fraction) -> None:
+        """Add sum of a * p(x, c, d) over ``cells`` {(x, (c, d)): a} = b, on live cells."""
+        row = {x * len(live) + column[cd]: a for (x, cd), a in cells.items() if cd in column}
+        if row or b:
+            rows.append(row)
+            rhs.append(b)
+
+    for cd, mass in cd_table.items():
+        equation({(x, cd): 1 for x in range(n)}, mass)
+    for x in range(n):
+        equation({(x, (0, 0)): 1, (x, (1, 0)): 1}, e[x] * (q - p))
+        equation({(x, (0, 1)): 1, (x, (1, 1)): 1}, r[x] * (1 - q))
+        # Independence: the two choice rows of bin x in ratio q : (1-q).
+        cells = {(x, (0, d)): 1 - q for d in range(3)}
+        cells.update({(x, (1, d)): -q for d in range(3)})
+        equation(cells, Fraction(0))
+
+    solution = _phase1_feasible(rows, rhs, n * len(live))
     if solution is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)
     space = _witness_space(n)
-    table = np.array(solution, dtype=float).reshape(space.shape)
+    table = np.zeros(space.shape)
+    c_live, d_live = zip(*live)
+    table[:, c_live, d_live] = np.array(solution, dtype=float).reshape(n, len(live))
     witness = JointDistribution(space, table)
     loss_slice = table[:, 0, 2]
     return FeasibilityResult(
@@ -357,4 +395,3 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         witness=witness,
         binding_constraint=_binding_tag(float(q), float(p), loss_slice),
     )
-

@@ -101,7 +101,7 @@ class OutcomeSpace:
             raise InvalidArgument(f"unknown detection label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """A table p(x, c, d) of shape (n_x, n_c, n_d).
 
@@ -110,6 +110,10 @@ class JointDistribution:
     :func:`validate` to enforce nonnegativity and normalization. Empirical
     estimates carry the sample count in ``n_samples`` so downstream
     tolerances can be scaled; exact constructions leave it ``None``.
+
+    Two tables are equal when their spaces, sample counts and every entry
+    of ``p`` are; anything kept on a table for sampling it is not compared.
+    Tables are not hashable.
     """
 
     space: OutcomeSpace
@@ -128,6 +132,17 @@ class JointDistribution:
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "p", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, JointDistribution):
+            return NotImplemented
+        return (
+            self.space == other.space
+            and self.n_samples == other.n_samples
+            and np.array_equal(self.p, other.p)
+        )
+
+    __hash__ = None
 
 
 def validate(joint: JointDistribution) -> JointDistribution:

@@ -128,6 +128,49 @@ def dense_phase1_feasible(rows, rhs):
     return solution
 
 
+def full_encoding_feasible(q, p, erase_target, preserve_target):
+    """Loss feasibility over all 6*n_x cells of p(x, c, d), by the dense simplex.
+
+    Cell (x, c, d) is column (x*2 + c)*3 + d, with c in (erase, preserve)
+    and d in (D_erase, D_preserve, LOSS). The equations are the (C, D) mass
+    table ((q-p, 0, p), (0, 1-q, 0)), then per bin the detected-erase
+    mass e(x)*(q-p), the detected-preserve mass r(x)*(1-q) and
+    independence, (1-q) * p(x, erase, .) = q * p(x, preserve, .). No cell
+    is left out, whatever its mass. Returns the solution as exact
+    Fractions in column order, or None when the system is infeasible.
+    """
+    q, p = Fraction(float(q)), Fraction(float(p))
+    e = exact_normalized(erase_target)
+    r = exact_normalized(preserve_target)
+    n = len(e)
+
+    def var(x, c, d):
+        return (x * 2 + c) * 3 + d
+
+    def dense(cells):
+        row = [Fraction(0)] * (6 * n)
+        for j, a in cells.items():
+            row[j] = a
+        return row
+
+    cd_table = ((q - p, Fraction(0), p), (Fraction(0), 1 - q, Fraction(0)))
+    rows, rhs = [], []
+    for c in range(2):
+        for d in range(3):
+            rows.append(dense({var(x, c, d): Fraction(1) for x in range(n)}))
+            rhs.append(cd_table[c][d])
+    for x in range(n):
+        rows.append(dense({var(x, 0, 0): Fraction(1), var(x, 1, 0): Fraction(1)}))
+        rhs.append(e[x] * (q - p))
+        rows.append(dense({var(x, 0, 1): Fraction(1), var(x, 1, 1): Fraction(1)}))
+        rhs.append(r[x] * (1 - q))
+        cells = {var(x, 0, d): 1 - q for d in range(3)}
+        cells.update({var(x, 1, d): -q for d in range(3)})
+        rows.append(dense(cells))
+        rhs.append(Fraction(0))
+    return dense_phase1_feasible(rows, rhs)
+
+
 def reference_write_events(log, path):
     """Event CSV written row by row with ``csv.writer``.
 

@@ -673,12 +673,20 @@ class TestSamplingPlan:
         text = repr(sampled)
         sample_events(sampled, 1000, 3)
         assert repr(sampled) == text == repr(unsampled)
-        # two equal tables compare their arrays, whose truth value numpy
-        # refuses, whether or not either has been sampled
+        # equal tables compare equal whether or not either has been sampled
         for a, b in ((sampled, unsampled), (unsampled, sampler_tables()["kim"])):
-            with pytest.raises(ValueError, match="truth value of an array"):
-                a == b
+            assert a == b and not a != b
         assert sampled == sampled
+        moved = sampled.p.copy()
+        moved[0, 0, :2] = moved[0, 0, 1::-1]
+        for other in (
+            sampler_tables()["kim_coarse"],
+            JointDistribution(sampled.space, sampled.p, n_samples=1000),
+            JointDistribution(sampled.space, moved),
+        ):
+            assert sampled != other and not sampled == other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sampled)
 
 
 class TestWorkers:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from dcqe.feasibility import (
     _phase1_feasible,
 )
 
-from oracles import dense_phase1_feasible, feasible_interval
+from oracles import dense_phase1_feasible, feasible_interval, full_encoding_feasible
 
 CD_TABLE_HALF = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
 
@@ -118,6 +119,33 @@ class TestProblemValidation:
     def test_malformed_problems(self, kwargs):
         with pytest.raises(InvalidArgument):
             LossFeasibilityProblem(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(q="0.5", n_x=4, p=0.3), "q must be a real number"),
+        (dict(q=0.5, n_x=4, p="0.3"), "p must be a real number"),
+        (dict(q=0.5, n_x=4, p=True), "p must be a real number"),
+        (dict(q=True, n_x=4, p=0.3), "q must be a real number"),
+        (dict(q=0.5, n_x=4.0, p=0.3), "bin count must be an integer"),
+        (dict(q=0.5, n_x=3.5, p=0.3), "bin count must be an integer"),
+        (dict(q=0.5, n_x="4", p=0.3), "bin count must be an integer"),
+        (dict(q=0.5, n_x=True, p=0.3), "bin count must be an integer"),
+        # the type is refused before the targets are looked at
+        (dict(q="0.5", n_x=4, p=0.3, erase_conditional=[1.0]), "q must be a real number"),
+    ])
+    def test_refuses_strings_bools_and_fractional_bin_counts(self, kwargs, message):
+        with pytest.raises(InvalidArgument, match=message):
+            LossFeasibilityProblem(**kwargs)
+
+    def test_numpy_scalars_are_kept_as_python_numbers(self):
+        prob = LossFeasibilityProblem(q=np.float64(0.5), n_x=np.int64(4), p=np.float32(0.375))
+        assert (type(prob.q), type(prob.n_x), type(prob.p)) == (float, int, float)
+        assert prob == LossFeasibilityProblem(q=0.5, n_x=4, p=0.375)
+
+    def test_both_routes_answer_a_numpy_problem(self):
+        prob = LossFeasibilityProblem(q=np.float64(0.5), n_x=np.int64(4), p=np.float64(0.375))
+        solved, built = check_feasible(prob), construct_witness(prob)
+        assert solved.binding_constraint == built.binding_constraint == BINDING_INTERIOR
+        assert np.allclose(solved.witness.p, built.witness.p, rtol=0.0, atol=1e-12)
 
 
 class TestConstructWitness:
@@ -385,6 +413,171 @@ class TestSparseSimplex:
             assert got.witness is None
         else:
             assert got.witness.p.tobytes() == want.witness.p.tobytes()
+
+
+def result_digest(result):
+    """sha256 of a result's verdict, binding tag and witness bytes."""
+    h = hashlib.sha256()
+    h.update(repr(result.feasible).encode())
+    h.update(result.binding_constraint.encode())
+    if result.witness is not None:
+        h.update(result.witness.p.tobytes())
+    return h.hexdigest()
+
+
+def pinned_problems():
+    """The 17 feasibility_grid benchmark problems and edge problems, by name."""
+    cases = {
+        f"grid-{n_x}-{p}": dict(q=0.5, n_x=n_x, p=p)
+        for n_x in (4, 8, 16, 32)
+        for p in (0.1875, 0.25, 0.375, 0.5)
+    }
+    cases["grid-64-0.375"] = dict(q=0.5, n_x=64, p=0.375)
+    flat = [0.25] * 4
+    cases["p0-worst"] = dict(q=0.5, n_x=4, p=0.0)
+    cases["p0-equal-targets"] = dict(
+        q=0.5, n_x=4, p=0.0, erase_conditional=flat, preserve_conditional=flat
+    )
+    cases["p-eq-q"] = dict(q=0.3, n_x=6, p=0.3)
+    cases["p-gt-q"] = dict(q=0.5, n_x=4, p=0.9)
+    cases["odd-5-interior"] = dict(q=0.5, n_x=5, p=0.3)
+    cases["odd-5-above-floor"] = dict(q=0.5, n_x=5, p=0.25 + 1e-9)
+    cases["odd-5-below-floor"] = dict(q=0.5, n_x=5, p=0.25 - 1e-9)
+    erase = [0.5, 0.0, 0.25, 0.25, 0.0]
+    cases["zero-bins-dark-preserve-under-erase"] = dict(
+        q=0.4, n_x=5, p=0.3,
+        erase_conditional=erase, preserve_conditional=[0.0, 0.25, 0.25, 0.25, 0.25],
+    )
+    cases["zero-bins-feasible"] = dict(
+        q=0.4, n_x=5, p=0.3,
+        erase_conditional=erase, preserve_conditional=[0.2, 0.3, 0.25, 0.25, 0.0],
+    )
+    cases["zero-bins-infeasible"] = dict(
+        q=0.4, n_x=5, p=0.1,
+        erase_conditional=erase, preserve_conditional=[0.0, 0.25, 0.25, 0.25, 0.25],
+    )
+    cases["zero-bins-p-eq-q"] = dict(
+        q=0.7, n_x=3, p=0.7,
+        erase_conditional=[0.0, 1.0, 0.0], preserve_conditional=[0.5, 0.5, 0.0],
+    )
+    return cases
+
+
+# result_digest of check_feasible on each pinned problem, as the encoding
+# over all 6*n_x cells solved it; 51db... is every infeasible-low result.
+PINNED_DIGESTS = {
+    "grid-4-0.1875": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "grid-4-0.25": "5f57b580b6ec9fd7a2fb4c4cdd4fb8dabbdcb30f301d9154473b8d3450838d28",
+    "grid-4-0.375": "5ea46a362f4822f775218783010b341a7815e7d95fb9439304e68859ef5365df",
+    "grid-4-0.5": "2e2e5e5ab0d92ae5e7c7c861e9604eb2a8c094839f42a64f73f9994680e98834",
+    "grid-8-0.1875": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "grid-8-0.25": "142c27b382bcef7b010817672314428a7d77995895490ab80f36a93338f122d2",
+    "grid-8-0.375": "ba00b547a9585b9f37a69d6537dac55e4f5cf38575475a241dc593ca137a7fad",
+    "grid-8-0.5": "d112f2ed34ab065a5c31e9a83a1f7a078485608c51b5366ab7ef8e6ef4a9e31a",
+    "grid-16-0.1875": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "grid-16-0.25": "6509b002a82361ad61e7e0bc03ec760be131383fcbe9bcd70f202e97ce4c03f4",
+    "grid-16-0.375": "1e9e2c9b3fdc5d55715de6f607e1ba04079ddd9e2a5f26a0fbd80d86fe919433",
+    "grid-16-0.5": "9807f956b06284cd3d055e9a25e5aaa7d38104bcac62d27f95fed8803c77514b",
+    "grid-32-0.1875": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "grid-32-0.25": "0e43adbb1a8f42a6862826e530ae052021fe59c2c1f891327b2392f6c1480bcb",
+    "grid-32-0.375": "0f55505d2d5cb3bdff85af4e6234dd8dc21a79a9ab2db0bb3b0333fc13a40bca",
+    "grid-32-0.5": "73299588113b9ad732686d4cd91e2876dd1665759f5138711bf2675c4f6b4274",
+    "grid-64-0.375": "8a90a7e42a1e8286c7b9485f6b474600f64b0b759105ea10fc807d10952440eb",
+    "p0-worst": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "p0-equal-targets": "c2ef73d50eeb691a5e3c3f5ac3293af025fc61e8a9ed40c6a0e43a3d8775c73b",
+    "p-eq-q": "87c2e7a02924e66bf43a5b4b1eff0f9a653c1387cda0198431e8310fd97b4e0e",
+    "p-gt-q": "15c16cd9d9da7cede90b76c3aa5627fad49963cc029a67be573835b57bc0aa0c",
+    "odd-5-interior": "9779d184d7602e7b8f03f0947fb7623fd84b4520ad441ad7553af7540b8b3ea6",
+    "odd-5-above-floor": "b65f1fed533e96c574112aa7eb71d2f1410bc88d364f7c1be6a6bcb417248575",
+    "odd-5-below-floor": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "zero-bins-dark-preserve-under-erase": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "zero-bins-feasible": "1939c9a130ef5594f657fb11a1f4f698bdac5682836c89d126ee49717a2f0243",
+    "zero-bins-infeasible": "51db43149ea7942c2990e0ac74f3bcfb9af978ed5a5d67644d49ae742be252de",
+    "zero-bins-p-eq-q": "02be28df523ef576bcb3d0b5fe997321c400172ed53a4152995ec4e50a38a9bf",
+}
+
+
+@st.composite
+def rational_problems(draw):
+    """Small problems with dyadic q and p, p = 0, p = q and p > q included,
+    and targets from small integer weights, zero bins included."""
+    n_x = draw(st.integers(2, 5))
+    q = draw(st.integers(1, 15)) / 16
+    p = draw(st.integers(0, 16)) / 16
+    if not draw(st.booleans()):
+        return LossFeasibilityProblem(q=q, n_x=n_x, p=p)
+    weights = st.lists(st.integers(0, 4), min_size=n_x, max_size=n_x).filter(any)
+    erase, preserve = (np.array(draw(weights), dtype=float) for _ in range(2))
+    return LossFeasibilityProblem(
+        q=q, n_x=n_x, p=p,
+        erase_conditional=erase / erase.sum(),
+        preserve_conditional=preserve / preserve.sum(),
+    )
+
+
+class TestSameBits:
+    """The live-cell encoding answers as the full 6*n_x-cell encoding did."""
+
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+    def test_pinned_digest(self, name):
+        prob = LossFeasibilityProblem(**pinned_problems()[name])
+        assert result_digest(check_feasible(prob)) == PINNED_DIGESTS[name]
+
+    def test_every_pinned_problem_has_a_digest(self):
+        assert set(pinned_problems()) == set(PINNED_DIGESTS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prob=rational_problems())
+    def test_matches_the_full_encoding(self, prob):
+        got = check_feasible(prob)
+        want = full_encoding_feasible(
+            prob.q, prob.p, prob.resolved_erase(), prob.resolved_preserve()
+        )
+        assert got.feasible == (want is not None)
+        if want is None:
+            assert got.witness is None
+            assert got.binding_constraint == (INFEASIBLE_HIGH if prob.p > prob.q else INFEASIBLE_LOW)
+        else:
+            table = np.array(want, dtype=float).reshape(prob.n_x, 2, 3)
+            assert got.witness.p.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("n_x, q, p, live, m", [
+        (64, 0.5, 0.375, 3, 195),
+        (4, 0.5, 0.1875, 3, 15),
+        # p = q: the per-bin detected-erase rows are left empty with rhs 0
+        (6, 0.3, 0.3, 2, 14),
+        (4, 0.5, 0.0, 2, 14),
+        (4, 0.5, 0.9, 3, 15),
+        (5, 0.5, 0.3, 3, 18),
+    ])
+    def test_no_column_for_a_zero_mass_cell(self, n_x, q, p, live, m, monkeypatch):
+        # of the (C, D) masses (q-p, 0, p, 0, 1-q, 0), only the `live`
+        # non-zero ones get a column per bin, and an equation with no
+        # column is dropped when its rhs is zero
+        seen = []
+
+        def recording(rows, rhs, n):
+            seen.append((rows, rhs, n))
+            return _phase1_feasible(rows, rhs, n)
+
+        monkeypatch.setattr(feasibility, "_phase1_feasible", recording)
+        result = check_feasible(LossFeasibilityProblem(q=q, n_x=n_x, p=p))
+        ((rows, rhs, n),) = seen
+        assert n == live * n_x
+        assert len(rows) == len(rhs) == m
+        assert all(0 <= j < n for row in rows for j in row)
+        assert all(row or b for row, b in zip(rows, rhs))
+        if result.feasible:
+            cd = result.witness.p.sum(axis=0)
+            assert np.count_nonzero(cd) <= live
+            assert cd[0, 1] == cd[1, 0] == cd[1, 2] == 0.0
+
+    def test_results_compare_by_value(self):
+        prob = LossFeasibilityProblem(q=0.5, n_x=4, p=0.375)
+        assert check_feasible(prob) == check_feasible(prob)
+        assert check_feasible(prob) != check_feasible(
+            LossFeasibilityProblem(q=0.5, n_x=4, p=0.25)
+        )
 
 
 class TestFeasibilityAtScale:

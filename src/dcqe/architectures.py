@@ -54,7 +54,10 @@ def default_fringe_model(
 
 
 def _check_q(q: float) -> float:
-    q = float(q)
+    try:
+        q = float(q)
+    except OverflowError:  # an integer or fraction past the float range
+        q = math.inf if q > 0 else -math.inf
     if not 0.0 < q < 1.0:
         raise InvalidChoiceProbability(q)
     return q

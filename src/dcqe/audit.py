@@ -70,24 +70,24 @@ def default_tolerance(joint: JointDistribution) -> float:
 
 def _level(
     joint: JointDistribution, tol: float | None, alpha: float | None
-) -> tuple[float | None, float | None, np.ndarray | None]:
-    """The statistical checks' level: ``(tol, None, None)``, ``tol`` or else
-    the table's default and refused unless finite and positive; or ``(None,
-    alpha, counts)``, alpha refused unless given without ``tol``, in (0, 1)
-    and on a sampled table, whose event counts the G-tests then run on."""
+) -> tuple[float | None, float | None]:
+    """The statistical checks' level: ``(tol, None)``, ``tol`` or else the
+    table's default and refused unless finite and positive; or, with
+    ``alpha``, ``(None, alpha)``, alpha refused unless given without
+    ``tol``, in (0, 1) and on a sampled table."""
     if alpha is None:
         if tol is None:
             tol = default_tolerance(joint)
         if not 0.0 < tol < math.inf:
             raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
-        return tol, None, None
+        return tol, None
     if tol is not None:
         raise InvalidArgument("give a tolerance or alpha, not both")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     if joint.n_samples is None:
         raise InvalidArgument("alpha applies to a table estimated from events, not an exact one")
-    return None, alpha, _counts(joint)
+    return None, alpha
 
 
 #: Relative accuracy at which ``upper_gamma`` stops its series or fraction.
@@ -147,11 +147,6 @@ def g_test(counts: np.ndarray) -> tuple[float, int, float]:
     return g, df, upper_gamma(df / 2, g / 2) if df else 1.0
 
 
-def _counts(joint: JointDistribution) -> np.ndarray:
-    """The event counts a sampled table was estimated from."""
-    return np.rint(joint.p * joint.n_samples)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one structural check on one table.
@@ -194,23 +189,18 @@ def check_independence(
     (x, c) cell; ties resolve to the lexicographically first cell. Choices
     carrying no mass cannot witness dependence and are listed in
     ``skipped_choices``. With ``alpha``, a sampled table is instead put to
-    a G-test of independence on its X x C counts; independence holds iff
-    the p-value is at least alpha.
+    a G-test of independence on its X x C counts, ``rint(n * p(x, c))``;
+    independence holds iff the p-value is at least alpha.
     """
-    return _independence(joint, *_level(joint, tol, alpha))
-
-
-def _independence(
-    joint: JointDistribution, tol: float | None, alpha: float | None, counts: np.ndarray | None
-) -> Verdict:
-    """``check_independence`` at the level ``_level`` resolved."""
-    deviation, p_c = _dependence(joint.p.sum(axis=2))
+    tol, alpha = _level(joint, tol, alpha)
+    p_xc = joint.p.sum(axis=2)
+    deviation, p_c = _dependence(p_xc)
     x, c = divmod(int(np.argmax(deviation)), deviation.shape[1])
     worst = float(deviation[x, c])
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     if alpha is not None:
-        g, df, p_value = g_test(counts.sum(axis=2))
+        g, df, p_value = g_test(np.rint(p_xc * joint.n_samples))
         detail.update(p_value=p_value, df=df)
         return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
@@ -263,7 +253,7 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    tol = _level(joint, tol, None)[0]
+    tol, _ = _level(joint, tol, None)
     space = joint.space
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
@@ -312,16 +302,10 @@ def check_distinct_conditionals(
     p(x|d'), which realizes the gap as a probability difference. Ties
     resolve to the first pair in detector axis order. With ``alpha``, a
     sampled table is instead put to a G-test of homogeneity of X across
-    those detectors, on its X x D counts; the conditionals are distinct iff
-    the p-value is below alpha.
+    those detectors, on its X x D counts ``rint(n * p(x, d))``; the
+    conditionals are distinct iff the p-value is below alpha.
     """
-    return _distinct(joint, *_level(joint, tol, alpha))
-
-
-def _distinct(
-    joint: JointDistribution, tol: float | None, alpha: float | None, counts: np.ndarray | None
-) -> Verdict:
-    """``check_distinct_conditionals`` at the level ``_level`` resolved."""
+    tol, alpha = _level(joint, tol, alpha)
     space = joint.space
     # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them
     p_dx = np.ascontiguousarray(joint.p.transpose(2, 0, 1)).sum(axis=2)
@@ -345,7 +329,7 @@ def _distinct(
         "gap": gap,
     }
     if alpha is not None:
-        g, df, p_value = g_test(counts.sum(axis=1)[:, observed])
+        g, df, p_value = g_test(np.rint(p_dx[observed].T * joint.n_samples))
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -401,20 +385,22 @@ def audit(
     """Validate the table, run all four checks, and bundle the verdicts.
 
     With ``alpha``, which must lie in (0, 1) and needs a sampled table and
-    no ``tol``, independence and distinctness are G-tests at level alpha,
-    and routing, like losslessness, tolerates no more than ``LOSSLESS_TOL``:
-    any stray detection violates it. An alpha of 0.01 or more runs liberal
-    below ~10 events per cell: at 0.01, coarse Kim's independence test
-    rejects its true null 2.4 times as often as alpha at n = 1e3, and 10.7
-    times at n = 300."""
+    no ``tol``, independence and distinctness are G-tests at level alpha
+    on the counts ``rint(n * marginal)`` of the (X, C) and (X, D) marginals
+    those checks read, n the table's ``n_samples``; and routing, like
+    losslessness, tolerates no more than ``LOSSLESS_TOL``: any stray
+    detection violates it. An alpha of 0.01 or more runs liberal below ~10
+    events per cell: at 0.01, coarse Kim's independence test rejects its
+    true null 2.4 times as often as alpha at n = 1e3, and 10.7 times at
+    n = 300."""
     validate(joint)
-    tol, alpha, counts = _level(joint, tol, alpha)
+    tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
     return AuditReport(
-        independence=_independence(joint, tol, alpha, counts),
+        independence=check_independence(joint, tol, alpha),
         lossless=check_lossless(joint),
         deterministic_routing=check_deterministic_routing(joint, routing_tol),
-        distinct_conditionals=_distinct(joint, tol, alpha, counts),
+        distinct_conditionals=check_distinct_conditionals(joint, tol, alpha),
         tolerance=routing_tol,
         n_samples=joint.n_samples,
         alpha=alpha,

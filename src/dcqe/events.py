@@ -63,38 +63,30 @@ class EventLog:
     that fits in memory. Build one from per-axis indices with
     ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``; ``x``,
     ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access, as
-    ``intp``. A read-only array of the cell dtype that owns its data is kept
-    as given once its largest cell (and, if the dtype is ``intp``, its
-    smallest) is checked against the space. Any other input must have an
-    integer dtype (an empty list is accepted too); it is read as ``intp``,
-    range-checked and only then copied to the cell dtype, so an index such
-    as -1 cannot wrap into range.
+    ``intp``. The input must have an integer dtype (an empty list is
+    accepted too). It is range-checked in its own dtype, its smallest cell
+    too when that dtype is signed, so an index such as -1 cannot wrap into
+    range; then it is cast once to the cell dtype and made read-only,
+    unless it already is a read-only array of that dtype that owns its
+    data, which is kept as given.
     """
 
     space: OutcomeSpace
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = self.cells
-        n_cells = math.prod(self.space.shape)
-        dtype = cell_dtype(n_cells)
-        kept = (
-            isinstance(cells, np.ndarray) and cells.base is None
-            and cells.dtype == dtype and not cells.flags.writeable
-        )
-        if not kept:
-            cells = np.asarray(cells)
-            # a float would be truncated and a Python int past 64 bits is an object
-            if cells.size and cells.dtype.kind not in "iu":
-                raise InvalidArgument(f"cell indices must be integers, got dtype {cells.dtype}")
-            cells = cells.astype(np.intp, copy=False)
+        cells = np.asarray(self.cells)
+        # a float would be truncated and a Python int past 64 bits is an object
+        if cells.size and cells.dtype.kind not in "iu":
+            raise InvalidArgument(f"cell indices must be integers, got dtype {cells.dtype}")
         if cells.ndim != 1:
             raise InvalidArgument("cell indices must be one-dimensional")
-        # unsigned cells (kept ones of a compact dtype) cannot be negative
+        n_cells = math.prod(self.space.shape)
         signed = cells.dtype.kind == "i"
         if cells.size and ((signed and cells.min() < 0) or cells.max() >= n_cells):
             raise InvalidArgument("cell index out of range for the outcome space")
-        if not kept:
+        dtype = cell_dtype(n_cells)
+        if cells.base is not None or cells.dtype != dtype or cells.flags.writeable:
             cells = cells.astype(dtype)
             cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)

@@ -71,16 +71,15 @@ def worst_case_erase_conditional(n_x: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _validated_target(vec, n_x: int, name: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float).copy()
+def _validated_target(vec, n_x: int, name: str) -> tuple[float, ...]:
+    arr = np.asarray(vec, dtype=float)
     if arr.shape != (n_x,):
         raise InvalidArgument(f"{name} must have shape ({n_x},), got {arr.shape}")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise InvalidArgument(f"{name} must be finite and nonnegative")
     if abs(float(arr.sum()) - 1.0) > 1e-9:
         raise InvalidArgument(f"{name} must be normalized, sums to {float(arr.sum())}")
-    arr.setflags(write=False)
-    return arr
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,16 @@ class LossFeasibilityProblem:
 
     ``q`` and ``p`` must be real numbers and ``n_x`` an integer (numpy
     scalars included; a bool or a string is neither), else
-    ``InvalidArgument``; they are kept as ``float``, ``float`` and ``int``.
+    ``InvalidArgument``; they are kept as ``float``, ``float`` and ``int``,
+    and custom targets as tuples of floats, so equal problems compare and
+    hash equal.
     """
 
     q: float
     n_x: int
     p: float
-    erase_conditional: np.ndarray | None = None
-    preserve_conditional: np.ndarray | None = None
+    erase_conditional: tuple[float, ...] | None = None
+    preserve_conditional: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for name in ("q", "p"):
@@ -164,16 +165,18 @@ def _construction_floor(q: float, e: np.ndarray, r: np.ndarray) -> float:
     return max(q * (1.0 - ratio), 0.0)
 
 
-def _witness_space(n_x: int) -> OutcomeSpace:
-    return OutcomeSpace(n_x, _WITNESS_C, _WITNESS_D)
-
-
-def _binding_tag(q: float, p: float, loss_slice: np.ndarray) -> str:
-    if float(np.min(loss_slice)) <= 1e-15:
-        return BINDING_LOSS_SLICE
-    if q - p <= 1e-15:
-        return BINDING_DETECTED_ERASE
-    return BINDING_INTERIOR
+def _witness(q: float, p: float, table: np.ndarray) -> FeasibilityResult:
+    """A route's filled (n_x, 2, 3) table as the feasible result, tagged
+    with the constraint it sits at: a zero loss cell, else no detected
+    erase mass, else none."""
+    space = OutcomeSpace(table.shape[0], _WITNESS_C, _WITNESS_D)
+    if float(np.min(table[:, 0, 2])) <= 1e-15:
+        binding = BINDING_LOSS_SLICE
+    elif q - p <= 1e-15:
+        binding = BINDING_DETECTED_ERASE
+    else:
+        binding = BINDING_INTERIOR
+    return FeasibilityResult(True, JointDistribution(space, table), binding)
 
 
 def construct_witness(prob: LossFeasibilityProblem) -> FeasibilityResult:
@@ -190,18 +193,12 @@ def construct_witness(prob: LossFeasibilityProblem) -> FeasibilityResult:
     p_low = _construction_floor(q, e, r)
     if p < p_low or p > q:
         raise InfeasibleLossRate(p, (p_low, q))
-    # p >= p_low keeps every loss cell nonnegative up to rounding, which the clip removes
-    loss_slice = np.maximum(q * r - (q - p) * e, 0.0)
-    space = _witness_space(prob.n_x)
-    table = np.zeros(space.shape)
+    table = np.zeros((prob.n_x, 2, 3))
     table[:, 0, 0] = (q - p) * e
-    table[:, 0, 2] = loss_slice
+    # p >= p_low keeps every loss cell nonnegative up to rounding, which the clip removes
+    table[:, 0, 2] = np.maximum(q * r - (q - p) * e, 0.0)
     table[:, 1, 1] = (1.0 - q) * r
-    return FeasibilityResult(
-        feasible=True,
-        witness=JointDistribution(space, table),
-        binding_constraint=_binding_tag(q, p, loss_slice),
-    )
+    return _witness(q, p, table)
 
 
 def _exact_normalized(vec: np.ndarray) -> list[Fraction]:
@@ -305,10 +302,8 @@ def _phase1_feasible(
                 best = tableau[leaving].get(b_col, 0) * a
                 if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
-        if leaving is None:
-            # Phase-1 objective is bounded below by zero; unboundedness
-            # cannot occur, so treat it as infeasibility defensively.
-            return None
+        # the phase-1 objective is bounded below by zero, so some row holding
+        # the entering column has a positive entry there
         pivot_row = tableau[leaving]
         for i in hits:
             if i != leaving:
@@ -384,14 +379,7 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     if solution is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)
-    space = _witness_space(n)
-    table = np.zeros(space.shape)
+    table = np.zeros((n, 2, 3))
     c_live, d_live = zip(*live)
     table[:, c_live, d_live] = np.array(solution, dtype=float).reshape(n, len(live))
-    witness = JointDistribution(space, table)
-    loss_slice = table[:, 0, 2]
-    return FeasibilityResult(
-        feasible=True,
-        witness=witness,
-        binding_constraint=_binding_tag(float(q), float(p), loss_slice),
-    )
+    return _witness(float(q), float(p), table)

@@ -7,6 +7,7 @@ from dcqe import (
     FringeModel,
     InvalidArgument,
     InvalidChoiceProbability,
+    LossFeasibilityProblem,
     UnbalancedPorts,
     audit,
     build_kim,
@@ -18,6 +19,7 @@ from dcqe import (
     default_fringe_model,
     fringe_profile,
     kim_coarse_graining,
+    loss_bounds,
     validate,
 )
 
@@ -252,6 +254,20 @@ class TestArchitectureSpec:
     def test_degenerate_q_rejected(self, four_bin_model, q):
         with pytest.raises(InvalidChoiceProbability):
             ArchitectureSpec("polarization", four_bin_model, q=q)
+
+
+@pytest.mark.parametrize("q, shown", [(10**400, "inf"), (-(10**400), "-inf")], ids=["high", "low"])
+def test_q_past_the_float_range_is_refused(four_bin_model, q, shown):
+    # shown as dcqe bounds --q 1e400 shows it, not as an OverflowError
+    for call in (
+        lambda: loss_bounds(q),
+        lambda: LossFeasibilityProblem(q=q, n_x=4, p=0.3),
+        lambda: build_mach_zehnder(four_bin_model, q),
+        lambda: ArchitectureSpec("polarization", four_bin_model, q=q),
+    ):
+        with pytest.raises(InvalidChoiceProbability, match=f"got {shown}$") as info:
+            call()
+        assert info.value.q == float(shown)
 
 
 def test_every_builder_validates_at_defaults():

@@ -30,7 +30,7 @@ from dcqe import (
     sample_events,
 )
 from dcqe import LOSS
-from dcqe.audit import LOSSLESS_TOL, _counts, g_test, upper_gamma
+from dcqe.audit import LOSSLESS_TOL, g_test, upper_gamma
 from dcqe.io import audit_report_dict
 
 from oracles import (
@@ -453,7 +453,7 @@ class TestAlpha:
             verdict = getattr(report, check)
             assert verdict.tolerance == 1e-6
             statistic, df, p_value = g_test(
-                _counts(joint).sum(axis=2 if check == "independence" else 1)
+                np.rint(joint.p * joint.n_samples).sum(axis=2 if check == "independence" else 1)
             )
             assert (verdict.statistic, verdict.detail["df"]) == (statistic, df)
             assert verdict.detail["p_value"] == p_value
@@ -529,6 +529,42 @@ class TestSampledCalibration:
         ):
             assert tail(range(rejections, 201)) > 1e-6
             assert tail(range(rejections + 1)) > 1e-6
+
+
+class TestCountTables:
+    """Each G-test counts from the marginal its check reads; that must be
+    the full table's counts, ``rint(p * n)``, summed, to the bit."""
+
+    @staticmethod
+    def assert_full_table_tests(joint):
+        report = audit(joint, alpha=1e-6)
+        counts = np.rint(joint.p * joint.n_samples)
+        detected = list(joint.space.detected_indices)
+        observed = [d for d in detected if counts[:, :, d].sum() > 0]
+        for verdict, table in (
+            (report.independence, counts.sum(axis=2)),
+            (report.distinct_conditionals, counts.sum(axis=1)[:, observed]),
+        ):
+            g, df, p_value = g_test(table)
+            assert (verdict.statistic, verdict.detail["df"], verdict.detail["p_value"]) == (
+                g, df, p_value
+            )
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**6])
+    def test_paper_tables(self, n):
+        for name in PAPER_TABLES:
+            self.assert_full_table_tests(_sampled(_paper_table(name), n, 7))
+
+    def test_nine_choices_and_eight_detectors(self):
+        # eight or more choices sum in another order along each axis
+        rng = np.random.default_rng(5)
+        space = OutcomeSpace(
+            13, tuple(f"c{k}" for k in range(9)), tuple(f"D{k}" for k in range(8)) + (LOSS,)
+        )
+        w = rng.random(space.shape) ** 3
+        w[:, :, 3] = 0.0
+        joint = _sampled(JointDistribution(space, w / w.sum()), 10**6, 2)
+        self.assert_full_table_tests(joint)
 
 
 def reference_tables(seed, count):

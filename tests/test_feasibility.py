@@ -141,6 +141,22 @@ class TestProblemValidation:
         assert (type(prob.q), type(prob.n_x), type(prob.p)) == (float, int, float)
         assert prob == LossFeasibilityProblem(q=0.5, n_x=4, p=0.375)
 
+    def test_equal_problems_compare_and_hash_equal(self):
+        kwargs = dict(
+            q=0.5, n_x=4, p=0.3,
+            erase_conditional=[0.5, 0, 0.5, 0], preserve_conditional=[0.25] * 4,
+        )
+        a = LossFeasibilityProblem(**kwargs)
+        b = LossFeasibilityProblem(**{**kwargs, "erase_conditional": np.array([0.5, 0, 0.5, 0])})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, LossFeasibilityProblem(q=0.5, n_x=4, p=0.3)}) == 2
+        for key, value in (("erase_conditional", [0.5, 0, 0.25, 0.25]),
+                           ("preserve_conditional", [0.25, 0.25, 0.5, 0.0])):
+            other = LossFeasibilityProblem(**{**kwargs, key: value})
+            assert a != other and b != other
+        assert np.array_equal(a.resolved_erase(), [0.5, 0, 0.5, 0])
+        assert np.array_equal(a.resolved_preserve(), [0.25] * 4)
+
     def test_both_routes_answer_a_numpy_problem(self):
         prob = LossFeasibilityProblem(q=np.float64(0.5), n_x=np.int64(4), p=np.float64(0.375))
         solved, built = check_feasible(prob), construct_witness(prob)
@@ -361,6 +377,16 @@ TIE_BREAK_SYSTEM = (
 )
 
 
+# Two rows tie in the ratio test with their basic columns out of row order,
+# so "ties to the first row" ends at another vertex than "ties to the
+# smaller basic column" (found by a seeded search against the dense
+# reference).
+RATIO_TIE_SYSTEM = (
+    [fractions([0, -1, 2, 3]), fractions([1, -1, 2, -1]), fractions([2, 0, 3, -3])],
+    fractions([0, -1, 0]),
+)
+
+
 def sparse(rows):
     return [{j: a for j, a in enumerate(row) if a} for row in rows]
 
@@ -376,6 +402,7 @@ class TestSparseSimplex:
     @settings(max_examples=300, deadline=None)
     @given(system=linear_systems())
     @example(system=TIE_BREAK_SYSTEM)
+    @example(system=RATIO_TIE_SYSTEM)
     def test_matches_dense_reference_on_integer_systems(self, system):
         rows, rhs = system
         n = len(rows[0])

@@ -11,14 +11,13 @@ which of the four structural properties
 
 does a given table satisfy? No table satisfies all four, and the audit in
 :mod:`dcqe.audit` reports which ones fail, with explicit witnesses. Joint
-tables come from the standard eraser architectures (:mod:`dcqe.architectures`),
-from interference models directly (:mod:`dcqe.fringes`), from Monte Carlo
-event logs (:mod:`dcqe.events`), or from files (:mod:`dcqe.io`). The
-:mod:`dcqe.feasibility` module treats the loss loophole quantitatively:
-exact bounds on the loss rate, explicit witness tables, and an exact
-rational feasibility decision. :mod:`dcqe.regions` holds the classical
-region-routing construction that reproduces conditional fringes by
-selection alone.
+tables come from :mod:`dcqe.architectures`, which builds the standard
+eraser layouts from interference models and the classical region-routing
+construction that reproduces conditional fringes by selection alone; from
+Monte Carlo event logs (:mod:`dcqe.events`); or from files
+(:mod:`dcqe.io`). The :mod:`dcqe.feasibility` module treats the loss
+loophole quantitatively: exact bounds on the loss rate, explicit witness
+tables, and an exact rational feasibility decision.
 """
 
 from .architectures import (
@@ -28,12 +27,15 @@ from .architectures import (
     DEFAULT_Q,
     DEFAULT_VISIBILITY,
     ArchitectureSpec,
+    FringeModel,
     build_kim,
     build_mach_zehnder,
     build_passive_choice,
     build_polarization,
     default_fringe_model,
+    fringe_profile,
     kim_coarse_graining,
+    route_by_region,
 )
 from .audit import (
     ALL_CHECKS,
@@ -73,7 +75,6 @@ from .feasibility import (
     loss_bounds,
     worst_case_erase_conditional,
 )
-from .fringes import FringeModel, fringe_profile
 from .joint import (
     LOSS,
     JointDistribution,
@@ -83,7 +84,6 @@ from .joint import (
     total_variation,
     validate,
 )
-from .regions import route_by_region
 
 __version__ = "0.1.0"
 

@@ -32,6 +32,7 @@ from .architectures import (
     Q_REQUIRED,
     ArchitectureSpec,
     kim_coarse_graining,
+    route_by_region,
 )
 from .errors import DcqeError, InvalidArgument
 from .events import sample_events
@@ -59,7 +60,6 @@ from .io import (
     write_json,
 )
 from .joint import coarse_grain, conditional_x_given_d
-from .regions import route_by_region
 
 #: Environment variable naming the default output directory.
 ENV_OUT_DIR = "DCQE_OUT_DIR"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLog, InvalidArgument
-from .joint import JointDistribution, OutcomeSpace, validate
+from .joint import JointDistribution, OutcomeSpace, check_int, validate
 
 #: Trials per deterministic sampling chunk. Fixed: changing it changes logs.
 CHUNK_TRIALS = 1 << 16
@@ -53,7 +53,7 @@ def cell_dtype(n_cells: int) -> np.dtype:
     return dtype if dtype.itemsize <= 4 else np.dtype(np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
     """Immutable record of trials as flat cell indices.
 
@@ -68,7 +68,8 @@ class EventLog:
     too when that dtype is signed, so an index such as -1 cannot wrap into
     range; then it is cast once to the cell dtype and made read-only,
     unless it already is a read-only array of that dtype that owns its
-    data, which is kept as given.
+    data, which is kept as given. Two logs are equal when their spaces and
+    cells are; logs are not hashable.
     """
 
     space: OutcomeSpace
@@ -90,6 +91,13 @@ class EventLog:
             cells = cells.astype(dtype)
             cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
+
+    def __eq__(self, other):
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.cells, other.cells)
+
+    __hash__ = None
 
     def __len__(self) -> int:
         return int(self.cells.size)
@@ -195,11 +203,8 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     trial count whose cells cannot be allocated raises ``MemoryError``, all
     before the table is looked at.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(n_trials, (int, np.integer)) or isinstance(n_trials, bool) or n_trials < 1:
-        raise InvalidArgument(f"trial count must be a positive integer, got {n_trials!r}")
-    n_trials = int(n_trials)
+    seed = check_int(seed, "seed", 0)
+    n_trials = check_int(n_trials, "trial count", 1)
     try:
         cells = np.empty(n_trials, dtype=cell_dtype(math.prod(joint.space.shape)))
     except (MemoryError, ValueError):

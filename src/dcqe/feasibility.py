@@ -24,15 +24,21 @@ table, knowing nothing about the closed form.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .architectures import _check_q
 from .errors import InfeasibleLossRate, InvalidArgument
-from .joint import LOSS, JointDistribution, OutcomeSpace
+from .joint import (
+    LOSS,
+    JointDistribution,
+    OutcomeSpace,
+    check_choice_probability,
+    check_distribution,
+    check_int,
+    check_real,
+)
 
 #: Binding-constraint tags reported in FeasibilityResult.
 BINDING_INTERIOR = "interior"
@@ -47,7 +53,7 @@ _WITNESS_D = ("D_erase", "D_preserve", LOSS)
 
 def loss_bounds(q: float) -> tuple[float, float]:
     """Feasible loss-rate interval [q/2, q] for the worst-case targets."""
-    q = _check_q(q)
+    q = check_choice_probability(q)
     return (q / 2.0, q)
 
 
@@ -61,25 +67,13 @@ def worst_case_erase_conditional(n_x: int) -> np.ndarray:
     fringe whose brightest bin has exactly twice the flat weight, which
     pins the same q/2 floor through its peak rather than its zero set.
     """
-    if n_x < 2:
-        raise InvalidArgument(f"need at least 2 bins, got {n_x}")
+    n_x = check_int(n_x, "bin count", 2)
     if n_x % 2 == 0:
         e = np.zeros(n_x)
         e[0::2] = 2.0 / n_x
         return e
     weights = 1.0 + np.cos(2.0 * np.pi * np.arange(n_x) / n_x)
     return weights / weights.sum()
-
-
-def _validated_target(vec, n_x: int, name: str) -> tuple[float, ...]:
-    arr = np.asarray(vec, dtype=float)
-    if arr.shape != (n_x,):
-        raise InvalidArgument(f"{name} must have shape ({n_x},), got {arr.shape}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise InvalidArgument(f"{name} must be finite and nonnegative")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise InvalidArgument(f"{name} must be normalized, sums to {float(arr.sum())}")
-    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -105,24 +99,15 @@ class LossFeasibilityProblem:
     preserve_conditional: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("q", "p"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise InvalidArgument(f"{name} must be a real number, got {value!r}")
-        n_x = self.n_x
-        if not isinstance(n_x, (int, np.integer)) or isinstance(n_x, bool):
-            raise InvalidArgument(f"bin count must be an integer, got {n_x!r}")
-        object.__setattr__(self, "q", _check_q(self.q))
-        if n_x < 2:
-            raise InvalidArgument(f"need at least 2 bins, got {n_x}")
+        object.__setattr__(self, "q", check_choice_probability(self.q))
+        object.__setattr__(self, "p", check_real(self.p, "p"))
+        object.__setattr__(self, "n_x", check_int(self.n_x, "bin count", 2))
         if not 0.0 <= self.p <= 1.0:
             raise InvalidArgument(f"loss rate must lie in [0, 1], got {self.p}")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "n_x", int(n_x))
         for name in ("erase_conditional", "preserve_conditional"):
             if getattr(self, name) is not None:
-                target = _validated_target(getattr(self, name), self.n_x, name)
-                object.__setattr__(self, name, target)
+                target = check_distribution(getattr(self, name), self.n_x, name)
+                object.__setattr__(self, name, tuple(target.tolist()))
         if self.preserve_conditional is not None and self.erase_conditional is None:
             raise InvalidArgument(
                 "a custom preserve_conditional requires an explicit erase_conditional"

@@ -21,12 +21,12 @@ from .architectures import (
     DEFAULT_N_X,
     DEFAULT_VISIBILITY,
     ArchitectureSpec,
+    FringeModel,
 )
 from .audit import AuditReport
 from .errors import InvalidArgument
 from .events import EventLog, cell_dtype, estimate_from_events
 from .feasibility import FeasibilityResult, LossFeasibilityProblem
-from .fringes import FringeModel
 from .joint import JointDistribution, OutcomeSpace
 
 SCHEMA_VERSION = 1

@@ -12,6 +12,8 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgument,
+    InvalidChoiceProbability,
     NegativeMass,
     NotNormalized,
     ShapeMismatch,
@@ -33,13 +36,57 @@ LOSS = "LOSS"
 NORMALIZATION_TOL = 1e-12
 
 
+def check_int(value, what: str, least: int) -> int:
+    """``value`` as an ``int`` when it is an integer (a numpy one too; a bool
+    is not) of at least ``least``, else ``InvalidArgument`` naming ``what``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    bound = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        least, f"an integer of at least {least}"
+    )
+    raise InvalidArgument(f"{what} must be {bound}, got {value!r}")
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a ``float`` when it is a real number (numpy's too; not a
+    bool or a string), else ``InvalidArgument``; past float range, +-inf."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidArgument(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer or fraction past the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def check_choice_probability(q) -> float:
+    """``q`` as a ``float`` in the open interval (0, 1): a non-real raises
+    ``InvalidArgument``, a real outside it ``InvalidChoiceProbability``."""
+    q = check_real(q, "q")
+    if not 0.0 < q < 1.0:
+        raise InvalidChoiceProbability(q)
+    return q
+
+
+def check_distribution(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a float array of shape ``(n,)``, finite, nonnegative and
+    summing to 1 within 1e-9, else ``InvalidArgument`` naming ``what``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (n,):
+        raise InvalidArgument(f"{what} must have shape ({n},), got {arr.shape}")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise InvalidArgument(f"{what} must be finite and nonnegative")
+    if abs(float(arr.sum()) - 1.0) > 1e-9:
+        raise InvalidArgument(f"{what} must be normalized, sums to {float(arr.sum())}")
+    return arr
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """Label sets for the three axes.
 
-    X bins are the integers 0..n_x-1. Choice and detection labels are
-    strings; the loss label, if present, must appear exactly once in
-    ``d_values``.
+    X bins are 0..n_x-1 for an integer ``n_x`` (kept as an ``int``). Choice
+    and detection labels are sequences of strings, not a bare string; the
+    loss label, if present, must appear exactly once in ``d_values``.
     """
 
     n_x: int
@@ -47,19 +94,19 @@ class OutcomeSpace:
     d_values: tuple[str, ...] = ("D1", "D2")
 
     def __post_init__(self):
-        object.__setattr__(self, "c_values", tuple(self.c_values))
-        object.__setattr__(self, "d_values", tuple(self.d_values))
-        if self.n_x < 2:
-            raise InvalidArgument(f"need at least 2 position bins, got {self.n_x}")
-        if len(self.c_values) < 2:
-            raise InvalidArgument("need at least 2 choice labels")
+        object.__setattr__(self, "n_x", check_int(self.n_x, "bin count", 2))
         # A single detection label is legal: total coarse-graining produces it.
-        if len(self.d_values) < 1:
-            raise InvalidArgument("need at least 1 detection label")
-        if len(set(self.c_values)) != len(self.c_values):
-            raise InvalidArgument(f"duplicate choice labels in {self.c_values}")
-        if len(set(self.d_values)) != len(self.d_values):
-            raise InvalidArgument(f"duplicate detection labels in {self.d_values}")
+        for axis, noun, least in (("c_values", "choice", 2), ("d_values", "detection", 1)):
+            labels = getattr(self, axis)
+            if not isinstance(labels, str):
+                labels = tuple(labels)
+            if isinstance(labels, str) or not all(isinstance(v, str) for v in labels):
+                raise InvalidArgument(f"{axis} must be a sequence of strings, got {labels!r}")
+            if len(labels) < least:
+                raise InvalidArgument(f"need at least {least} {noun} label{'s' * (least > 1)}")
+            if len(set(labels)) != len(labels):
+                raise InvalidArgument(f"duplicate {noun} labels in {labels}")
+            object.__setattr__(self, axis, labels)
         if LOSS in self.c_values:
             raise InvalidArgument("loss label is reserved for the detection axis")
 
@@ -121,11 +168,8 @@ class JointDistribution:
     n_samples: int | None = None
 
     def __post_init__(self):
-        n = self.n_samples
-        if n is not None:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-                raise InvalidArgument(f"sample count must be a positive integer, got {n!r}")
-            object.__setattr__(self, "n_samples", int(n))
+        if self.n_samples is not None:
+            object.__setattr__(self, "n_samples", check_int(self.n_samples, "sample count", 1))
         table = np.asarray(self.p, dtype=float)
         if table.shape != self.space.shape:
             raise ShapeMismatch(table.shape, self.space.shape)

@@ -255,6 +255,22 @@ class TestArchitectureSpec:
         with pytest.raises(InvalidChoiceProbability):
             ArchitectureSpec("polarization", four_bin_model, q=q)
 
+    def test_q_is_kept_as_a_checked_float(self, four_bin_model):
+        spec = ArchitectureSpec("polarization", four_bin_model, q=np.float32(0.5))
+        assert type(spec.q) is float and spec.q == 0.5
+
+
+# "0.5" was accepted and kept as a string; True was taken as 1
+@pytest.mark.parametrize("q", ["0.5", True], ids=repr)
+def test_q_must_be_a_real_number(four_bin_model, q):
+    for call in (
+        lambda: loss_bounds(q),
+        lambda: build_polarization(four_bin_model, q),
+        lambda: ArchitectureSpec("mach_zehnder", four_bin_model, q=q),
+    ):
+        with pytest.raises(InvalidArgument, match=f"q must be a real number, got {q!r}"):
+            call()
+
 
 @pytest.mark.parametrize("q, shown", [(10**400, "inf"), (-(10**400), "-inf")], ids=["high", "low"])
 def test_q_past_the_float_range_is_refused(four_bin_model, q, shown):

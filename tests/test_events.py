@@ -46,6 +46,16 @@ class TestEventLog:
         assert log.d_idx.tolist() == [1, 0]
         assert len(log) == 2
 
+    def test_logs_compare_by_space_and_cells(self):
+        # the generated == compared the cell arrays' truth value and raised
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        log = EventLog(space, [0, 1, 2])
+        assert log == EventLog(space, np.array([0, 1, 2], dtype=np.int64))
+        assert log != EventLog(space, [0, 1, 3])
+        assert log != EventLog(OutcomeSpace(2, ("a", "c"), ("D1", "D2")), [0, 1, 2])
+        with pytest.raises(TypeError):
+            hash(log)
+
     def test_cells_are_a_read_only_copy(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
         cells = np.array([3, 5])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dcqe import FringeModel, InvalidArgument, fringe_profile
+from dcqe import ArchitectureSpec, FringeModel, InvalidArgument, fringe_profile
 
 from conftest import FOUR_BIN_PHASE0
 from oracles import rational_fringe_profile
@@ -40,6 +42,38 @@ class TestFringeModel:
     def test_rejects_malformed(self, kwargs):
         with pytest.raises(InvalidArgument):
             FringeModel(**kwargs)
+
+    # 2.5 bins once gave 3 phases and a TypeError in build_kim; 4.0 was kept
+    # as a float; "4", "1" and "0" raised TypeError; visibility True was 1
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_x=2.5, cycles=1), "bin count must be an integer"),
+        (dict(n_x=4.0, cycles=1), "bin count must be an integer"),
+        (dict(n_x="4", cycles=1), "bin count must be an integer"),
+        (dict(n_x=4, cycles="1"), "cycles must be a real number"),
+        (dict(n_x=4, cycles=1, phase0="0"), "phase0 must be a real number"),
+        (dict(n_x=4, cycles=1, visibility=True), "visibility must be a real number"),
+    ])
+    def test_refuses_non_numbers(self, kwargs, message):
+        with pytest.raises(InvalidArgument, match=message):
+            FringeModel(**kwargs)
+
+    def test_numpy_scalars_are_kept_as_python_numbers(self):
+        m = FringeModel(np.int64(8), np.float32(2.0), np.float64(0.1), np.float32(0.5))
+        assert [type(v) for v in (m.n_x, m.cycles, m.phase0, m.visibility)] == [
+            int, float, float, float
+        ]
+        assert m == FringeModel(8, 2.0, 0.1, 0.5)
+
+    def test_models_with_an_envelope_compare_and_hash_by_value(self):
+        # an envelope was kept as an array, so == and hash raised
+        a = FringeModel(4, 1.0, envelope=[1.0, 2.0, 3.0, 4.0])
+        b = FringeModel(4, 1.0, envelope=np.array([2.0, 4.0, 6.0, 8.0]))
+        assert a.envelope == (0.1, 0.2, 0.3, 0.4)
+        assert np.array_equal(a.envelope_distribution(), [0.1, 0.2, 0.3, 0.4])
+        assert a == b and hash(a) == hash(b)
+        assert a != FringeModel(4, 1.0, envelope=[4.0, 3.0, 2.0, 1.0])
+        spec = ArchitectureSpec("kim", a)
+        assert spec == ArchitectureSpec("kim", b) and hash(spec) == hash(ArchitectureSpec("kim", b))
 
 
 class TestFringeProfile:
@@ -85,3 +119,23 @@ class TestFringeProfile:
         m = FringeModel(n_x=8, cycles=1e308)
         with np.errstate(invalid="ignore"), pytest.raises(InvalidArgument, match="non-finite"):
             fringe_profile(m, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=12),
+    cycles=st.floats(0.0, 1e6),
+    phase0=st.floats(-1e6, 1e6),
+    visibility=st.floats(0.0, 1.0),
+    offset=st.sampled_from([0.0, np.pi]),
+)
+def test_profile_weights_need_no_clamp(weights, cycles, phase0, visibility, offset):
+    # for V in [0, 1], |V*cos| <= 1 after rounding and 1 + V*cos >= 0, so a
+    # clamp of the weights at zero never changes one
+    assume(sum(weights) > 0)
+    m = FringeModel(len(weights), cycles, phase0, visibility, envelope=weights)
+    raw = m.envelope_distribution() * (1.0 + visibility * np.cos(m.phases() + offset))
+    assert np.all(raw >= 0)
+    clamped = np.maximum(raw, 0.0)
+    assume(clamped.sum() > 0)
+    assert np.array_equal(fringe_profile(m, offset), clamped / clamped.sum())

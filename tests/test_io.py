@@ -841,6 +841,16 @@ class TestArchConfigFiles:
         with pytest.raises(InvalidArgument):
             arch_config_dict(ArchitectureSpec("kim", m))
 
+    def test_config_from_numpy_scalars_writes(self, tmp_path):
+        # a float32 q was kept as given, and json could not serialize it
+        model = FringeModel(np.int64(8), np.float32(2.0), np.float64(0.1), np.float32(0.75))
+        spec = ArchitectureSpec("mach_zehnder", model, q=np.float32(0.5))
+        path = tmp_path / "config.json"
+        write_json(arch_config_dict(spec), path)
+        plain = ArchitectureSpec("mach_zehnder", FringeModel(8, 2.0, 0.1, 0.75), q=0.5)
+        assert read_json(path) == arch_config_dict(plain)
+        assert arch_spec_from_dict(read_json(path)) == plain == spec
+
     def test_config_dict_keys(self):
         doc = arch_config_dict(ArchitectureSpec("polarization", FringeModel(4, 1.0), q=0.5))
         assert doc == {

@@ -72,6 +72,25 @@ class TestOutcomeSpace:
         with pytest.raises(InvalidArgument):
             OutcomeSpace(**kwargs)
 
+    # 3.0 was accepted with shape (3.0, 2, 2), and a log on it stored float16 cells
+    @pytest.mark.parametrize("n_x", [3.0, 2.5, "4", True, None])
+    def test_bin_count_must_be_an_integer(self, n_x):
+        with pytest.raises(InvalidArgument, match="bin count must be an integer"):
+            OutcomeSpace(n_x)
+
+    def test_numpy_bin_counts_are_kept_as_int(self):
+        space = OutcomeSpace(np.int64(3))
+        assert type(space.n_x) is int and space.shape == (3, 2, 2)
+        assert space == OutcomeSpace(3)
+
+    # (0, 1) read back from a joint CSV as ("0", "1"), and "ab" was split
+    @pytest.mark.parametrize("kwargs", [
+        dict(c_values=(0, 1)), dict(d_values=("D1", 2)), dict(c_values="ab"), dict(d_values="D"),
+    ], ids=["int_choices", "int_detection", "string_choices", "string_detection"])
+    def test_labels_must_be_a_sequence_of_strings(self, kwargs):
+        with pytest.raises(InvalidArgument, match="must be a sequence of strings"):
+            OutcomeSpace(2, **kwargs)
+
 
 class TestJointDistribution:
     def test_table_is_read_only(self):

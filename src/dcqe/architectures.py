@@ -37,6 +37,24 @@ X marginal stays the base: conditional structure without retroactive physics.
 
 from __future__ import annotations
 
+__all__ = [
+    "ARCHITECTURE_KINDS",
+    "DEFAULT_CYCLES",
+    "DEFAULT_N_X",
+    "DEFAULT_Q",
+    "DEFAULT_VISIBILITY",
+    "ArchitectureSpec",
+    "FringeModel",
+    "build_kim",
+    "build_mach_zehnder",
+    "build_passive_choice",
+    "build_polarization",
+    "default_fringe_model",
+    "fringe_profile",
+    "kim_coarse_graining",
+    "route_by_region",
+]
+
 import math
 from dataclasses import dataclass
 

@@ -19,6 +19,19 @@ one violates its property.
 
 from __future__ import annotations
 
+__all__ = [
+    "ALL_CHECKS",
+    "AuditReport",
+    "Verdict",
+    "audit",
+    "berkson_gap",
+    "check_deterministic_routing",
+    "check_distinct_conditionals",
+    "check_independence",
+    "check_lossless",
+    "default_tolerance",
+]
+
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +41,7 @@ import numpy as np
 from .errors import (
     AllMassLost, DegenerateLossMass, InsufficientOutcomes, InvalidArgument, NoLossOutcome
 )
-from .joint import JointDistribution, validate
+from .joint import JointDistribution, check_real, validate
 
 #: Check names, in report order.
 CHECK_INDEPENDENCE = "independence"
@@ -72,17 +85,18 @@ def _level(
     joint: JointDistribution, tol: float | None, alpha: float | None
 ) -> tuple[float | None, float | None]:
     """The statistical checks' level: ``(tol, None)``, ``tol`` or else the
-    table's default and refused unless finite and positive; or, with
-    ``alpha``, ``(None, alpha)``, alpha refused unless given without
-    ``tol``, in (0, 1) and on a sampled table."""
+    table's default as a ``float`` and refused unless finite and positive;
+    or, with ``alpha``, ``(None, alpha)``, alpha as a ``float`` refused
+    unless given without ``tol``, in (0, 1) and on a sampled table. A value
+    that is not a real number (a bool or a string) is refused first."""
     if alpha is None:
-        if tol is None:
-            tol = default_tolerance(joint)
+        tol = default_tolerance(joint) if tol is None else check_real(tol, "tolerance")
         if not 0.0 < tol < math.inf:
             raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
         return tol, None
     if tol is not None:
         raise InvalidArgument("give a tolerance or alpha, not both")
+    alpha = check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     if joint.n_samples is None:
@@ -132,16 +146,16 @@ def upper_gamma(a: float, x: float) -> float:
 def g_test(counts: np.ndarray) -> tuple[float, int, float]:
     """G-test of independence between the rows and columns of a count table.
 
-    Rows and columns without counts are dropped, leaving r x c cells with
-    df = (r - 1)(c - 1). Returns G = 2 Σ O ln(O / E) over the observed
-    cells, df, and the p-value Q(df/2, G/2); with df = 0 nothing can
-    depend on anything, and the p-value is 1.
+    Rows and columns without counts add no cell and no degree of freedom:
+    with r rows and c columns that have counts, df = (r - 1)(c - 1).
+    Returns G = 2 Σ O ln(O / E) over the observed cells, df, and the
+    p-value Q(df/2, G/2); with df = 0 nothing can depend on anything, and
+    the p-value is 1.
     """
-    counts = counts[counts.sum(axis=1) > 0]
-    counts = counts[:, counts.sum(axis=0) > 0]
-    df = (counts.shape[0] - 1) * (counts.shape[1] - 1)
+    rows, columns = counts.sum(axis=1), counts.sum(axis=0)
+    df = int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1))
     observed = counts > 0
-    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0))[observed] / counts.sum()
+    expected = np.outer(rows, columns)[observed] / rows.sum()
     o = counts[observed]
     g = max(2.0 * float(np.sum(o * np.log(o / expected))), 0.0)
     return g, df, upper_gamma(df / 2, g / 2) if df else 1.0

@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AllMassLost",
+    "DcqeError",
+    "DegenerateLossMass",
+    "EmptyLog",
+    "InfeasibleLossRate",
+    "InsufficientOutcomes",
+    "InvalidArgument",
+    "InvalidChoiceProbability",
+    "NegativeMass",
+    "NoLossOutcome",
+    "NotNormalized",
+    "ShapeMismatch",
+    "UnbalancedPorts",
+    "UnmappedLabel",
+    "ZeroConditioningMass",
+]
+
 
 class DcqeError(Exception):
     """Base class for all errors raised by this package."""

@@ -24,6 +24,8 @@ object and guide size, and kept on it.
 
 from __future__ import annotations
 
+__all__ = ["CHUNK_TRIALS", "EventLog", "estimate_from_events", "sample_events"]
+
 import math
 import os
 from collections.abc import Iterator

@@ -23,6 +23,15 @@ table, knowing nothing about the closed form.
 
 from __future__ import annotations
 
+__all__ = [
+    "FeasibilityResult",
+    "LossFeasibilityProblem",
+    "check_feasible",
+    "construct_witness",
+    "loss_bounds",
+    "worst_case_erase_conditional",
+]
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -703,10 +703,15 @@ def feasibility_result_dict(
 
 
 def _pbm_int(path: str, token: str, what: str) -> int:
+    """``token`` as an int when it is a bare ASCII integer, ``-?[0-9]+``, as
+    in the CSV files; ``int`` alone also takes ``1_0``, ``+2`` and non-ASCII
+    digits."""
     try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"PBM file {path} has {what} {token!r}, not an integer") from None
+        if _BARE_INT.fullmatch(token.encode()):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"PBM file {path} has {what} {token!r}, not an integer")
 
 
 def read_mask(path: str) -> np.ndarray:

@@ -12,6 +12,16 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+__all__ = [
+    "LOSS",
+    "JointDistribution",
+    "OutcomeSpace",
+    "coarse_grain",
+    "conditional_x_given_d",
+    "total_variation",
+    "validate",
+]
+
 import math
 import numbers
 from dataclasses import dataclass

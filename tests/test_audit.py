@@ -31,7 +31,7 @@ from dcqe import (
 )
 from dcqe import LOSS
 from dcqe.audit import LOSSLESS_TOL, g_test, upper_gamma
-from dcqe.io import audit_report_dict
+from dcqe.io import audit_report_dict, write_json
 
 from oracles import (
     Refused,
@@ -260,7 +260,8 @@ class TestAudit:
         assert loose.deterministic_routing.holds
         assert strict.tolerance == 1e-3
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    # an integer past the float range reads as inf
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, 10**400])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         joint = product_joint([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], ("D1", "D2"))
         for check in (
@@ -268,6 +269,21 @@ class TestAudit:
         ):
             with pytest.raises(InvalidArgument, match="tolerance must be finite and positive"):
                 check(joint, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, "0.1"], ids=["bool", "str"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        joint = product_joint([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], ("D1", "D2"))
+        for check in (
+            audit, check_independence, check_deterministic_routing, check_distinct_conditionals
+        ):
+            with pytest.raises(InvalidArgument, match="tolerance must be a real number"):
+                check(joint, tol=tol)
+
+    def test_numpy_tolerance_is_kept_as_a_float(self, tmp_path):
+        report = audit(_paper_table("kim"), tol=np.float32(0.05))
+        assert type(report.tolerance) is float
+        assert all(type(verdict.holds) is bool for verdict in report.verdicts)
+        write_json(audit_report_dict(report), tmp_path / "report.json")
 
     def test_audit_is_pure(self):
         joint = product_joint(
@@ -410,6 +426,14 @@ class TestGTest:
     def test_empty_rows_and_columns_are_dropped(self):
         counts = np.array([[10.0, 0.0, 20.0], [0.0, 0.0, 0.0], [30.0, 0.0, 40.0]])
         assert g_test(counts) == g_test(np.array([[10.0, 20.0], [30.0, 40.0]]))
+        # 64 x 3 counts, some cells zero but no row or column empty, read
+        # with empty rows and columns inserted at the edges and between
+        rng = np.random.default_rng(7)
+        dense = rng.integers(1, 50, size=(64, 3)) * (rng.random((64, 3)) > 0.3)
+        dense[dense.sum(axis=1) == 0, 0] = 1
+        sparse = np.insert(dense, [0, 5, 5, 17, 64], 0, axis=0)
+        sparse = np.insert(sparse, [0, 2, 3], 0, axis=1)
+        assert g_test(sparse) == g_test(dense) and type(g_test(sparse)[1]) is int
 
     def test_one_row_or_column_has_nothing_to_test(self):
         assert g_test(np.array([[3.0, 0.0, 7.0]])) == (0.0, 0, 1.0)
@@ -431,6 +455,18 @@ class TestAlpha:
         for check in (audit, check_independence, check_distinct_conditionals):
             with pytest.raises(InvalidArgument, match="alpha must be in"):
                 check(joint, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [True, "0.01"], ids=["bool", "str"])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        joint = _sampled(_paper_table("kim"), 1000, 0)
+        for check in (audit, check_independence, check_distinct_conditionals):
+            with pytest.raises(InvalidArgument, match="alpha must be a real number"):
+                check(joint, alpha=alpha)
+
+    def test_numpy_alpha_is_kept_as_a_float(self, tmp_path):
+        report = audit(_sampled(_paper_table("kim"), 1000, 0), alpha=np.float32(0.01))
+        assert type(report.alpha) is float and type(report.independence.tolerance) is float
+        write_json(audit_report_dict(report), tmp_path / "report.json")
 
     def test_alpha_needs_a_sampled_table(self):
         for check in (audit, check_independence, check_distinct_conditionals):

@@ -959,11 +959,18 @@ class TestMaskFiles:
             ("x 2\n1 0\n", "width 'x'"),
             ("2 2.0\n1 0\n1 0\n", "height '2.0'"),
             ("2 1\n1 z\n", "pixel 'z'"),
+            # int() takes each of these: only bare ASCII digits are integers
+            ("1_0 1\n1 0 1 0 1 0 1 0 1 0\n", "width '1_0'"),
+            ("+2 1\n1 0\n", "width '+2'"),
+            ("\u0662 1\n1 0\n", "width '\u0662'"),
+            ("2 1\n\u0661\u0660\n", "pixel '\u0661'"),
+            # past the digit count int() converts
+            pytest.param("9" * 5000 + " 1\n1\n", "width '999", id="width-of-5000-digits"),
         ],
     )
     def test_pbm_names_a_non_integer_token(self, tmp_path, body, token):
         path = tmp_path / "mask.pbm"
-        path.write_text("P1\n" + body)
+        path.write_text("P1\n" + body, encoding="utf-8")
         with pytest.raises(ValueError) as info:
             read_mask(path)
         assert str(path) in str(info.value) and token in str(info.value)

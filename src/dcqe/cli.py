@@ -10,9 +10,10 @@ the region-routing demo to files:
 * ``witness`` / ``feasible``: run the loss-feasibility module, write JSON.
 * ``figure``: region-routing demo, two per-detector histogram CSVs.
 
-Every subcommand but ``bounds`` echoes its resolved configuration into a
-``<command>_manifest.json`` (and into the report, where there is one), with
-no timestamps: identical inputs give byte-identical artifacts. Exit status
+Every subcommand but ``bounds`` only computes and returns its artifacts as
+writers; ``_run`` writes them, then a ``<command>_manifest.json`` that lists
+them and echoes the resolved configuration (as the report does), with no
+timestamps: identical inputs give byte-identical artifacts. Exit status
 is 0 on success, 1 on domain errors (reported as a JSON object on stderr),
 2 on I/O, parse or out-of-memory errors.
 """
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -89,13 +91,6 @@ def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out-dir",
-        help=f"output directory (default: ${ENV_OUT_DIR} or current directory)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcqe",
@@ -105,14 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write the exact joint table of an architecture")
     _add_arch_flags(p)
-    _add_out_flag(p)
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("sample", help="write a Monte Carlo event log of an architecture")
     _add_arch_flags(p)
     p.add_argument("--n", type=int, required=True, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    _add_out_flag(p)
     p.set_defaults(run=_cmd_sample)
 
     p = sub.add_parser("audit", help="audit an event-log or joint CSV")
@@ -121,12 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alpha", type=float, help="audit a sampled table by G-tests at this level, in (0, 1)"
     )
-    _add_out_flag(p)
     p.set_defaults(run=_cmd_audit)
 
     p = sub.add_parser("bounds", help="print the feasible loss-rate interval")
     p.add_argument("--q", type=float, required=True, help="choice probability")
-    p.set_defaults(run=_cmd_bounds)
 
     for name, solve, help_text in (
         ("witness", construct_witness, "construct an explicit feasibility witness"),
@@ -137,23 +128,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, help="loss rate")
         p.add_argument("--n-x", type=int, dest="n_x", help="bin count")
         p.add_argument("--problem", help="feasibility problem JSON file")
-        _add_out_flag(p)
         p.set_defaults(run=_cmd_solve, solve=solve)
 
     p = sub.add_parser("figure", help="region-routing demo histograms")
     p.add_argument("--mask", dest="mask_path", required=True, help="mask file (0/1 row or PBM P1)")
     p.add_argument("--n", type=int, help="sample this many trials instead of exact masses")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    _add_out_flag(p)
     p.set_defaults(run=_cmd_figure)
 
+    for name, p in sub.choices.items():
+        if name != "bounds":
+            p.add_argument(
+                "--out-dir",
+                help=f"output directory (default: ${ENV_OUT_DIR} or current directory)",
+            )
     return parser
-
-
-def _resolve_out_dir(args) -> str:
-    out_dir = args.out_dir or os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
 
 
 def _overlay(path: str | None, args, *keys: str) -> dict:
@@ -184,28 +173,10 @@ def _echo(doc: dict) -> dict:
     return doc
 
 
-def _write_manifest(config: dict, artifacts: list[str]) -> None:
-    write_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": config["command"],
-            "config": config,
-            "artifacts": sorted(artifacts),
-        },
-        os.path.join(config["out_dir"], f"{config['command']}_manifest.json"),
-    )
-
-
-def _arch_joint(args):
-    """The config echo and joint table of a ``simulate`` or ``sample`` run."""
-    out_dir = _resolve_out_dir(args)
+def _arch_joint(args, config: dict):
+    """The joint table of a ``simulate`` or ``sample`` run, its echo added to ``config``."""
     spec = _resolve_arch(args)
-    config = {
-        "command": args.command,
-        "out_dir": out_dir,
-        "architecture": _echo(arch_config_dict(spec)),
-        "coarse": args.coarse,
-    }
+    config.update(architecture=_echo(arch_config_dict(spec)), coarse=args.coarse)
     try:
         joint = spec.build()
     except DcqeError:
@@ -217,63 +188,47 @@ def _arch_joint(args):
         if spec.kind != "kim":
             raise InvalidArgument("--coarse applies to the kim architecture only")
         joint = coarse_grain(joint, kim_coarse_graining())
-    return config, joint
+    return joint
 
 
-def _cmd_simulate(args) -> None:
-    config, joint = _arch_joint(args)
-    write_joint(joint, os.path.join(config["out_dir"], "simulate_joint.csv"))
-    artifacts = ["simulate_joint.csv"]
+def _cmd_simulate(args, config: dict) -> dict:
+    joint = _arch_joint(args, config)
+    artifacts = {"simulate_joint.csv": partial(write_joint, joint)}
     for di in joint.space.detected_indices:
         d = joint.space.d_values[di]
         if float(joint.p[:, :, di].sum()) > 0.0:
-            name = f"simulate_conditional_{d}.csv"
-            write_column(
-                conditional_x_given_d(joint, d), "p", os.path.join(config["out_dir"], name)
+            artifacts[f"simulate_conditional_{d}.csv"] = partial(
+                write_column, conditional_x_given_d(joint, d), "p"
             )
-            artifacts.append(name)
-    _write_manifest(config, artifacts)
+    return artifacts
 
 
-def _cmd_sample(args) -> None:
-    config, joint = _arch_joint(args)
+def _cmd_sample(args, config: dict) -> dict:
+    joint = _arch_joint(args, config)
     config.update(n=args.n, seed=args.seed)
-    log = sample_events(joint, args.n, args.seed)
-    write_event_log(log, os.path.join(config["out_dir"], "sample_events.csv"))
-    _write_manifest(config, ["sample_events.csv"])
+    return {"sample_events.csv": partial(write_event_log, sample_events(joint, args.n, args.seed))}
 
 
-def _cmd_audit(args) -> None:
-    config = {"command": "audit", "out_dir": _resolve_out_dir(args), "input": args.input_path}
+def _cmd_audit(args, config: dict) -> dict:
+    config["input"] = args.input_path
     if args.tol is not None:
         config["tolerance"] = args.tol
     if args.alpha is not None:
         config["alpha"] = args.alpha
     report = audit(read_table(args.input_path), tol=args.tol, alpha=args.alpha)
-    write_audit_report(report, os.path.join(config["out_dir"], "audit_report.json"), config=config)
-    _write_manifest(config, ["audit_report.json"])
+    return {"audit_report.json": partial(write_audit_report, report, config=config)}
 
 
-def _cmd_bounds(args) -> None:
-    low, high = loss_bounds(args.q)
-    print(f"{low!r} {high!r}")
-
-
-def _cmd_solve(args) -> None:
+def _cmd_solve(args, config: dict) -> dict:
     """``witness`` or ``feasible``: run ``args.solve`` on the resolved problem."""
-    out_dir = _resolve_out_dir(args)
     problem = _resolve_problem(args)
-    config = {"command": args.command, "out_dir": out_dir, "problem": _echo(problem_dict(problem))}
-    name = f"{args.command}_result.json"
-    write_json(
-        feasibility_result_dict(args.solve(problem), problem=problem, config=config),
-        os.path.join(out_dir, name),
-    )
-    _write_manifest(config, [name])
+    config["problem"] = _echo(problem_dict(problem))
+    result = feasibility_result_dict(args.solve(problem), problem=problem, config=config)
+    return {f"{args.command}_result.json": partial(write_json, result)}
 
 
-def _cmd_figure(args) -> None:
-    config = {"command": "figure", "out_dir": _resolve_out_dir(args), "mask": args.mask_path}
+def _cmd_figure(args, config: dict) -> dict:
+    config["mask"] = args.mask_path
     mask = read_mask(args.mask_path)
     joint = route_by_region(mask, np.full(mask.size, 1.0 / mask.size))
     if args.n is None:
@@ -281,10 +236,24 @@ def _cmd_figure(args) -> None:
     else:
         config.update(n=args.n, seed=args.seed)
         name, table = "count", sample_events(joint, args.n, args.seed).counts()
-    artifacts = ["figure_D1.csv", "figure_D2.csv"]
-    for artifact, column in zip(artifacts, table.sum(axis=1).T):
-        write_column(column, name, os.path.join(config["out_dir"], artifact))
-    _write_manifest(config, artifacts)
+    return {
+        artifact: partial(write_column, column, name)
+        for artifact, column in zip(("figure_D1.csv", "figure_D2.csv"), table.sum(axis=1).T)
+    }
+
+
+def _run(args) -> None:
+    """Create the output directory before any input is read, run the subcommand,
+    write each artifact it returns, then the manifest that lists them."""
+    out_dir = args.out_dir or os.environ.get(ENV_OUT_DIR) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    config = {"command": args.command, "out_dir": out_dir}
+    artifacts = args.run(args, config)
+    for name, write in artifacts.items():
+        write(os.path.join(out_dir, name))
+    manifest = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
+    manifest["artifacts"] = sorted(artifacts)
+    write_json(manifest, os.path.join(out_dir, f"{args.command}_manifest.json"))
 
 
 def main(argv=None) -> int:
@@ -295,7 +264,11 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        args.run(args)
+        if args.command == "bounds":
+            low, high = loss_bounds(args.q)
+            print(f"{low!r} {high!r}")
+        else:
+            _run(args)
     except (DcqeError, MemoryError, OSError, ValueError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"

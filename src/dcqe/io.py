@@ -60,8 +60,23 @@ def _text(path: str) -> str:
 
 
 def read_json(path: str) -> dict:
-    """Read a JSON document; anything but an object is refused."""
-    doc = json.loads(_text(path))
+    """Read a JSON object; anything else, a duplicate key, or a ``NaN``, ``Infinity``
+    or overflowing float literal is refused, naming the key or literal and the file."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"duplicate key {key!r} in {path}")
+            doc[key] = value
+        return doc
+
+    def real(literal):
+        if not math.isfinite(value := float(literal)):
+            raise ValueError(f"{literal} in {path} is not a finite JSON number")
+        return value
+
+    doc = json.loads(_text(path), object_pairs_hook=unique, parse_constant=real, parse_float=real)
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object in {path}, got {type(doc).__name__}")
     return doc
@@ -156,7 +171,7 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 _BARE_INT = re.compile(rb"-?[0-9]+")
 _DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
-_LABEL = rb'(?:[^",\r\n]*|"(?:[^"]|"")*")'
+_LABEL = rb'(?:[^",\r\n\x00]*|"(?:[^"\x00]|"")*")'
 _LABEL_PAIR = re.compile(_LABEL + b"," + _LABEL)
 
 
@@ -498,6 +513,8 @@ def read_joint(path: str) -> JointDistribution:
         if not _BARE_INT.fullmatch(row[0].encode()):
             raise ValueError(f"bin {row[0]!r} {where} is not a bare decimal integer")
         x, c, d = _int64(row[0].encode()), row[1], row[2]
+        if "\x00" in c + d:
+            raise ValueError(f"a label {where} holds NUL")
         try:
             p = float(row[3])
         except ValueError:
@@ -622,13 +639,16 @@ def _floats(doc: Mapping, key: str) -> np.ndarray | None:
 
 
 def _check_keys(doc: Mapping, required: tuple, optional: tuple, what: str) -> None:
-    """Name the first required key missing from ``doc``, then its first unknown key."""
+    """Name a missing required key, then an unknown key, then a schema_version but 1."""
     for key in required:
         if key not in doc:
             raise ValueError(f"{what} is missing {key!r}")
     for key in doc:
         if key not in required + optional + ("schema_version",):
             raise ValueError(f"unknown key {key!r} in {what}")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"{what} has schema_version {version!r}; only {SCHEMA_VERSION} is read")
 
 
 def arch_spec_from_dict(doc: Mapping) -> ArchitectureSpec:

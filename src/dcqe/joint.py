@@ -95,8 +95,9 @@ class OutcomeSpace:
     """Label sets for the three axes.
 
     X bins are 0..n_x-1 for an integer ``n_x`` (kept as an ``int``). Choice
-    and detection labels are sequences of strings, not a bare string; the
-    loss label, if present, must appear exactly once in ``d_values``.
+    and detection labels are sequences of strings, not a bare string, that hold
+    no NUL (``csv`` writes none before Python 3.11); the loss label, if
+    present, must appear exactly once in ``d_values``.
     """
 
     n_x: int
@@ -112,6 +113,8 @@ class OutcomeSpace:
                 labels = tuple(labels)
             if isinstance(labels, str) or not all(isinstance(v, str) for v in labels):
                 raise InvalidArgument(f"{axis} must be a sequence of strings, got {labels!r}")
+            if any("\x00" in v for v in labels):
+                raise InvalidArgument(f"{axis} may not hold NUL, got {labels!r}")
             if len(labels) < least:
                 raise InvalidArgument(f"need at least {least} {noun} label{'s' * (least > 1)}")
             if len(set(labels)) != len(labels):

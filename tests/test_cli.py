@@ -124,8 +124,14 @@ class TestSimulate:
         ({"kind": "mach_zehnder", "q": 10**400}, "'q' is too large for a float"),
         ({"kind": "kim", "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
         (b'{"kind": "kim",\n "n_x": 8\xff}\n', "line 2 of {path} is not UTF-8"),
+        # these were read: the last n_x won, any version ran, and 1e400 and NaN exited 1
+        (b'{"kind": "kim", "n_x": 8, "n_x": 16}', "duplicate key 'n_x' in {path}"),
+        ({"kind": "kim", "schema_version": 99}, "architecture config has schema_version 99"),
+        (b'{"kind": "mach_zehnder", "q": 1e400}', "1e400 in {path} is not a finite JSON number"),
+        (b'{"kind": "kim", "visibility": NaN}', "NaN in {path} is not a finite JSON number"),
     ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q",
-            "huge_n_x", "non_utf8"])
+            "huge_n_x", "non_utf8", "duplicate_key", "schema_version_99", "float_literal_inf",
+            "nan_literal"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
         # a bytes doc is written as it is; any other is written as JSON
         config = tmp_path / "arch.json"
@@ -402,7 +408,9 @@ class TestFeasibilityCommands:
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps({"q": 0.5, "p": 0.3, "n_x": n_x}))
         assert main(["feasible", "--problem", str(problem), "--out-dir", str(tmp_path)]) == 2
-        assert "'n_x' must be an integer" in json.loads(capsys.readouterr().err)["message"]
+        # json.dumps writes inf as Infinity, which is not JSON and is refused as it is parsed
+        expected = "'n_x' must be an integer" if n_x == 4.7 else "Infinity in"
+        assert expected in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "feasible_result.json").exists()
 
     @pytest.mark.parametrize("doc, expected", [
@@ -415,8 +423,16 @@ class TestFeasibilityCommands:
          "'erase_conditional' holds a number too large for a float"),
         ({"q": 0.5, "p": 0.3, "n_x": 10**400}, "'n_x' does not fit a 64-bit integer"),
         (b'{"q": 0.5, "p": 0.3,\n\n "n_x": 4} \xfe\n', "line 3 of {path} is not UTF-8"),
+        # these were read: the last q won, -Infinity and 2e308 exited 1, any version ran
+        (b'{"q": 0.5, "p": 0.3, "n_x": 4, "q": 0.7}', "duplicate key 'q' in {path}"),
+        (b'{"q": 0.5, "p": -Infinity, "n_x": 4}', "-Infinity in {path} is not a finite JSON"),
+        (b'{"q": 0.5, "p": 0.3, "n_x": 4, "erase_conditional": [2e308, 0, 0, 0]}',
+         "2e308 in {path} is not a finite JSON number"),
+        ({"q": 0.5, "p": 0.3, "n_x": 4, "schema_version": True},
+         "feasibility problem has schema_version True"),
     ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key",
-            "huge_erase_conditional", "huge_n_x", "non_utf8"])
+            "huge_erase_conditional", "huge_n_x", "non_utf8", "duplicate_key",
+            "minus_infinity_literal", "float_literal_inf", "bool_schema_version"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
         # a bytes doc is written as it is; any other is written as JSON
         problem = tmp_path / "problem.json"
@@ -540,6 +556,26 @@ class TestEnvironment:
         assert main(["frobnicate"]) == 2
 
 
+# sha256 of the --help text, at 80 columns, of dcqe and of each subcommand
+PINNED_HELP = {
+    "dcqe": "23fd61f8a9b2d63dfd10aab0c809318c12205d82820a5d6cd6d9f47aa911a0de",
+    "simulate": "45c4c71996936ef9f58de24a864e90f6c5e26a57fb8e3fa13e653f4a7dd4d899",
+    "sample": "9868fbbf2b6ccacb369a9b126a86303029bbdcf573071575b31276e760872329",
+    "audit": "e8883845cf81b8ddc2625c8b054035f85039a7bfe9ee34af1f2607e3d8cb8251",
+    "bounds": "7474e15bc2a6a29c3b8329091bbdefcf4badde7b134130170127f2342369a0ea",
+    "witness": "47d14b8e8a6c20d4fd2b46979b2bc333921ad99da3914ed8107702596f18a1f0",
+    "feasible": "20c4a3a2eb47f5d3b7fd8e31bc9fdc8978a2f3932560a83c952597ece6e0e365",
+    "figure": "b97540f5afd4fd70cb71cadcad7cc0cee2bda7856845dc4c5da3048922711e09",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"] if command == "dcqe" else [command, "--help"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_HELP[command]
+
+
 _MZ_ECHO = {"fringe_cycles": 1.0, "kind": "mach_zehnder", "n_x": 8, "phase0": 0.0,
             "q": 0.6, "visibility": 1.0}
 _KIM_ECHO = {"fringe_cycles": 4.0, "kind": "kim", "n_x": 64, "phase0": 0.0, "q": None,
@@ -652,6 +688,9 @@ class TestPinnedManifests:
         assert main(argv) == 0
         out = inputs / expected["config"]["out_dir"]
         assert json.loads((out / f"{argv[0]}_manifest.json").read_text()) == expected
+        # the out dir holds what the manifest lists, and the manifest
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(expected["artifacts"] + [f"{argv[0]}_manifest.json"])
         if argv[0] == "audit":
             report = json.loads((out / "audit_report.json").read_text())
             assert report["config"] == expected["config"]

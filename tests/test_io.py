@@ -150,6 +150,14 @@ class TestEventLogFiles:
         with pytest.raises(ValueError, match=f"event row 2 of {re.escape(str(path))}: .*{reason}"):
             read_event_log(path)
 
+    # Python 3.11's csv.reader reads a NUL, which 3.10's refuses
+    @pytest.mark.parametrize("row", [b"1,0,a\x00b,D2", b'1,0,a,"D\x002"'], ids=["bare", "quoted"])
+    def test_nul_label_is_refused_by_row(self, tmp_path, row):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"trial,x,c,d\n0,1,a,D1\n" + row + b"\n")
+        with pytest.raises(ValueError, match=f"event row 2 of {re.escape(str(path))}"):
+            read_event_log(path)
+
     @pytest.mark.parametrize("x", [-1, -(2**62), 2**62])
     def test_rejects_out_of_range_bin(self, tmp_path, x):
         # a negative bin is not a valid index; 2**62 bins are too many to allocate
@@ -673,7 +681,7 @@ class TestJointFiles:
         path = tmp_path / "joint.csv"
         # a bin past Python's 4,300-digit int conversion limit is named by its line too
         rows = ("0,a,D1,not_a_number", "1,b,D2", "1,b,D2,5_0e-2", "1,b,D2, 0.5",
-                "1,b,D2,0.5 ", "9" * 5000 + ",b,D2,0.5")
+                "1,b,D2,0.5 ", "9" * 5000 + ",b,D2,0.5", '1,b,"D\x002",0.5')
         # a byte that is not UTF-8 is named by its line before any field is parsed
         for row in rows + ("1,b\udcff,D2,0.5",):
             path.write_bytes(f"x,c,d,p\n0,a,D1,0.5\n{row}\n".encode("utf-8", "surrogateescape"))

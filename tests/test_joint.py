@@ -66,6 +66,9 @@ class TestOutcomeSpace:
             dict(n_x=2, c_values=("a", "LOSS"), d_values=("D1", "D2")),
             dict(n_x=2, c_values=("a", "b"), d_values=("LOSS", "LOSS")),
             dict(n_x=2, c_values=("a", "b"), d_values=()),
+            # csv cannot write a NUL before Python 3.11
+            dict(n_x=2, c_values=("a", "a\x00b"), d_values=("D1", "D2")),
+            dict(n_x=2, c_values=("a", "b"), d_values=("\x00", "D2")),
         ],
     )
     def test_rejects_malformed(self, kwargs):

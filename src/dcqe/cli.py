@@ -176,6 +176,8 @@ def _echo(doc: dict) -> dict:
 def _arch_joint(args, config: dict):
     """The joint table of a ``simulate`` or ``sample`` run, its echo added to ``config``."""
     spec = _resolve_arch(args)
+    if args.coarse and spec.kind != "kim":
+        raise InvalidArgument("--coarse applies to the kim architecture only")
     config.update(architecture=_echo(arch_config_dict(spec)), coarse=args.coarse)
     try:
         joint = spec.build()
@@ -185,8 +187,6 @@ def _arch_joint(args, config: dict):
         # numpy raises ValueError for an array too big to even shape
         raise MemoryError(f"n_x = {spec.fringe.n_x} bins are too many to allocate") from None
     if args.coarse:
-        if spec.kind != "kim":
-            raise InvalidArgument("--coarse applies to the kim architecture only")
         joint = coarse_grain(joint, kim_coarse_graining())
     return joint
 

@@ -3,6 +3,15 @@
 All writers are deterministic: fixed header order, ``\\n`` line endings,
 shortest round-trip float repr (full precision), and sorted keys in JSON.
 JSON documents carry a ``schema_version`` field.
+
+Every writer encodes what can fail to encode (its labels, a non-finite JSON
+number) before it touches the path, so an encoding error leaves an existing
+file as it was. Then it removes any file at the path and creates a new one
+(``_new_file``) instead of truncating the old one: on ext4, closing a
+truncated and rewritten file flushes it to disk, and the next write waits
+for that flush. So a symlink or hard link at the path is replaced, not
+written through; the new file gets default permissions, not the old
+file's; and writing needs write permission on the directory.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 from io import StringIO
 from typing import Mapping
@@ -37,15 +47,28 @@ JOINT_HEADER = ["x", "c", "d", "p"]
 _INTP = np.iinfo(np.intp)
 
 
+def _new_file(path: str):
+    """``path`` opened for binary writing as a new file, once any file there is removed.
+
+    ``"xb"`` refuses a file that appears at the path in between, rather than
+    write through it.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "xb")
+
+
 def write_json(obj, path: str) -> None:
     """Write a JSON document deterministically (sorted keys, full precision).
 
-    A non-finite float raises ``ValueError`` before the file is opened: bare
+    A non-finite float raises ``ValueError`` before any file is touched: bare
     ``NaN`` is not JSON.
     """
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    data = (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    with _new_file(path) as fh:
+        fh.write(data)
 
 
 def _text(path: str) -> str:
@@ -60,8 +83,8 @@ def _text(path: str) -> str:
 
 
 def read_json(path: str) -> dict:
-    """Read a JSON object; anything else, a duplicate key, or a ``NaN``, ``Infinity``
-    or overflowing float literal is refused, naming the key or literal and the file."""
+    """Read a JSON object; a syntax error, anything but an object, a duplicate key, or a
+    ``NaN``, ``Infinity`` or overflowing float literal is refused, naming the file."""
 
     def unique(pairs):
         doc = {}
@@ -76,7 +99,11 @@ def read_json(path: str) -> dict:
             raise ValueError(f"{literal} in {path} is not a finite JSON number")
         return value
 
-    doc = json.loads(_text(path), object_pairs_hook=unique, parse_constant=real, parse_float=real)
+    text = _text(path)
+    try:
+        doc = json.loads(text, object_pairs_hook=unique, parse_constant=real, parse_float=real)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object in {path}, got {type(doc).__name__}")
     return doc
@@ -142,7 +169,7 @@ def write_event_log(log: EventLog, path: str) -> None:
     first_low[:, :-1][trials < 10 ** np.arange(_LOW_DIGITS - 1, 0, -1)] = _GAP
     low, first_low = (table.view(f"S{_LOW_DIGITS}").reshape(-1) for table in (low, first_low))
     n = len(log)
-    with open(path, "wb") as fh:
+    with _new_file(path) as fh:
         fh.write(",".join(EVENT_HEADER).encode() + b"\n")
         for start in range(0, n, size):
             lead = str(start // size).encode() if start else bytes([_GAP])
@@ -471,13 +498,13 @@ def read_event_log(path: str) -> EventLog:
 def write_joint(joint: JointDistribution, path: str) -> None:
     """CSV of every cell, ``x,c,d,p``, in canonical (x, c, d) order.
 
-    The whole table is encoded before the file is opened, so a label that
-    UTF-8 cannot encode raises ``UnicodeEncodeError`` and leaves no file.
+    The whole table is encoded first, so a label that UTF-8 cannot encode
+    raises ``UnicodeEncodeError`` and leaves the path as it was.
     """
     cells = zip(_cell_fields(joint.space, range(joint.p.size)), joint.p.reshape(-1).tolist())
     rows = [",".join(JOINT_HEADER)] + [f"{fields},{p!r}" for fields, p in cells]
     data = "\n".join(rows + [""]).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _new_file(path) as fh:
         fh.write(data)
 
 
@@ -563,8 +590,9 @@ def write_column(values, name: str, path: str) -> None:
     """CSV ``x,<name>`` of one value per bin: a fringe profile's floats in
     shortest round-trip repr, or a histogram's integer counts."""
     rows = [f"x,{name}"] + [f"{x},{v!r}" for x, v in enumerate(np.asarray(values).tolist())]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+    data = ("\n".join(rows) + "\n").encode("utf-8")
+    with _new_file(path) as fh:
+        fh.write(data)
 
 
 # ------------------------------------------------------------- audit reports

@@ -68,6 +68,17 @@ class TestSimulate:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
+    # the layout is refused before its table is built, so a table too large to
+    # allocate (which exited 2 with MemoryError) is refused the same way
+    @pytest.mark.parametrize("n_x", ["8", str(2**62)])
+    def test_coarse_is_refused_before_the_table_is_built(self, tmp_path, capsys, n_x):
+        argv = ["simulate", "--arch", "polarization", "--coarse", "--n-x", n_x]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidArgument",
+                       "message": "--coarse applies to the kim architecture only"}
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("phase0", ["nan", "inf"])
     def test_non_finite_phase0_exit_1(self, tmp_path, capsys, phase0):
         argv = ["simulate", "--arch", "kim", "--phase0", phase0, "--out-dir", str(tmp_path)]
@@ -129,9 +140,12 @@ class TestSimulate:
         ({"kind": "kim", "schema_version": 99}, "architecture config has schema_version 99"),
         (b'{"kind": "mach_zehnder", "q": 1e400}', "1e400 in {path} is not a finite JSON number"),
         (b'{"kind": "kim", "visibility": NaN}', "NaN in {path} is not a finite JSON number"),
+        # this named no file
+        (b'{"kind": "kim"} x',
+         "{path} is not valid JSON: Extra data: line 1 column 17 (char 16)"),
     ], ids=["list", "null_n_x", "list_visibility", "bool_n_x", "unknown_key", "huge_q",
             "huge_n_x", "non_utf8", "duplicate_key", "schema_version_99", "float_literal_inf",
-            "nan_literal"])
+            "nan_literal", "extra_data"])
     def test_wrong_typed_config_exit_2(self, tmp_path, capsys, doc, expected):
         # a bytes doc is written as it is; any other is written as JSON
         config = tmp_path / "arch.json"
@@ -430,9 +444,13 @@ class TestFeasibilityCommands:
          "2e308 in {path} is not a finite JSON number"),
         ({"q": 0.5, "p": 0.3, "n_x": 4, "schema_version": True},
          "feasibility problem has schema_version True"),
+        # this named no file
+        (b'{"q": 0.5, "p": 0.3\n "n_x": 4}',
+         "{path} is not valid JSON: Expecting ',' delimiter: line 2 column 2 (char 21)"),
     ], ids=["null_n_x", "object_erase_conditional", "string_q", "unknown_key",
             "huge_erase_conditional", "huge_n_x", "non_utf8", "duplicate_key",
-            "minus_infinity_literal", "float_literal_inf", "bool_schema_version"])
+            "minus_infinity_literal", "float_literal_inf", "bool_schema_version",
+            "missing_comma"])
     def test_wrong_typed_problem_exit_2(self, tmp_path, capsys, doc, expected):
         # a bytes doc is written as it is; any other is written as JSON
         problem = tmp_path / "problem.json"
@@ -533,6 +551,46 @@ class TestFigure:
         message = json.loads(capsys.readouterr().err)["message"]
         assert str(mask) in message and "not an integer" in message
         assert not (out / "figure_manifest.json").exists()
+
+
+class TestArtifactFiles:
+    """Each artifact and manifest is a new file, whatever was at its path."""
+
+    ARGV = ["simulate", "--arch", "mach_zehnder", "--q", "0.4", "--n-x", "8"]
+    NAMES = ["simulate_joint.csv", "simulate_conditional_D1.csv",
+             "simulate_conditional_D2.csv", "simulate_manifest.json"]
+
+    def written_bytes(self, out):
+        assert main(self.ARGV + ["--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NAMES)
+        return {name: (out / name).read_bytes() for name in self.NAMES}
+
+    def test_a_rerun_over_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
+        expected = self.written_bytes(tmp_path)
+        for name in self.NAMES:
+            (tmp_path / name).write_bytes(expected[name] + b"left over\n" * 1000)
+        assert self.written_bytes(tmp_path) == expected
+
+    def test_symlinks_are_replaced_and_their_targets_kept(self, tmp_path):
+        out = tmp_path / "out"
+        expected = self.written_bytes(out)
+        for name in self.NAMES:
+            (tmp_path / name).write_bytes(b"kept\n")
+            (out / name).unlink()
+            (out / name).symlink_to(tmp_path / name)
+        assert self.written_bytes(out) == expected
+        for name in self.NAMES:
+            assert not (out / name).is_symlink()
+            assert (tmp_path / name).read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("name", ["simulate_joint.csv", "simulate_manifest.json"])
+    def test_a_directory_at_an_artifact_path_exit_2(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        assert main(self.ARGV + ["--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] in ("IsADirectoryError", "PermissionError")
+        assert str(tmp_path / name) in err["message"]
+        assert (tmp_path / name).is_dir()
 
 
 class TestEnvironment:

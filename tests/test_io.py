@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -804,6 +806,88 @@ class TestAuditReportFiles:
         assert doc["no_go_consistent"] is True
 
 
+#: Each writer, given a table and a log sampled from it.
+WRITERS = {
+    "json": lambda joint, log, path: write_json({"a": [1, 2.5], "b": "c"}, path),
+    "event_log": lambda joint, log, path: write_event_log(log, path),
+    "joint": lambda joint, log, path: write_joint(joint, path),
+    "column": lambda joint, log, path: write_column(joint.p.sum(axis=(1, 2)), "p", path),
+    "audit_report": lambda joint, log, path: write_audit_report(audit(joint), path, {"n": 1}),
+}
+
+UNENCODABLE = OutcomeSpace(2, ("a", "\ud800"), ("D1", "D2"))
+
+
+class TestWritersCreateANewFile:
+    """Every writer removes what is at its path and creates a new file there."""
+
+    @pytest.fixture(params=list(WRITERS))
+    def write(self, request):
+        joint = small_joint()
+        return partial(WRITERS[request.param], joint, sample_events(joint, 500, 1))
+
+    @staticmethod
+    def fresh_bytes(write, tmp_path):
+        write(tmp_path / "fresh")
+        return (tmp_path / "fresh").read_bytes()
+
+    def test_a_longer_file_is_left_with_exactly_the_new_bytes(self, tmp_path, write):
+        expected = self.fresh_bytes(write, tmp_path)
+        path = tmp_path / "out"
+        path.write_bytes(expected + b"left over\n" * 1000)
+        write(path)
+        assert path.read_bytes() == expected
+
+    def test_a_symlink_is_replaced_and_its_target_kept(self, tmp_path, write):
+        expected = self.fresh_bytes(write, tmp_path)
+        target, path = tmp_path / "target", tmp_path / "out"
+        target.write_bytes(b"kept\n")
+        path.symlink_to(target)
+        write(path)
+        assert not path.is_symlink()
+        assert path.read_bytes() == expected
+        assert target.read_bytes() == b"kept\n"
+
+    def test_a_hard_link_is_replaced_and_its_other_name_kept(self, tmp_path, write):
+        other, path = tmp_path / "other", tmp_path / "out"
+        other.write_bytes(b"kept\n")
+        os.link(other, path)
+        write(path)
+        assert other.read_bytes() == b"kept\n"
+        assert os.stat(path).st_nlink == 1
+
+    def test_the_new_file_has_default_permissions(self, tmp_path, write):
+        write(tmp_path / "fresh")
+        path = tmp_path / "out"
+        path.write_bytes(b"old\n")
+        path.chmod(0o400)
+        write(path)
+        assert path.stat().st_mode == (tmp_path / "fresh").stat().st_mode
+
+    def test_a_directory_at_the_path_is_refused(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write(path)
+        assert path.is_dir()
+
+    # each fails as it encodes, before the path is touched
+    @pytest.mark.parametrize("writer, error", [
+        (lambda path: write_event_log(EventLog(UNENCODABLE, np.arange(8)), path),
+         UnicodeEncodeError),
+        (lambda path: write_joint(JointDistribution(UNENCODABLE, np.full((2, 2, 2), 0.125)), path),
+         UnicodeEncodeError),
+        (lambda path: write_column([0.5, 0.5], "\ud800", path), UnicodeEncodeError),
+        (lambda path: write_json({"x": math.nan}, path), ValueError),
+    ], ids=["event_log", "joint", "column", "json"])
+    def test_an_encoding_error_leaves_an_existing_file(self, tmp_path, writer, error):
+        path = tmp_path / "out"
+        path.write_bytes(b"old\n")
+        with pytest.raises(error):
+            writer(path)
+        assert path.read_bytes() == b"old\n"
+
+
 class TestArchConfigFiles:
     def test_round_trip(self, tmp_path):
         spec = ArchitectureSpec(
@@ -836,6 +920,17 @@ class TestArchConfigFiles:
         path = tmp_path / "config.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="expected a JSON object"):
+            read_json(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"kind": "kim"} x', "Extra data: line 1 column 17"),
+        ('{"kind": "kim",}', "Expecting property name"),
+        ("", "Expecting value: line 1 column 1"),
+    ], ids=["extra_data", "trailing_comma", "empty"])
+    def test_read_json_names_the_file_of_a_syntax_error(self, tmp_path, text, error):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} is not valid JSON: {error}')}"):
             read_json(path)
 
     def test_defaults_fill_missing_keys(self):

@@ -32,6 +32,7 @@ __all__ = [
     "worst_case_erase_conditional",
 ]
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,22 +238,27 @@ def _phase1_feasible(
     integer numerators, the right-hand side in column n+m, all over one
     positive denominator: the row's own entry in its basic column. The
     set-up forms no Fraction: row i is multiplied by the lcm s_i of its
-    denominators, each entry as ``a.numerator * (s_i // a.denominator)``,
-    and the reduced-cost row starts as -sum_i row_i * (L / s_i) over the
-    structural columns and the right-hand side, L the lcm of the s_i,
-    divided by its gcd. That is a positive multiple of the true reduced
-    costs, and it is kept as one through the loop, so only the signs of its
-    entries are read. A pivot finds the rows holding the entering column in
-    one scan and uses that list for both the ratio test and the
-    elimination: every such row r becomes ``pivot * r - r[entering] *
-    pivot_row``, divided by the gcd of its entries, so no Fraction is formed
-    inside the loop; the pivot row itself is kept as it is, its entering
-    entry becoming its denominator. The ratio test compares b_i / a_i by
-    cross-multiplying, as the row denominators cancel. Entering is the
-    least column with a negative reduced cost; leaving is the minimum
-    ratio with ties to the smaller basic column. Exact arithmetic under
-    that fixed rule visits the same pivots as a dense Fraction tableau and
-    returns the same vector.
+    denominators, each entry as ``a.numerator * (s_i // a.denominator)``.
+    A pivot finds the rows holding the entering column in one scan and uses
+    that list for both the ratio test and the elimination: every such row r
+    becomes ``pivot * r - r[entering] * pivot_row``, divided by the gcd of
+    its entries; the pivot row itself is kept as it is, its entering entry
+    becoming its denominator. The ratio test compares b_i / a_i by
+    cross-multiplying, as the row denominators cancel.
+
+    The reduced costs start as -sum_i row_i * (L / s_i) over the structural
+    columns and the right-hand side, L the lcm of the s_i, divided by its
+    gcd: a positive multiple of the true reduced costs, whose objective
+    entry sits in column n+m. From there they are exact fractions, each a
+    ``(numerator, positive denominator)`` pair in lowest terms. A pivot
+    changes only the columns its row holds, so it updates just those, as
+    d_j - d_e * P_j / P_e over the pivot row P. Entering is the least column
+    with a negative reduced cost (Bland), taken from a heap: a column is
+    pushed when a pivot turns it negative, and a top that is no longer
+    negative is popped when it surfaces, since no other column changes
+    value. Leaving is the minimum ratio with ties to the smaller basic
+    column. Exact arithmetic under that fixed rule visits the same pivots
+    as a dense Fraction tableau and returns the same vector.
     """
     m = len(rows)
     b_col = n + m
@@ -269,21 +275,23 @@ def _phase1_feasible(
     # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j] / s_i,
     # which vanishes on the artificial columns; the objective is -sum_i b_i.
     lcm = math.lcm(*(num[n + i] for i, num in enumerate(tableau)))
-    cost: dict[int, int] = {}
+    total: dict[int, int] = {}
     for i, num in enumerate(tableau):
         weight = lcm // num[n + i]
         for j, a in num.items():
             if j < n or j == b_col:
-                cost[j] = cost.get(j, 0) - a * weight
-    cost = {j: c for j, c in cost.items() if c}
-    g = math.gcd(*cost.values())
-    if g > 1:
-        cost = {j: c // g for j, c in cost.items()}
+                total[j] = total.get(j, 0) - a * weight
+    g = math.gcd(*total.values())
+    cost = {j: (c // g, 1) for j, c in total.items() if c}
+    negative = [j for j, (c, _) in cost.items() if c < 0 and j < b_col]
+    heapq.heapify(negative)
 
     while True:
-        entering = min((j for j, c in cost.items() if c < 0 and j < b_col), default=None)
-        if entering is None:
+        while negative and cost.get(negative[0], (0, 1))[0] >= 0:
+            heapq.heappop(negative)
+        if not negative:
             break
+        entering = negative[0]
         hits = [i for i, row in enumerate(tableau) if entering in row]
         leaving = None
         for i in hits:
@@ -302,10 +310,24 @@ def _phase1_feasible(
         for i in hits:
             if i != leaving:
                 tableau[i] = _eliminate(tableau[i], pivot_row, entering)
-        cost = _eliminate(cost, pivot_row, entering)
+        # d_j -= d_e * P_j / P_e on the pivot row's columns, as k_num * P_j / k_den
+        k_num, k_den = cost.pop(entering)
+        k_den *= pivot_row[entering]
+        g = math.gcd(k_num, k_den)
+        k_num, k_den = k_num // g, k_den // g
+        for j, a in pivot_row.items():
+            old, d = cost.get(j, (0, 1))
+            c, d = old * k_den - k_num * a * d, d * k_den
+            if j == entering or not c:
+                cost.pop(j, None)
+                continue
+            if c < 0 <= old and j < b_col:
+                heapq.heappush(negative, j)
+            g = math.gcd(c, d)
+            cost[j] = (c // g, d // g)
         basis[leaving] = entering
 
-    if cost.get(b_col, 0) != 0:
+    if b_col in cost:
         return None
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
@@ -361,12 +383,13 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
 
     for cd, mass in cd_table.items():
         equation({(x, cd): 1 for x in range(n)}, mass)
+    detected, kept, minus_q = q - p, 1 - q, -q
     for x in range(n):
-        equation({(x, (0, 0)): 1, (x, (1, 0)): 1}, e[x] * (q - p))
-        equation({(x, (0, 1)): 1, (x, (1, 1)): 1}, r[x] * (1 - q))
+        equation({(x, (0, 0)): 1, (x, (1, 0)): 1}, e[x] * detected)
+        equation({(x, (0, 1)): 1, (x, (1, 1)): 1}, r[x] * kept)
         # Independence: the two choice rows of bin x in ratio q : (1-q).
-        cells = {(x, (0, d)): 1 - q for d in range(3)}
-        cells.update({(x, (1, d)): -q for d in range(3)})
+        cells = {(x, (0, d)): kept for d in range(3)}
+        cells.update({(x, (1, d)): minus_q for d in range(3)})
         equation(cells, Fraction(0))
 
     solution = _phase1_feasible(rows, rhs, n * len(live))

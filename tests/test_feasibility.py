@@ -361,6 +361,28 @@ def linear_systems(draw, denominators=(1,)):
     return rows, rhs
 
 
+@st.composite
+def long_pivot_systems(draw):
+    """Sparse, degenerate A v = b systems that take many pivots.
+
+    6-12 rows and 8-16 columns, each column holding 1-3 non-zeros in -3..3
+    over denominators 1-3, and integer right-hand sides in -2..3, zeros
+    included, so reduced costs change sign back and forth over the path.
+    """
+    m = draw(st.integers(6, 12))
+    n = draw(st.integers(8, 16))
+    nonzero = st.builds(
+        Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)
+    )
+    rows = [[Fraction(0)] * n for _ in range(m)]
+    for j in range(n):
+        held = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))
+        for i in held:
+            rows[i][j] = draw(nonzero)
+    rhs = [Fraction(draw(st.integers(-2, 3))) for _ in range(m)]
+    return rows, rhs
+
+
 def fractions(values):
     return [Fraction(v) for v in values]
 
@@ -396,6 +418,21 @@ def with_dense_solver(rows, rhs, n):
     return dense_phase1_feasible(dense, rhs)
 
 
+def assert_bits_match_dense_reference(prob, monkeypatch):
+    """check_feasible gives the same verdict, tag and witness bits with the
+    dense reference solver patched in."""
+    got = check_feasible(prob)
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_phase1_feasible", with_dense_solver)
+        want = check_feasible(prob)
+    assert got.feasible == want.feasible, prob
+    assert got.binding_constraint == want.binding_constraint, prob
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.p.tobytes() == want.witness.p.tobytes(), prob
+
+
 class TestSparseSimplex:
     """The fraction-free solver must follow the dense reference's pivot path."""
 
@@ -415,6 +452,13 @@ class TestSparseSimplex:
         n = len(rows[0])
         assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(system=long_pivot_systems())
+    def test_matches_dense_reference_on_long_pivot_paths(self, system):
+        rows, rhs = system
+        n = len(rows[0])
+        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
+
     def test_solution_satisfies_system(self):
         rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1)}]
         rhs = [Fraction(3), Fraction(-1, 2)]
@@ -430,16 +474,28 @@ class TestSparseSimplex:
     @pytest.mark.parametrize("n_x", [4, 8, 16])
     @pytest.mark.parametrize("p", [3 / 16, 1 / 4, 3 / 8, 1 / 2])
     def test_check_feasible_bits_match_dense_reference(self, n_x, p, monkeypatch):
-        prob = LossFeasibilityProblem(q=0.5, n_x=n_x, p=p)
-        got = check_feasible(prob)
-        monkeypatch.setattr(feasibility, "_phase1_feasible", with_dense_solver)
-        want = check_feasible(prob)
-        assert got.feasible == want.feasible
-        assert got.binding_constraint == want.binding_constraint
-        if want.witness is None:
-            assert got.witness is None
-        else:
-            assert got.witness.p.tobytes() == want.witness.p.tobytes()
+        assert_bits_match_dense_reference(LossFeasibilityProblem(q=0.5, n_x=n_x, p=p), monkeypatch)
+
+    @pytest.mark.parametrize("seed, n_x, subnormal", [(0, 5, False), (1, 8, False), (2, 8, True)])
+    def test_check_feasible_bits_match_dense_reference_on_custom_targets(
+        self, seed, n_x, subnormal, monkeypatch
+    ):
+        # float targets rationalize to large denominators, and a subnormal
+        # bin to huge ones: the path where the exact fractions must stay small
+        rng = np.random.default_rng(seed)
+        erase = rng.random(n_x) ** 2
+        if subnormal:
+            erase[n_x // 2] = 2.0**-1070
+        preserve = rng.random(n_x) + 0.05
+        q = float(rng.uniform(0.2, 0.8))
+        low, _ = feasible_interval(q, erase / erase.sum(), preserve / preserve.sum())
+        for p in (0.0, float(low) / 2, float(low), (float(low) + q) / 2, q):
+            prob = LossFeasibilityProblem(
+                q=q, n_x=n_x, p=p,
+                erase_conditional=erase / erase.sum(),
+                preserve_conditional=preserve / preserve.sum(),
+            )
+            assert_bits_match_dense_reference(prob, monkeypatch)
 
 
 def result_digest(result):

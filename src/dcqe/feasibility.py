@@ -18,7 +18,9 @@ at q = 1/2.
 Two independent routes compute this: :func:`construct_witness` builds the
 closed-form table directly, and :func:`check_feasible` decides the same
 question as a generic exact-rational linear-feasibility problem over the
-table, knowing nothing about the closed form.
+table, knowing nothing about the closed form. Its solver reads only the
+equations: a presolve fixes each variable that a one-variable equation
+forces, and an exact phase-1 simplex solves whatever remains.
 """
 
 from __future__ import annotations
@@ -153,10 +155,13 @@ def _construction_floor(q: float, e: np.ndarray, r: np.ndarray) -> float:
 
     The slice q*r - (q-p)*e is nonnegative everywhere iff
     p >= q*(1 - min over supported bins of r/e); bins outside the erase
-    support never constrain.
+    support never constrain. A subnormal e(x) can overflow r/e to inf
+    there, which is silenced: inf never wins the min, since some bin holds
+    e(x) >= 1/n_x.
     """
     support = e > 0.0
-    ratio = float(np.min(r[support] / e[support]))
+    with np.errstate(over="ignore"):
+        ratio = float(np.min(r[support] / e[support]))
     return max(q * (1.0 - ratio), 0.0)
 
 
@@ -336,6 +341,75 @@ def _phase1_feasible(
     return solution
 
 
+def _presolve(
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
+) -> tuple[dict[int, Fraction], list[dict[int, Fraction]], list[Fraction]] | None:
+    """Fix every variable of A v = b, v >= 0 that a one-variable row forces.
+
+    A row a * v_j = b fixes v_j = b / a, which must be nonnegative. The
+    value is substituted into every row holding j, found through a
+    column-to-rows map built once, and a row left with no variable must
+    have a zero right-hand side. This repeats until no row holds exactly one
+    variable. Returns the fixed values by column and the rows still holding
+    variables, with their right-hand sides; or None when fixing alone proves
+    the system infeasible. Each fixed value holds in every solution, so the
+    rest of the system is feasible exactly when the whole of it is.
+    """
+    rows = [{j: a for j, a in row.items() if a} for row in rows]
+    rhs = list(rhs)
+    if any(b for row, b in zip(rows, rhs) if not row):
+        return None
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holding[j].append(i)
+    fixed: dict[int, Fraction] = {}
+    pending = [i for i, row in enumerate(rows) if len(row) == 1]
+    while pending:
+        i = pending.pop()
+        if len(rows[i]) != 1:
+            # emptied, and checked, since it was queued
+            continue
+        ((j, a),) = rows[i].items()
+        value = rhs[i] / a
+        if value < 0:
+            return None
+        fixed[j] = value
+        for k in holding[j]:
+            row = rows[k]
+            rhs[k] -= row.pop(j) * value
+            if len(row) == 1:
+                pending.append(k)
+            elif not row and rhs[k]:
+                return None
+    left = [i for i, row in enumerate(rows) if row]
+    return fixed, [rows[i] for i in left], [rhs[i] for i in left]
+
+
+def _solve_exact(
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
+) -> list[Fraction] | None:
+    """Solve A v = b, v >= 0 exactly: :func:`_presolve`, then the simplex on the rest.
+
+    Takes and returns what :func:`_phase1_feasible` does, which gets the
+    rows the presolve leaves as they are. No fixed column is in them, and a
+    column in no row keeps a zero reduced cost, so it never enters and the
+    simplex visits the pivots it would on those columns alone. A fully
+    forced system makes no pivot, and its one solution is the vector the
+    simplex alone would return.
+    """
+    reduced = _presolve(rows, rhs, n)
+    if reduced is None:
+        return None
+    fixed, rows, rhs = reduced
+    solution = _phase1_feasible(rows, rhs, n) if rows else [Fraction(0)] * n
+    if solution is None:
+        return None
+    for j, value in fixed.items():
+        solution[j] = value
+    return solution
+
+
 def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     """Generic exact oracle for the same question as construct_witness.
 
@@ -348,10 +422,14 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     (erase, D_preserve), (preserve, D_erase) and (preserve, LOSS) always,
     (erase, D_erase) when p = q and (erase, LOSS) when p = 0, and then any
     equation left with no variable and a zero right-hand side; a negative
-    mass (p > q) keeps its cells, which the simplex finds infeasible. This
+    mass (p > q) keeps its cells, which the solver finds infeasible. This
     reads nothing but the mass table, so the route stays independent of
-    the closed form. Decides by exact phase-1 simplex and returns the
-    solved table as the witness; never raises on infeasible input. Targets
+    the closed form. Decides by :func:`_solve_exact`, which reads only the
+    equations: a one-variable-row presolve, then the exact phase-1 simplex
+    on what remains. Here the presolve fixes every cell (per bin the
+    detected-erase and preserve rows each hold one, and then the
+    independence row does), so no pivot is made. Returns the solved table
+    as the witness; never raises on infeasible input. Targets
     are renormalized in exact arithmetic so float dust in the inputs cannot
     manufacture inconsistency.
     """
@@ -392,7 +470,7 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         cells.update({(x, (1, d)): minus_q for d in range(3)})
         equation(cells, Fraction(0))
 
-    solution = _phase1_feasible(rows, rhs, n * len(live))
+    solution = _solve_exact(rows, rhs, n * len(live))
     if solution is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)

@@ -37,6 +37,8 @@ from dcqe.feasibility import (
     INFEASIBLE_HIGH,
     INFEASIBLE_LOW,
     _phase1_feasible,
+    _presolve,
+    _solve_exact,
 )
 
 from oracles import dense_phase1_feasible, feasible_interval, full_encoding_feasible
@@ -221,6 +223,19 @@ class TestConstructWitness:
                 outer = np.outer(witness.p.sum(axis=(1, 2)), witness.p.sum(axis=(0, 2)))
                 assert np.max(np.abs(xc - outer)) <= 1e-12
 
+    def test_subnormal_erase_bin_answers_without_a_warning(self):
+        # r/e overflows to inf at the subnormal bin, which the suite's
+        # filterwarnings = error turns into a failure; the digest is the
+        # answer the unguarded division gave with its warning suppressed
+        e = np.full(8, 1 / 7)
+        e[4], e[7] = 2.0**-1070, 0.0
+        prob = LossFeasibilityProblem(q=0.78, n_x=8, p=0.7, erase_conditional=e / e.sum())
+        result = construct_witness(prob)
+        assert result_digest(result) == (
+            "9f9e7c5674df7626b82faea540e5cd622d53953e9fd27fe3feea8189f2a03922"
+        )
+        assert result.binding_constraint == check_feasible(prob).binding_constraint
+
 
 class TestCheckFeasible:
     def test_sweep_at_half(self):
@@ -383,6 +398,43 @@ def long_pivot_systems(draw):
     return rows, rhs
 
 
+@st.composite
+def forced_systems(draw):
+    """A v = b systems rich in one-variable rows, as check_feasible's are.
+
+    Row i holds column i and up to two earlier columns, so each fixed value
+    can leave a later row with one variable: a triangular cascade. Some rows
+    also hold a later column, which leaves a residual for the simplex, and
+    up to three extra rows sum 1-3 columns, as a mass row does. Entries are
+    non-zero in -3..3 over denominators 1-3, the rows come shuffled, and the
+    right-hand sides are A v for a drawn v in 0..3. At times one entry of v
+    is -1 or one right-hand side is off by one, so negative fixed values and
+    emptied rows with a non-zero right-hand side are common too.
+    """
+    n = draw(st.integers(1, 8))
+    nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    held = []
+    for i in range(n):
+        cols = [i] + (draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else [])
+        if i < n - 1 and draw(st.integers(0, 3)) == 0:
+            cols.append(draw(st.integers(i + 1, n - 1)))
+        held.append(cols)
+    for _ in range(draw(st.integers(0, 3))):
+        held.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)))
+    rows = [[Fraction(0)] * n for _ in held]
+    for row, cols in zip(rows, held):
+        for j in cols:
+            row[j] = draw(nonzero)
+    rows = draw(st.permutations(rows))
+    v = [draw(st.integers(0, 3)) for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        v[draw(st.integers(0, n - 1))] = -1
+    rhs = [sum(a * x for a, x in zip(row, v)) for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        rhs[draw(st.integers(0, len(rhs) - 1))] += draw(st.sampled_from([-1, 1]))
+    return rows, rhs
+
+
 def fractions(values):
     return [Fraction(v) for v in values]
 
@@ -420,10 +472,10 @@ def with_dense_solver(rows, rhs, n):
 
 def assert_bits_match_dense_reference(prob, monkeypatch):
     """check_feasible gives the same verdict, tag and witness bits with the
-    dense reference solver patched in."""
+    dense reference solver patched in for its whole encoding."""
     got = check_feasible(prob)
     with monkeypatch.context() as patch:
-        patch.setattr(feasibility, "_phase1_feasible", with_dense_solver)
+        patch.setattr(feasibility, "_solve_exact", with_dense_solver)
         want = check_feasible(prob)
     assert got.feasible == want.feasible, prob
     assert got.binding_constraint == want.binding_constraint, prob
@@ -496,6 +548,79 @@ class TestSparseSimplex:
                 preserve_conditional=preserve / preserve.sum(),
             )
             assert_bits_match_dense_reference(prob, monkeypatch)
+
+
+def assert_solves_like_dense_reference(rows, rhs):
+    """_solve_exact leaves its input as it was and reaches the dense
+    reference's verdict with an exact nonnegative solution, which is the
+    reference's own vector when the presolve leaves no row."""
+    n = len(rows[0])
+    system = sparse(rows)
+    got = _solve_exact(system, rhs, n)
+    assert system == sparse(rows)
+    want = dense_phase1_feasible(rows, rhs)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert len(got) == n and min(got) >= 0
+    assert [sum(a * v for a, v in zip(row, got)) for row in rows] == list(rhs)
+    _, left, _ = _presolve(system, rhs, n)
+    if not left:
+        assert got == want
+
+
+class TestPresolve:
+    """The one-variable-row presolve, then the simplex on what it leaves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=linear_systems())
+    @example(system=TIE_BREAK_SYSTEM)
+    @example(system=RATIO_TIE_SYSTEM)
+    def test_integer_systems(self, system):
+        assert_solves_like_dense_reference(*system)
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=linear_systems(denominators=(1, 2, 3, 7)))
+    def test_rational_systems(self, system):
+        assert_solves_like_dense_reference(*system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=long_pivot_systems())
+    def test_long_pivot_systems(self, system):
+        assert_solves_like_dense_reference(*system)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=forced_systems())
+    def test_forced_systems(self, system):
+        assert_solves_like_dense_reference(*system)
+
+    def test_cascade_fixes_every_column(self):
+        # v0 = 2, then v1 = 1 from the second row, then the sum row is met
+        rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3)}, {0: Fraction(1), 1: Fraction(1)}]
+        rhs = fractions([4, 6, 3])
+        assert _presolve(rows, rhs, 2) == ({0: 2, 1: 1}, [], [])
+
+    def test_zero_coefficients_count_as_absent(self):
+        # fixing v1 = 2 empties the first row, not leaves it as 0 * v0 = 0
+        rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(1)}]
+        assert _solve_exact(rows, fractions([4, 2]), 2) == [0, 2]
+
+    @pytest.mark.parametrize("rows, rhs", [
+        # a forced negative value
+        ([{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}], fractions([-2, 1])),
+        # an emptied row with a non-zero right-hand side
+        ([{0: Fraction(1)}, {0: Fraction(2)}], fractions([1, 3])),
+        # a row with no variable from the start
+        ([{}, {0: Fraction(1), 1: Fraction(1)}], fractions([1, 1])),
+    ])
+    def test_infeasible_without_a_pivot(self, rows, rhs):
+        assert _presolve(rows, rhs, 2) is None
+
+    def test_residual_keeps_unfixed_rows(self):
+        rows = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]
+        assert _presolve(rows, fractions([1, 3]), 3) == (
+            {0: 1}, [{1: Fraction(1), 2: Fraction(1)}], [Fraction(2)]
+        )
 
 
 def result_digest(result):
@@ -641,9 +766,9 @@ class TestSameBits:
 
         def recording(rows, rhs, n):
             seen.append((rows, rhs, n))
-            return _phase1_feasible(rows, rhs, n)
+            return _solve_exact(rows, rhs, n)
 
-        monkeypatch.setattr(feasibility, "_phase1_feasible", recording)
+        monkeypatch.setattr(feasibility, "_solve_exact", recording)
         result = check_feasible(LossFeasibilityProblem(q=q, n_x=n_x, p=p))
         ((rows, rhs, n),) = seen
         assert n == live * n_x
@@ -654,6 +779,26 @@ class TestSameBits:
             cd = result.witness.p.sum(axis=0)
             assert np.count_nonzero(cd) <= live
             assert cd[0, 1] == cd[1, 0] == cd[1, 2] == 0.0
+
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+    def test_encoding_leaves_no_residual_system(self, name, monkeypatch):
+        # per bin the detected-erase and preserve rows each hold one cell,
+        # and then the independence row does: the presolve fixes every
+        # column or proves infeasibility, and the simplex is never called
+        residual, pivoted = [], []
+
+        def recording(rows, rhs, n):
+            reduced = _presolve(rows, rhs, n)
+            if reduced is not None:
+                fixed, left, _ = reduced
+                assert len(fixed) == n
+                residual.append(len(left))
+            return _solve_exact(rows, rhs, n)
+
+        monkeypatch.setattr(feasibility, "_solve_exact", recording)
+        monkeypatch.setattr(feasibility, "_phase1_feasible", lambda *system: pivoted.append(system))
+        check_feasible(LossFeasibilityProblem(**pinned_problems()[name]))
+        assert sum(residual) == len(pivoted) == 0
 
     def test_results_compare_by_value(self):
         prob = LossFeasibilityProblem(q=0.5, n_x=4, p=0.375)

@@ -18,9 +18,11 @@ at q = 1/2.
 Two independent routes compute this: :func:`construct_witness` builds the
 closed-form table directly, and :func:`check_feasible` decides the same
 question as a generic exact-rational linear-feasibility problem over the
-table, knowing nothing about the closed form. Its solver reads only the
-equations: a presolve fixes each variable that a one-variable equation
-forces, and an exact phase-1 simplex solves whatever remains.
+table, knowing nothing about the closed form. It decides by forced
+elimination, reading only the equations: each variable that a
+one-variable equation forces is fixed and substituted into the others,
+until every cell is fixed or a forced value is negative or an emptied
+equation is not met.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ __all__ = [
     "worst_case_erase_conditional",
 ]
 
-import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,140 +207,6 @@ def _exact_normalized(vec: np.ndarray) -> list[Fraction]:
     return [f / total for f in fracs]
 
 
-def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
-    """Clear ``col`` from ``row`` with the pivot row, fraction-free.
-
-    Returns ``pivot_row[col] * row - row[col] * pivot_row`` divided by the
-    gcd of its entries: a positive multiple of the reduced row, since the
-    pivot entry is positive.
-    """
-    scale, factor = pivot_row[col], row[col]
-    out = dict(row) if scale == 1 else {j: a * scale for j, a in row.items()}
-    for j, a in pivot_row.items():
-        v = out.get(j, 0) - factor * a
-        if v:
-            out[j] = v
-        else:
-            del out[j]
-    g = math.gcd(*out.values())
-    if g > 1:
-        out = {j: a // g for j, a in out.items()}
-    return out
-
-
-def _phase1_feasible(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
-) -> list[Fraction] | None:
-    """Exact phase-1 simplex: solve A v = b, v >= 0 over the rationals.
-
-    ``rows`` holds the non-zero coefficients of each equation by column,
-    over ``n`` variables. Minimizes the sum of one artificial variable per
-    row (columns n..n+m-1) using Bland's least-index rule, which cannot
-    cycle. Returns a solution vector when the optimum is zero, None when
-    the system is infeasible.
-
-    The tableau is sparse and fraction-free. Each row is a dict of non-zero
-    integer numerators, the right-hand side in column n+m, all over one
-    positive denominator: the row's own entry in its basic column. The
-    set-up forms no Fraction: row i is multiplied by the lcm s_i of its
-    denominators, each entry as ``a.numerator * (s_i // a.denominator)``.
-    A pivot finds the rows holding the entering column in one scan and uses
-    that list for both the ratio test and the elimination: every such row r
-    becomes ``pivot * r - r[entering] * pivot_row``, divided by the gcd of
-    its entries; the pivot row itself is kept as it is, its entering entry
-    becoming its denominator. The ratio test compares b_i / a_i by
-    cross-multiplying, as the row denominators cancel.
-
-    The reduced costs start as -sum_i row_i * (L / s_i) over the structural
-    columns and the right-hand side, L the lcm of the s_i, divided by its
-    gcd: a positive multiple of the true reduced costs, whose objective
-    entry sits in column n+m. From there they are exact fractions, each a
-    ``(numerator, positive denominator)`` pair in lowest terms. A pivot
-    changes only the columns its row holds, so it updates just those, as
-    d_j - d_e * P_j / P_e over the pivot row P. Entering is the least column
-    with a negative reduced cost (Bland), taken from a heap: a column is
-    pushed when a pivot turns it negative, and a top that is no longer
-    negative is popped when it surfaces, since no other column changes
-    value. Leaving is the minimum ratio with ties to the smaller basic
-    column. Exact arithmetic under that fixed rule visits the same pivots
-    as a dense Fraction tableau and returns the same vector.
-    """
-    m = len(rows)
-    b_col = n + m
-    tableau: list[dict[int, int]] = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        sign = -1 if b < 0 else 1
-        scale = math.lcm(b.denominator, *(a.denominator for a in row.values()))
-        num = {j: sign * a.numerator * (scale // a.denominator) for j, a in row.items() if a}
-        num[n + i] = scale
-        if b:
-            num[b_col] = sign * b.numerator * (scale // b.denominator)
-        tableau.append(num)
-    basis = list(range(n, n + m))
-    # Reduced costs for minimizing the artificial sum: cbar_j = c_j - sum_i T[i][j] / s_i,
-    # which vanishes on the artificial columns; the objective is -sum_i b_i.
-    lcm = math.lcm(*(num[n + i] for i, num in enumerate(tableau)))
-    total: dict[int, int] = {}
-    for i, num in enumerate(tableau):
-        weight = lcm // num[n + i]
-        for j, a in num.items():
-            if j < n or j == b_col:
-                total[j] = total.get(j, 0) - a * weight
-    g = math.gcd(*total.values())
-    cost = {j: (c // g, 1) for j, c in total.items() if c}
-    negative = [j for j, (c, _) in cost.items() if c < 0 and j < b_col]
-    heapq.heapify(negative)
-
-    while True:
-        while negative and cost.get(negative[0], (0, 1))[0] >= 0:
-            heapq.heappop(negative)
-        if not negative:
-            break
-        entering = negative[0]
-        hits = [i for i, row in enumerate(tableau) if entering in row]
-        leaving = None
-        for i in hits:
-            a = tableau[i][entering]
-            if a > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                lhs = tableau[i].get(b_col, 0) * tableau[leaving][entering]
-                best = tableau[leaving].get(b_col, 0) * a
-                if lhs < best or (lhs == best and basis[i] < basis[leaving]):
-                    leaving = i
-        # the phase-1 objective is bounded below by zero, so some row holding
-        # the entering column has a positive entry there
-        pivot_row = tableau[leaving]
-        for i in hits:
-            if i != leaving:
-                tableau[i] = _eliminate(tableau[i], pivot_row, entering)
-        # d_j -= d_e * P_j / P_e on the pivot row's columns, as k_num * P_j / k_den
-        k_num, k_den = cost.pop(entering)
-        k_den *= pivot_row[entering]
-        g = math.gcd(k_num, k_den)
-        k_num, k_den = k_num // g, k_den // g
-        for j, a in pivot_row.items():
-            old, d = cost.get(j, (0, 1))
-            c, d = old * k_den - k_num * a * d, d * k_den
-            if j == entering or not c:
-                cost.pop(j, None)
-                continue
-            if c < 0 <= old and j < b_col:
-                heapq.heappush(negative, j)
-            g = math.gcd(c, d)
-            cost[j] = (c // g, d // g)
-        basis[leaving] = entering
-
-    if b_col in cost:
-        return None
-    solution = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[var] = Fraction(tableau[i].get(b_col, 0), tableau[i][var])
-    return solution
-
-
 def _presolve(
     rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
 ) -> tuple[dict[int, Fraction], list[dict[int, Fraction]], list[Fraction]] | None:
@@ -386,30 +252,6 @@ def _presolve(
     return fixed, [rows[i] for i in left], [rhs[i] for i in left]
 
 
-def _solve_exact(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], n: int
-) -> list[Fraction] | None:
-    """Solve A v = b, v >= 0 exactly: :func:`_presolve`, then the simplex on the rest.
-
-    Takes and returns what :func:`_phase1_feasible` does, which gets the
-    rows the presolve leaves as they are. No fixed column is in them, and a
-    column in no row keeps a zero reduced cost, so it never enters and the
-    simplex visits the pivots it would on those columns alone. A fully
-    forced system makes no pivot, and its one solution is the vector the
-    simplex alone would return.
-    """
-    reduced = _presolve(rows, rhs, n)
-    if reduced is None:
-        return None
-    fixed, rows, rhs = reduced
-    solution = _phase1_feasible(rows, rhs, n) if rows else [Fraction(0)] * n
-    if solution is None:
-        return None
-    for j, value in fixed.items():
-        solution[j] = value
-    return solution
-
-
 def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     """Generic exact oracle for the same question as construct_witness.
 
@@ -424,14 +266,17 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     equation left with no variable and a zero right-hand side; a negative
     mass (p > q) keeps its cells, which the solver finds infeasible. This
     reads nothing but the mass table, so the route stays independent of
-    the closed form. Decides by :func:`_solve_exact`, which reads only the
-    equations: a one-variable-row presolve, then the exact phase-1 simplex
-    on what remains. Here the presolve fixes every cell (per bin the
-    detected-erase and preserve rows each hold one, and then the
-    independence row does), so no pivot is made. Returns the solved table
-    as the witness; never raises on infeasible input. Targets
-    are renormalized in exact arithmetic so float dust in the inputs cannot
-    manufacture inconsistency.
+    the closed form. Targets are renormalized in exact arithmetic so float
+    dust in the inputs cannot manufacture inconsistency.
+
+    Decides by forced elimination (:func:`_presolve`) alone, which fixes
+    every cell: q lies in (0, 1), so each bin's preserve row holds one live
+    cell, (preserve, D_preserve); its detected-erase row holds one,
+    (erase, D_erase), when that cell is live, and is dropped otherwise;
+    with both fixed, its independence row holds only (erase, LOSS), or no
+    cell when p = 0. A negative fixed value or an unmet emptied equation
+    is infeasibility, and a row left over an internal error. Returns the
+    fixed table as the witness; never raises on infeasible input.
     """
     n = prob.n_x
     q = Fraction(float(prob.q))
@@ -470,11 +315,16 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
         cells.update({(x, (1, d)): minus_q for d in range(3)})
         equation(cells, Fraction(0))
 
-    solution = _solve_exact(rows, rhs, n * len(live))
-    if solution is None:
+    columns = n * len(live)
+    reduced = _presolve(rows, rhs, columns)
+    if reduced is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
         return FeasibilityResult(feasible=False, witness=None, binding_constraint=tag)
+    fixed, left, _ = reduced
+    if left or len(fixed) != columns:
+        raise AssertionError(f"forced elimination left {columns - len(fixed)} cells unsolved")
+    solution = np.array([fixed[j] for j in range(columns)], dtype=float)
     table = np.zeros((n, 2, 3))
     c_live, d_live = zip(*live)
-    table[:, c_live, d_live] = np.array(solution, dtype=float).reshape(n, len(live))
+    table[:, c_live, d_live] = solution.reshape(n, len(live))
     return _witness(float(q), float(p), table)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcqe import (
@@ -36,9 +36,7 @@ from dcqe.feasibility import (
     BINDING_LOSS_SLICE,
     INFEASIBLE_HIGH,
     INFEASIBLE_LOW,
-    _phase1_feasible,
     _presolve,
-    _solve_exact,
 )
 
 from oracles import dense_phase1_feasible, feasible_interval, full_encoding_feasible
@@ -378,11 +376,12 @@ def linear_systems(draw, denominators=(1,)):
 
 @st.composite
 def long_pivot_systems(draw):
-    """Sparse, degenerate A v = b systems that take many pivots.
+    """Sparse, degenerate A v = b systems that take a simplex many pivots,
+    and hold few one-variable rows.
 
     6-12 rows and 8-16 columns, each column holding 1-3 non-zeros in -3..3
     over denominators 1-3, and integer right-hand sides in -2..3, zeros
-    included, so reduced costs change sign back and forth over the path.
+    included.
     """
     m = draw(st.integers(6, 12))
     n = draw(st.integers(8, 16))
@@ -404,8 +403,8 @@ def forced_systems(draw):
 
     Row i holds column i and up to two earlier columns, so each fixed value
     can leave a later row with one variable: a triangular cascade. Some rows
-    also hold a later column, which leaves a residual for the simplex, and
-    up to three extra rows sum 1-3 columns, as a mass row does. Entries are
+    also hold a later column, which leaves rows unsolved, and up to three
+    extra rows sum 1-3 columns, as a mass row does. Entries are
     non-zero in -3..3 over denominators 1-3, the rows come shuffled, and the
     right-hand sides are A v for a drawn v in 0..3. At times one entry of v
     is -1 or one right-hand side is off by one, so negative fixed values and
@@ -439,160 +438,53 @@ def fractions(values):
     return [Fraction(v) for v in values]
 
 
-# A degenerate system on which ties in the ratio test decide the vertex
-# reached: breaking them toward the larger basic column ends elsewhere.
-TIE_BREAK_SYSTEM = (
-    [
-        fractions([0, 1, -3, -2, -3, -3]),
-        fractions([-3, 3, -3, 3, 0, -1]),
-        fractions([0, 3, 1, -1, -2, 0]),
-    ],
-    fractions([-2, 3, 3]),
-)
-
-
-# Two rows tie in the ratio test with their basic columns out of row order,
-# so "ties to the first row" ends at another vertex than "ties to the
-# smaller basic column" (found by a seeded search against the dense
-# reference).
-RATIO_TIE_SYSTEM = (
-    [fractions([0, -1, 2, 3]), fractions([1, -1, 2, -1]), fractions([2, 0, 3, -3])],
-    fractions([0, -1, 0]),
-)
-
-
 def sparse(rows):
     return [{j: a for j, a in enumerate(row) if a} for row in rows]
 
 
-def with_dense_solver(rows, rhs, n):
-    dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
-    return dense_phase1_feasible(dense, rhs)
-
-
-def assert_bits_match_dense_reference(prob, monkeypatch):
-    """check_feasible gives the same verdict, tag and witness bits with the
-    dense reference solver patched in for its whole encoding."""
-    got = check_feasible(prob)
-    with monkeypatch.context() as patch:
-        patch.setattr(feasibility, "_solve_exact", with_dense_solver)
-        want = check_feasible(prob)
-    assert got.feasible == want.feasible, prob
-    assert got.binding_constraint == want.binding_constraint, prob
-    if want.witness is None:
-        assert got.witness is None
-    else:
-        assert got.witness.p.tobytes() == want.witness.p.tobytes(), prob
-
-
-class TestSparseSimplex:
-    """The fraction-free solver must follow the dense reference's pivot path."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(system=linear_systems())
-    @example(system=TIE_BREAK_SYSTEM)
-    @example(system=RATIO_TIE_SYSTEM)
-    def test_matches_dense_reference_on_integer_systems(self, system):
-        rows, rhs = system
-        n = len(rows[0])
-        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
-
-    @settings(max_examples=150, deadline=None)
-    @given(system=linear_systems(denominators=(1, 2, 3, 7)))
-    def test_matches_dense_reference_on_rational_systems(self, system):
-        rows, rhs = system
-        n = len(rows[0])
-        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
-
-    @settings(max_examples=60, deadline=None)
-    @given(system=long_pivot_systems())
-    def test_matches_dense_reference_on_long_pivot_paths(self, system):
-        rows, rhs = system
-        n = len(rows[0])
-        assert _phase1_feasible(sparse(rows), rhs, n) == dense_phase1_feasible(rows, rhs)
-
-    def test_solution_satisfies_system(self):
-        rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1)}]
-        rhs = [Fraction(3), Fraction(-1, 2)]
-        v = _phase1_feasible(rows, rhs, 3)
-        assert v is not None and min(v) >= 0
-        assert [sum(a * v[j] for j, a in row.items()) for row in rows] == rhs
-
-    def test_infeasible_system(self):
-        # v0 + v1 = 1 and v0 + v1 = 2 cannot both hold
-        rows = [{0: Fraction(1), 1: Fraction(1)}] * 2
-        assert _phase1_feasible(rows, [Fraction(1), Fraction(2)], 2) is None
-
-    @pytest.mark.parametrize("n_x", [4, 8, 16])
-    @pytest.mark.parametrize("p", [3 / 16, 1 / 4, 3 / 8, 1 / 2])
-    def test_check_feasible_bits_match_dense_reference(self, n_x, p, monkeypatch):
-        assert_bits_match_dense_reference(LossFeasibilityProblem(q=0.5, n_x=n_x, p=p), monkeypatch)
-
-    @pytest.mark.parametrize("seed, n_x, subnormal", [(0, 5, False), (1, 8, False), (2, 8, True)])
-    def test_check_feasible_bits_match_dense_reference_on_custom_targets(
-        self, seed, n_x, subnormal, monkeypatch
-    ):
-        # float targets rationalize to large denominators, and a subnormal
-        # bin to huge ones: the path where the exact fractions must stay small
-        rng = np.random.default_rng(seed)
-        erase = rng.random(n_x) ** 2
-        if subnormal:
-            erase[n_x // 2] = 2.0**-1070
-        preserve = rng.random(n_x) + 0.05
-        q = float(rng.uniform(0.2, 0.8))
-        low, _ = feasible_interval(q, erase / erase.sum(), preserve / preserve.sum())
-        for p in (0.0, float(low) / 2, float(low), (float(low) + q) / 2, q):
-            prob = LossFeasibilityProblem(
-                q=q, n_x=n_x, p=p,
-                erase_conditional=erase / erase.sum(),
-                preserve_conditional=preserve / preserve.sum(),
-            )
-            assert_bits_match_dense_reference(prob, monkeypatch)
-
-
-def assert_solves_like_dense_reference(rows, rhs):
-    """_solve_exact leaves its input as it was and reaches the dense
-    reference's verdict with an exact nonnegative solution, which is the
-    reference's own vector when the presolve leaves no row."""
+def assert_presolves_like_dense_reference(rows, rhs):
+    """_presolve leaves its input as it was. When it refuses the system,
+    the dense reference finds it infeasible; when it leaves no row, its
+    fixed values, 0 on a column in no row, are the reference's vector; and
+    the rows it leaves are feasible exactly when the whole system is."""
     n = len(rows[0])
     system = sparse(rows)
-    got = _solve_exact(system, rhs, n)
+    reduced = _presolve(system, rhs, n)
     assert system == sparse(rows)
     want = dense_phase1_feasible(rows, rhs)
-    assert (got is None) == (want is None)
-    if got is None:
+    if reduced is None:
+        assert want is None
         return
-    assert len(got) == n and min(got) >= 0
-    assert [sum(a * v for a, v in zip(row, got)) for row in rows] == list(rhs)
-    _, left, _ = _presolve(system, rhs, n)
-    if not left:
-        assert got == want
+    fixed, left, left_rhs = reduced
+    if left:
+        rest = [[row.get(j, Fraction(0)) for j in range(n)] for row in left]
+        assert (dense_phase1_feasible(rest, left_rhs) is None) == (want is None)
+    else:
+        assert [fixed.get(j, Fraction(0)) for j in range(n)] == want
 
 
 class TestPresolve:
-    """The one-variable-row presolve, then the simplex on what it leaves."""
+    """Forced elimination: one-variable rows fix their variable until none is left."""
 
     @settings(max_examples=200, deadline=None)
     @given(system=linear_systems())
-    @example(system=TIE_BREAK_SYSTEM)
-    @example(system=RATIO_TIE_SYSTEM)
     def test_integer_systems(self, system):
-        assert_solves_like_dense_reference(*system)
+        assert_presolves_like_dense_reference(*system)
 
     @settings(max_examples=100, deadline=None)
     @given(system=linear_systems(denominators=(1, 2, 3, 7)))
     def test_rational_systems(self, system):
-        assert_solves_like_dense_reference(*system)
+        assert_presolves_like_dense_reference(*system)
 
     @settings(max_examples=60, deadline=None)
     @given(system=long_pivot_systems())
     def test_long_pivot_systems(self, system):
-        assert_solves_like_dense_reference(*system)
+        assert_presolves_like_dense_reference(*system)
 
     @settings(max_examples=300, deadline=None)
     @given(system=forced_systems())
     def test_forced_systems(self, system):
-        assert_solves_like_dense_reference(*system)
+        assert_presolves_like_dense_reference(*system)
 
     def test_cascade_fixes_every_column(self):
         # v0 = 2, then v1 = 1 from the second row, then the sum row is met
@@ -603,7 +495,7 @@ class TestPresolve:
     def test_zero_coefficients_count_as_absent(self):
         # fixing v1 = 2 empties the first row, not leaves it as 0 * v0 = 0
         rows = [{0: Fraction(0), 1: Fraction(2)}, {1: Fraction(1)}]
-        assert _solve_exact(rows, fractions([4, 2]), 2) == [0, 2]
+        assert _presolve(rows, fractions([4, 2]), 2) == ({1: 2}, [], [])
 
     @pytest.mark.parametrize("rows, rhs", [
         # a forced negative value
@@ -723,6 +615,59 @@ def rational_problems(draw):
     )
 
 
+def float_target_problems(seed, n_x, subnormal, zero_bins=False):
+    """Problems on seeded float targets at loss rates 0, half the floor, the
+    floor, the floor-to-q midpoint and q. With ``subnormal`` the middle
+    erase bin is 2**-1070; with ``zero_bins`` the first erase bin and the
+    last preserve bin are 0."""
+    rng = np.random.default_rng(seed)
+    erase = rng.random(n_x) ** 2
+    if subnormal:
+        erase[n_x // 2] = 2.0**-1070
+    preserve = rng.random(n_x) + 0.05
+    q = float(rng.uniform(0.2, 0.8))
+    if zero_bins:
+        erase[0] = preserve[-1] = 0.0
+    erase, preserve = erase / erase.sum(), preserve / preserve.sum()
+    low, _ = feasible_interval(q, erase, preserve)
+    for p in (0.0, float(low) / 2, float(low), (float(low) + q) / 2, q):
+        yield LossFeasibilityProblem(
+            q=q, n_x=n_x, p=p, erase_conditional=erase, preserve_conditional=preserve
+        )
+
+
+def assert_matches_full_encoding(prob):
+    """check_feasible gives the verdict and witness bits of the dense
+    simplex over all 6*n_x cells, and the tag of the side p lies on."""
+    got = check_feasible(prob)
+    want = full_encoding_feasible(prob.q, prob.p, prob.resolved_erase(), prob.resolved_preserve())
+    assert got.feasible == (want is not None), prob
+    if want is None:
+        assert got.witness is None
+        assert got.binding_constraint == (INFEASIBLE_HIGH if prob.p > prob.q else INFEASIBLE_LOW)
+    else:
+        table = np.array(want, dtype=float).reshape(prob.n_x, 2, 3)
+        assert got.witness.p.tobytes() == table.tobytes(), prob
+
+
+def assert_no_residual_system(prob, patch):
+    """Per bin the preserve row holds one cell, the detected-erase row at
+    most one, and then the independence row at most one: forced elimination
+    fixes every column of check_feasible's encoding or refuses it."""
+    unsolved = []
+
+    def recording(rows, rhs, n):
+        reduced = _presolve(rows, rhs, n)
+        if reduced is not None:
+            fixed, left, _ = reduced
+            unsolved.append((n - len(fixed), len(left)))
+        return reduced
+
+    patch.setattr(feasibility, "_presolve", recording)
+    check_feasible(prob)
+    assert unsolved in ([], [(0, 0)]), prob
+
+
 class TestSameBits:
     """The live-cell encoding answers as the full 6*n_x-cell encoding did."""
 
@@ -737,17 +682,14 @@ class TestSameBits:
     @settings(max_examples=200, deadline=None)
     @given(prob=rational_problems())
     def test_matches_the_full_encoding(self, prob):
-        got = check_feasible(prob)
-        want = full_encoding_feasible(
-            prob.q, prob.p, prob.resolved_erase(), prob.resolved_preserve()
-        )
-        assert got.feasible == (want is not None)
-        if want is None:
-            assert got.witness is None
-            assert got.binding_constraint == (INFEASIBLE_HIGH if prob.p > prob.q else INFEASIBLE_LOW)
-        else:
-            table = np.array(want, dtype=float).reshape(prob.n_x, 2, 3)
-            assert got.witness.p.tobytes() == table.tobytes()
+        assert_matches_full_encoding(prob)
+
+    @pytest.mark.parametrize("seed, n_x, subnormal", [(0, 5, False), (1, 8, False), (2, 8, True)])
+    def test_float_targets_match_the_full_encoding(self, seed, n_x, subnormal):
+        # float targets rationalize to large denominators, and a subnormal
+        # bin to huge ones
+        for prob in float_target_problems(seed, n_x, subnormal):
+            assert_matches_full_encoding(prob)
 
     @pytest.mark.parametrize("n_x, q, p, live, m", [
         (64, 0.5, 0.375, 3, 195),
@@ -766,9 +708,9 @@ class TestSameBits:
 
         def recording(rows, rhs, n):
             seen.append((rows, rhs, n))
-            return _solve_exact(rows, rhs, n)
+            return _presolve(rows, rhs, n)
 
-        monkeypatch.setattr(feasibility, "_solve_exact", recording)
+        monkeypatch.setattr(feasibility, "_presolve", recording)
         result = check_feasible(LossFeasibilityProblem(q=q, n_x=n_x, p=p))
         ((rows, rhs, n),) = seen
         assert n == live * n_x
@@ -782,23 +724,23 @@ class TestSameBits:
 
     @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
     def test_encoding_leaves_no_residual_system(self, name, monkeypatch):
-        # per bin the detected-erase and preserve rows each hold one cell,
-        # and then the independence row does: the presolve fixes every
-        # column or proves infeasibility, and the simplex is never called
-        residual, pivoted = [], []
+        assert_no_residual_system(LossFeasibilityProblem(**pinned_problems()[name]), monkeypatch)
 
-        def recording(rows, rhs, n):
-            reduced = _presolve(rows, rhs, n)
-            if reduced is not None:
-                fixed, left, _ = reduced
-                assert len(fixed) == n
-                residual.append(len(left))
-            return _solve_exact(rows, rhs, n)
+    @settings(max_examples=200, deadline=None)
+    @given(prob=rational_problems())
+    def test_rational_encoding_leaves_no_residual_system(self, prob):
+        with pytest.MonkeyPatch.context() as patch:
+            assert_no_residual_system(prob, patch)
 
-        monkeypatch.setattr(feasibility, "_solve_exact", recording)
-        monkeypatch.setattr(feasibility, "_phase1_feasible", lambda *system: pivoted.append(system))
-        check_feasible(LossFeasibilityProblem(**pinned_problems()[name]))
-        assert sum(residual) == len(pivoted) == 0
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_encoding_leaves_no_residual_system(self, seed, monkeypatch):
+        for prob in float_target_problems(seed, 3 + seed, subnormal=True, zero_bins=True):
+            assert_no_residual_system(prob, monkeypatch)
+
+    def test_rows_left_unsolved_are_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "_presolve", lambda rows, rhs, n: ({}, rows, rhs))
+        with pytest.raises(AssertionError, match="12 cells unsolved"):
+            check_feasible(LossFeasibilityProblem(q=0.5, n_x=4, p=0.375))
 
     def test_results_compare_by_value(self):
         prob = LossFeasibilityProblem(q=0.5, n_x=4, p=0.375)

@@ -613,6 +613,65 @@ class TestEventReaderBlocks:
         assert np.array_equal(read.cells, log.cells)
 
 
+class TestEventReaderFuzz:
+    """Written logs with bytes inserted, deleted or replaced, read in blocks
+    of several sizes: whatever the reader accepts, the row-by-row reference
+    reads the same, and what it refuses it refuses with the same
+    ``ValueError`` at every block size."""
+
+    #: Separators, quotes, digits, signs, bytes UTF-8 never holds, and labels.
+    PIECES = [
+        b",", b"\n", b"\r", b'"', *(b"%d" % k for k in range(10)), b"-", b"\x00", b"\xff",
+        b"a", b"D1", b"LOSS", b'"e,1"', b'"p""2"', b"\r\n",
+    ]
+    BLOCK_BYTES = [1 << 18, 64, 16, 8]
+
+    def mutated(self, rng, data):
+        """``data`` with 1-3 edits, each inserting, deleting or replacing a piece."""
+        data = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(0, len(data) + 1))
+            piece = self.PIECES[int(rng.integers(len(self.PIECES)))]
+            edit = int(rng.integers(3))
+            if edit == 0:
+                data[at:at] = piece
+            elif edit == 1:
+                del data[at:at + int(rng.integers(1, 4))]
+            else:
+                data[at:at + len(piece)] = piece
+        return bytes(data)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mutated_logs(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        written = tmp_path / "written.csv"
+        path = tmp_path / "events.csv"
+        accepted = 0
+        for i in range(40):
+            log = quoted_label_log(int(rng.integers(1, 12)), seed=1000 * seed + i)
+            if i % 2:
+                log = sample_events(small_joint(), int(rng.integers(1, 12)), 1000 * seed + i)
+            write_event_log(log, written)
+            path.write_bytes(self.mutated(rng, written.read_bytes()))
+            expected = reference_outcome(path)
+            outcomes = set()
+            for block_bytes in self.BLOCK_BYTES:
+                monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+                try:
+                    read = read_event_log(path)
+                except ValueError as exc:
+                    outcomes.add((type(exc), str(exc)))
+                    continue
+                space, xs, labels = expected
+                assert read.space == space
+                assert labelled_trials(read) == [(x, *pair) for x, pair in zip(xs, labels)]
+                outcomes.add(read.cells.tobytes())
+            assert len(outcomes) == 1
+            accepted += isinstance(outcomes.pop(), bytes)
+        # the edits leave some logs readable and break others
+        assert 0 < accepted < 40
+
+
 class TestEventReaderMemory:
     def test_memory_is_the_cells_and_a_few_blocks(self, tmp_path):
         # bins and pair codes are kept in a byte each, and the cells are built

@@ -196,6 +196,37 @@ _TAIL_WORDS = 8
 _PAD = bytes(8)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
+#: The separators of a record that is three commas and a newline, read as
+#: one little-endian uint32.
+_PLAIN_RECORD = np.frombuffer(b",,,\n", dtype="<u4")[0]
+
+
+def _bytes(byte: int, count: int = 8) -> np.uint64:
+    """A word whose low ``count`` bytes are ``byte`` and whose others are 0."""
+    return np.uint64(int.from_bytes(bytes([byte]) * count, "little"))
+
+
+#: ``_LOW_BYTES[n]`` keeps the low ``n`` bytes of a word.
+_LOW_BYTES = np.array([_bytes(0xFF, n) for n in range(9)])
+#: ``_HIGH_BYTES[n]`` keeps the high ``n`` bytes of a word; ``_ZERO_FILL[n]``
+#: is "0" in the bytes below them.
+_HIGH_BYTES = ~_LOW_BYTES[::-1]
+_ZERO_FILL = np.array([_bytes(ord("0"), 8 - n) for n in range(9)])
+#: In every byte: "0"; 0x76, which sets a byte's high bit unless the byte is
+#: below 10; and the high bit.
+_ZEROS, _DIGIT_LIMIT, _HIGH_BITS = _bytes(ord("0")), _bytes(0x80 - 10), _bytes(0x80)
+#: A shift by ``8 * r`` and a product by ``2 ** (64 - 8 * r)`` modulo 2**64,
+#: as a shift by 64 is not defined for every numpy.
+_SHIFTS = np.array([8 * r for r in range(8)], dtype=np.uint64)
+_SCALES = np.array([0] + [1 << (64 - 8 * r) for r in range(1, 8)], dtype=np.uint64)
+#: Eight digits, one per byte and the first lowest, become a number in three
+#: steps; step m puts ``10**m * high + low`` in the low half of each lane of
+#: ``2 * m`` bytes and clears the high half.
+_COMBINE = [
+    (np.uint64(10**m << 8 * m | 1), np.uint64(8 * m), np.uint64(mask))
+    for m, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))
+]
+
 _BARE_INT = re.compile(rb"-?[0-9]+")
 _DECIMAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 _LABEL = rb'(?:[^",\r\n\x00]*|"(?:[^"\x00]|"")*")'
@@ -223,58 +254,93 @@ def _label_pair(tail: bytes) -> tuple[str, str] | None:
     return c, d
 
 
-def _separators(arr, last: bool):
-    """``(seps, terminators)`` of the records in ``arr``, a padded block.
+def _words_at(words, at, count: int) -> list[np.ndarray]:
+    """The little-endian uint64 of the 8 bytes at ``at + 8 * j`` for each
+    ``j < count``, from ``words``, the aligned words of a block.
+
+    Each is the high bytes of one aligned word and the low bytes of the
+    next; an unaligned gather costs several times as much. Offsets below 0
+    give words of the block's other end.
+    """
+    index, r = at >> 3, at & 7
+    shift, scale = _SHIFTS[r], _SCALES[r]
+    low = words[index]
+    out = []
+    for j in range(1, count + 1):
+        high = words[j:][index]
+        out.append((low >> shift) | (high * scale))
+        low = high
+    return out
+
+
+def _records(arr, last: bool, zeros: int):
+    """``(starts, ends, first, second, rest)`` of the records in ``arr``, a padded block.
 
     One scan for bytes up to ``,`` finds every newline, quote and comma. A
     newline outside quotes, which a running parity of ``"`` bytes tells
-    apart, ends a record; so does the first trailing zero byte of the
-    ``last`` block. ``seps`` holds, in order, every comma, every record
-    terminator and the 8 trailing zero bytes; ``terminators`` indexes the
-    terminators in ``seps``.
+    apart, ends a record; so does the first of the ``zeros`` trailing zero
+    bytes of the ``last`` block. A record's span ``arr[start:end]`` leaves
+    out its ``\\n`` and one ``\\r`` before it; ``first`` and ``second`` are
+    its first and second comma, or its end. The records end where the bytes
+    ``arr[rest:]`` that are carried over begin. None if no record ends.
+
+    When the scan's first ``4 * n`` hits, ``n`` being its newlines, are
+    three commas and a newline each, as ``write_event_log`` writes records,
+    no record before the last newline holds a quote, CR or blank line, and
+    the records are read off the scan as it stands. The ``last`` block holds
+    no newline outside quotes, so it never takes this path.
     """
-    hits = np.flatnonzero(arr <= ord(","))
+    hits = np.flatnonzero(arr <= ord(","))[len(_PAD):]  # the leading zeros hit first
     kind = arr[hits]
     is_end = kind == ord("\n")
+    n = int(np.count_nonzero(is_end))
+    if 0 < 4 * n <= kind.size and (kind[:4 * n].view("<u4") == _PLAIN_RECORD).all():
+        first, second, _, ends = hits[:4 * n].reshape(n, 4).T
+        return np.concatenate(([len(_PAD)], ends[:-1] + 1)), ends, first, second, ends[-1] + 1
     quotes = kind == ord('"')
     if quotes.any():
         is_end &= ~np.logical_xor.accumulate(quotes)
     if last:
-        is_end[-len(_PAD)] = True
+        is_end[-zeros] = True
+    # every record's commas, then its terminator; the trailing zeros close the list
     is_sep = is_end | (kind == ord(","))
-    is_sep[-len(_PAD):] = True
-    return hits[is_sep], np.flatnonzero(is_end[is_sep])
+    is_sep[-zeros:] = True
+    seps = hits[is_sep]
+    terminators = np.flatnonzero(is_end[is_sep])
+    if not terminators.size:
+        return None
+    ends = seps[terminators]
+    rest = ends[-1] + 1
+    after = np.concatenate(([0], terminators[:-1] + 1))
+    starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
+    ends = ends - ((arr[ends - 1] == ord("\r")) & (ends > starts))
+    second = np.minimum(seps[after + 1], ends)
+    return starts, ends, np.minimum(seps[after], second), second, rest
 
 
 def _record_blocks(fh):
-    """Yield ``(buf, words, starts, ends, seps, after)`` for each run of whole records.
+    """Yield ``(buf, words, starts, ends, first, second)`` for each run of whole records.
 
     ``buf`` is 8 zero bytes, a carried-over partial record, the next block
-    of the file, and 8 zero bytes; ``words[i]`` is the little-endian
-    uint64 of ``buf[i:i + 8]``. A record's span ``buf[start:end]`` leaves
-    out its ``\\n`` and one ``\\r`` before it; the last record of the file
-    needs no terminator. Record i's first separator in ``seps`` (see
-    ``_separators``), its first comma or else its terminator, is
-    ``seps[after[i]]``.
+    of the file, and enough zero bytes that ``words``, its little-endian
+    uint64 view, covers it and ``_TAIL_WORDS`` words past any record. The
+    records are as ``_records`` finds them; the last record of the file
+    needs no terminator.
     """
     carry = b""
     while True:
         data = fh.read(max(_BLOCK_BYTES, len(carry)))
         if not data and not carry:
             return
-        buf = b"".join((_PAD, carry, data, _PAD))
-        arr = np.frombuffer(buf, dtype=np.uint8)
-        seps, terminators = _separators(arr, last=not data)
-        if not terminators.size:
-            carry = buf[len(_PAD):-len(_PAD)]
+        zeros = len(_PAD) * (_TAIL_WORDS + 1) + (-(len(carry) + len(data))) % 8
+        buf = b"".join((_PAD, carry, data, bytes(zeros)))
+        found = _records(np.frombuffer(buf, dtype=np.uint8), not data, zeros)
+        if found is None:
+            carry = buf[len(_PAD):-zeros]
             continue
-        ends = seps[terminators]
-        carry = buf[ends[-1] + 1:-len(_PAD)]
-        after = np.concatenate(([0], terminators[:-1] + 1))
-        starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
-        ends = ends - ((arr[ends - 1] == ord("\r")) & (ends > starts))
-        words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-        yield buf, words, starts, ends, seps, after
+        *records, rest = found
+        carry = buf[rest:-zeros]
+        yield (buf, np.frombuffer(buf, dtype="<u8"), *records)
         if not data:
             return
 
@@ -289,34 +355,49 @@ def _int64(field: bytes) -> int | None:
     return value if _INTP.min <= value <= _INTP.max else None
 
 
-def _decode_ints(buf, starts, stops):
+def _decode_ints(buf, words, starts, stops):
     """Decode fields ``buf[start:stop]`` of the form ``-?[0-9]+``.
 
-    Pass k adds the k-th digit from the right of every field that has one,
-    so fields are right-aligned and read a column at a time. Fields of 19
-    digits or more are parsed by ``_int64``. Returns the int64 values and a
-    mask of the fields that are well formed and fit int64.
+    Fields are right-aligned and read eight digits at a time, with
+    ``words`` the aligned words of ``buf``: pass k takes the word that ends
+    ``8 * k`` bytes before each field's end, sets its bytes before the
+    field's digits to ``"0"``, checks that every byte is a digit, and adds
+    it as an eight-digit number, combined from its digits in three
+    multiplies (``_COMBINE``). Fields of 19 digits or more are parsed by
+    ``_int64``. Returns the int64 values and a mask of the fields that are
+    well formed and fit int64.
     """
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    neg = arr[starts] == ord("-")
-    first = starts + neg
-    n_digits = stops - first
+    neg = np.frombuffer(buf, dtype=np.uint8)[starts] == ord("-")
+    n_digits = stops - starts - neg
     ok = n_digits > 0
-    signed = np.zeros(starts.size, dtype=np.int64)
-    for k in range(min(int(n_digits.max(initial=0)), 18)):
-        # a byte below "0" wraps past 9; an index below 0 wraps around too,
-        # but only for fields without a digit k, which are zeroed
-        digit = arr[stops - 1 - k] - np.uint8(ord("0"))
-        digit[n_digits <= k] = 0
-        ok &= digit <= 9
-        signed += np.multiply(digit, 10**k, dtype=np.int64)
+    signed = np.zeros(starts.size, dtype=np.uint64)
+    longest = int(n_digits.max(initial=0))
+    for k in range(-(-min(longest, 18) // 8)):
+        (word,) = _words_at(words, stops - 8 * (k + 1), 1)
+        # a field has min(max(digits, 0), 8) digits in this word
+        digits = n_digits - 8 * k if k else n_digits
+        word &= np.take(_HIGH_BYTES, digits, mode="clip")
+        word |= np.take(_ZERO_FILL, digits, mode="clip")
+        # every byte less "0" is a digit exactly when it is below 10: when
+        # neither it nor it plus 0x76 has its high bit set
+        word -= _ZEROS
+        ok &= ((word + _DIGIT_LIMIT) | word) & _HIGH_BITS == 0
+        for multiplier, shift, mask in _COMBINE:
+            word *= multiplier
+            word >>= shift
+            word &= mask
+        if k:
+            word *= np.uint64(10 ** (8 * k))
+        signed += word
+    signed = signed.view(np.int64)
     np.negative(signed, out=signed, where=neg)
-    for i in np.flatnonzero(ok & (n_digits > 18)).tolist():
-        field = buf[starts[i]:stops[i]]
-        value = _int64(field) if _BARE_INT.fullmatch(field) else None
-        ok[i] = value is not None
-        if ok[i]:
-            signed[i] = value
+    if longest > 18:
+        for i in np.flatnonzero(ok & (n_digits > 18)).tolist():
+            field = buf[starts[i]:stops[i]]
+            value = _int64(field) if _BARE_INT.fullmatch(field) else None
+            ok[i] = value is not None
+            if ok[i]:
+                signed[i] = value
     return signed, ok
 
 
@@ -325,10 +406,11 @@ class _LabelCodes:
 
     A block's tails of up to ``_TAIL_WORDS`` words are coded in array
     passes: a tail's key is a multiplicative hash of its length and its
-    words, the block's records are grouped by key, and one record of each
-    group is decoded. Every record is checked against its group's record,
-    by length and words; a hash collision or a longer tail fails the check
-    and is decoded one record at a time.
+    words, and a record stands for each of 256 slots, one per top byte of
+    the key. A record whose length and words are its slot's record's takes
+    that record's code. The others, in a slot shared with another tail, are
+    grouped by key and coded the same way; what still fails the check, a
+    hash collision or a longer tail, is decoded one record at a time.
     """
 
     def __init__(self):
@@ -344,30 +426,46 @@ class _LabelCodes:
             self._by_tail[tail] = code
         return code
 
+    def _grouped(self, buf, starts, lengths, columns, group, n_groups):
+        """Codes of records grouped by ``group``, ints below ``n_groups``, and a
+        mask of the records whose tail is that of their group's record."""
+        stand_in = np.full(n_groups, -1, dtype=np.intp)
+        # any one record stands for its group
+        stand_in[group] = np.arange(group.size)
+        used = np.flatnonzero(stand_in >= 0)
+        table = np.zeros(n_groups, dtype=np.int32)
+        table[used] = [self.code(buf[starts[i]:starts[i] + lengths[i]]) for i in stand_in[used]]
+        stand_in = stand_in[group]
+        hit = lengths == lengths[stand_in]
+        for column in columns:
+            hit &= column == column[stand_in]
+        return table[group], hit
+
     def codes(self, buf, words, starts, stops) -> np.ndarray:
         """Pair codes of the tails ``buf[start:stop]``; -1 marks malformed ones."""
         lengths = stops - starts
-        # word j starts 8 * j bytes in, but no word ends past the tail, so a
-        # tail of up to _TAIL_WORDS words is its length and words; a tail
-        # under 8 bytes has the bytes before it shifted out of its word
-        shift = (8 * (8 - np.minimum(lengths, 8))).astype(np.uint64)
+        longest = int(lengths.max(initial=0))
+        columns = _words_at(words, starts, min(-(-longest // 8), _TAIL_WORDS))
+        shortest = int(lengths.min(initial=0))
         key = lengths.astype(np.uint64)
-        columns = []
-        for j in range(min(-(-int(lengths.max(initial=0)) // 8), _TAIL_WORDS)):
-            columns.append(words[np.minimum(starts + 8 * j, stops - 8)] >> shift)
-            key = key * _HASH_MULTIPLIER + columns[j]
-        keys, group = np.unique(key, return_inverse=True)
-        # any one record stands for its group
-        stand_in = np.empty(keys.size, dtype=np.intp)
-        stand_in[group] = np.arange(group.size)
-        codes = np.array(
-            [self.code(buf[starts[i]:stops[i]]) for i in stand_in.tolist()], dtype=np.int32
-        )[group]
-        stand_in = stand_in[group]
-        hit = (lengths == lengths[stand_in]) & (lengths <= 8 * _TAIL_WORDS)
-        for column in columns:
-            hit &= column == column[stand_in]
-        # what misses is a hash collision or a tail too long for its words
+        for j, column in enumerate(columns):
+            # word j holds up to 8 of the tail's bytes and none past it
+            if 8 * (j + 1) > shortest:
+                column &= np.take(_LOW_BYTES, lengths - 8 * j, mode="clip")
+            key = key * _HASH_MULTIPLIER + column
+        codes, hit = self._grouped(
+            buf, starts, lengths, columns, (key >> np.uint64(56)).astype(np.intp), 256
+        )
+        # a tail too long for its words is looked up on its own, below
+        grouped = lengths <= 8 * _TAIL_WORDS
+        hit &= grouped
+        miss = np.flatnonzero(grouped & ~hit)
+        if miss.size:
+            keys, group = np.unique(key[miss], return_inverse=True)
+            codes[miss], hit[miss] = self._grouped(
+                buf, starts[miss], lengths[miss], [c[miss] for c in columns], group, keys.size
+            )
+        # what misses now is a hash collision or a tail too long for its words
         for i in np.flatnonzero(~hit).tolist():
             codes[i] = self.code(buf[starts[i]:stops[i]])
         return codes
@@ -441,19 +539,18 @@ def read_event_log(path: str) -> EventLog:
     last_trial = -1
     n_rows = 0
     with open(path, "rb") as fh:
-        for buf, words, starts, ends, seps, after in _record_blocks(fh):
+        for buf, words, *records in _record_blocks(fh):
             if header_ok is None:
-                header_ok = _header(buf[starts[0]:ends[0]]) == EVENT_HEADER
+                header_ok = _header(buf[records[0][0]:records[1][0]]) == EVENT_HEADER
                 if not header_ok:
                     break
-                starts, ends, after = starts[1:], ends[1:], after[1:]
+                records = [r[1:] for r in records]
+            starts, ends, first, second = records
             filled = ends > starts
-            starts, ends, after = starts[filled], ends[filled], after[filled]
-            # seps end in the 8 trailing zero bytes, so after + 1 is in range
-            second = np.minimum(seps[after + 1], ends)
-            first = np.minimum(seps[after], second)
-            trial, trial_ok = _decode_ints(buf, starts, first)
-            x, x_ok = _decode_ints(buf, np.minimum(first + 1, second), second)
+            if not filled.all():
+                starts, ends, first, second = (r[filled] for r in records)
+            trial, trial_ok = _decode_ints(buf, words, starts, first)
+            x, x_ok = _decode_ints(buf, words, np.minimum(first + 1, second), second)
             codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
             bad = ~trial_ok | ~x_ok | (x < 0) | (codes < 0) | (second == ends)
             bad |= trial <= np.concatenate(([last_trial], trial[:-1]))

@@ -459,6 +459,20 @@ class TestEventReaderBlocks:
         with pytest.raises(ValueError, match="event row 6 "):
             read_event_log(path)
 
+    @pytest.mark.parametrize("block_bytes", [16, 1 << 18])
+    def test_fields_of_every_width(self, tmp_path, monkeypatch, block_bytes):
+        # integers are read eight digits at a time: 1 to 19 digits, signed
+        # and zero-padded, end on every side of a word
+        rows = []
+        for width in range(1, 19):
+            rows.append(b"%d,%0*d,a,D1" % (10**width - 1, width, width % 4))
+            rows.append(b"%d,-%s,b,D2" % (10**width, b"0" * width))
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\n".join([b"trial,x,c,d", *rows, b""]))
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+        assert read_event_log(path).x.tolist() == [x for width in range(1, 19) for x in (width % 4, 0)]
+
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
         # with a zero multiplier a tail's key is its last word, so these collide;
         # with one record per block each stands for its own group, so this

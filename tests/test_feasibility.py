@@ -375,9 +375,8 @@ def linear_systems(draw, denominators=(1,)):
 
 
 @st.composite
-def long_pivot_systems(draw):
-    """Sparse, degenerate A v = b systems that take a simplex many pivots,
-    and hold few one-variable rows.
+def sparse_degenerate_systems(draw):
+    """Sparse, degenerate A v = b systems with few one-variable rows.
 
     6-12 rows and 8-16 columns, each column holding 1-3 non-zeros in -3..3
     over denominators 1-3, and integer right-hand sides in -2..3, zeros
@@ -477,8 +476,8 @@ class TestPresolve:
         assert_presolves_like_dense_reference(*system)
 
     @settings(max_examples=60, deadline=None)
-    @given(system=long_pivot_systems())
-    def test_long_pivot_systems(self, system):
+    @given(system=sparse_degenerate_systems())
+    def test_sparse_degenerate_systems(self, system):
         assert_presolves_like_dense_reference(*system)
 
     @settings(max_examples=300, deadline=None)

@@ -200,22 +200,13 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 #: one little-endian uint32.
 _PLAIN_RECORD = np.frombuffer(b",,,\n", dtype="<u4")[0]
 
-
-def _bytes(byte: int, count: int = 8) -> np.uint64:
-    """A word whose low ``count`` bytes are ``byte`` and whose others are 0."""
-    return np.uint64(int.from_bytes(bytes([byte]) * count, "little"))
-
-
-#: ``_LOW_BYTES[n]`` keeps the low ``n`` bytes of a word.
-_LOW_BYTES = np.array([_bytes(0xFF, n) for n in range(9)])
-#: ``_HIGH_BYTES[n]`` keeps the high ``n`` bytes of a word; ``_ZERO_FILL[n]``
-#: is "0" in the bytes below them.
+#: ``_LOW_BYTES[n]`` keeps the low ``n`` bytes of a word, ``_HIGH_BYTES[n]``
+#: its high ``n`` bytes, and ``_ZERO_FILL[n]`` is "0" in the bytes below those.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _HIGH_BYTES = ~_LOW_BYTES[::-1]
-_ZERO_FILL = np.array([_bytes(ord("0"), 8 - n) for n in range(9)])
-#: In every byte: "0"; 0x76, which sets a byte's high bit unless the byte is
-#: below 10; and the high bit.
-_ZEROS, _DIGIT_LIMIT, _HIGH_BITS = _bytes(ord("0")), _bytes(0x80 - 10), _bytes(0x80)
-#: A shift by ``8 * r`` and a product by ``2 ** (64 - 8 * r)`` modulo 2**64,
+_ZERO_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
+#: A word at an offset ``r`` bytes past alignment joins two aligned words by
+#: a shift by ``8 * r`` and a product by ``2 ** (64 - 8 * r)`` modulo 2**64,
 #: as a shift by 64 is not defined for every numpy.
 _SHIFTS = np.array([8 * r for r in range(8)], dtype=np.uint64)
 _SCALES = np.array([0] + [1 << (64 - 8 * r) for r in range(1, 8)], dtype=np.uint64)
@@ -380,8 +371,8 @@ def _decode_ints(buf, words, starts, stops):
         word |= np.take(_ZERO_FILL, digits, mode="clip")
         # every byte less "0" is a digit exactly when it is below 10: when
         # neither it nor it plus 0x76 has its high bit set
-        word -= _ZEROS
-        ok &= ((word + _DIGIT_LIMIT) | word) & _HIGH_BITS == 0
+        word -= _ZERO_FILL[0]
+        ok &= ((word + np.uint64(0x7676767676767676)) | word) & np.uint64(0x8080808080808080) == 0
         for multiplier, shift, mask in _COMBINE:
             word *= multiplier
             word >>= shift

@@ -250,8 +250,8 @@ def _words_at(words, at, count: int) -> list[np.ndarray]:
     ``j < count``, from ``words``, the aligned words of a block.
 
     Each is the high bytes of one aligned word and the low bytes of the
-    next; an unaligned gather costs several times as much. Offsets below 0
-    give words of the block's other end.
+    next; an unaligned gather costs several times as much. An offset below
+    0 reads bytes from the block's far end, which the caller masks off.
     """
     index, r = at >> 3, at & 7
     shift, scale = _SHIFTS[r], _SCALES[r]
@@ -281,7 +281,7 @@ def _records(arr, last: bool, zeros: int):
     the records are read off the scan as it stands. The ``last`` block holds
     no newline outside quotes, so it never takes this path.
     """
-    hits = np.flatnonzero(arr <= ord(","))[len(_PAD):]  # the leading zeros hit first
+    hits = np.flatnonzero(arr <= ord(","))[len(_PAD):]  # less the leading zero bytes
     kind = arr[hits]
     is_end = kind == ord("\n")
     n = int(np.count_nonzero(is_end))
@@ -530,16 +530,15 @@ def read_event_log(path: str) -> EventLog:
     last_trial = -1
     n_rows = 0
     with open(path, "rb") as fh:
-        for buf, words, *records in _record_blocks(fh):
+        for buf, words, starts, ends, first, second in _record_blocks(fh):
             if header_ok is None:
-                header_ok = _header(buf[records[0][0]:records[1][0]]) == EVENT_HEADER
+                header_ok = _header(buf[starts[0]:ends[0]]) == EVENT_HEADER
                 if not header_ok:
                     break
-                records = [r[1:] for r in records]
-            starts, ends, first, second = records
+                starts, ends, first, second = starts[1:], ends[1:], first[1:], second[1:]
             filled = ends > starts
             if not filled.all():
-                starts, ends, first, second = (r[filled] for r in records)
+                starts, ends, first, second = (a[filled] for a in (starts, ends, first, second))
             trial, trial_ok = _decode_ints(buf, words, starts, first)
             x, x_ok = _decode_ints(buf, words, np.minimum(first + 1, second), second)
             codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)

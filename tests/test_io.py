@@ -473,6 +473,25 @@ class TestEventReaderBlocks:
         assert_reads_like_reference(path)
         assert read_event_log(path).x.tolist() == [x for width in range(1, 19) for x in (width % 4, 0)]
 
+    def test_every_byte_in_every_digit_place(self):
+        # a field reads as a number only when its bytes are digits after an
+        # optional "-", wherever in its eight-byte word a byte falls
+        fields = [
+            b"7" * place + bytes([byte]) + b"7" * (width - 1 - place)
+            for width in (1, 3, 8, 9, 12)
+            for place in range(width)
+            for byte in range(256)
+        ]
+        stops = np.cumsum([len(f) + 1 for f in fields]) + 7
+        body = b"\0" * 8 + b",".join(fields)
+        buf = body + bytes(8 * (dcqe.io._TAIL_WORDS + 1) + -len(body) % 8)
+        values, ok = dcqe.io._decode_ints(
+            buf, np.frombuffer(buf, dtype="<u8"), stops - [len(f) for f in fields], stops
+        )
+        expected = [re.fullmatch(rb"-?[0-9]+", f) is not None for f in fields]
+        assert ok.tolist() == expected
+        assert values[ok].tolist() == [int(f) for f, good in zip(fields, expected) if good]
+
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
         # with a zero multiplier a tail's key is its last word, so these collide;
         # with one record per block each stands for its own group, so this

@@ -518,6 +518,15 @@ class TestEventReaderBlocks:
         assert log.c_idx.tolist() == [0, 1, 0]
         assert_reads_like_reference(path)
 
+    def test_tails_apart_only_by_length(self, tmp_path, monkeypatch):
+        # with a zero multiplier both tails have one key, and the NUL past
+        # "a,b" leaves their words alike, so only their lengths differ
+        monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"trial,x,c,d\n0,1,a,b\n1,0,a,b\x00\n")
+        with pytest.raises(ValueError, match="event row 2 "):
+            read_event_log(path)
+
     def test_each_new_tail_is_looked_up_once_per_block(self, tmp_path, monkeypatch):
         calls = []
         code = dcqe.io._LabelCodes.code

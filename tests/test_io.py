@@ -704,6 +704,7 @@ class TestEventReaderFuzz:
                 except ValueError as exc:
                     outcomes.add((type(exc), str(exc)))
                     continue
+                assert not isinstance(expected, type), "the reference refuses what was read"
                 space, xs, labels = expected
                 assert read.space == space
                 assert labelled_trials(read) == [(x, *pair) for x, pair in zip(xs, labels)]

@@ -116,10 +116,13 @@ def upper_gamma(a: float, x: float) -> float:
     For x < a + 1 it is 1 - P(a, x) by P's power series; otherwise its
     continued fraction, evaluated by the modified Lentz method (*Numerical
     Recipes*, 3rd ed., §6.2). The chi-square tail with k degrees of freedom
-    at s is Q(k/2, s/2). Needs a > 0 and x >= 0.
+    at s is Q(k/2, s/2). Needs a > 0 and x >= 0; Q(a, inf) = 0, where the
+    continued fraction would never converge.
     """
     if x <= 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     front = math.exp(a * math.log(x) - x - math.lgamma(a))
     if x < a + 1.0:
         term = total = 1.0 / a

@@ -38,6 +38,7 @@ __all__ = [
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -168,11 +169,13 @@ def _construction_floor(q: float, e: np.ndarray, r: np.ndarray) -> float:
 def _witness(q: float, p: float, table: np.ndarray) -> FeasibilityResult:
     """A route's filled (n_x, 2, 3) table as the feasible result, tagged
     with the constraint it sits at: a zero loss cell, else no detected
-    erase mass, else none."""
+    erase mass, else none. "Zero" is within 1e-15 * q, since every cell of
+    the erase branch scales with q."""
     space = OutcomeSpace(table.shape[0], _WITNESS_C, _WITNESS_D)
-    if float(np.min(table[:, 0, 2])) <= 1e-15:
+    tol = 1e-15 * q
+    if float(np.min(table[:, 0, 2])) <= tol:
         binding = BINDING_LOSS_SLICE
-    elif q - p <= 1e-15:
+    elif q - p <= tol:
         binding = BINDING_DETECTED_ERASE
     else:
         binding = BINDING_INTERIOR
@@ -202,9 +205,17 @@ def construct_witness(prob: LossFeasibilityProblem) -> FeasibilityResult:
 
 
 def _exact_normalized(vec: np.ndarray) -> list[Fraction]:
-    fracs = [Fraction(float(v)) for v in vec]
-    total = sum(fracs)
-    return [f / total for f in fracs]
+    """The floats of ``vec`` as exact rationals, scaled to sum to 1.
+
+    Each float is an integer over a power of two, so over the largest of
+    those denominators every numerator is an integer too: they sum as
+    plain ints, and each bin costs one ``Fraction`` (one gcd).
+    """
+    ratios = [float(v).as_integer_ratio() for v in vec]
+    top = max(d for _, d in ratios)
+    scaled = [n * (top // d) for n, d in ratios]
+    total = sum(scaled)
+    return [Fraction(n, total) for n in scaled]
 
 
 def _presolve(
@@ -220,36 +231,59 @@ def _presolve(
     variables, with their right-hand sides; or None when fixing alone proves
     the system infeasible. Each fixed value holds in every solution, so the
     rest of the system is feasible exactly when the whole of it is.
+
+    Coefficients and right-hand sides may be ints or Fractions, and the
+    results are Fractions. Inside, each rational is a reduced (numerator,
+    denominator) int pair with a positive denominator, so a step costs int
+    products and one gcd, not new Fractions. A unit coefficient fixes its
+    row's right-hand side as it is, and a value fixed at 0 leaves the
+    right-hand sides of the rows it is dropped from as they are.
     """
-    rows = [{j: a for j, a in row.items() if a} for row in rows]
-    rhs = list(rhs)
-    if any(b for row, b in zip(rows, rhs) if not row):
+    rows = [{j: (a.numerator, a.denominator) for j, a in row.items() if a} for row in rows]
+    rhs = [(b.numerator, b.denominator) for b in rhs]
+    if any(b for row, (b, _) in zip(rows, rhs) if not row):
         return None
     holding: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             holding[j].append(i)
-    fixed: dict[int, Fraction] = {}
+    fixed: dict[int, tuple[int, int]] = {}
     pending = [i for i, row in enumerate(rows) if len(row) == 1]
     while pending:
         i = pending.pop()
         if len(rows[i]) != 1:
             # emptied, and checked, since it was queued
             continue
-        ((j, a),) = rows[i].items()
-        value = rhs[i] / a
-        if value < 0:
+        ((j, (an, ad)),) = rows[i].items()
+        vn, vd = rhs[i]
+        if an != 1 or ad != 1:
+            vn, vd = vn * ad, vd * an
+            if vd < 0:
+                vn, vd = -vn, -vd
+            g = gcd(vn, vd)
+            vn, vd = vn // g, vd // g
+        if vn < 0:
             return None
-        fixed[j] = value
+        fixed[j] = (vn, vd)
         for k in holding[j]:
             row = rows[k]
-            rhs[k] -= row.pop(j) * value
+            an, ad = row.pop(j)
+            if vn:
+                # b - a v, over the denominator of b times that of a v
+                bn, bd = rhs[k]
+                num, den = bn * ad * vd - an * vn * bd, bd * ad * vd
+                g = gcd(num, den)
+                rhs[k] = (num // g, den // g)
             if len(row) == 1:
                 pending.append(k)
-            elif not row and rhs[k]:
+            elif not row and rhs[k][0]:
                 return None
     left = [i for i, row in enumerate(rows) if row]
-    return fixed, [rows[i] for i in left], [rhs[i] for i in left]
+    return (
+        {j: Fraction(*v) for j, v in fixed.items()},
+        [{j: Fraction(*a) for j, a in rows[i].items()} for i in left],
+        [Fraction(*rhs[i]) for i in left],
+    )
 
 
 def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
@@ -268,6 +302,13 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     reads nothing but the mass table, so the route stays independent of
     the closed form. Targets are renormalized in exact arithmetic so float
     dust in the inputs cannot manufacture inconsistency.
+
+    The arithmetic is exact throughout. q, p and each target bin are the
+    exact rationals of their floats (:func:`_exact_normalized` sums a
+    target's bins as ints over one power-of-two denominator). A coefficient
+    of 1 is the plain int 1, the independence coefficients 1-q and -q and
+    every right-hand side are Fractions, and :func:`_presolve` solves in
+    reduced int pairs.
 
     Decides by forced elimination (:func:`_presolve`) alone, which fixes
     every cell: q lies in (0, 1), so each bin's preserve row holds one live

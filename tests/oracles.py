@@ -128,6 +128,47 @@ def dense_phase1_feasible(rows, rhs):
     return solution
 
 
+def reference_presolve(rows, rhs, n):
+    """Forced elimination on sparse rows {column: coefficient}, in Fractions.
+
+    A row a * v_j = b fixes v_j = b / a, which must be nonnegative, and
+    a * v_j is subtracted from every other row holding j; a row left with
+    no variable must have a zero right-hand side. This repeats until no row
+    holds exactly one variable. Every step divides, multiplies and
+    subtracts, whatever the coefficient or value. Returns (fixed values by
+    column, rows still holding variables, their right-hand sides), or None
+    when fixing alone proves the system infeasible.
+    """
+    rows = [{j: a for j, a in row.items() if a} for row in rows]
+    rhs = list(rhs)
+    if any(b for row, b in zip(rows, rhs) if not row):
+        return None
+    holding = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holding[j].append(i)
+    fixed = {}
+    pending = [i for i, row in enumerate(rows) if len(row) == 1]
+    while pending:
+        i = pending.pop()
+        if len(rows[i]) != 1:
+            continue
+        ((j, a),) = rows[i].items()
+        value = rhs[i] / a
+        if value < 0:
+            return None
+        fixed[j] = value
+        for k in holding[j]:
+            row = rows[k]
+            rhs[k] -= row.pop(j) * value
+            if len(row) == 1:
+                pending.append(k)
+            elif not row and rhs[k]:
+                return None
+    left = [i for i, row in enumerate(rows) if row]
+    return fixed, [rows[i] for i in left], [rhs[i] for i in left]
+
+
 def full_encoding_feasible(q, p, erase_target, preserve_target):
     """Loss feasibility over all 6*n_x cells of p(x, c, d), by the dense simplex.
 

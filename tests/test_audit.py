@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -408,6 +409,19 @@ class TestUpperGamma:
 
     def test_zero_is_the_whole_tail(self):
         assert upper_gamma(3.5, 0.0) == 1.0
+
+    def test_infinity_has_no_tail(self):
+        # the continued fraction never converges at x = inf; run it on a
+        # daemon thread so a regression fails here instead of hanging
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.extend(upper_gamma(a, math.inf) for a in (0.5, 1.0, 31.5)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "upper_gamma(a, inf) did not return"
+        assert got == [0.0, 0.0, 0.0]
 
 
 class TestGTest:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcqe import (
@@ -39,7 +39,13 @@ from dcqe.feasibility import (
     _presolve,
 )
 
-from oracles import dense_phase1_feasible, feasible_interval, full_encoding_feasible
+from oracles import (
+    dense_phase1_feasible,
+    exact_normalized,
+    feasible_interval,
+    full_encoding_feasible,
+    reference_presolve,
+)
 
 CD_TABLE_HALF = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
 
@@ -236,6 +242,16 @@ class TestConstructWitness:
 
 
 class TestCheckFeasible:
+    @pytest.mark.parametrize("q", [1e-15, 1e-20])
+    def test_binding_tags_scale_with_the_choice_mass(self, q):
+        # every erase-branch cell scales with q, so at p = 0.75q the
+        # smallest loss cell (q/8 here) is far from zero, however small q is
+        for p, tag in ((0.75 * q, BINDING_INTERIOR), (q / 2, BINDING_LOSS_SLICE),
+                       (q, BINDING_DETECTED_ERASE)):
+            prob = LossFeasibilityProblem(q=q, n_x=4, p=p)
+            assert check_feasible(prob).binding_constraint == tag, p
+            assert construct_witness(prob).binding_constraint == tag, p
+
     def test_sweep_at_half(self):
         grid = [0.10, 0.20, 0.24, 0.25, 0.30, 0.50, 0.51]
         expect = [False, False, False, True, True, True, False]
@@ -396,21 +412,26 @@ def sparse_degenerate_systems(draw):
     return rows, rhs
 
 
+NONZERO = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+# half the coefficients a unit, as an int or a Fraction, as check_feasible's are
+UNIT_HEAVY = st.one_of(st.sampled_from([1, Fraction(1)]), NONZERO)
+
+
 @st.composite
-def forced_systems(draw):
+def forced_systems(draw, nonzero=NONZERO, values=st.integers(0, 3)):
     """A v = b systems rich in one-variable rows, as check_feasible's are.
 
     Row i holds column i and up to two earlier columns, so each fixed value
     can leave a later row with one variable: a triangular cascade. Some rows
     also hold a later column, which leaves rows unsolved, and up to three
-    extra rows sum 1-3 columns, as a mass row does. Entries are
-    non-zero in -3..3 over denominators 1-3, the rows come shuffled, and the
-    right-hand sides are A v for a drawn v in 0..3. At times one entry of v
-    is -1 or one right-hand side is off by one, so negative fixed values and
+    extra rows sum 1-3 columns, as a mass row does. Entries are drawn from
+    ``nonzero`` (by default non-zero in -3..3 over denominators 1-3), the
+    rows come shuffled, and the right-hand sides are the Fractions A v for
+    a v drawn from ``values`` (by default 0..3). At times one entry of v is
+    -1 or one right-hand side is off by one, so negative fixed values and
     emptied rows with a non-zero right-hand side are common too.
     """
     n = draw(st.integers(1, 8))
-    nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     held = []
     for i in range(n):
         cols = [i] + (draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else [])
@@ -424,10 +445,10 @@ def forced_systems(draw):
         for j in cols:
             row[j] = draw(nonzero)
     rows = draw(st.permutations(rows))
-    v = [draw(st.integers(0, 3)) for _ in range(n)]
+    v = [draw(values) for _ in range(n)]
     if draw(st.integers(0, 3)) == 0:
         v[draw(st.integers(0, n - 1))] = -1
-    rhs = [sum(a * x for a, x in zip(row, v)) for row in rows]
+    rhs = [Fraction(sum(a * x for a, x in zip(row, v))) for row in rows]
     if draw(st.integers(0, 3)) == 0:
         rhs[draw(st.integers(0, len(rhs) - 1))] += draw(st.sampled_from([-1, 1]))
     return rows, rhs
@@ -462,6 +483,13 @@ def assert_presolves_like_dense_reference(rows, rhs):
         assert [fixed.get(j, Fraction(0)) for j in range(n)] == want
 
 
+def assert_presolves_like_fraction_reference(rows, rhs):
+    """_presolve gives the fixed values, rows left over and right-hand sides
+    of the reference that divides, multiplies and subtracts every time."""
+    n = len(rows[0])
+    assert _presolve(sparse(rows), rhs, n) == reference_presolve(sparse(rows), rhs, n)
+
+
 class TestPresolve:
     """Forced elimination: one-variable rows fix their variable until none is left."""
 
@@ -484,6 +512,23 @@ class TestPresolve:
     @given(system=forced_systems())
     def test_forced_systems(self, system):
         assert_presolves_like_dense_reference(*system)
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=st.one_of(
+        linear_systems(),
+        linear_systems(denominators=(1, 2, 3, 7)),
+        sparse_degenerate_systems(),
+        forced_systems(),
+    ))
+    def test_matches_the_fraction_reference(self, system):
+        assert_presolves_like_fraction_reference(*system)
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=forced_systems(nonzero=UNIT_HEAVY, values=st.sampled_from([0, 0, 1, 2])))
+    def test_unit_coefficients_and_zero_values_match_the_reference(self, system):
+        # unit coefficients and values fixed at 0 take _presolve's short
+        # cuts, and bring zero right-hand sides with them
+        assert_presolves_like_fraction_reference(*system)
 
     def test_cascade_fixes_every_column(self):
         # v0 = 2, then v1 = 1 from the second row, then the sum row is met
@@ -512,6 +557,28 @@ class TestPresolve:
         assert _presolve(rows, fractions([1, 3]), 3) == (
             {0: 1}, [{1: Fraction(1), 2: Fraction(1)}], [Fraction(2)]
         )
+
+
+# Bin values from subnormal to huge, with zeros, the smallest subnormals and
+# the floats either side of 1 drawn often.
+BIN_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1070, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e300),
+)
+
+
+class TestExactNormalized:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(BIN_VALUES, min_size=1, max_size=12).filter(any))
+    @example(values=[0.0, 5e-324, 0.0])
+    @example(values=[2.0**-1070, 1.0 - 2.0**-53, 1e300, 0.0])
+    def test_matches_the_fraction_reference(self, values):
+        # the common power-of-two denominator gives the Fractions that
+        # summing and dividing Fractions gives
+        got = feasibility._exact_normalized(np.array(values))
+        assert got == exact_normalized(values)
+        assert all(type(f) is Fraction for f in got)
 
 
 def result_digest(result):

@@ -206,8 +206,8 @@ def check_independence(
     (x, c) cell; ties resolve to the lexicographically first cell. Choices
     carrying no mass cannot witness dependence and are listed in
     ``skipped_choices``. With ``alpha``, a sampled table is instead put to
-    a G-test of independence on its X x C counts, ``rint(n * p(x, c))``;
-    independence holds iff the p-value is at least alpha.
+    a G-test of independence on its X x C event counts; independence holds
+    iff the p-value is at least alpha.
     """
     tol, alpha = _level(joint, tol, alpha)
     p_xc = joint.p.sum(axis=2)
@@ -217,7 +217,7 @@ def check_independence(
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     if alpha is not None:
-        g, df, p_value = g_test(np.rint(p_xc * joint.n_samples))
+        g, df, p_value = g_test(joint.counts.sum(axis=2))
         detail.update(p_value=p_value, df=df)
         return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
@@ -319,8 +319,8 @@ def check_distinct_conditionals(
     p(x|d'), which realizes the gap as a probability difference. Ties
     resolve to the first pair in detector axis order. With ``alpha``, a
     sampled table is instead put to a G-test of homogeneity of X across
-    those detectors, on its X x D counts ``rint(n * p(x, d))``; the
-    conditionals are distinct iff the p-value is below alpha.
+    those detectors, on its X x D event counts; the conditionals are
+    distinct iff the p-value is below alpha.
     """
     tol, alpha = _level(joint, tol, alpha)
     space = joint.space
@@ -346,7 +346,7 @@ def check_distinct_conditionals(
         "gap": gap,
     }
     if alpha is not None:
-        g, df, p_value = g_test(np.rint(p_dx[observed].T * joint.n_samples))
+        g, df, p_value = g_test(joint.counts.sum(axis=1)[:, observed])
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -403,8 +403,7 @@ def audit(
 
     With ``alpha``, which must lie in (0, 1) and needs a sampled table and
     no ``tol``, independence and distinctness are G-tests at level alpha
-    on the counts ``rint(n * marginal)`` of the (X, C) and (X, D) marginals
-    those checks read, n the table's ``n_samples``; and routing, like
+    on the table's event counts summed to X x C and X x D; and routing, like
     losslessness, tolerates no more than ``LOSSLESS_TOL``: any stray
     detection violates it. An alpha of 0.01 or more runs liberal below ~10
     events per cell: at 0.01, coarse Kim's independence test rejects its

@@ -266,8 +266,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
 
 
 def estimate_from_events(log: EventLog) -> JointDistribution:
-    """Relative-frequency table from a log, tagged with its sample count."""
+    """Relative-frequency table from a log: the sampled table of its counts."""
     if len(log) == 0:
         raise EmptyLog("cannot estimate a distribution from zero events")
-    counts = log.counts().astype(float)
-    return JointDistribution(log.space, counts / len(log), n_samples=len(log))
+    return JointDistribution(log.space, counts=log.counts())

@@ -24,7 +24,7 @@ __all__ = [
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -163,13 +163,16 @@ class OutcomeSpace:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """A table p(x, c, d) of shape (n_x, n_c, n_d).
+    """A table p(x, c, d) of shape (n_x, n_c, n_d), exact or sampled.
 
-    Construction only checks the shape and that ``n_samples`` is None or a
-    positive integer (a bool is not one), kept as an ``int``; call
-    :func:`validate` to enforce nonnegativity and normalization. Empirical
-    estimates carry the sample count in ``n_samples`` so downstream
-    tolerances can be scaled; exact constructions leave it ``None``.
+    ``JointDistribution(space, p)`` is exact: construction only checks the
+    shape and keeps a read-only float copy of ``p``; call :func:`validate`
+    to enforce nonnegativity and normalization. ``JointDistribution(space,
+    counts=counts)`` is estimated from events and made from their counts
+    alone, which need an integer dtype (not bool), the space's shape, no
+    negative entry and a positive total. They are kept as a read-only
+    ``intp`` copy, ``n_samples`` is their sum and ``p`` is ``counts /
+    n_samples``; an exact table's ``counts`` and ``n_samples`` are None.
 
     Two tables are equal when their spaces, sample counts and every entry
     of ``p`` are; anything kept on a table for sampling it is not compared.
@@ -177,16 +180,30 @@ class JointDistribution:
     """
 
     space: OutcomeSpace
-    p: np.ndarray
-    n_samples: int | None = None
+    p: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    n_samples: int | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.n_samples is not None:
-            object.__setattr__(self, "n_samples", check_int(self.n_samples, "sample count", 1))
-        table = np.asarray(self.p, dtype=float)
-        if table.shape != self.space.shape:
-            raise ShapeMismatch(table.shape, self.space.shape)
-        table = table.copy()
+        if (self.p is None) == (self.counts is None):
+            raise InvalidArgument("give a table p or its event counts, not both or neither")
+        given = np.asarray(self.p if self.counts is None else self.counts)
+        if given.shape != self.space.shape:
+            raise ShapeMismatch(given.shape, self.space.shape)
+        if self.counts is None:
+            table = given.astype(float)
+        else:
+            # a float would be truncated and a bool is not a count
+            if given.dtype.kind not in "iu":
+                raise InvalidArgument(f"counts must be integers, got dtype {given.dtype}")
+            counts = given.astype(np.intp)
+            n = int(counts.sum())
+            if counts.min() < 0 or n == 0:
+                raise InvalidArgument("counts must be nonnegative with a positive total")
+            counts.setflags(write=False)
+            object.__setattr__(self, "counts", counts)
+            object.__setattr__(self, "n_samples", n)
+            table = counts / n
         table.setflags(write=False)
         object.__setattr__(self, "p", table)
 
@@ -242,7 +259,9 @@ def coarse_grain(joint: JointDistribution, mapping: Mapping[str, str]) -> JointD
     ``mapping`` sends each fine detection label to its coarse label; the
     loss label, when mapped, must map to itself. The (X, C) marginal is
     untouched: only the detection axis is regrouped. Coarse labels keep the
-    order of their first appearance along the fine detection axis.
+    order of their first appearance along the fine detection axis. A
+    sampled table's counts are summed, so its coarse table is the estimate
+    from the same events with their detections relabelled.
     """
     if mapping.get(LOSS, LOSS) != LOSS:
         raise InvalidArgument("the loss label must map to itself")
@@ -254,7 +273,10 @@ def coarse_grain(joint: JointDistribution, mapping: Mapping[str, str]) -> JointD
         if g not in coarse_labels:
             coarse_labels.append(g)
     space = OutcomeSpace(joint.space.n_x, joint.space.c_values, tuple(coarse_labels))
-    table = np.zeros(space.shape)
+    fine = joint.p if joint.counts is None else joint.counts
+    table = np.zeros(space.shape, dtype=fine.dtype)
     for di, d in enumerate(joint.space.d_values):
-        table[:, :, coarse_labels.index(mapping[d])] += joint.p[:, :, di]
-    return JointDistribution(space, table, n_samples=joint.n_samples)
+        table[:, :, coarse_labels.index(mapping[d])] += fine[:, :, di]
+    if joint.counts is None:
+        return JointDistribution(space, table)
+    return JointDistribution(space, counts=table)

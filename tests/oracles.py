@@ -366,11 +366,12 @@ def reference_distinct(p, d_values, tol, alpha=None, counts=None, g_test=None):
     return {"holds": gap > tol, "gap": gap, "tolerance": tol, "witness": witness}
 
 
-def reference_audit(p, c_values, d_values, n_samples, tol, alpha=None, g_test=None):
+def reference_audit(p, c_values, d_values, counts, tol, alpha=None, g_test=None):
     """The audit report dict of a valid table at a resolved level: ``tol``,
-    or ``alpha`` (then ``tol`` is None) with ``g_test`` run on the counts
-    ``rint(p * n_samples)``. The checks run, and refuse, in report order."""
-    counts = None if alpha is None else np.rint(p * n_samples)
+    or ``alpha`` (then ``tol`` is None) with ``g_test`` run on ``counts``, a
+    sampled table's event counts (None for an exact table), whose total is
+    its sample count. The checks run, and refuse, in report order."""
+    n_samples = None if counts is None else int(counts.sum())
     routing_tol = LOSS_TOL if alpha is not None else tol
     verdicts = {
         "independence": reference_independence(p, c_values, tol, alpha, counts, g_test),

@@ -64,8 +64,10 @@ class TestDefaultTolerance:
 
     def test_empirical_scales_with_samples(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
-        joint = JointDistribution(space, np.full((2, 2, 2), 0.125), n_samples=900)
-        assert default_tolerance(joint) == pytest.approx(3 / 30)
+        counts = np.full((2, 2, 2), 112)
+        counts[0, 0] = 114
+        joint = JointDistribution(space, counts=counts)
+        assert joint.n_samples == 900 and default_tolerance(joint) == pytest.approx(3 / 30)
 
 
 class TestIndependence:
@@ -503,7 +505,7 @@ class TestAlpha:
             verdict = getattr(report, check)
             assert verdict.tolerance == 1e-6
             statistic, df, p_value = g_test(
-                np.rint(joint.p * joint.n_samples).sum(axis=2 if check == "independence" else 1)
+                joint.counts.sum(axis=2 if check == "independence" else 1)
             )
             assert (verdict.statistic, verdict.detail["df"]) == (statistic, df)
             assert verdict.detail["p_value"] == p_value
@@ -520,16 +522,16 @@ class TestAlpha:
 
     def test_one_stray_or_lost_event_is_a_violation(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", LOSS))
-        counts = np.zeros(space.shape)
+        counts = np.zeros(space.shape, dtype=int)
         counts[:, 0, 0] = 2_500
         counts[:, 1, 1] = 2_500
         counts[0, 0, 1] = 1
-        joint = JointDistribution(space, counts / counts.sum(), n_samples=int(counts.sum()))
+        joint = JointDistribution(space, counts=counts)
         assert audit(joint).deterministic_routing.holds  # 1e-4 stray mass < 3/sqrt(n)
         assert not audit(joint, alpha=1e-6).deterministic_routing.holds
         counts[0, 0, 1] = 0
         counts[1, 1, 2] = 1
-        joint = JointDistribution(space, counts / counts.sum(), n_samples=int(counts.sum()))
+        joint = JointDistribution(space, counts=counts)
         report = audit(joint, alpha=1e-6)
         assert report.deterministic_routing.holds and not report.lossless.holds
 
@@ -582,13 +584,15 @@ class TestSampledCalibration:
 
 
 class TestCountTables:
-    """Each G-test counts from the marginal its check reads; that must be
-    the full table's counts, ``rint(p * n)``, summed, to the bit."""
+    """Each G-test reads the table's event counts, summed over the axis its
+    check drops; ``p * n`` rounds back to those counts, so the G-tests that
+    rounded ``p * n`` saw the same tables."""
 
     @staticmethod
     def assert_full_table_tests(joint):
         report = audit(joint, alpha=1e-6)
-        counts = np.rint(joint.p * joint.n_samples)
+        counts = joint.counts
+        assert np.array_equal(np.rint(joint.p * joint.n_samples), counts)
         detected = list(joint.space.detected_indices)
         observed = [d for d in detected if counts[:, :, d].sum() > 0]
         for verdict, table in (
@@ -659,10 +663,11 @@ def reference_tables(seed, count):
         if w.sum() == 0.0:
             w[0, 0, 0] = 1.0
         # a sampled table's columns were copied as counts, so it stays one
-        n_samples = int(w.sum()) if sampled else None
+        joint = JointDistribution(space, counts=w.astype(int)) if sampled else (
+            JointDistribution(space, w / w.sum()))
         tol = float(rng.choice([1e-9, 0.02, 0.1, 0.4]))
         alpha = float(rng.choice([0.01, 1e-6])) if sampled else None
-        yield JointDistribution(space, w / w.sum(), n_samples=n_samples), tol, alpha
+        yield joint, tol, alpha
 
 
 def outcome(call):
@@ -683,10 +688,10 @@ class TestMatchesReference:
     @pytest.mark.parametrize("seed", range(8))
     def test_reports_and_checks(self, seed):
         for k, (joint, tol, alpha) in enumerate(reference_tables(seed, 80)):
-            p, space, n = joint.p, joint.space, joint.n_samples
+            p, space, counts = joint.p, joint.space, joint.counts
             pairs = [
                 (lambda: audit(joint, tol).as_dict(),
-                 lambda: reference_audit(p, space.c_values, space.d_values, n, tol)),
+                 lambda: reference_audit(p, space.c_values, space.d_values, counts, tol)),
                 (lambda: check_independence(joint, tol).as_dict(),
                  lambda: reference_independence(p, space.c_values, tol)),
                 (lambda: check_lossless(joint).as_dict(),
@@ -697,10 +702,9 @@ class TestMatchesReference:
                  lambda: reference_distinct(p, space.d_values, tol)),
             ]
             if alpha is not None:
-                counts = np.rint(p * n)
                 pairs += [
                     (lambda: audit(joint, alpha=alpha).as_dict(),
-                     lambda: reference_audit(p, space.c_values, space.d_values, n, None, alpha, g_test)),
+                     lambda: reference_audit(p, space.c_values, space.d_values, counts, None, alpha, g_test)),
                     (lambda: check_independence(joint, alpha=alpha).as_dict(),
                      lambda: reference_independence(p, space.c_values, None, alpha, counts, g_test)),
                     (lambda: check_distinct_conditionals(joint, alpha=alpha).as_dict(),

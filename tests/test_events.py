@@ -691,10 +691,16 @@ class TestSamplingPlan:
         moved[0, 0, :2] = moved[0, 0, 1::-1]
         for other in (
             sampler_tables()["kim_coarse"],
-            JointDistribution(sampled.space, sampled.p, n_samples=1000),
+            estimate_from_events(sample_events(sampled, 1000, 3)),
             JointDistribution(sampled.space, moved),
         ):
             assert sampled != other and not sampled == other
+        # the same p from counts is a sampled table, and unequal to the exact one
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        exact = JointDistribution(space, np.full(space.shape, 0.125))
+        once, twice = (JointDistribution(space, counts=np.full(space.shape, k)) for k in (1, 2))
+        for a, b in ((exact, once), (once, twice)):
+            assert np.array_equal(a.p, b.p) and a != b and not a == b
         with pytest.raises(TypeError, match="unhashable"):
             hash(sampled)
 
@@ -731,6 +737,19 @@ class TestEstimateFromEvents:
         assert est.p[0, 0, 0] == 1.0
         assert est.p.sum() == 1.0
         assert est.n_samples == 1
+
+    def test_coarse_graining_an_estimate_pools_its_log(self):
+        # summed counts over n, not summed quotients, which differ in the last bit
+        kim = build_kim(default_fringe_model())
+        graining = kim_coarse_graining()
+        for seed in range(5):
+            log = sample_events(kim, 10_000, seed)
+            coarse = coarse_grain(estimate_from_events(log), graining)
+            relabel = np.array([coarse.space.d_index(graining[d]) for d in kim.space.d_values])
+            pooled = estimate_from_events(EventLog(coarse.space, np.ravel_multi_index(
+                (log.x, log.c_idx, relabel[log.d_idx]), coarse.space.shape)))
+            assert coarse == pooled and np.array_equal(coarse.counts, pooled.counts), seed
+            assert coarse.p.tobytes() == pooled.p.tobytes()
 
     def test_empty_log_raises(self):
         space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))

@@ -108,26 +108,53 @@ class TestJointDistribution:
 
     def test_empirical_flag(self):
         analytic = uniform_222()
-        assert analytic.n_samples is None
-        empirical = JointDistribution(analytic.space, analytic.p, n_samples=100)
-        assert empirical.n_samples == 100
+        assert analytic.n_samples is None and analytic.counts is None
+        empirical = JointDistribution(analytic.space, counts=np.full((2, 2, 2), 25))
+        assert empirical.n_samples == 200
+        assert np.array_equal(empirical.p, analytic.p) and empirical != analytic
+        # a sample count is what the counts add up to, never a separate input
+        with pytest.raises(TypeError, match="n_samples"):
+            JointDistribution(analytic.space, analytic.p, n_samples=100)
 
     # 0 once divided by zero in the default tolerance, -5 took a negative
-    # square root, and 2.5 and True gave tolerances of 1.897 and 3.0
+    # square root, and 2.5 and True gave tolerances of 1.897 and 3.0. As the
+    # count of every cell they make an all-zero table, negative entries, and
+    # float, bool and string dtypes.
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, np.bool_(True), "8", 8.0])
     def test_sample_count_must_be_a_positive_integer(self, n_samples):
         joint = uniform_222()
-        with pytest.raises(InvalidArgument, match="sample count must be a positive integer"):
-            JointDistribution(joint.space, joint.p, n_samples=n_samples)
+        with pytest.raises(InvalidArgument, match="counts must"):
+            JointDistribution(joint.space, counts=np.full((2, 2, 2), n_samples))
 
     def test_numpy_integer_sample_count_is_stored_as_int(self):
         joint = uniform_222()
-        empirical = JointDistribution(joint.space, joint.p, n_samples=np.int64(8))
+        empirical = JointDistribution(joint.space, counts=np.ones((2, 2, 2), dtype=np.uint8))
         assert type(empirical.n_samples) is int and empirical.n_samples == 8
         # a numpy integer in the report was not JSON serializable
         doc = json.loads(json.dumps(audit_report_dict(audit(empirical))))
         assert doc["n_samples"] == 8
 
+    def test_counts_are_checked(self):
+        space = uniform_222().space
+        counts = np.full((2, 2, 2), 3)
+        counts[1, 0, 1] = -1
+        with pytest.raises(InvalidArgument, match="counts must be nonnegative"):
+            JointDistribution(space, counts=counts)
+        with pytest.raises(ShapeMismatch):
+            JointDistribution(space, counts=np.ones((2, 2, 3), dtype=int))
+        for kwargs in ({}, {"p": np.full((2, 2, 2), 0.125), "counts": np.ones((2, 2, 2), int)}):
+            with pytest.raises(InvalidArgument, match="not both or neither"):
+                JointDistribution(space, **kwargs)
+
+    def test_counts_are_a_read_only_copy(self):
+        counts = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
+        joint = JointDistribution(uniform_222().space, counts=counts)
+        counts[0, 0, 0] = 100
+        assert joint.counts.dtype == np.intp and joint.counts.ravel().tolist() == list(range(8))
+        assert joint.n_samples == 28 and joint.p.ravel().tolist() == [k / 28 for k in range(8)]
+        for table in (joint.counts, joint.p):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1
 
 class TestValidate:
     def test_uniform_ok(self):
@@ -242,9 +269,15 @@ class TestCoarseGrain:
 
     def test_preserves_sample_count(self):
         joint = self.make_kim_like()
-        empirical = JointDistribution(joint.space, joint.p, n_samples=500)
+        counts = np.rint(joint.p * 500).astype(int)
+        empirical = JointDistribution(joint.space, counts=counts)
         graining = {d: d for d in joint.space.d_values}
-        assert coarse_grain(empirical, graining).n_samples == 500
+        out = coarse_grain(empirical, graining)
+        assert out == empirical and np.array_equal(out.counts, counts)
+        merged = coarse_grain(empirical, {"D1": "a", "D2": "a", "D3": "b", "D4": "b"})
+        assert merged.n_samples == empirical.n_samples
+        pooled = np.stack([counts[:, :, :2].sum(axis=2), counts[:, :, 2:].sum(axis=2)], axis=2)
+        assert np.array_equal(merged.counts, pooled)
 
     def test_coarse_label_order_is_first_appearance(self):
         joint = self.make_kim_like()

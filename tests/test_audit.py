@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcqe import (
     AllMassLost,
@@ -581,6 +583,63 @@ class TestSampledCalibration:
         ):
             assert tail(range(rejections, 201)) > 1e-6
             assert tail(range(rejections + 1)) > 1e-6
+
+
+def shared_detector_table(n_x, masses, tilts, routing, n_d):
+    """A lossless table routing choice c to detector ``routing[c]`` with mass
+    ``masses[c]`` and P(x | c) ∝ 1 + ``tilts[c]``·ℓ(x), ℓ linear from -1 to 1
+    across the bins."""
+    space = OutcomeSpace(
+        n_x, tuple(f"c{k}" for k in range(len(masses))), tuple(f"D{k}" for k in range(n_d))
+    )
+    ell = np.linspace(-1.0, 1.0, n_x)
+    table = np.zeros(space.shape)
+    for c, (mass, tilt, d) in enumerate(zip(masses, tilts, routing)):
+        table[:, c, d] = mass * (1.0 + tilt * ell) / n_x
+    return JointDistribution(space, table)
+
+
+class TestSharedDetectors:
+    """Choices sharing a detector. When no event strays or is lost, D is a
+    function of C over the sample, so G_XD <= G_XC; independence and
+    distinctness must not both hold however their G-tests' df differ."""
+
+    @pytest.mark.xfail(strict=True, reason="G_XD is read at its own df, below df_XC")
+    @pytest.mark.parametrize("alpha, n, tilt, seeds", [
+        (0.01, 2_000, 0.06, 300), (1e-6, 5_000, 0.1, 200),
+    ])
+    def test_probe_never_contradicts_the_no_go(self, alpha, n, tilt, seeds):
+        # a and b go to D1 and c to D2, a third each; df_XD = 7, df_XC = 14
+        joint = shared_detector_table(8, [1 / 3] * 3, [tilt, tilt, -2 * tilt], [0, 0, 1], 2)
+        broken = [
+            seed for seed in range(seeds)
+            if not audit(_sampled(joint, n, seed), alpha=alpha).no_go_consistent
+        ]
+        assert not broken
+
+    @pytest.mark.xfail(strict=True, reason="G_XD is read at its own df, below df_XC")
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_sampled_tables_never_contradict_the_no_go(self, seed):
+        # detectors' tilts scale as 1/sqrt(n), so the tests sit near alpha;
+        # half the choices share their detector's tilt exactly
+        rng = np.random.default_rng(seed)
+        n_x = int(rng.choice([4, 8, 16, 32]))
+        n_c = int(rng.integers(3, 7))
+        n_d = int(rng.integers(2, n_c))
+        routing = np.concatenate([np.arange(n_d), rng.integers(0, n_d, n_c - n_d)])
+        rng.shuffle(routing)
+        n = int(rng.choice([500, 2_000, 10_000]))
+        masses = rng.random(n_c) + 0.2
+        detector_tilts = rng.normal(size=n_d) * rng.random() * 12 / math.sqrt(n)
+        jitter = np.where(rng.random(n_c) < 0.5, 1.0, 1.0 + 0.3 * rng.normal(size=n_c))
+        tilts = np.clip(detector_tilts[routing] * jitter, -1.0, 1.0)
+        exact = shared_detector_table(n_x, masses / masses.sum(), tilts, routing, n_d)
+        p = exact.p.reshape(-1)
+        counts = rng.multinomial(n, p / p.sum()).reshape(exact.p.shape)
+        joint = JointDistribution(exact.space, counts=counts)
+        report = audit(joint, alpha=float(rng.choice([0.05, 0.01, 1e-3, 1e-6])))
+        assert report.no_go_consistent, report.violations
 
 
 class TestCountTables:

@@ -146,17 +146,24 @@ def upper_gamma(a: float, x: float) -> float:
             return front * h
 
 
-def g_test(counts: np.ndarray) -> tuple[float, int, float]:
+def _df(counts: np.ndarray) -> int:
+    """(r - 1)(c - 1) for the r rows and c columns of a count table that
+    have counts."""
+    rows, columns = np.count_nonzero(counts.any(axis=1)), np.count_nonzero(counts.any(axis=0))
+    return int((rows - 1) * (columns - 1))
+
+
+def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     """G-test of independence between the rows and columns of a count table.
 
     Rows and columns without counts add no cell and no degree of freedom:
-    with r rows and c columns that have counts, df = (r - 1)(c - 1).
-    Returns G = 2 Σ O ln(O / E) over the observed cells, df, and the
-    p-value Q(df/2, G/2); with df = 0 nothing can depend on anything, and
-    the p-value is 1.
+    with r rows and c columns that have counts, df = (r - 1)(c - 1), or
+    ``least_df`` when that is more. Returns G = 2 Σ O ln(O / E) over the
+    observed cells, df, and the p-value Q(df/2, G/2); with df = 0 nothing
+    can depend on anything, and the p-value is 1.
     """
     rows, columns = counts.sum(axis=1), counts.sum(axis=0)
-    df = int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1))
+    df = max(_df(counts), least_df)
     observed = counts > 0
     expected = np.outer(rows, columns)[observed] / rows.sum()
     o = counts[observed]
@@ -317,10 +324,21 @@ def check_distinct_conditionals(
     two of those leaves nothing to compare. ``witness`` names the
     maximizing pair (d, d') and the ``bin_set`` where p(x|d) exceeds
     p(x|d'), which realizes the gap as a probability difference. Ties
-    resolve to the first pair in detector axis order. With ``alpha``, a
-    sampled table is instead put to a G-test of homogeneity of X across
-    those detectors, on its X x D event counts; the conditionals are
-    distinct iff the p-value is below alpha.
+    resolve to the first pair in detector axis order.
+
+    With ``alpha``, a sampled table is instead put to a G-test of
+    homogeneity of X across those detectors, on its X x D event counts,
+    read at df* = max(df_XD, df_XC), df_XC the X x C test's on the same
+    counts; the conditionals are distinct iff that p-value is below alpha,
+    and ``df`` reports df*. So the α audit cannot report all four
+    properties. It lets no event stray or be lost, so when routing and
+    losslessness hold, D is a function of C over the sample, and data
+    processing on the empirical law gives Î(X; D) <= Î(X; C), that is
+    G_XD <= G_XC, as G = 2n·Î. The tail Q(df/2, G/2) falls as G grows and
+    rises as df grows; so if independence holds, Q(df*/2, G_XD/2) >=
+    Q(df*/2, G_XC/2) >= Q(df_XC/2, G_XC/2) >= alpha, and distinctness
+    fails (up to rounding in the two G's last bits). A tail read at more
+    df is no smaller, so the test keeps its level alpha.
     """
     tol, alpha = _level(joint, tol, alpha)
     space = joint.space
@@ -346,7 +364,8 @@ def check_distinct_conditionals(
         "gap": gap,
     }
     if alpha is not None:
-        g, df, p_value = g_test(joint.counts.sum(axis=1)[:, observed])
+        least_df = _df(joint.counts.sum(axis=2))
+        g, df, p_value = g_test(joint.counts.sum(axis=1)[:, observed], least_df)
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -403,12 +422,12 @@ def audit(
 
     With ``alpha``, which must lie in (0, 1) and needs a sampled table and
     no ``tol``, independence and distinctness are G-tests at level alpha
-    on the table's event counts summed to X x C and X x D; and routing, like
-    losslessness, tolerates no more than ``LOSSLESS_TOL``: any stray
-    detection violates it. An alpha of 0.01 or more runs liberal below ~10
-    events per cell: at 0.01, coarse Kim's independence test rejects its
-    true null 2.4 times as often as alpha at n = 1e3, and 10.7 times at
-    n = 300."""
+    on the table's event counts summed to X x C and X x D, the second read
+    at the larger of the two df; and routing, like losslessness, tolerates
+    no more than ``LOSSLESS_TOL``: any stray detection violates it. An
+    alpha of 0.01 or more runs liberal below ~10 events per cell: at 0.01,
+    coarse Kim's independence test rejects its true null 2.4 times as often
+    as alpha at n = 1e3, and 10.7 times at n = 300."""
     validate(joint)
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol

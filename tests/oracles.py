@@ -337,7 +337,8 @@ def reference_routing(p, c_values, d_values, tol):
 def reference_distinct(p, d_values, tol, alpha=None, counts=None, g_test=None):
     """The distinctness verdict as a report dict, one detector pair at a
     time: half the L1 distance of each pair's conditionals, the first pair
-    on ties; with ``alpha``, ``g_test`` on the X x D counts instead."""
+    on ties; with ``alpha``, ``g_test`` on the X x D counts instead, read
+    at df no less than the X x C counts' df."""
     conditionals, observed = [], []
     for di, d in enumerate(d_values):
         if d == LOSS_LABEL:
@@ -360,7 +361,8 @@ def reference_distinct(p, d_values, tol, alpha=None, counts=None, g_test=None):
                 bin_set = [int(x) for x in np.nonzero(a - b > 0)[0]]
     witness = {"bin_set": bin_set, "d": pair[0], "d_prime": pair[1], "gap": gap}
     if alpha is not None:
-        g, df, p_value = g_test(counts.sum(axis=1)[:, observed])
+        _, df_xc, _ = g_test(counts.sum(axis=2))
+        g, df, p_value = g_test(counts.sum(axis=1)[:, observed], df_xc)
         return {"holds": p_value < alpha, "g_statistic": g, "tolerance": alpha,
                 "witness": witness, "p_value": p_value, "df": df}
     return {"holds": gap > tol, "gap": gap, "tolerance": tol, "witness": witness}

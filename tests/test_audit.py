@@ -604,7 +604,6 @@ class TestSharedDetectors:
     function of C over the sample, so G_XD <= G_XC; independence and
     distinctness must not both hold however their G-tests' df differ."""
 
-    @pytest.mark.xfail(strict=True, reason="G_XD is read at its own df, below df_XC")
     @pytest.mark.parametrize("alpha, n, tilt, seeds", [
         (0.01, 2_000, 0.06, 300), (1e-6, 5_000, 0.1, 200),
     ])
@@ -617,7 +616,6 @@ class TestSharedDetectors:
         ]
         assert not broken
 
-    @pytest.mark.xfail(strict=True, reason="G_XD is read at its own df, below df_XC")
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_sampled_tables_never_contradict_the_no_go(self, seed):
@@ -654,11 +652,13 @@ class TestCountTables:
         assert np.array_equal(np.rint(joint.p * joint.n_samples), counts)
         detected = list(joint.space.detected_indices)
         observed = [d for d in detected if counts[:, :, d].sum() > 0]
-        for verdict, table in (
-            (report.independence, counts.sum(axis=2)),
-            (report.distinct_conditionals, counts.sum(axis=1)[:, observed]),
+        xc = counts.sum(axis=2)
+        # distinctness is read at the larger of its own df and independence's
+        for verdict, table, least_df in (
+            (report.independence, xc, 0),
+            (report.distinct_conditionals, counts.sum(axis=1)[:, observed], g_test(xc)[1]),
         ):
-            g, df, p_value = g_test(table)
+            g, df, p_value = g_test(table, least_df)
             assert (verdict.statistic, verdict.detail["df"], verdict.detail["p_value"]) == (
                 g, df, p_value
             )
@@ -678,6 +678,9 @@ class TestCountTables:
         w[:, :, 3] = 0.0
         joint = _sampled(JointDistribution(space, w / w.sum()), 10**6, 2)
         self.assert_full_table_tests(joint)
+        # 13 bins by 9 choices has more df than by the 7 detectors with events
+        report = audit(joint, alpha=1e-6)
+        assert report.distinct_conditionals.detail["df"] == report.independence.detail["df"] == 96
 
 
 def reference_tables(seed, count):

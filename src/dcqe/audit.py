@@ -146,11 +146,10 @@ def upper_gamma(a: float, x: float) -> float:
             return front * h
 
 
-def _df(counts: np.ndarray) -> int:
-    """(r - 1)(c - 1) for the r rows and c columns of a count table that
-    have counts."""
-    rows, columns = np.count_nonzero(counts.any(axis=1)), np.count_nonzero(counts.any(axis=0))
-    return int((rows - 1) * (columns - 1))
+def _df(rows: np.ndarray, columns: np.ndarray) -> int:
+    """(r - 1)(c - 1) for a count table whose row and column totals are
+    ``rows`` and ``columns``, r and c of them nonzero."""
+    return int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1))
 
 
 def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
@@ -163,7 +162,7 @@ def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     can depend on anything, and the p-value is 1.
     """
     rows, columns = counts.sum(axis=1), counts.sum(axis=0)
-    df = max(_df(counts), least_df)
+    df = max(_df(rows, columns), least_df)
     observed = counts > 0
     expected = np.outer(rows, columns)[observed] / rows.sum()
     o = counts[observed]
@@ -364,7 +363,8 @@ def check_distinct_conditionals(
         "gap": gap,
     }
     if alpha is not None:
-        least_df = _df(joint.counts.sum(axis=2))
+        xc = joint.counts.sum(axis=2)
+        least_df = _df(xc.sum(axis=1), xc.sum(axis=0))
         g, df, p_value = g_test(joint.counts.sum(axis=1)[:, observed], least_df)
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)

@@ -45,6 +45,11 @@ LOSS = "LOSS"
 #: Normalization tolerance for exactly constructed tables.
 NORMALIZATION_TOL = 1e-12
 
+#: Most events a sampled table may count. ``p = counts / n`` and ``p * n``
+#: each round by at most half an ulp, so ``p * n`` is within c * 2**-52 of
+#: each count c, and up to this cap ``rint(p * n)`` gives back the counts.
+MAX_SAMPLES = 2**51
+
 
 def check_int(value, what: str, least: int) -> int:
     """``value`` as an ``int`` when it is an integer (a numpy one too; a bool
@@ -170,7 +175,7 @@ class JointDistribution:
     to enforce nonnegativity and normalization. ``JointDistribution(space,
     counts=counts)`` is estimated from events and made from their counts
     alone, which need an integer dtype (not bool), the space's shape, no
-    negative entry and a positive total. They are kept as a read-only
+    negative entry and a total from 1 to ``MAX_SAMPLES``. They are kept as a read-only
     ``intp`` copy, ``n_samples`` is their sum and ``p`` is ``counts /
     n_samples``; an exact table's ``counts`` and ``n_samples`` are None.
 
@@ -197,9 +202,11 @@ class JointDistribution:
             if given.dtype.kind not in "iu":
                 raise InvalidArgument(f"counts must be integers, got dtype {given.dtype}")
             counts = given.astype(np.intp)
-            n = int(counts.sum())
-            if counts.min() < 0 or n == 0:
-                raise InvalidArgument("counts must be nonnegative with a positive total")
+            # summed as floats, which cannot wrap and are exact up to the cap
+            total = counts.sum(dtype=float)
+            if counts.min() < 0 or not 0 < total <= MAX_SAMPLES:
+                raise InvalidArgument("counts must be nonnegative with a total from 1 to 2**51")
+            n = int(total)
             counts.setflags(write=False)
             object.__setattr__(self, "counts", counts)
             object.__setattr__(self, "n_samples", n)

@@ -140,6 +140,12 @@ class TestJointDistribution:
         counts[1, 0, 1] = -1
         with pytest.raises(InvalidArgument, match="counts must be nonnegative"):
             JointDistribution(space, counts=counts)
+        # an int64 total of 2**64 + 5 wrapped round to 5
+        wrapping = np.array([2**62] * 4 + [5, 0, 0, 0]).reshape(2, 2, 2)
+        for too_many in (wrapping, np.full((2, 2, 2), 2**48 + 1)):
+            with pytest.raises(InvalidArgument, match="total from 1 to 2"):
+                JointDistribution(space, counts=too_many)
+        assert JointDistribution(space, counts=np.full((2, 2, 2), 2**48)).n_samples == 2**51
         with pytest.raises(ShapeMismatch):
             JointDistribution(space, counts=np.ones((2, 2, 3), dtype=int))
         for kwargs in ({}, {"p": np.full((2, 2, 2), 0.125), "counts": np.ones((2, 2, 2), int)}):

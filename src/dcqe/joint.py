@@ -175,9 +175,10 @@ class JointDistribution:
     to enforce nonnegativity and normalization. ``JointDistribution(space,
     counts=counts)`` is estimated from events and made from their counts
     alone, which need an integer dtype (not bool), the space's shape, no
-    negative entry and a total from 1 to ``MAX_SAMPLES``. They are kept as a read-only
-    ``intp`` copy, ``n_samples`` is their sum and ``p`` is ``counts /
-    n_samples``; an exact table's ``counts`` and ``n_samples`` are None.
+    negative entry and a total from 1 to ``MAX_SAMPLES``. They are kept as
+    a read-only ``intp`` copy, ``n_samples`` is their sum and ``p`` is
+    ``counts / n_samples``; an exact table's ``counts`` and ``n_samples``
+    are None.
 
     Two tables are equal when their spaces, sample counts and every entry
     of ``p`` are; anything kept on a table for sampling it is not compared.

@@ -161,10 +161,11 @@ def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     observed cells, df, and the p-value Q(df/2, G/2); with df = 0 nothing
     can depend on anything, and the p-value is 1.
     """
-    rows, columns = counts.sum(axis=1), counts.sum(axis=0)
+    rows, columns = np.add.reduce(counts, 1), np.add.reduce(counts, 0)
     df = max(_df(rows, columns), least_df)
     observed = counts > 0
-    expected = np.outer(rows, columns)[observed] / rows.sum()
+    # in floats, rounded once as the int product is, which may wrap past 2**63
+    expected = np.multiply(rows[:, None], columns, dtype=float)[observed] / rows.sum()
     o = counts[observed]
     g = max(2.0 * float(np.sum(o * np.log(o / expected))), 0.0)
     return g, df, upper_gamma(df / 2, g / 2) if df else 1.0
@@ -199,8 +200,8 @@ class Verdict:
 
 def _dependence(p_xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|p(x,c) - p(x) p(c)| per cell of an (X, C) table, and its C marginal."""
-    p_c = p_xc.sum(axis=0)
-    return np.abs(p_xc - np.outer(p_xc.sum(axis=1), p_c)), p_c
+    p_c = np.add.reduce(p_xc, 0)
+    return np.abs(p_xc - np.multiply(np.add.reduce(p_xc, 1)[:, None], p_c)), p_c
 
 
 def check_independence(
@@ -215,15 +216,18 @@ def check_independence(
     a G-test of independence on its X x C event counts; independence holds
     iff the p-value is at least alpha.
     """
-    tol, alpha = _level(joint, tol, alpha)
-    p_xc = joint.p.sum(axis=2)
-    deviation, p_c = _dependence(p_xc)
-    x, c = divmod(int(np.argmax(deviation)), deviation.shape[1])
+    return _independence(joint, *_level(joint, tol, alpha))
+
+
+def _independence(joint: JointDistribution, tol: float | None, alpha: float | None) -> Verdict:
+    """``check_independence`` at a level ``_level`` resolved."""
+    deviation, p_c = _dependence(np.add.reduce(joint.p, 2))
+    x, c = divmod(int(deviation.argmax()), deviation.shape[1])
     worst = float(deviation[x, c])
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     if alpha is not None:
-        g, df, p_value = g_test(joint.counts.sum(axis=2))
+        g, df, p_value = g_test(np.add.reduce(joint.counts, 2))
         detail.update(p_value=p_value, df=df)
         return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
@@ -259,7 +263,7 @@ def check_lossless(joint: JointDistribution) -> Verdict:
     means the channel exists.
     """
     li = joint.space.loss_index
-    loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
+    loss_mass = 0.0 if li is None else float(np.add.reduce(joint.p[:, :, li], None))
     return Verdict(CHECK_LOSSLESS, loss_mass <= LOSSLESS_TOL, loss_mass, LOSSLESS_TOL)
 
 
@@ -276,24 +280,28 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    tol, _ = _level(joint, tol, None)
+    return _routing(joint, _level(joint, tol, None)[0])
+
+
+def _routing(joint: JointDistribution, tol: float) -> Verdict:
+    """``check_deterministic_routing`` at a tolerance ``_level`` resolved."""
     space = joint.space
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
     skipped: list[str] = []
     max_stray = -1.0
     worst: dict[str, str] | None = None
-    # p(c, d); each choice's detected total is a 1-D sum of its row, as a
-    # 2-D sum over rows may add eight or more terms in another order
-    mass = joint.p.sum(axis=0)
-    for c, row, mass_d in zip(space.c_values, mass.tolist(), mass[:, detected]):
+    # p(c, d); take keeps rows contiguous, so each row's reduction is its 1-D sum
+    mass = np.add.reduce(joint.p, 0)
+    mass_d = mass.take(detected, 1)
+    totals = np.add.reduce(mass_d, 1).tolist()
+    for c, row, row_d, total in zip(space.c_values, mass.tolist(), mass_d.tolist(), totals):
         if sum(row) <= 0.0:
             skipped.append(c)
             continue
-        total = float(mass_d.sum())
         if total <= 0.0:
             raise AllMassLost(c)
-        cond = [m / total for m in mass_d.tolist()]
+        cond = [m / total for m in row_d]
         target = max(range(len(cond)), key=cond.__getitem__)
         stray = 1.0 - cond[target]
         routing[c] = space.d_values[detected[target]]
@@ -339,33 +347,43 @@ def check_distinct_conditionals(
     fails (up to rounding in the two G's last bits). A tail read at more
     df is no smaller, so the test keeps its level alpha.
     """
-    tol, alpha = _level(joint, tol, alpha)
+    return _distinct(joint, *_level(joint, tol, alpha))
+
+
+def _distinct(joint: JointDistribution, tol: float | None, alpha: float | None) -> Verdict:
+    """``check_distinct_conditionals`` at a level ``_level`` resolved."""
     space = joint.space
-    # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them
-    p_dx = np.ascontiguousarray(joint.p.transpose(2, 0, 1)).sum(axis=2)
-    masses = {di: float(p_dx[di].sum()) for di in space.detected_indices}
-    observed = [di for di, mass in masses.items() if mass > 0.0]
+    # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them,
+    # and each detector's mass, a row reduction, so each row's 1-D sum
+    p_dx = np.add.reduce(np.ascontiguousarray(joint.p.transpose(2, 0, 1)), 2)
+    masses = np.add.reduce(p_dx, 1)
+    observed = [di for di in space.detected_indices if masses[di] > 0.0]
     if len(observed) < 2:
         raise InsufficientOutcomes(
             f"need at least 2 detectors with positive mass, found {len(observed)}"
         )
-    conditionals = p_dx[observed] / np.array([masses[di] for di in observed])[:, None]
-    gap, pair = -1.0, (0, 1)
-    for i, j in itertools.combinations(range(len(observed)), 2):
-        tv = 0.5 * float(np.abs(conditionals[i] - conditionals[j]).sum())
-        if tv > gap:
-            gap, pair = tv, (i, j)
-    i, j = pair
+    conditionals = p_dx.take(observed, 0) / masses.take(observed)[:, None]
+    # each pair's difference row, in combinations order; slicing the one
+    # pair of two detectors measured faster than gathering it
+    if len(observed) == 2:
+        first, second = (0,), (1,)
+        diff = conditionals[:1] - conditionals[1:]
+    else:
+        first, second = zip(*itertools.combinations(range(len(observed)), 2))
+        diff = conditionals.take(first, 0) - conditionals.take(second, 0)
+    tv = np.add.reduce(np.abs(diff), 1) * 0.5
+    k = int(tv.argmax())
+    gap = float(tv[k])
     witness = {
-        "bin_set": np.flatnonzero(conditionals[i] - conditionals[j] > 0).tolist(),
-        "d": space.d_values[observed[i]],
-        "d_prime": space.d_values[observed[j]],
+        "bin_set": (diff[k] > 0).nonzero()[0].tolist(),
+        "d": space.d_values[observed[first[k]]],
+        "d_prime": space.d_values[observed[second[k]]],
         "gap": gap,
     }
     if alpha is not None:
-        xc = joint.counts.sum(axis=2)
-        least_df = _df(xc.sum(axis=1), xc.sum(axis=0))
-        g, df, p_value = g_test(joint.counts.sum(axis=1)[:, observed], least_df)
+        xc = np.add.reduce(joint.counts, 2)
+        least_df = _df(np.add.reduce(xc, 1), np.add.reduce(xc, 0))
+        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), least_df)
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -432,10 +450,10 @@ def audit(
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
     return AuditReport(
-        independence=check_independence(joint, tol, alpha),
+        independence=_independence(joint, tol, alpha),
         lossless=check_lossless(joint),
-        deterministic_routing=check_deterministic_routing(joint, routing_tol),
-        distinct_conditionals=check_distinct_conditionals(joint, tol, alpha),
+        deterministic_routing=_routing(joint, routing_tol),
+        distinct_conditionals=_distinct(joint, tol, alpha),
         tolerance=routing_tol,
         n_samples=joint.n_samples,
         alpha=alpha,

@@ -229,7 +229,16 @@ class JointDistribution:
 
 def validate(joint: JointDistribution) -> JointDistribution:
     """Raise on the first violated table invariant: sign, then normalization;
-    return the table when it has none."""
+    return the table when it has none.
+
+    A table made from counts is valid by construction and returned at once:
+    each ``p = c / n`` is nonnegative and within 2**-53 of c / n relatively,
+    so the exact sum is within 2**-53 of 1, and numpy's pairwise sum of the
+    contiguous table adds at most (26 + log2(cells / 128)) * 2**-53 more,
+    under 5e-15 at 10**6 cells and far below ``NORMALIZATION_TOL``.
+    """
+    if joint.counts is not None:
+        return joint
     table = joint.p
     if np.any(table < 0):
         x, c, d = np.unravel_index(int(np.argmax(table < 0)), table.shape)

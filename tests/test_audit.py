@@ -16,6 +16,7 @@ from dcqe import (
     InvalidArgument,
     JointDistribution,
     LossFeasibilityProblem,
+    NegativeMass,
     NotNormalized,
     OutcomeSpace,
     audit,
@@ -242,6 +243,23 @@ class TestAudit:
         with pytest.raises(NotNormalized):
             audit(JointDistribution(space, np.full((2, 2, 2), 0.2)))
 
+    def test_negative_cell_rejected(self):
+        # an exact table is validated first, whatever its total
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2"))
+        table = np.full((2, 2, 2), 0.15)
+        table[1, 0, 1] = -0.05
+        with pytest.raises(NegativeMass) as exc:
+            audit(JointDistribution(space, table))
+        assert (exc.value.x, exc.value.c, exc.value.d) == (1, "a", "D2")
+
+    def test_only_loss_leaves_nothing_to_route_or_compare(self):
+        space = OutcomeSpace(2, ("a", "b"), (LOSS,))
+        joint = JointDistribution(space, np.full((2, 2, 1), 0.25))
+        with pytest.raises(AllMassLost):
+            check_deterministic_routing(joint)
+        with pytest.raises(InsufficientOutcomes, match="found 0"):
+            check_distinct_conditionals(joint)
+
     def test_report_consistency_flag(self):
         joint = product_joint(
             [0.3, 0.7], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], ("D1", "D2")
@@ -457,6 +475,12 @@ class TestGTest:
         assert g_test(np.array([[3.0, 0.0, 7.0]])) == (0.0, 0, 1.0)
         assert g_test(np.array([[3.0], [0.0], [7.0]])) == (0.0, 0, 1.0)
 
+    def test_totals_past_two_to_the_32_do_not_wrap(self):
+        # row times column totals pass 2**63 here; G grows with the counts
+        small = np.array([[3, 1], [1, 5]])
+        g, df, _ = g_test(small * 2**40)
+        assert df == 1 and g == pytest.approx(g_test(small)[0] * 2**40, rel=1e-12)
+
     def test_proportional_rows_give_zero(self):
         statistic, df, p_value = g_test(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
         assert (statistic, df) == (0.0, 2) and p_value == 1.0
@@ -583,6 +607,42 @@ class TestSampledCalibration:
         ):
             assert tail(range(rejections, 201)) > 1e-6
             assert tail(range(rejections + 1)) > 1e-6
+
+
+class TestBenchmarkTables:
+    """The paper tables as the benchmark audits them, exact and sampled at
+    n = 1e3, 1e4 and 1e5: each report equals the naive reference's, and
+    each public check's verdict equals its field of the audit, on the
+    tolerance path and at alpha = 1e-6."""
+
+    @pytest.mark.parametrize("n", [None, 10**3, 10**4, 10**5])
+    def test_reports_and_checks(self, n):
+        for name in PAPER_TABLES:
+            exact = _paper_table(name)
+            for joint in [exact] if n is None else [_sampled(exact, n, s) for s in range(3)]:
+                p, space, counts = joint.p, joint.space, joint.counts
+                tol = default_tolerance(joint)
+                report = audit(joint)
+                assert report.as_dict() == reference_audit(
+                    p, space.c_values, space.d_values, counts, tol
+                ), name
+                checks = (
+                    check_independence(joint), check_lossless(joint),
+                    check_deterministic_routing(joint), check_distinct_conditionals(joint),
+                )
+                assert checks == report.verdicts, name
+                if n is None:
+                    continue
+                report = audit(joint, alpha=1e-6)
+                assert report.as_dict() == reference_audit(
+                    p, space.c_values, space.d_values, counts, None, 1e-6, g_test
+                ), name
+                checks = (
+                    check_independence(joint, alpha=1e-6), check_lossless(joint),
+                    check_deterministic_routing(joint, LOSSLESS_TOL),
+                    check_distinct_conditionals(joint, alpha=1e-6),
+                )
+                assert checks == report.verdicts, name
 
 
 def shared_detector_table(n_x, masses, tilts, routing, n_d):

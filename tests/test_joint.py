@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcqe import (
     InvalidArgument,
@@ -19,6 +22,7 @@ from dcqe import (
     validate,
 )
 from dcqe.io import audit_report_dict
+from dcqe.joint import MAX_SAMPLES, NORMALIZATION_TOL
 
 
 def uniform_222():
@@ -193,6 +197,46 @@ class TestValidate:
         table[0, 0, 0] += 1e-6
         with pytest.raises(NotNormalized):
             validate(JointDistribution(space, table))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_cells=st.floats(math.log10(8), 6),
+        n_c=st.integers(2, 9),
+        n_d=st.integers(1, 10),
+        kind=st.sampled_from(["random", "one cell nearly all", "equal", "sparse"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_count_tables_pass_the_checks_they_skip(self, log_cells, n_c, n_d, kind, seed):
+        # validate returns a count-built table unchecked, as it has no
+        # negative cell and sums to 1 within the bound its docstring proves
+        n_x = max(2, -(-8 // (n_c * n_d)), int(10**log_cells) // (n_c * n_d))
+        space = OutcomeSpace(n_x, tuple(f"c{k}" for k in range(n_c)),
+                             tuple(f"D{k}" for k in range(n_d)))
+        size = math.prod(space.shape)
+        rng = np.random.default_rng(seed)
+        top = MAX_SAMPLES // size
+        if kind == "random":
+            counts = rng.integers(0, int(top ** rng.random()) + 1, size)
+        elif kind == "one cell nearly all":
+            counts = rng.integers(0, 3, size)
+            cell = rng.integers(size)
+            counts[cell] = 0
+            counts[cell] = MAX_SAMPLES - counts.sum()
+        elif kind == "equal":
+            counts = np.full(size, top >> int(rng.integers(20)))
+            counts[rng.random(size) < rng.random()] = 0
+        else:
+            counts = np.zeros(size, dtype=np.int64)
+            k = int(rng.integers(1, 10))
+            counts[rng.choice(size, k, replace=False)] = rng.integers(1, MAX_SAMPLES // k, k)
+        counts[0] += counts.sum() == 0
+        joint = JointDistribution(space, counts=counts.reshape(space.shape))
+        assert 8 <= size <= 10**6 and joint.n_samples <= MAX_SAMPLES
+        assert not np.any(joint.p < 0)
+        error = abs(float(joint.p.sum()) - 1.0)
+        assert error <= NORMALIZATION_TOL
+        assert error <= (28 + max(0, math.ceil(math.log2(size / 128)))) * 2.0**-53
+        assert validate(joint) is joint
 
 
 class TestConditionals:

@@ -263,7 +263,7 @@ def check_lossless(joint: JointDistribution) -> Verdict:
     means the channel exists.
     """
     li = joint.space.loss_index
-    loss_mass = 0.0 if li is None else float(np.add.reduce(joint.p[:, :, li], None))
+    loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
     return Verdict(CHECK_LOSSLESS, loss_mass <= LOSSLESS_TOL, loss_mass, LOSSLESS_TOL)
 
 

@@ -363,14 +363,9 @@ def _distinct(joint: JointDistribution, tol: float | None, alpha: float | None) 
             f"need at least 2 detectors with positive mass, found {len(observed)}"
         )
     conditionals = p_dx.take(observed, 0) / masses.take(observed)[:, None]
-    # each pair's difference row, in combinations order; slicing the one
-    # pair of two detectors measured faster than gathering it
-    if len(observed) == 2:
-        first, second = (0,), (1,)
-        diff = conditionals[:1] - conditionals[1:]
-    else:
-        first, second = zip(*itertools.combinations(range(len(observed)), 2))
-        diff = conditionals.take(first, 0) - conditionals.take(second, 0)
+    # each pair's difference row, in combinations order
+    first, second = zip(*itertools.combinations(range(len(observed)), 2))
+    diff = conditionals.take(first, 0) - conditionals.take(second, 0)
     tv = np.add.reduce(np.abs(diff), 1) * 0.5
     k = int(tv.argmax())
     gap = float(tv[k])

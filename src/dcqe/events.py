@@ -66,13 +66,12 @@ class EventLog:
     ``np.ravel_multi_index((x, c_idx, d_idx), space.shape)``; ``x``,
     ``c_idx`` and ``d_idx`` are recomputed from ``cells`` on access, as
     ``intp``. The input must have an integer dtype (an empty list is
-    accepted too). It is range-checked in its own dtype: its largest cell
-    when that dtype holds an index past the space, and its smallest when
-    the dtype is signed, so an index such as -1 cannot wrap into range;
-    then it is cast once to the cell dtype and made read-only, unless it
-    already is a read-only array of that dtype that owns its data, which
-    is kept as given. Two logs are equal when their spaces and cells are;
-    logs are not hashable.
+    accepted too). It is range-checked in its own dtype, its smallest cell
+    too when that dtype is signed, so an index such as -1 cannot wrap into
+    range; then it is cast once to the cell dtype and made read-only,
+    unless it already is a read-only array of that dtype that owns its
+    data, which is kept as given. Two logs are equal when their spaces and
+    cells are; logs are not hashable.
     """
 
     space: OutcomeSpace
@@ -87,8 +86,7 @@ class EventLog:
             raise InvalidArgument("cell indices must be one-dimensional")
         n_cells = math.prod(self.space.shape)
         signed = cells.dtype.kind == "i"
-        wide = (1 << (8 * cells.itemsize - signed)) > n_cells
-        if cells.size and ((signed and cells.min() < 0) or (wide and cells.max() >= n_cells)):
+        if cells.size and ((signed and cells.min() < 0) or cells.max() >= n_cells):
             raise InvalidArgument("cell index out of range for the outcome space")
         dtype = cell_dtype(n_cells)
         if cells.base is not None or cells.dtype != dtype or cells.flags.writeable:

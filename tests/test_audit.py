@@ -609,42 +609,6 @@ class TestSampledCalibration:
             assert tail(range(rejections + 1)) > 1e-6
 
 
-class TestBenchmarkTables:
-    """The paper tables as the benchmark audits them, exact and sampled at
-    n = 1e3, 1e4 and 1e5: each report equals the naive reference's, and
-    each public check's verdict equals its field of the audit, on the
-    tolerance path and at alpha = 1e-6."""
-
-    @pytest.mark.parametrize("n", [None, 10**3, 10**4, 10**5])
-    def test_reports_and_checks(self, n):
-        for name in PAPER_TABLES:
-            exact = _paper_table(name)
-            for joint in [exact] if n is None else [_sampled(exact, n, s) for s in range(3)]:
-                p, space, counts = joint.p, joint.space, joint.counts
-                tol = default_tolerance(joint)
-                report = audit(joint)
-                assert report.as_dict() == reference_audit(
-                    p, space.c_values, space.d_values, counts, tol
-                ), name
-                checks = (
-                    check_independence(joint), check_lossless(joint),
-                    check_deterministic_routing(joint), check_distinct_conditionals(joint),
-                )
-                assert checks == report.verdicts, name
-                if n is None:
-                    continue
-                report = audit(joint, alpha=1e-6)
-                assert report.as_dict() == reference_audit(
-                    p, space.c_values, space.d_values, counts, None, 1e-6, g_test
-                ), name
-                checks = (
-                    check_independence(joint, alpha=1e-6), check_lossless(joint),
-                    check_deterministic_routing(joint, LOSSLESS_TOL),
-                    check_distinct_conditionals(joint, alpha=1e-6),
-                )
-                assert checks == report.verdicts, name
-
-
 def shared_detector_table(n_x, masses, tilts, routing, n_d):
     """A lossless table routing choice c to detector ``routing[c]`` with mass
     ``masses[c]`` and P(x | c) ∝ 1 + ``tilts[c]``·ℓ(x), ℓ linear from -1 to 1
@@ -792,6 +756,16 @@ def reference_tables(seed, count):
         yield joint, tol, alpha
 
 
+def paper_tables(n):
+    """The paper tables as the benchmark audits them, each with its default
+    tolerance: exact when ``n`` is None, else sampled at n events with
+    seeds 0-2 and audited at alpha = 1e-6 too."""
+    for name in PAPER_TABLES:
+        exact = _paper_table(name)
+        for joint in [exact] if n is None else [_sampled(exact, n, s) for s in range(3)]:
+            yield joint, default_tolerance(joint), None if n is None else 1e-6
+
+
 def outcome(call):
     """A call's report dict as sorted JSON, or its error's class and message."""
     try:
@@ -807,9 +781,9 @@ class TestMatchesReference:
     bit: the per-choice routing loop and per-pair total variation loop the
     checks were written as first (``oracles.reference_audit``)."""
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reports_and_checks(self, seed):
-        for k, (joint, tol, alpha) in enumerate(reference_tables(seed, 80)):
+    @staticmethod
+    def assert_matches(tables, label):
+        for k, (joint, tol, alpha) in enumerate(tables):
             p, space, counts = joint.p, joint.space, joint.counts
             pairs = [
                 (lambda: audit(joint, tol).as_dict(),
@@ -829,11 +803,23 @@ class TestMatchesReference:
                      lambda: reference_audit(p, space.c_values, space.d_values, counts, None, alpha, g_test)),
                     (lambda: check_independence(joint, alpha=alpha).as_dict(),
                      lambda: reference_independence(p, space.c_values, None, alpha, counts, g_test)),
+                    (lambda: check_deterministic_routing(joint, LOSSLESS_TOL).as_dict(),
+                     lambda: reference_routing(p, space.c_values, space.d_values, LOSSLESS_TOL)),
                     (lambda: check_distinct_conditionals(joint, alpha=alpha).as_dict(),
                      lambda: reference_distinct(p, space.d_values, None, alpha, counts, g_test)),
                 ]
             for i, (call, reference) in enumerate(pairs):
-                assert outcome(call) == outcome(reference), (seed, k, i)
+                assert outcome(call) == outcome(reference), (label, k, i)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reports_and_checks(self, seed):
+        self.assert_matches(reference_tables(seed, 80), seed)
+
+    @pytest.mark.parametrize("n", [None, 10**3, 10**4, 10**5])
+    def test_paper_tables(self, n):
+        """The benchmark's own traffic: the paper tables exact, and sampled
+        at n = 1e3, 1e4 and 1e5."""
+        self.assert_matches(paper_tables(n), n)
 
     def test_tables_reach_the_edge_cases(self):
         seen = set()

@@ -301,7 +301,9 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     mass (p > q) keeps its cells, which the solver finds infeasible. This
     reads nothing but the mass table, so the route stays independent of
     the closed form. Targets are renormalized in exact arithmetic so float
-    dust in the inputs cannot manufacture inconsistency.
+    dust in the inputs cannot manufacture inconsistency. Each kind of
+    per-bin equation is resolved once to bin 0's live (column, coefficient)
+    pairs, and bin x's row is that list shifted by x columns per live cell.
 
     The arithmetic is exact throughout. q, p and each target bin are the
     exact rationals of their floats (:func:`_exact_normalized` sums a
@@ -335,28 +337,35 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     }
     live = [cd for cd, mass in cd_table.items() if mass]
     column = {cd: k for k, cd in enumerate(live)}
+    width = len(live)
+    columns = n * width
+
+    def terms(cells: dict[tuple[int, int], Fraction]) -> list[tuple[int, Fraction]]:
+        """The live (column, a) pairs of bin 0 for sum of a * p(x, c, d) over {(c, d): a}."""
+        return [(column[cd], a) for cd, a in cells.items() if cd in column]
+
+    # An equation is kept when it holds a live cell or a non-zero rhs.
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-
-    def equation(cells: dict[tuple[int, tuple[int, int]], Fraction], b: Fraction) -> None:
-        """Add sum of a * p(x, c, d) over ``cells`` {(x, (c, d)): a} = b, on live cells."""
-        row = {x * len(live) + column[cd]: a for (x, cd), a in cells.items() if cd in column}
-        if row or b:
-            rows.append(row)
-            rhs.append(b)
-
     for cd, mass in cd_table.items():
-        equation({(x, cd): 1 for x in range(n)}, mass)
-    detected, kept, minus_q = q - p, 1 - q, -q
+        row = dict.fromkeys(range(column[cd], columns, width), 1) if cd in column else {}
+        if row or mass:
+            rows.append(row)
+            rhs.append(mass)
+    detected, kept, minus_q, zero = q - p, 1 - q, -q, Fraction(0)
+    # Per bin: detected erase, detected preserve, and independence, the two
+    # choice rows of bin x in ratio q : (1-q).
+    templates = (
+        terms({(0, 0): 1, (1, 0): 1}),
+        terms({(0, 1): 1, (1, 1): 1}),
+        terms({(c, d): (kept, minus_q)[c] for c in range(2) for d in range(3)}),
+    )
     for x in range(n):
-        equation({(x, (0, 0)): 1, (x, (1, 0)): 1}, e[x] * detected)
-        equation({(x, (0, 1)): 1, (x, (1, 1)): 1}, r[x] * kept)
-        # Independence: the two choice rows of bin x in ratio q : (1-q).
-        cells = {(x, (0, d)): kept for d in range(3)}
-        cells.update({(x, (1, d)): minus_q for d in range(3)})
-        equation(cells, Fraction(0))
+        for template, b in zip(templates, (e[x] * detected, r[x] * kept, zero)):
+            if template or b:
+                rows.append({x * width + k: a for k, a in template})
+                rhs.append(b)
 
-    columns = n * len(live)
     reduced = _presolve(rows, rhs, columns)
     if reduced is None:
         tag = INFEASIBLE_HIGH if p > q else INFEASIBLE_LOW
@@ -367,5 +376,5 @@ def check_feasible(prob: LossFeasibilityProblem) -> FeasibilityResult:
     solution = np.array([fixed[j] for j in range(columns)], dtype=float)
     table = np.zeros((n, 2, 3))
     c_live, d_live = zip(*live)
-    table[:, c_live, d_live] = solution.reshape(n, len(live))
+    table[:, c_live, d_live] = solution.reshape(n, width)
     return _witness(float(q), float(p), table)

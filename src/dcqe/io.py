@@ -521,7 +521,8 @@ def read_event_log(path: str) -> EventLog:
     (records in ``_record_blocks``, integers in ``_decode_ints``, labels
     in ``_LabelCodes``); the first malformed record is named in the error.
     Each block's bins and pair codes are kept in the least unsigned dtype
-    that holds them, and the cells are built in the log's own dtype.
+    that holds them, and the cells are filled block by block from them in
+    the log's own dtype.
     """
     label_codes = _LabelCodes()
     xs: list[np.ndarray] = []
@@ -529,6 +530,8 @@ def read_event_log(path: str) -> EventLog:
     header_ok = None
     last_trial = -1
     n_rows = 0
+    # the largest bin and the first row that holds it
+    max_x, max_row = -1, 0
     with open(path, "rb") as fh:
         for buf, words, starts, ends, first, second in _record_blocks(fh):
             if header_ok is None:
@@ -550,31 +553,34 @@ def read_event_log(path: str) -> EventLog:
                 raise _row_error(buf[starts[i]:ends[i]], n_rows + i + 1, prev, path)
             if trial.size:
                 last_trial = int(trial[-1])
+            top = int(x.max(initial=-1))
+            if top > max_x:
+                max_x, max_row = top, n_rows + int(x.argmax())
             n_rows += trial.size
             # kept compact: every bin is >= 0 and every code < len(pairs)
-            xs.append(x.astype(np.min_scalar_type(int(x.max(initial=0)))))
+            xs.append(x.astype(np.min_scalar_type(max(top, 0))))
             pair_codes.append(codes.astype(np.min_scalar_type(max(len(label_codes.pairs) - 1, 0))))
     if not header_ok:
         raise ValueError(f"expected header {','.join(EVENT_HEADER)!r} in {path}")
     if not n_rows:
         raise ValueError(f"no events in {path}; cannot infer an outcome space")
-    # blocks of different dtypes concatenate to the widest
-    x = np.concatenate(xs)
-    del xs
-    row = int(x.argmax())
     c_values, d_values = (sorted(set(axis)) for axis in zip(*label_codes.pairs))
     # probes the table ``EventLog.counts`` fills; that it fits means every
     # cell, and each step toward it below, fits the cell dtype
-    space, _ = _zero_table(int(x[row]), f"in event row {row + 1} of {path}", c_values, d_values)
+    space, _ = _zero_table(max_x, f"in event row {max_row + 1} of {path}", c_values, d_values)
     dtype = cell_dtype(math.prod(space.shape))
     offsets = np.array(
         [space.c_index(c) * space.n_d + space.d_index(d) for c, d in label_codes.pairs],
         dtype=dtype,
     )
-    cells = x.astype(dtype)
-    del x
-    cells *= dtype.type(space.n_c * space.n_d)
-    cells += offsets[np.concatenate(pair_codes)]
+    stride = dtype.type(space.n_c * space.n_d)
+    cells = np.empty(n_rows, dtype)
+    start = 0
+    for x, codes in zip(xs, pair_codes):
+        block = cells[start:start + x.size]
+        np.multiply(x, stride, out=block, dtype=dtype, casting="unsafe")
+        block += offsets.take(codes)
+        start += x.size
     cells.setflags(write=False)
     return EventLog(space, cells)
 

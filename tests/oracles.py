@@ -212,6 +212,47 @@ def full_encoding_feasible(q, p, erase_target, preserve_target):
     return dense_phase1_feasible(rows, rhs)
 
 
+def reference_feasibility_system(prob):
+    """The live-cell system check_feasible hands its solver, built cell by cell.
+
+    ``prob`` is read through ``q``, ``p``, ``n_x``, ``resolved_erase()`` and
+    ``resolved_preserve()``. Each equation is a {(x, (c, d)): a} dict over
+    cells; a cell whose (C, D) mass in ((q-p, 0, p), (0, 1-q, 0)) is zero
+    has no column, the others get columns x * (live pairs) + k in mass-table
+    order, and an equation left with no column is dropped when its
+    right-hand side is zero. The equations are the six (C, D) masses, then
+    per bin the detected-erase mass, the detected-preserve mass and
+    independence. Returns (rows {column: a}, right-hand sides, column count).
+    """
+    n = prob.n_x
+    q, p = Fraction(float(prob.q)), Fraction(float(prob.p))
+    e = exact_normalized(prob.resolved_erase())
+    r = exact_normalized(prob.resolved_preserve())
+    cd_table = {
+        (0, 0): q - p, (0, 1): Fraction(0), (0, 2): p,
+        (1, 0): Fraction(0), (1, 1): 1 - q, (1, 2): Fraction(0),
+    }
+    live = [cd for cd, mass in cd_table.items() if mass]
+    column = {cd: k for k, cd in enumerate(live)}
+    rows, rhs = [], []
+
+    def equation(cells, b):
+        row = {x * len(live) + column[cd]: a for (x, cd), a in cells.items() if cd in column}
+        if row or b:
+            rows.append(row)
+            rhs.append(b)
+
+    for cd, mass in cd_table.items():
+        equation({(x, cd): 1 for x in range(n)}, mass)
+    for x in range(n):
+        equation({(x, (0, 0)): 1, (x, (1, 0)): 1}, e[x] * (q - p))
+        equation({(x, (0, 1)): 1, (x, (1, 1)): 1}, r[x] * (1 - q))
+        cells = {(x, (0, d)): 1 - q for d in range(3)}
+        cells.update({(x, (1, d)): -q for d in range(3)})
+        equation(cells, Fraction(0))
+    return rows, rhs, n * len(live)
+
+
 def reference_write_events(log, path):
     """Event CSV written row by row with ``csv.writer``.
 

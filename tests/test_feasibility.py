@@ -44,6 +44,7 @@ from oracles import (
     exact_normalized,
     feasible_interval,
     full_encoding_feasible,
+    reference_feasibility_system,
     reference_presolve,
 )
 
@@ -734,6 +735,20 @@ def assert_no_residual_system(prob, patch):
     assert unsolved in ([], [(0, 0)]), prob
 
 
+def assert_system_matches_reference(prob, patch):
+    """check_feasible hands _presolve the rows, right-hand sides, order
+    and column count of the cell-by-cell reference encoding."""
+    seen = []
+
+    def recording(rows, rhs, n):
+        seen.append((rows, rhs, n))
+        return _presolve(rows, rhs, n)
+
+    patch.setattr(feasibility, "_presolve", recording)
+    check_feasible(prob)
+    assert seen == [reference_feasibility_system(prob)], prob
+
+
 class TestSameBits:
     """The live-cell encoding answers as the full 6*n_x-cell encoding did."""
 
@@ -787,6 +802,21 @@ class TestSameBits:
             cd = result.witness.p.sum(axis=0)
             assert np.count_nonzero(cd) <= live
             assert cd[0, 1] == cd[1, 0] == cd[1, 2] == 0.0
+
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+    def test_pinned_system_matches_the_reference(self, name, monkeypatch):
+        assert_system_matches_reference(LossFeasibilityProblem(**pinned_problems()[name]), monkeypatch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prob=rational_problems())
+    def test_rational_system_matches_the_reference(self, prob):
+        with pytest.MonkeyPatch.context() as patch:
+            assert_system_matches_reference(prob, patch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_system_matches_the_reference(self, seed, monkeypatch):
+        for prob in float_target_problems(seed, 3 + seed, subnormal=True, zero_bins=True):
+            assert_system_matches_reference(prob, monkeypatch)
 
     @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
     def test_encoding_leaves_no_residual_system(self, name, monkeypatch):

@@ -242,6 +242,17 @@ class TestEventLogFiles:
         with pytest.raises(ValueError, match="bin 3000000000 in event row 2 .* too large"):
             read_event_log(path)
 
+    def test_unallocatable_table_names_the_first_row_of_its_bin(self, tmp_path, monkeypatch):
+        # the largest bin first appears in a later block than the first,
+        # and again after it
+        bins = [1] * 12 + [3000000000, 2, 3000000000] + [1] * 12
+        path = tmp_path / "events.csv"
+        path.write_text("trial,x,c,d\n" + "".join(f"{t},{x},{'ab'[t % 2]},D1\n" for t, x in enumerate(bins)))
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 64)
+        no_memory_for_big_tables(monkeypatch)
+        with pytest.raises(ValueError, match="bin 3000000000 in event row 13 .* too large"):
+            read_event_log(path)
+
     def test_unshapeable_table_names_its_row(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("trial,x,c,d\n0,1,a,D1\n1,9223372036854775807,b,D2\n")
@@ -717,8 +728,9 @@ class TestEventReaderFuzz:
 
 class TestEventReaderMemory:
     def test_memory_is_the_cells_and_a_few_blocks(self, tmp_path):
-        # bins and pair codes are kept in a byte each, and the cells are built
-        # in their own dtype, so no per-event int64 array is ever made
+        # bins and pair codes are kept in a byte each, and the cells are
+        # filled block by block in their own dtype, so past those two bytes
+        # per event and the cells only a few blocks are ever held
         log = sample_events(build_polarization(default_fringe_model(), 0.5), 10**6, 7)
         path = tmp_path / "events.csv"
         write_event_log(log, path)
@@ -729,7 +741,7 @@ class TestEventReaderMemory:
         finally:
             tracemalloc.stop()
         assert np.array_equal(read.cells, log.cells)
-        assert peak < 4 * read.cells.nbytes + 16 * dcqe.io._BLOCK_BYTES
+        assert peak < read.cells.nbytes + 2 * len(log) + 4 * dcqe.io._BLOCK_BYTES
 
 
 class TestEventWriterMemory:

@@ -561,6 +561,30 @@ class TestAlpha:
         report = audit(joint, alpha=1e-6)
         assert report.deterministic_routing.holds and not report.lossless.holds
 
+    @pytest.mark.xfail(strict=True, reason="the alpha path reads routing from stray mass")
+    def test_stray_events_past_1e12_are_a_violation(self):
+        # 100 stray events among 2e14 are 5e-13 of the mass, under LOSSLESS_TOL
+        space = OutcomeSpace(3, ("a", "b"), ("D1", "D2"))
+        counts = np.zeros(space.shape, dtype=np.int64)
+        counts[:2, 0, 0] = counts[:2, 1, 1] = 5 * 10**13
+        counts[2, 0, 1] = counts[2, 1, 1] = 50
+        report = audit(JointDistribution(space, counts=counts), alpha=1e-6)
+        assert report.violations == ("deterministic_routing",)
+        assert report.deterministic_routing.statistic < LOSSLESS_TOL
+        assert report.deterministic_routing.detail["counterexample"] == {
+            "c": "a", "d": "D1", "d_prime": "D2"}
+
+    @pytest.mark.xfail(strict=True, reason="the alpha path reads losslessness from lost mass")
+    def test_one_lost_event_among_1e13_is_a_violation(self):
+        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", LOSS))
+        counts = np.zeros(space.shape, dtype=np.int64)
+        counts[:, 0, 0] = counts[:, 1, 1] = 10**13 // 4
+        counts[0, 0, 2] = 1
+        report = audit(JointDistribution(space, counts=counts), alpha=1e-6)
+        assert not report.lossless.holds
+        assert report.lossless.statistic == pytest.approx(1e-13)
+        assert report.deterministic_routing.holds
+
 
 PAPER_TABLES = ("kim", "kim_coarse", "mach_zehnder", "polarization", "passive_choice")
 

@@ -262,9 +262,19 @@ def check_lossless(joint: JointDistribution) -> Verdict:
     structural feature of the arrangement, and any sampled mass at all
     means the channel exists.
     """
+    return _lossless(joint, None)
+
+
+def _lossless(joint: JointDistribution, alpha: float | None) -> Verdict:
+    """``check_lossless``, or with ``alpha`` the α audit's: it holds iff
+    no event is lost, and reports the loss mass all the same."""
     li = joint.space.loss_index
     loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
-    return Verdict(CHECK_LOSSLESS, loss_mass <= LOSSLESS_TOL, loss_mass, LOSSLESS_TOL)
+    if alpha is None:
+        holds = loss_mass <= LOSSLESS_TOL
+    else:
+        holds = li is None or not joint.counts[:, :, li].any()
+    return Verdict(CHECK_LOSSLESS, holds, loss_mass, LOSSLESS_TOL)
 
 
 def check_deterministic_routing(joint: JointDistribution, tol: float | None = None) -> Verdict:
@@ -280,11 +290,13 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    return _routing(joint, _level(joint, tol, None)[0])
+    return _routing(joint, _level(joint, tol, None)[0], None)
 
 
-def _routing(joint: JointDistribution, tol: float) -> Verdict:
-    """``check_deterministic_routing`` at a tolerance ``_level`` resolved."""
+def _routing(joint: JointDistribution, tol: float, alpha: float | None) -> Verdict:
+    """``check_deterministic_routing`` at a tolerance ``_level`` resolved,
+    or with ``alpha`` the α audit's: it holds iff each choice's detected
+    events all sit at one detector, and reports the stray mass all the same."""
     space = joint.space
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
@@ -312,7 +324,12 @@ def _routing(joint: JointDistribution, tol: float) -> Verdict:
             worst = {"c": c, "d": routing[c], "d_prime": space.d_values[detected[second]]}
     if not routing:
         raise AllMassLost(space.c_values[0])
-    holds = max_stray <= tol
+    if alpha is None:
+        holds = max_stray <= tol
+    else:
+        # one detected event off its choice's one detector is a violation
+        reached = np.count_nonzero(np.add.reduce(joint.counts, 0).take(detected, 1), 1)
+        holds = int(reached.max()) <= 1
     detail = {
         "routing": routing if holds else None,
         "counterexample": None if holds else worst,
@@ -357,7 +374,8 @@ def _distinct(joint: JointDistribution, tol: float | None, alpha: float | None) 
     # and each detector's mass, a row reduction, so each row's 1-D sum
     p_dx = np.add.reduce(np.ascontiguousarray(joint.p.transpose(2, 0, 1)), 2)
     masses = np.add.reduce(p_dx, 1)
-    observed = [di for di in space.detected_indices if masses[di] > 0.0]
+    positive = (masses > 0.0).tolist()
+    observed = [di for di in space.detected_indices if positive[di]]
     if len(observed) < 2:
         raise InsufficientOutcomes(
             f"need at least 2 detectors with positive mass, found {len(observed)}"
@@ -436,18 +454,20 @@ def audit(
     With ``alpha``, which must lie in (0, 1) and needs a sampled table and
     no ``tol``, independence and distinctness are G-tests at level alpha
     on the table's event counts summed to X x C and X x D, the second read
-    at the larger of the two df; and routing, like losslessness, tolerates
-    no more than ``LOSSLESS_TOL``: any stray detection violates it. An
-    alpha of 0.01 or more runs liberal below ~10 events per cell: at 0.01,
-    coarse Kim's independence test rejects its true null 2.4 times as often
-    as alpha at n = 1e3, and 10.7 times at n = 300."""
+    at the larger of the two df; and routing and losslessness are decided
+    on the counts, so any stray detection or lost event violates them, at
+    every n; their statistics are still the stray and loss mass, reported
+    against ``LOSSLESS_TOL``. An alpha of 0.01 or more runs liberal below
+    ~10 events per cell: at 0.01, coarse Kim's independence test rejects
+    its true null 2.4 times as often as alpha at n = 1e3, and 10.7 times at
+    n = 300."""
     validate(joint)
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
     return AuditReport(
         independence=_independence(joint, tol, alpha),
-        lossless=check_lossless(joint),
-        deterministic_routing=_routing(joint, routing_tol),
+        lossless=_lossless(joint, alpha),
+        deterministic_routing=_routing(joint, routing_tol, alpha),
         distinct_conditionals=_distinct(joint, tol, alpha),
         tolerance=routing_tol,
         n_samples=joint.n_samples,

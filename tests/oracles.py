@@ -337,16 +337,20 @@ def reference_independence(p, c_values, tol, alpha=None, counts=None, g_test=Non
     return {"holds": worst <= tol, "max_deviation": worst, "tolerance": tol, **detail}
 
 
-def reference_lossless(p, d_values):
-    """The lossless verdict as a report dict."""
+def reference_lossless(p, d_values, counts=None):
+    """The lossless verdict as a report dict; given ``counts``, it holds
+    iff no event is lost."""
     loss = float(p[:, :, d_values.index(LOSS_LABEL)].sum()) if LOSS_LABEL in d_values else 0.0
-    return {"holds": loss <= LOSS_TOL, "loss_mass": loss, "tolerance": LOSS_TOL}
+    holds = loss <= LOSS_TOL if counts is None else (
+        LOSS_LABEL not in d_values or int(counts[:, :, d_values.index(LOSS_LABEL)].sum()) == 0)
+    return {"holds": holds, "loss_mass": loss, "tolerance": LOSS_TOL}
 
 
-def reference_routing(p, c_values, d_values, tol):
+def reference_routing(p, c_values, d_values, tol, counts=None):
     """The routing verdict as a report dict, one choice at a time: each
     choice's detected masses, its modal detector (the first on ties) and
-    the runner-up, each found with its own numpy calls."""
+    the runner-up, each found with its own numpy calls. Given ``counts``,
+    it holds iff no choice has detected events at two detectors."""
     detected = [di for di, d in enumerate(d_values) if d != LOSS_LABEL]
     routing, skipped, max_stray, worst = {}, [], -1.0, None
     for ci, c in enumerate(c_values):
@@ -370,6 +374,10 @@ def reference_routing(p, c_values, d_values, tol):
     if not routing:
         raise Refused("AllMassLost", f"choice {c_values[0]!r} has no detected events; routing undefined")
     holds = max_stray <= tol
+    if counts is not None:
+        reached = [sum(int(counts[:, ci, di].sum()) > 0 for di in detected)
+                   for ci in range(len(c_values))]
+        holds = max(reached) <= 1
     return {"holds": holds, "max_stray_mass": max_stray, "tolerance": tol,
             "routing": routing if holds else None,
             "counterexample": None if holds else worst, "skipped_choices": skipped}
@@ -413,13 +421,16 @@ def reference_audit(p, c_values, d_values, counts, tol, alpha=None, g_test=None)
     """The audit report dict of a valid table at a resolved level: ``tol``,
     or ``alpha`` (then ``tol`` is None) with ``g_test`` run on ``counts``, a
     sampled table's event counts (None for an exact table), whose total is
-    its sample count. The checks run, and refuse, in report order."""
+    its sample count. At ``alpha``, losslessness and routing are decided on
+    ``counts``: one lost or stray event violates them. The checks run, and
+    refuse, in report order."""
     n_samples = None if counts is None else int(counts.sum())
     routing_tol = LOSS_TOL if alpha is not None else tol
     verdicts = {
         "independence": reference_independence(p, c_values, tol, alpha, counts, g_test),
-        "lossless": reference_lossless(p, d_values),
-        "deterministic_routing": reference_routing(p, c_values, d_values, routing_tol),
+        "lossless": reference_lossless(p, d_values, None if alpha is None else counts),
+        "deterministic_routing": reference_routing(
+            p, c_values, d_values, routing_tol, None if alpha is None else counts),
         "distinct_conditionals": reference_distinct(p, d_values, tol, alpha, counts, g_test),
     }
     violations = [name for name, verdict in verdicts.items() if not verdict["holds"]]

@@ -561,29 +561,36 @@ class TestAlpha:
         report = audit(joint, alpha=1e-6)
         assert report.deterministic_routing.holds and not report.lossless.holds
 
-    @pytest.mark.xfail(strict=True, reason="the alpha path reads routing from stray mass")
     def test_stray_events_past_1e12_are_a_violation(self):
-        # 100 stray events among 2e14 are 5e-13 of the mass, under LOSSLESS_TOL
-        space = OutcomeSpace(3, ("a", "b"), ("D1", "D2"))
-        counts = np.zeros(space.shape, dtype=np.int64)
-        counts[:2, 0, 0] = counts[:2, 1, 1] = 5 * 10**13
-        counts[2, 0, 1] = counts[2, 1, 1] = 50
-        report = audit(JointDistribution(space, counts=counts), alpha=1e-6)
+        report = audit(large_tables()["stray"], alpha=1e-6)
         assert report.violations == ("deterministic_routing",)
         assert report.deterministic_routing.statistic < LOSSLESS_TOL
         assert report.deterministic_routing.detail["counterexample"] == {
             "c": "a", "d": "D1", "d_prime": "D2"}
 
-    @pytest.mark.xfail(strict=True, reason="the alpha path reads losslessness from lost mass")
     def test_one_lost_event_among_1e13_is_a_violation(self):
-        space = OutcomeSpace(2, ("a", "b"), ("D1", "D2", LOSS))
-        counts = np.zeros(space.shape, dtype=np.int64)
-        counts[:, 0, 0] = counts[:, 1, 1] = 10**13 // 4
-        counts[0, 0, 2] = 1
-        report = audit(JointDistribution(space, counts=counts), alpha=1e-6)
+        report = audit(large_tables()["lost"], alpha=1e-6)
         assert not report.lossless.holds
         assert report.lossless.statistic == pytest.approx(1e-13)
         assert report.deterministic_routing.holds
+
+
+def large_tables():
+    """Sampled tables past n = 1e12, where a lost or stray event is less
+    than ``LOSSLESS_TOL`` of the mass: 3 bins with a -> D1 and b -> D2 and
+    5e13 events in each routed cell of bins 0-1, plus 50 a-events and 50
+    b-events at D2 in bin 2 (n = 2.0e14); and a D1/D2/LOSS table routed the
+    same way with one lost event among 1e13."""
+    stray = np.zeros((3, 2, 2), dtype=np.int64)
+    stray[:2, 0, 0] = stray[:2, 1, 1] = 5 * 10**13
+    stray[2, 0, 1] = stray[2, 1, 1] = 50
+    lost = np.zeros((2, 2, 3), dtype=np.int64)
+    lost[:, 0, 0] = lost[:, 1, 1] = 10**13 // 4
+    lost[0, 0, 2] = 1
+    return {
+        "stray": JointDistribution(OutcomeSpace(3, ("a", "b"), ("D1", "D2")), counts=stray),
+        "lost": JointDistribution(OutcomeSpace(2, ("a", "b"), ("D1", "D2", LOSS)), counts=lost),
+    }
 
 
 PAPER_TABLES = ("kim", "kim_coarse", "mach_zehnder", "polarization", "passive_choice")
@@ -844,6 +851,10 @@ class TestMatchesReference:
         """The benchmark's own traffic: the paper tables exact, and sampled
         at n = 1e3, 1e4 and 1e5."""
         self.assert_matches(paper_tables(n), n)
+
+    def test_alpha_tables_past_1e12(self):
+        tables = large_tables().values()
+        self.assert_matches([(joint, 0.02, 1e-6) for joint in tables], "large")
 
     def test_tables_reach_the_edge_cases(self):
         seen = set()

@@ -125,7 +125,19 @@ class EventLog:
         counts = np.bincount(self.cells[:step], minlength=size)
         for start in range(step, self.cells.size, step):
             counts += np.bincount(self.cells[start:start + step], minlength=size)
-        return counts.reshape(self.space.shape)
+        # shaped in place, so the array owns its data, as reshape's view would not
+        counts.resize(self.space.shape)
+        return counts
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, made without ``__post_init__``. Each caller states why its
+    fields would pass those checks and are kept there as they would be."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
 
 
 def _chunk_bits(seed: int, chunk_index: int, size: int) -> Iterator[np.ndarray]:
@@ -187,7 +199,12 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     ``(2**53 - 1) << 11`` to fit 64 bits, which only adds a search. Only
     wrong guesses are made into u and searched, so the cells are the sorted
     search's to the bit, for every K. Cells are written straight into an
-    array of the log's ``cell_dtype``. The table is validated, and its cdf,
+    array of the log's ``cell_dtype``, owned and then made read-only, which
+    ``EventLog`` keeps as given. Every cell is below the cell count, so the
+    log is made without ``EventLog``'s range check: a guide entry counts
+    the cdf values at most b / K < 1, and a search of u < 1 returns at most
+    ``len(cdf) - 1``, as ``cdf[-1]`` is set to 1.0 > u whether or not the
+    cumsum passed 1 before its last cell. The table is validated, and its cdf,
     guide and limits built, on its first call for a K; they are kept on the
     table object, so later calls on it skip that set-up. A table that fails
     validation keeps none, so it raises on every call.
@@ -263,11 +280,27 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
             for future in others:
                 future.result()
     cells.setflags(write=False)
-    return EventLog(joint.space, cells)
+    return _unchecked(EventLog, space=joint.space, cells=cells)
 
 
 def estimate_from_events(log: EventLog) -> JointDistribution:
-    """Relative-frequency table from a log: the sampled table of its counts."""
-    if len(log) == 0:
+    """Relative-frequency table from a log: the sampled table of its counts.
+
+    It is ``JointDistribution(log.space, counts=log.counts())``, made
+    without that constructor's checks, which the counts pass by
+    construction: they are ``bincount`` over cells that are all below the
+    cell count (``EventLog`` checks a given log, and ``sample_events``
+    writes none past it), so they are an owned ``intp`` array of the
+    space's shape, nonnegative, and summing to n = ``len(log)``. That n is
+    at least 1 here and below ``MAX_SAMPLES``, as a log of 2**51 cells
+    cannot be allocated. So the counts are kept as the constructor keeps
+    its ``intp`` copy, and ``p`` is its ``counts / n``.
+    """
+    n = len(log)
+    if n == 0:
         raise EmptyLog("cannot estimate a distribution from zero events")
-    return JointDistribution(log.space, counts=log.counts())
+    counts = log.counts()
+    counts.setflags(write=False)
+    p = counts / n
+    p.setflags(write=False)
+    return _unchecked(JointDistribution, space=log.space, p=p, counts=counts, n_samples=n)

@@ -25,6 +25,7 @@ __all__ = [
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -102,7 +103,9 @@ class OutcomeSpace:
     X bins are 0..n_x-1 for an integer ``n_x`` (kept as an ``int``). Choice
     and detection labels are sequences of strings, not a bare string, that hold
     no NUL (``csv`` writes none before Python 3.11); the loss label, if
-    present, must appear exactly once in ``d_values``.
+    present, must appear exactly once in ``d_values``. The properties
+    derived from the labels are computed on first access and kept on the
+    instance, outside equality, hashing and repr.
     """
 
     n_x: int
@@ -128,27 +131,27 @@ class OutcomeSpace:
         if LOSS in self.c_values:
             raise InvalidArgument("loss label is reserved for the detection axis")
 
-    @property
+    @cached_property
     def n_c(self) -> int:
         return len(self.c_values)
 
-    @property
+    @cached_property
     def n_d(self) -> int:
         return len(self.d_values)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
         return (self.n_x, self.n_c, self.n_d)
 
-    @property
+    @cached_property
     def has_loss(self) -> bool:
         return LOSS in self.d_values
 
-    @property
+    @cached_property
     def loss_index(self) -> int | None:
         return self.d_values.index(LOSS) if self.has_loss else None
 
-    @property
+    @cached_property
     def detected_indices(self) -> tuple[int, ...]:
         """Indices of the non-loss detection outcomes, in axis order."""
         return tuple(i for i, d in enumerate(self.d_values) if d != LOSS)

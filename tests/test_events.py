@@ -28,6 +28,7 @@ from dcqe import (
 )
 import dcqe.events
 from dcqe.events import SLICE_WORDS, _chunk_bits, cell_dtype
+from dcqe.io import read_event_log, write_event_log
 
 from conftest import FOUR_BIN_PHASE0
 
@@ -334,6 +335,16 @@ def sampler_tables():
     }
 
 
+def unrounded_tables():
+    """Valid tables whose cumsum does not end at 1.0: one passes 1.0 before
+    its last cell, one ends below 1.0 and has trailing zero cells."""
+    space = OutcomeSpace(2, ("a", "b"), ("D1",))
+    return {
+        "passes_one": JointDistribution(space, np.array([0.6, 0.4 + 5e-13, 0.0, 0.0]).reshape(2, 2, 1)),
+        "ends_short": JointDistribution(space, np.array([0.3, 0.7 - 4e-13, 0.0, 0.0]).reshape(2, 2, 1)),
+    }
+
+
 def wide_joint():
     """Random masses on 65,600 cells, so cells are uint32."""
     space = OutcomeSpace(16_400, ("a", "b"), ("D1", "D2"))
@@ -561,6 +572,30 @@ class TestSamplerIsBitIdentical:
         # a word below the cap keeps its guess; the cap and above are searched
         assert searched == uniforms_of(words[1:]).tolist()
 
+    @pytest.mark.parametrize("name", sorted(sampler_tables()) + sorted(unrounded_tables()))
+    def test_extreme_words_give_cells_in_range(self, name, monkeypatch):
+        """A log is made without EventLog's range check, so every word, the
+        extremes and both sides of every guide limit and bucket edge
+        included, must give the sorted search's cell, below the cell count."""
+        joint = {**sampler_tables(), **unrounded_tables()}[name]
+        ends = np.cumsum(joint.p.reshape(-1))[-2:]
+        if name == "passes_one":
+            assert ends[0] > 1.0
+        if name == "ends_short":
+            assert ends[-1] < 1.0
+        cdf = table_cdf(joint)
+        pieces = [np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)]
+        for n_trials in (1, 10**9):
+            bits = dcqe.events._bucket_bits(cdf.size, n_trials)
+            _, limit = dcqe.events._guide_tables(cdf, bits)
+            edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+            pieces += [limit, limit - np.uint64(1), edges, edges - np.uint64(1)]
+        words = np.unique(np.concatenate(pieces))
+        assert words.size < CHUNK_TRIALS
+        cells = inverted(joint, words, monkeypatch)
+        assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
+        assert int(cells.max()) < cdf.size
+
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()
         cdf = table_cdf(joint)
@@ -729,7 +764,53 @@ class TestWorkers:
         assert dcqe.events._workers(153) == 1
 
 
+def assert_kept_as_checked(made, checked):
+    """``made`` equals ``checked``, an array a public constructor kept, in
+    values, dtype and flags, and has no writable base."""
+    assert np.array_equal(made, checked) and made.dtype == checked.dtype
+    assert made.flags == checked.flags and not made.flags.writeable
+    assert made.base is None or not made.base.flags.writeable
+
+
+def logs_to_estimate(tmp_path):
+    """Sampled logs, one over several counting slices; the same read back
+    from a file; and hand-built ones."""
+    tables = sampler_tables()
+    logs = [sample_events(tables[name], n, 3) for name in sorted(tables) for n in (1000, 10**5)]
+    logs.append(sample_events(unrounded_tables()["ends_short"], 2 * CHUNK_TRIALS + 1, 1))
+    for k, log in enumerate(logs[:4]):
+        path = str(tmp_path / f"log{k}.csv")
+        write_event_log(log, path)
+        logs.append(read_event_log(path))
+    space = OutcomeSpace(3, ("a", "b"), ("D1", "D2", "LOSS"))
+    logs += [EventLog(space, [17]), EventLog(space, np.arange(18, dtype=np.int8)[::-1])]
+    logs.append(EventLog(OutcomeSpace(3 * CHUNK_TRIALS, ("a", "b"), ("D1",)),
+                         np.random.default_rng(4).integers(0, 6 * CHUNK_TRIALS, 3 * CHUNK_TRIALS)))
+    return logs
+
+
 class TestEstimateFromEvents:
+    def test_sampled_logs_are_as_the_checked_constructor_keeps_them(self):
+        tables = {**sampler_tables(), **unrounded_tables()}
+        for name, joint in tables.items():
+            for n in (1, 1000, N_TAIL):
+                log = sample_events(joint, n, 5)
+                checked = EventLog(joint.space, np.array(log.cells))
+                assert log == checked and log.space is joint.space, (name, n)
+                assert_kept_as_checked(log.cells, checked.cells)
+                assert int(log.cells.max()) < joint.p.size
+
+    def test_estimates_are_as_the_checked_constructor_keeps_them(self, tmp_path):
+        for log in logs_to_estimate(tmp_path):
+            est = estimate_from_events(log)
+            checked = JointDistribution(log.space, counts=log.counts())
+            assert est == checked and est.space is log.space
+            assert type(est.n_samples) is int and est.n_samples == len(log) == checked.n_samples
+            assert est.p.tobytes() == checked.p.tobytes()
+            assert_kept_as_checked(est.p, checked.p)
+            assert_kept_as_checked(est.counts, checked.counts)
+            assert est.counts.shape == log.space.shape and est.counts.sum() == len(log)
+
     def test_single_record_point_mass(self):
         space = OutcomeSpace(2, ("erase", "preserve"), ("D1", "D2"))
         log = EventLog(space, np.ravel_multi_index(([0], [0], [0]), space.shape))

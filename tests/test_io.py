@@ -244,8 +244,8 @@ class TestEventLogFiles:
 
     def test_unallocatable_table_names_the_first_row_of_its_bin(self, tmp_path, monkeypatch):
         # the largest bin first appears in a later block than the first,
-        # and again after it
-        bins = [1] * 12 + [3000000000, 2, 3000000000] + [1] * 12
+        # and again after it, in the same block and in a later one
+        bins = [1] * 12 + [3000000000, 2, 3000000000] + [2] * 4 + [3000000000] + [1] * 12
         path = tmp_path / "events.csv"
         path.write_text("trial,x,c,d\n" + "".join(f"{t},{x},{'ab'[t % 2]},D1\n" for t, x in enumerate(bins)))
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 64)

@@ -135,8 +135,7 @@ def _unchecked(cls, **fields):
     given, made without ``__post_init__``. Each caller states why its
     fields would pass those checks and are kept there as they would be."""
     made = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(made, name, value)
+    vars(made).update(fields)
     return made
 
 

@@ -337,11 +337,17 @@ def sampler_tables():
 
 def unrounded_tables():
     """Valid tables whose cumsum does not end at 1.0: one passes 1.0 before
-    its last cell, one ends below 1.0 and has trailing zero cells."""
+    its last cell, two end below 1.0 and have trailing zero cells, the
+    second a lossless table whose last cell is a LOSS outcome."""
     space = OutcomeSpace(2, ("a", "b"), ("D1",))
+    lossy = OutcomeSpace(2, ("a", "b"), ("D1", "D2", "LOSS"))
+    lossless = np.zeros(lossy.shape)
+    lossless[:, :, :2] = 0.125
+    lossless[1, 1, 1] -= 4e-13
     return {
         "passes_one": JointDistribution(space, np.array([0.6, 0.4 + 5e-13, 0.0, 0.0]).reshape(2, 2, 1)),
         "ends_short": JointDistribution(space, np.array([0.3, 0.7 - 4e-13, 0.0, 0.0]).reshape(2, 2, 1)),
+        "lossless_ends_short": JointDistribution(lossy, lossless),
     }
 
 
@@ -595,6 +601,18 @@ class TestSamplerIsBitIdentical:
         cells = inverted(joint, words, monkeypatch)
         assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
         assert int(cells.max()) < cdf.size
+
+    @pytest.mark.xfail(strict=True, reason="the last cell takes the mass the cumsum ends short of")
+    def test_the_top_word_gives_the_last_cell_with_mass(self, monkeypatch):
+        top = np.array([2**64 - 1], dtype=np.uint64)
+        # p = (0.3, 0.7 - 4e-13, 0, 0): not cell 3, which has no mass
+        assert inverted(unrounded_tables()["ends_short"], top, monkeypatch).tolist() == [1]
+        # nor a lost event in a lossless table
+        joint = unrounded_tables()["lossless_ends_short"]
+        assert np.cumsum(joint.p.reshape(-1))[-1] < 1.0
+        log = EventLog(joint.space, inverted(joint, top, monkeypatch))
+        assert log.cells.tolist() == [10] and log.d_idx.tolist() == [1]
+        assert not log.counts()[:, :, joint.space.loss_index].any()
 
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()

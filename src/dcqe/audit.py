@@ -219,15 +219,18 @@ def check_independence(
     return _independence(joint, *_level(joint, tol, alpha))
 
 
-def _independence(joint: JointDistribution, tol: float | None, alpha: float | None) -> Verdict:
-    """``check_independence`` at a level ``_level`` resolved."""
+def _independence(
+    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None = None
+) -> Verdict:
+    """``check_independence`` at a level ``_level`` resolved; with alpha,
+    ``xc_test`` is the X x C counts' ``g_test`` when the caller has it."""
     deviation, p_c = _dependence(np.add.reduce(joint.p, 2))
     x, c = divmod(int(deviation.argmax()), deviation.shape[1])
     worst = float(deviation[x, c])
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     if alpha is not None:
-        g, df, p_value = g_test(np.add.reduce(joint.counts, 2))
+        g, df, p_value = xc_test or g_test(np.add.reduce(joint.counts, 2))
         detail.update(p_value=p_value, df=df)
         return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
@@ -256,11 +259,14 @@ def berkson_gap(joint: JointDistribution) -> float:
 
 
 def check_lossless(joint: JointDistribution) -> Verdict:
-    """Total mass on the loss outcome must be zero.
+    """Compare the total mass on the loss outcome with ``LOSSLESS_TOL``.
 
-    The tolerance is fixed rather than sample-scaled: a loss channel is a
-    structural feature of the arrangement, and any sampled mass at all
-    means the channel exists.
+    Losslessness holds iff that mass is at most 1e-12, on exact and sampled
+    tables alike: the tolerance is fixed rather than sample-scaled, as a
+    loss channel is a structural feature of the arrangement. It decides on
+    mass, as the tolerance-path audit does, so one lost event among more
+    than 1e12 passes; only the α audit, ``audit(joint, alpha=...)``,
+    decides on the counts, where any lost event is a violation.
     """
     return _lossless(joint, None)
 
@@ -367,8 +373,11 @@ def check_distinct_conditionals(
     return _distinct(joint, *_level(joint, tol, alpha))
 
 
-def _distinct(joint: JointDistribution, tol: float | None, alpha: float | None) -> Verdict:
-    """``check_distinct_conditionals`` at a level ``_level`` resolved."""
+def _distinct(
+    joint: JointDistribution, tol: float | None, alpha: float | None, df_xc: int | None = None
+) -> Verdict:
+    """``check_distinct_conditionals`` at a level ``_level`` resolved; with
+    alpha, ``df_xc`` is the X x C test's df when the caller has it."""
     space = joint.space
     # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them,
     # and each detector's mass, a row reduction, so each row's 1-D sum
@@ -394,9 +403,10 @@ def _distinct(joint: JointDistribution, tol: float | None, alpha: float | None) 
         "gap": gap,
     }
     if alpha is not None:
-        xc = np.add.reduce(joint.counts, 2)
-        least_df = _df(np.add.reduce(xc, 1), np.add.reduce(xc, 0))
-        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), least_df)
+        if df_xc is None:
+            xc = np.add.reduce(joint.counts, 2)
+            df_xc = _df(np.add.reduce(xc, 1), np.add.reduce(xc, 0))
+        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), df_xc)
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -464,11 +474,13 @@ def audit(
     validate(joint)
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
+    # the X x C counts, their totals and df, summed once for both G-tests
+    xc_test = None if alpha is None else g_test(np.add.reduce(joint.counts, 2))
     return AuditReport(
-        independence=_independence(joint, tol, alpha),
+        independence=_independence(joint, tol, alpha, xc_test),
         lossless=_lossless(joint, alpha),
         deterministic_routing=_routing(joint, routing_tol, alpha),
-        distinct_conditionals=_distinct(joint, tol, alpha),
+        distinct_conditionals=_distinct(joint, tol, alpha, None if xc_test is None else xc_test[1]),
         tolerance=routing_tol,
         n_samples=joint.n_samples,
         alpha=alpha,

@@ -17,9 +17,10 @@ most one per CPU the process may run on and with at least four chunks each;
 the cells are the same to the bit on any number of threads, and CPU
 affinity (e.g. ``taskset -c 0``) is the only control. A guide table (Chen &
 Asau 1974; Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search
-of ``Generator.random``'s doubles would, working on the raw words those
-doubles are made from. A table's cdf and guide are built once per table
-object and guide size, and kept on it.
+of ``Generator.random``'s doubles would, working in integers on the raw words
+those doubles are made from. A table's sampling plan (the cdf as integer
+steps, the guide and its limits) is built once per table object and guide
+size, and kept on it.
 """
 
 from __future__ import annotations
@@ -150,25 +151,29 @@ def _chunk_bits(seed: int, chunk_index: int, size: int) -> Iterator[np.ndarray]:
 
 def _bucket_bits(n_cells: int, n_trials: int) -> int:
     """log2 of the guide's bucket count: the least power of two >= 4 * cells,
-    grown to the greatest one <= n_trials / 16, but never past the least one
+    grown to the greatest one <= n_trials / 4, but never past the least one
     >= 32 * cells."""
     least = (n_cells - 1).bit_length() + 2
-    return min(max(least, (n_trials // 16).bit_length() - 1), least + 3)
+    return min(max(least, (n_trials // 4).bit_length() - 1), least + 3)
 
 
-def _guide_tables(cdf: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The guide of K = 2**bits buckets, ``guide[b] = searchsorted(cdf, b / K,
-    "right")``, and per bucket the raw word at and above which its guess is
-    wrong, ``min(ceil(cdf[guide[b]] * 2**53), 2**53 - 1) << 11``."""
+def _sampling_plan(p: np.ndarray, bits: int, dtype: np.dtype) -> tuple:
+    """How ``sample_events`` inverts the flat masses ``p`` with a guide of
+    K = 2**bits buckets: ``steps``, ``min(ceil(cumsum(p) * 2**53), 2**53)``
+    and 2**53 from the last cell with mass on, as uint64; the guide as
+    ``dtype``, ``guide[b]`` counting the steps <= b * 2**53 / K; per bucket
+    the raw word at and above which its guess is wrong,
+    ``min(steps[guide[b]], 2**53 - 1) << 11``; and the bucket shift."""
     k = 1 << bits
     # ceil(cdf * 2**53) is exact, as scaling by a power of two is
-    steps = np.ceil(cdf * _TWO53).astype(np.int64)
-    # guide[b] counts the cdf values <= b / K, those with ceil(cdf * K) <= b;
-    # as K divides 2**53, ceil(cdf * K) = ceil(steps / 2**drop), in integers
+    steps = np.minimum(np.ceil(np.cumsum(p) * _TWO53), _TWO53).astype(np.int64)
+    steps[np.flatnonzero(p)[-1]:] = 2**53
+    # guide[b] counts the steps with ceil(steps / 2**drop) <= b, as K
+    # divides 2**53
     drop = 53 - bits
     guide = np.cumsum(np.bincount((steps + ((1 << drop) - 1)) >> drop, minlength=k + 1)[:k])
     limit = np.minimum(steps, 2**53 - 1).astype(np.uint64)[guide] << _LOW_BITS
-    return guide, limit
+    return steps.view(np.uint64), guide.astype(dtype), limit, np.uint64(64 - bits)
 
 
 def _workers(n_chunks: int) -> int:
@@ -188,25 +193,36 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
 
     Each trial is ``searchsorted(cdf, u, "right")`` for the double
     ``u = (r >> 11) / 2**53`` that ``Generator.random`` makes of the
-    stream's next raw word r, but it is computed on r. The guide has K
-    buckets, K the least power of two >= 4 * cells, grown toward
-    n_trials / 16 but never past the least one >= 32 * cells, so longer
-    runs search less and the tables stay small beside the draws. A draw's
-    bucket is ``r >> (64 - log2 K)``, which is ``floor(u * K)``; its guess
-    ``guide[bucket]`` is wrong iff ``u >= cdf[guess]``, that is iff r
-    reaches ``ceil(cdf[guess] * 2**53) << 11``, a limit capped at
-    ``(2**53 - 1) << 11`` to fit 64 bits, which only adds a search. Only
-    wrong guesses are made into u and searched, so the cells are the sorted
-    search's to the bit, for every K. Cells are written straight into an
-    array of the log's ``cell_dtype``, owned and then made read-only, which
-    ``EventLog`` keeps as given. Every cell is below the cell count, so the
-    log is made without ``EventLog``'s range check: a guide entry counts
-    the cdf values at most b / K < 1, and a search of u < 1 returns at most
-    ``len(cdf) - 1``, as ``cdf[-1]`` is set to 1.0 > u whether or not the
-    cumsum passed 1 before its last cell. The table is validated, and its cdf,
-    guide and limits built, on its first call for a K; they are kept on the
-    table object, so later calls on it skip that set-up. A table that fails
-    validation keeps none, so it raises on every call.
+    stream's next raw word r, where cdf is the cumsum of the flat masses,
+    capped at 1.0 and set to 1.0 from the last cell with mass on; so that
+    cell takes whatever the cumsum ends short of 1, and no later cell is
+    drawn. It is computed on r, in integers: the plan holds
+    ``steps = ceil(cdf * 2**53)``, exact as scaling by a power of two is,
+    and u = R / 2**53 for R = r >> 11, so cdf[j] <= u exactly when
+    steps[j] <= R, and ``searchsorted(steps, R, "right")`` is the cell.
+    The guide has K buckets, K the least power of two >= 4 * cells, grown
+    toward n_trials / 4 but never past the least one >= 32 * cells, so
+    longer runs search less and the tables stay small beside the draws. A
+    draw's bucket is ``r >> (64 - log2 K)``, which is ``floor(u * K)``; its
+    guess ``guide[bucket]`` counts the steps at most ``bucket * 2**53 / K
+    <= R``, so it is wrong iff R reaches ``steps[guess]``, that is iff r
+    reaches ``steps[guess] << 11``, a limit capped at ``(2**53 - 1) << 11``
+    to fit 64 bits, which only adds a search. Only wrong guesses are
+    searched, so the cells are the sorted search's to the bit, for every K.
+
+    Every cell j written has ``steps[j - 1] <= R < steps[j]`` (reading
+    ``steps[-1]`` as 0). The steps never fall, as masses are nonnegative,
+    and rise only at a cell with mass; they are 2**53 > R from the last
+    cell with mass on. So j has mass and is at most that cell, below the
+    cell count. Cells are written straight into an array of the log's
+    ``cell_dtype``, owned and then made read-only, and the log is made
+    without ``EventLog``'s checks, which it passes as shown. The table is
+    validated, and its plan built, on its first call for a K; the plan is
+    kept on the table object, so later calls on it skip that set-up. A first
+    call at n = 1e5 builds the largest guide, 32 * cells buckets: on the
+    paper tables that set-up, validation included, takes ~80-100 µs, ~35 µs
+    more than an 8 * cells guide's. A table that fails validation keeps
+    none, so it raises on every call.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one
@@ -235,12 +251,8 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     plans = vars(joint).setdefault("_sampling_plans", {})
     if bits not in plans:
         validate(joint)
-        cdf = np.cumsum(joint.p.reshape(-1))
-        cdf[-1] = 1.0
-        guide, limit = _guide_tables(cdf, bits)
-        plans[bits] = (cdf, guide.astype(cells.dtype), limit)
-    cdf, guide, limit = plans[bits]
-    shift = np.uint64(64 - bits)
+        plans[bits] = _sampling_plan(joint.p.reshape(-1), bits, cells.dtype)
+    steps, guide, limit, shift = plans[bits]
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)
 
@@ -260,7 +272,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
                 np.take(limit, ix, out=ix.view(np.uint64), mode="clip")
                 miss = np.flatnonzero(ix.view(np.uint64) <= raw)
                 if miss.size:
-                    out[miss] = np.searchsorted(cdf, (raw[miss] >> _LOW_BITS) / _TWO53, side="right")
+                    out[miss] = np.searchsorted(steps, raw[miss] >> _LOW_BITS, side="right")
                 start += raw.size
                 del raw  # so the next slice is not drawn while these words are held
 

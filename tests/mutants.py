@@ -46,12 +46,24 @@ class Mutant(NamedTuple):
 
 AUDIT, EVENTS = "dcqe/audit.py", "dcqe/events.py"
 MATCHES = "tests/test_audit.py::TestMatchesReference"
+SAMPLER = "tests/test_events.py::TestSamplerIsBitIdentical"
 
 MUTANTS = (
-    # the sampler's range proof: without it a table whose cumsum ends below
-    # 1.0 sends the top draws one past the last cell
-    Mutant("cdf_end_not_one", EVENTS, "        cdf[-1] = 1.0\n", "",
-           ("tests/test_events.py::TestSamplerIsBitIdentical::test_extreme_words_give_cells_in_range",)),
+    # the sampler's end rule and its proofs: without it a table whose cumsum
+    # ends below 1.0 sends the top draws one past the last cell; set on the
+    # last cell alone, they go to a trailing cell without mass; uncapped,
+    # the steps of a cumsum that passes 1.0 are not sorted; and a search to
+    # the left puts a word at a step in the cell before it
+    Mutant("cdf_end_not_one", EVENTS, "    steps[np.flatnonzero(p)[-1]:] = 2**53\n", "",
+           (f"{SAMPLER}::test_extreme_words_give_cells_in_range",)),
+    Mutant("end_rule_on_the_last_cell", EVENTS, "steps[np.flatnonzero(p)[-1]:]", "steps[-1:]",
+           (f"{SAMPLER}::test_the_top_word_gives_the_last_cell_with_mass",)),
+    Mutant("steps_uncapped", EVENTS, "np.minimum(np.ceil(np.cumsum(p) * _TWO53), _TWO53)",
+           "np.ceil(np.cumsum(p) * _TWO53)",
+           (f"{SAMPLER}::test_guide_bins_from_integer_steps[passes_one_before_mass]",)),
+    Mutant("miss_search_left", EVENTS, 'raw[miss] >> _LOW_BITS, side="right")',
+           'raw[miss] >> _LOW_BITS, side="left")',
+           (f"{SAMPLER}::test_cdf_steps_on_both_sides_of_slice_edges",)),
     # the alpha path's structural zeros, read from mass instead of counts,
     # let 1e-12 * n events stray or be lost (ROADMAP item 2's large-n hole)
     Mutant("alpha_routing_by_mass", AUDIT, "holds = int(reached.max()) <= 1",
@@ -63,7 +75,7 @@ MUTANTS = (
            ("tests/test_audit.py::TestAlpha::test_one_lost_event_among_1e13_is_a_violation",)),
     # the one-df rule (ROADMAP item 2): G_XD read at its own df
     Mutant("g_xd_at_its_own_df", AUDIT,
-           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), least_df)",
+           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), df_xc)",
            "g_test(np.add.reduce(joint.counts, 1).take(observed, 1))",
            ("tests/test_audit.py::TestCountTables::test_nine_choices_and_eight_detectors",)),
     # the leaner audit kernels
@@ -81,8 +93,8 @@ MUTANTS = (
            "np.multiply(rows[:, None], columns)",
            ("tests/test_audit.py::TestGTest::test_totals_past_two_to_the_32_do_not_wrap",)),
     Mutant("audit_distinct_without_alpha", AUDIT,
-           "distinct_conditionals=_distinct(joint, tol, alpha)",
-           "distinct_conditionals=_distinct(joint, routing_tol, None)",
+           "distinct_conditionals=_distinct(joint, tol, alpha,",
+           "distinct_conditionals=_distinct(joint, routing_tol, None,",
            (f"{MATCHES}::test_paper_tables",)),
     Mutant("validate_skips_every_table", "dcqe/joint.py",
            "    if joint.counts is not None:\n        return joint\n",

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcqe import (
     CHUNK_TRIALS,
@@ -336,9 +338,10 @@ def sampler_tables():
 
 
 def unrounded_tables():
-    """Valid tables whose cumsum does not end at 1.0: one passes 1.0 before
-    its last cell, two end below 1.0 and have trailing zero cells, the
-    second a lossless table whose last cell is a LOSS outcome."""
+    """Valid tables whose cumsum does not end at 1.0: two pass 1.0 before
+    their last cell, the second before its last cell with mass; two end
+    below 1.0 and have trailing zero cells, the second a lossless table
+    whose last cell is a LOSS outcome."""
     space = OutcomeSpace(2, ("a", "b"), ("D1",))
     lossy = OutcomeSpace(2, ("a", "b"), ("D1", "D2", "LOSS"))
     lossless = np.zeros(lossy.shape)
@@ -346,6 +349,8 @@ def unrounded_tables():
     lossless[1, 1, 1] -= 4e-13
     return {
         "passes_one": JointDistribution(space, np.array([0.6, 0.4 + 5e-13, 0.0, 0.0]).reshape(2, 2, 1)),
+        "passes_one_before_mass": JointDistribution(
+            space, np.array([0.6, 0.4 + 5e-13, 1e-13, 0.0]).reshape(2, 2, 1)),
         "ends_short": JointDistribution(space, np.array([0.3, 0.7 - 4e-13, 0.0, 0.0]).reshape(2, 2, 1)),
         "lossless_ends_short": JointDistribution(lossy, lossless),
     }
@@ -368,8 +373,11 @@ def crowded_joint():
 
 
 def table_cdf(joint):
-    cdf = np.cumsum(joint.p.reshape(-1))
-    cdf[-1] = 1.0
+    """The cdf ``sample_events`` inverts: the cumsum of the flat masses,
+    capped at 1.0, and 1.0 from the last cell with mass on."""
+    p = joint.p.reshape(-1)
+    cdf = np.minimum(np.cumsum(p), 1.0)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
     return cdf
 
 
@@ -396,7 +404,7 @@ def words_near(values):
 SEARCHSORTED = np.searchsorted
 
 
-def searched_uniforms(monkeypatch):
+def searched_values(monkeypatch):
     """The list of every value ``np.searchsorted`` is asked to place from now
     on in the test."""
     searched = []
@@ -549,7 +557,7 @@ class TestSamplerIsBitIdentical:
             return used[-1]
 
         monkeypatch.setattr(dcqe.events, "_bucket_bits", spied)
-        searched = searched_uniforms(monkeypatch)
+        searched = searched_values(monkeypatch)
         least = 4 << (cdf.size - 1).bit_length()
         # the least bucket count, a power of two >= 4 * cells, and the most
         for buckets in (least, 8 * least):
@@ -563,20 +571,20 @@ class TestSamplerIsBitIdentical:
             assert used.pop() == buckets.bit_length() - 1
             u = uniforms_of(words)
             assert np.array_equal(cells, SEARCHSORTED(cdf, u, side="right"))
-            # only wrong guesses are searched, and the top draw when the
-            # guess's cdf is 1.0, whose limit is capped
+            # only wrong guesses are searched, as integers r >> 11, and the
+            # top draw when the guess's cdf is 1.0, whose limit is capped
             guess = SEARCHSORTED(cdf, np.floor(u * buckets) / buckets, side="right")
             wrong = u >= np.minimum(cdf[guess], 1.0 - 2.0**-53)
-            assert np.array_equal(np.sort(searched), np.sort(u[wrong]))
+            assert np.array_equal(np.sort(searched), np.sort(words[wrong] >> np.uint64(11)))
 
     def test_a_cdf_of_one_reaches_the_capped_limit(self, monkeypatch):
         # the last bucket guesses the last cell, whose cdf is exactly 1.0
         cap = (2**53 - 1) << 11
         words = np.array([cap - 1, cap, 2**64 - 1], dtype=np.uint64)
-        searched = searched_uniforms(monkeypatch)
+        searched = searched_values(monkeypatch)
         assert inverted(uniform_222(), words, monkeypatch).tolist() == [7, 7, 7]
         # a word below the cap keeps its guess; the cap and above are searched
-        assert searched == uniforms_of(words[1:]).tolist()
+        assert searched == (words[1:] >> np.uint64(11)).tolist()
 
     @pytest.mark.parametrize("name", sorted(sampler_tables()) + sorted(unrounded_tables()))
     def test_extreme_words_give_cells_in_range(self, name, monkeypatch):
@@ -593,7 +601,7 @@ class TestSamplerIsBitIdentical:
         pieces = [np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)]
         for n_trials in (1, 10**9):
             bits = dcqe.events._bucket_bits(cdf.size, n_trials)
-            _, limit = dcqe.events._guide_tables(cdf, bits)
+            limit = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.intp)[2]
             edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
             pieces += [limit, limit - np.uint64(1), edges, edges - np.uint64(1)]
         words = np.unique(np.concatenate(pieces))
@@ -602,7 +610,6 @@ class TestSamplerIsBitIdentical:
         assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
         assert int(cells.max()) < cdf.size
 
-    @pytest.mark.xfail(strict=True, reason="the last cell takes the mass the cumsum ends short of")
     def test_the_top_word_gives_the_last_cell_with_mass(self, monkeypatch):
         top = np.array([2**64 - 1], dtype=np.uint64)
         # p = (0.3, 0.7 - 4e-13, 0, 0): not cell 3, which has no mass
@@ -613,6 +620,44 @@ class TestSamplerIsBitIdentical:
         log = EventLog(joint.space, inverted(joint, top, monkeypatch))
         assert log.cells.tolist() == [10] and log.d_idx.tolist() == [1]
         assert not log.counts()[:, :, joint.space.loss_index].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_every_guide_size_gives_the_searched_cell_with_mass(self, seed):
+        """On random valid tables with zero cells at the start, in the middle
+        and at the end, whose cumsum ends short of 1.0 or passes it (before
+        the last cell with mass, too), every guide size the bucket rule can
+        give inverts the words at and beside each limit, bucket edge and cdf
+        step, and the extremes, as the sorted search does, to cells with mass."""
+        rng = np.random.default_rng(seed)
+        space = OutcomeSpace(int(rng.integers(2, 5)), ("a", "b", "c")[:rng.integers(2, 4)],
+                             ("D1", "D2", "LOSS")[:rng.integers(1, 4)])
+        p = rng.random(space.shape).reshape(-1) ** 3
+        p[rng.random(p.size) < 0.3] = 0.0
+        p[:rng.integers(3)] = 0.0
+        p[p.size - rng.integers(1, 3):] = 0.0
+        p[rng.integers(p.size - 2)] += 0.1
+        p /= p.sum()
+        # a shortfall or an excess within the normalization tolerance, and
+        # maybe a cell of 1e-13 after the last one with mass
+        p[p.argmax()] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-14, 8e-13)
+        if rng.random() < 0.3:
+            p[-1] = 1e-13
+        joint = JointDistribution(space, p.reshape(space.shape))
+        cdf = table_cdf(joint)
+        least = dcqe.events._bucket_bits(p.size, 1)
+        for bits in range(least, least + 4):
+            limit = dcqe.events._sampling_plan(p, bits, np.intp)[2]
+            edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+            words = np.unique(np.concatenate([
+                limit, limit - np.uint64(1), edges, edges - np.uint64(1), words_near(cdf),
+                np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+            ]))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dcqe.events, "_bucket_bits", lambda n_cells, n_trials: bits)
+                cells = inverted(joint, words, patch)
+            assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
+            assert np.all(p[cells] > 0.0)
 
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()
@@ -644,56 +689,58 @@ class TestSamplerIsBitIdentical:
                 full = chunk_words(seed, chunk, CHUNK_TRIALS)
                 assert np.array_equal(chunk_words(seed, chunk, take), full[:take])
 
-    @pytest.mark.parametrize("name", sorted(sampler_tables()) + ["wide"])
+    @pytest.mark.parametrize("name", sorted(sampler_tables()) + sorted(unrounded_tables()) + ["wide"])
     def test_guide_bins_from_integer_steps(self, name):
-        joint = wide_joint() if name == "wide" else sampler_tables()[name]
+        joint = wide_joint() if name == "wide" else {**sampler_tables(), **unrounded_tables()}[name]
         cdf = table_cdf(joint)
-        steps = np.ceil(cdf * 2.0**53).astype(np.int64)
         least = dcqe.events._bucket_bits(cdf.size, 1)
         # the least bucket count and the largest the bucket rule gives
         for bits in (least, dcqe.events._bucket_bits(cdf.size, 2**62)):
             buckets = 1 << bits
-            drop = 53 - bits
-            # ceil(a / m) = ceil(ceil(a) / m) for an integer m
-            assert np.array_equal((steps + 2**drop - 1) >> drop, np.ceil(cdf * buckets))
-            guide, limit = dcqe.events._guide_tables(cdf, bits)
+            steps, guide, limit, shift = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.intp)
+            # sorted, as searchsorted needs, and at most 2**53
+            assert steps.dtype == np.uint64 and np.array_equal(steps, np.ceil(cdf * 2.0**53))
+            assert np.all(steps[1:] >= steps[:-1]) and int(steps[-1]) == 2**53
             assert np.array_equal(guide, SEARCHSORTED(cdf, np.arange(buckets) / buckets, side="right"))
             capped = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53 - 1).astype(np.uint64)
             assert np.array_equal(limit, capped[guide] << np.uint64(11))
+            assert shift == 64 - bits
 
     @pytest.mark.parametrize("n_cells, n_trials, buckets", [
-        # polarization: 4 * 512 until n / 16 passes it, then at most 32 * 512
-        (384, 1, 2048), (384, 10**3, 2048), (384, 10**5, 4096), (384, 10**7, 16384),
-        # wide_joint's uint32 cells: 4 * 2**17 until n = 2**24, then at most 32 * 2**17
-        (65_600, 1, 2**19), (65_600, 10**3, 2**19), (65_600, 10**5, 2**19),
-        (65_600, 10**7, 2**19), (65_600, 2**25, 2**21), (65_600, 10**9, 2**22),
+        # polarization: 4 * 512 until n / 4 passes it, then at most 32 * 512
+        (384, 1, 2048), (384, 10**3, 2048), (384, 2**14 - 1, 2048), (384, 2**14, 4096),
+        (384, 10**5, 16384), (384, 10**7, 16384),
+        # wide_joint's uint32 cells: 4 * 2**17 until n = 2**22, then at most 32 * 2**17
+        (65_600, 1, 2**19), (65_600, 10**5, 2**19), (65_600, 2**22 - 1, 2**19),
+        (65_600, 2**22, 2**20), (65_600, 10**7, 2**21), (65_600, 10**9, 2**22),
     ])
     def test_bucket_rule(self, n_cells, n_trials, buckets):
         assert 1 << dcqe.events._bucket_bits(n_cells, n_trials) == buckets
 
 
 class TestSamplingPlan:
-    """A table's cdf, guide and limits are built on its first call for each
+    """A table's steps, guide and limits are built on its first call for each
     guide size and kept on the table object."""
 
-    #: kim runs at each of its four guide sizes, the least one twice and
-    #: the last the largest the bucket rule gives, on and off the pinned logs
-    RUNS = [(1000, 3), (N_TAIL, 11), (100_000, 3), (1000, 3), (N_WIDE, 11)]
+    #: kim runs at each of its four guide sizes, the least and the largest
+    #: twice, the largest being the one every n >= 2**16 gets, on and off
+    #: the pinned logs
+    RUNS = [(1000, 3), (N_TAIL, 11), (20_000, 3), (1000, 3), (40_000, 3), (100_000, 3), (N_WIDE, 11)]
 
     def test_one_table_object_over_every_guide_size(self, monkeypatch):
         joint = sampler_tables()["kim"]
         bits = [dcqe.events._bucket_bits(joint.p.size, n) for n, _ in self.RUNS]
-        assert bits == [11, 13, 12, 11, 14] and dcqe.events._bucket_bits(512, 2**62) == 14
+        assert bits == [11, 14, 12, 11, 13, 14, 14] and dcqe.events._bucket_bits(512, 2**62) == 14
         built = []
-        plain = dcqe.events._guide_tables
+        plain = dcqe.events._sampling_plan
 
-        def counted(cdf, bits):
+        def counted(p, bits, dtype):
             built.append(bits)
-            return plain(cdf, bits)
+            return plain(p, bits, dtype)
 
-        monkeypatch.setattr(dcqe.events, "_guide_tables", counted)
+        monkeypatch.setattr(dcqe.events, "_sampling_plan", counted)
         logs = [sample_events(joint, n, seed) for n, seed in self.RUNS]
-        assert built == [11, 13, 12, 14]
+        assert built == [11, 14, 12, 13]
         for (n, seed), log in zip(self.RUNS, logs):
             assert np.array_equal(log.cells, sample_events(sampler_tables()["kim"], n, seed).cells)
             if ("kim", n, seed) in PINNED_LOGS:

@@ -221,7 +221,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     kept on the table object, so later calls on it skip that set-up. A first
     call at n = 1e5 builds the largest guide, 32 * cells buckets: on the
     paper tables that set-up, validation included, takes ~80-100 µs, ~35 µs
-    more than an 8 * cells guide's. A table that fails validation keeps
+    more than a 4,096-bucket guide's. A table that fails validation keeps
     none, so it raises on every call.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the

@@ -711,8 +711,9 @@ class TestSamplerIsBitIdentical:
         (384, 1, 2048), (384, 10**3, 2048), (384, 2**14 - 1, 2048), (384, 2**14, 4096),
         (384, 10**5, 16384), (384, 10**7, 16384),
         # wide_joint's uint32 cells: 4 * 2**17 until n = 2**22, then at most 32 * 2**17
-        (65_600, 1, 2**19), (65_600, 10**5, 2**19), (65_600, 2**22 - 1, 2**19),
-        (65_600, 2**22, 2**20), (65_600, 10**7, 2**21), (65_600, 10**9, 2**22),
+        (65_600, 1, 2**19), (65_600, 10**3, 2**19), (65_600, 10**5, 2**19),
+        (65_600, 2**22 - 1, 2**19), (65_600, 2**22, 2**20), (65_600, 10**7, 2**21),
+        (65_600, 2**25, 2**22), (65_600, 10**9, 2**22),
     ])
     def test_bucket_rule(self, n_cells, n_trials, buckets):
         assert 1 << dcqe.events._bucket_bits(n_cells, n_trials) == buckets

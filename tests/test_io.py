@@ -23,11 +23,15 @@ from dcqe import (
     LossFeasibilityProblem,
     OutcomeSpace,
     audit,
+    build_kim,
     build_mach_zehnder,
+    build_passive_choice,
     build_polarization,
+    coarse_grain,
     construct_witness,
     default_fringe_model,
     estimate_from_events,
+    kim_coarse_graining,
     sample_events,
 )
 from dcqe.io import (
@@ -537,6 +541,37 @@ class TestEventReaderBlocks:
         path.write_bytes(b"trial,x,c,d\n0,1,a,b\n1,0,a,b\x00\n")
         with pytest.raises(ValueError, match="event row 2 "):
             read_event_log(path)
+
+    @pytest.mark.xfail(strict=True, reason="the label key's last word is not mixed into its slot")
+    def test_paper_layouts_take_distinct_slots(self, tmp_path, monkeypatch):
+        # the slot tier takes every record once; a record past it, grouped
+        # again by its whole key, shares its slot with another tail
+        grouped_sizes = []
+        grouped = dcqe.io._LabelCodes._grouped
+
+        def counted(self, buf, starts, *args):
+            grouped_sizes.append(starts.size)
+            return grouped(self, buf, starts, *args)
+
+        monkeypatch.setattr(dcqe.io._LabelCodes, "_grouped", counted)
+        model = default_fringe_model()
+        kim = build_kim(model)
+        tables = {
+            "kim": kim,
+            "kim_coarse": coarse_grain(kim, kim_coarse_graining()),
+            "mach_zehnder": build_mach_zehnder(model, 0.5),
+            "polarization": build_polarization(model, 0.5),
+            "passive_choice": build_passive_choice(model),
+        }
+        past_slots = {}
+        for name, joint in tables.items():
+            log = sample_events(joint, 20_000, 3)
+            path = tmp_path / f"{name}.csv"
+            write_event_log(log, path)
+            grouped_sizes.clear()
+            assert labelled_trials(read_event_log(path)) == labelled_trials(log)
+            past_slots[name] = sum(grouped_sizes) - len(log)
+        assert past_slots == dict.fromkeys(tables, 0)
 
     def test_each_new_tail_is_looked_up_once_per_block(self, tmp_path, monkeypatch):
         calls = []

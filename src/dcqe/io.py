@@ -443,7 +443,8 @@ class _LabelCodes:
             # word j holds up to 8 of the tail's bytes and none past it
             if 8 * (j + 1) > shortest:
                 column &= np.take(_LOW_BYTES, lengths - 8 * j, mode="clip")
-            key = key * _HASH_MULTIPLIER + column
+            # each word, the last too, is multiplied up into the slot's top byte
+            key = (key + column) * _HASH_MULTIPLIER
         codes, hit = self._grouped(
             buf, starts, lengths, columns, (key >> np.uint64(56)).astype(np.intp), 256
         )

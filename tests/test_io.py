@@ -508,9 +508,9 @@ class TestEventReaderBlocks:
         assert values[ok].tolist() == [int(f) for f, good in zip(fields, expected) if good]
 
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
-        # with a zero multiplier a tail's key is its last word, so these collide;
-        # with one record per block each stands for its own group, so this
-        # checks that no key or code carries over from one block to the next
+        # with a zero multiplier every key is 0, so these collide; with one
+        # record per block each stands for its own group, so this checks
+        # that no key or code carries over from one block to the next
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 16)
         path = tmp_path / "events.csv"
@@ -521,8 +521,9 @@ class TestEventReaderBlocks:
         assert_reads_like_reference(path)
 
     def test_hash_collisions_within_one_block(self, tmp_path, monkeypatch):
-        # both colliding tails share a block and a key: one record stands for
-        # the group, and the other tail fails the check and takes the exact lookup
+        # with a zero multiplier every key is 0, so both tails share a block
+        # and a key: one record stands for the group, and the other tail
+        # fails the check and takes the exact lookup
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         path = tmp_path / "events.csv"
         path.write_bytes(
@@ -534,15 +535,14 @@ class TestEventReaderBlocks:
         assert_reads_like_reference(path)
 
     def test_tails_apart_only_by_length(self, tmp_path, monkeypatch):
-        # with a zero multiplier both tails have one key, and the NUL past
-        # "a,b" leaves their words alike, so only their lengths differ
+        # with a zero multiplier every key is 0, and the NUL past "a,b"
+        # leaves their words alike, so only their lengths differ
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         path = tmp_path / "events.csv"
         path.write_bytes(b"trial,x,c,d\n0,1,a,b\n1,0,a,b\x00\n")
         with pytest.raises(ValueError, match="event row 2 "):
             read_event_log(path)
 
-    @pytest.mark.xfail(strict=True, reason="the label key's last word is not mixed into its slot")
     def test_paper_layouts_take_distinct_slots(self, tmp_path, monkeypatch):
         # the slot tier takes every record once; a record past it, grouped
         # again by its whole key, shares its slot with another tail

@@ -146,12 +146,6 @@ def upper_gamma(a: float, x: float) -> float:
             return front * h
 
 
-def _df(rows: np.ndarray, columns: np.ndarray) -> int:
-    """(r - 1)(c - 1) for a count table whose row and column totals are
-    ``rows`` and ``columns``, r and c of them nonzero."""
-    return int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1))
-
-
 def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     """G-test of independence between the rows and columns of a count table.
 
@@ -162,7 +156,7 @@ def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     can depend on anything, and the p-value is 1.
     """
     rows, columns = np.add.reduce(counts, 1), np.add.reduce(counts, 0)
-    df = max(_df(rows, columns), least_df)
+    df = max(int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1)), least_df)
     observed = counts > 0
     # in floats, rounded once as the int product is, which may wrap past 2**63
     expected = np.multiply(rows[:, None], columns, dtype=float)[observed] / rows.sum()
@@ -216,21 +210,28 @@ def check_independence(
     a G-test of independence on its X x C event counts; independence holds
     iff the p-value is at least alpha.
     """
-    return _independence(joint, *_level(joint, tol, alpha))
+    tol, alpha = _level(joint, tol, alpha)
+    return _independence(joint, tol, alpha, _xc_test(joint, alpha))
+
+
+def _xc_test(joint: JointDistribution, alpha: float | None) -> tuple | None:
+    """The ``g_test`` of the table's X x C event counts, which both G-tests
+    read; None on the tolerance path, where ``alpha`` is None."""
+    return None if alpha is None else g_test(np.add.reduce(joint.counts, 2))
 
 
 def _independence(
-    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None = None
+    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None
 ) -> Verdict:
-    """``check_independence`` at a level ``_level`` resolved; with alpha,
-    ``xc_test`` is the X x C counts' ``g_test`` when the caller has it."""
+    """``check_independence`` at a level ``_level`` resolved, with alpha
+    deciding on ``xc_test``, the X x C test ``_xc_test`` ran."""
     deviation, p_c = _dependence(np.add.reduce(joint.p, 2))
     x, c = divmod(int(deviation.argmax()), deviation.shape[1])
     worst = float(deviation[x, c])
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
     if alpha is not None:
-        g, df, p_value = xc_test or g_test(np.add.reduce(joint.counts, 2))
+        g, df, p_value = xc_test
         detail.update(p_value=p_value, df=df)
         return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
     return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
@@ -358,26 +359,27 @@ def check_distinct_conditionals(
 
     With ``alpha``, a sampled table is instead put to a G-test of
     homogeneity of X across those detectors, on its X x D event counts,
-    read at df* = max(df_XD, df_XC), df_XC the X x C test's on the same
-    counts; the conditionals are distinct iff that p-value is below alpha,
-    and ``df`` reports df*. So the α audit cannot report all four
-    properties. It lets no event stray or be lost, so when routing and
-    losslessness hold, D is a function of C over the sample, and data
-    processing on the empirical law gives Î(X; D) <= Î(X; C), that is
-    G_XD <= G_XC, as G = 2n·Î. The tail Q(df/2, G/2) falls as G grows and
+    read at df* = max(df_XD, df_XC), df_XC the df of the X x C test that
+    decides independence; the conditionals are distinct iff that p-value
+    is below alpha, and ``df`` reports df*. So the α audit cannot report
+    all four properties. It lets no event stray or be lost, so when
+    routing and losslessness hold, D is a function of C over the sample,
+    and data processing on the empirical law gives Î(X; D) <= Î(X; C),
+    that is G_XD <= G_XC, as G = 2n·Î. The tail Q(df/2, G/2) falls as G grows and
     rises as df grows; so if independence holds, Q(df*/2, G_XD/2) >=
     Q(df*/2, G_XC/2) >= Q(df_XC/2, G_XC/2) >= alpha, and distinctness
     fails (up to rounding in the two G's last bits). A tail read at more
     df is no smaller, so the test keeps its level alpha.
     """
-    return _distinct(joint, *_level(joint, tol, alpha))
+    tol, alpha = _level(joint, tol, alpha)
+    return _distinct(joint, tol, alpha, _xc_test(joint, alpha))
 
 
 def _distinct(
-    joint: JointDistribution, tol: float | None, alpha: float | None, df_xc: int | None = None
+    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None
 ) -> Verdict:
-    """``check_distinct_conditionals`` at a level ``_level`` resolved; with
-    alpha, ``df_xc`` is the X x C test's df when the caller has it."""
+    """``check_distinct_conditionals`` at a level ``_level`` resolved, with
+    alpha reading df_XC from ``xc_test``, the X x C test ``_xc_test`` ran."""
     space = joint.space
     # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them,
     # and each detector's mass, a row reduction, so each row's 1-D sum
@@ -403,10 +405,7 @@ def _distinct(
         "gap": gap,
     }
     if alpha is not None:
-        if df_xc is None:
-            xc = np.add.reduce(joint.counts, 2)
-            df_xc = _df(np.add.reduce(xc, 1), np.add.reduce(xc, 0))
-        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), df_xc)
+        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), xc_test[1])
         detail = {"witness": witness, "p_value": p_value, "df": df}
         return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
     return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
@@ -474,13 +473,12 @@ def audit(
     validate(joint)
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
-    # the X x C counts, their totals and df, summed once for both G-tests
-    xc_test = None if alpha is None else g_test(np.add.reduce(joint.counts, 2))
+    xc_test = _xc_test(joint, alpha)
     return AuditReport(
         independence=_independence(joint, tol, alpha, xc_test),
         lossless=_lossless(joint, alpha),
         deterministic_routing=_routing(joint, routing_tol, alpha),
-        distinct_conditionals=_distinct(joint, tol, alpha, None if xc_test is None else xc_test[1]),
+        distinct_conditionals=_distinct(joint, tol, alpha, xc_test),
         tolerance=routing_tol,
         n_samples=joint.n_samples,
         alpha=alpha,

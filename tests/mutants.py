@@ -73,10 +73,14 @@ MUTANTS = (
            "holds = li is None or not joint.counts[:, :, li].any()",
            "holds = loss_mass <= LOSSLESS_TOL",
            ("tests/test_audit.py::TestAlpha::test_one_lost_event_among_1e13_is_a_violation",)),
-    # the one-df rule (ROADMAP item 2): G_XD read at its own df
+    # the one-df rule (ROADMAP item 2): G_XD read at its own df; and the one
+    # X x C test both G-tests read, summed over choices instead of detectors
     Mutant("g_xd_at_its_own_df", AUDIT,
-           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), df_xc)",
+           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), xc_test[1])",
            "g_test(np.add.reduce(joint.counts, 1).take(observed, 1))",
+           ("tests/test_audit.py::TestCountTables::test_nine_choices_and_eight_detectors",)),
+    Mutant("xc_test_over_detectors", AUDIT, "g_test(np.add.reduce(joint.counts, 2))",
+           "g_test(np.add.reduce(joint.counts, 1))",
            ("tests/test_audit.py::TestCountTables::test_nine_choices_and_eight_detectors",)),
     # the leaner audit kernels
     Mutant("routing_rows_fancy_indexed", AUDIT, "mass_d = mass.take(detected, 1)",
@@ -114,6 +118,10 @@ MUTANTS = (
            ("tests/test_feasibility.py::TestSameBits::test_pinned_system_matches_the_reference",)),
     Mutant("reader_last_row_of_largest_bin", "dcqe/io.py", "if top > max_x:", "if top >= max_x:",
            ("tests/test_io.py::TestEventLogFiles::test_unallocatable_table_names_the_first_row_of_its_bin",)),
+    # the label key's last word left out of its slot's top byte
+    Mutant("label_key_unmixed", "dcqe/io.py", "key = (key + column) * _HASH_MULTIPLIER",
+           "key = key * _HASH_MULTIPLIER + column",
+           ("tests/test_io.py::TestEventReaderBlocks::test_paper_layouts_take_distinct_slots",)),
 )
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "default_tolerance",
 ]
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import (
     AllMassLost, DegenerateLossMass, InsufficientOutcomes, InvalidArgument, NoLossOutcome
 )
-from .joint import JointDistribution, check_real, validate
+from .joint import JointDistribution, check_real, unchecked, validate
 
 #: Check names, in report order.
 CHECK_INDEPENDENCE = "independence"
@@ -157,11 +158,13 @@ def g_test(counts: np.ndarray, least_df: int = 0) -> tuple[float, int, float]:
     """
     rows, columns = np.add.reduce(counts, 1), np.add.reduce(counts, 0)
     df = max(int((np.count_nonzero(rows) - 1) * (np.count_nonzero(columns) - 1)), least_df)
-    observed = counts > 0
+    # the observed cells' flat indices, gathered from each table by one take
+    observed = (counts > 0).reshape(-1).nonzero()[0]
     # in floats, rounded once as the int product is, which may wrap past 2**63
-    expected = np.multiply(rows[:, None], columns, dtype=float)[observed] / rows.sum()
-    o = counts[observed]
-    g = max(2.0 * float(np.sum(o * np.log(o / expected))), 0.0)
+    expected = np.multiply(rows[:, None], columns, dtype=float).take(observed)
+    expected /= np.add.reduce(rows)
+    o = counts.take(observed)
+    g = max(2.0 * float(np.add.reduce(o * np.log(o / expected))), 0.0)
     return g, df, upper_gamma(df / 2, g / 2) if df else 1.0
 
 
@@ -190,6 +193,14 @@ class Verdict:
             "tolerance": self.tolerance,
             **self.detail,
         }
+
+
+def _verdict(check: str, holds: bool, statistic: float, tolerance: float, detail: dict) -> Verdict:
+    """``Verdict(check, holds, statistic, tolerance, detail)``, made by
+    ``unchecked``, as that constructor checks nothing."""
+    return unchecked(
+        Verdict, check=check, holds=holds, statistic=statistic, tolerance=tolerance, detail=detail
+    )
 
 
 def _dependence(p_xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +244,8 @@ def _independence(
     if alpha is not None:
         g, df, p_value = xc_test
         detail.update(p_value=p_value, df=df)
-        return Verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
-    return Verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
+        return _verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
+    return _verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
 
 
 def berkson_gap(joint: JointDistribution) -> float:
@@ -281,7 +292,7 @@ def _lossless(joint: JointDistribution, alpha: float | None) -> Verdict:
         holds = loss_mass <= LOSSLESS_TOL
     else:
         holds = li is None or not joint.counts[:, :, li].any()
-    return Verdict(CHECK_LOSSLESS, holds, loss_mass, LOSSLESS_TOL)
+    return _verdict(CHECK_LOSSLESS, holds, loss_mass, LOSSLESS_TOL, {})
 
 
 def check_deterministic_routing(joint: JointDistribution, tol: float | None = None) -> Verdict:
@@ -342,7 +353,7 @@ def _routing(joint: JointDistribution, tol: float, alpha: float | None) -> Verdi
         "counterexample": None if holds else worst,
         "skipped_choices": skipped,
     }
-    return Verdict(CHECK_ROUTING, holds, max_stray, tol, detail)
+    return _verdict(CHECK_ROUTING, holds, max_stray, tol, detail)
 
 
 def check_distinct_conditionals(
@@ -375,6 +386,16 @@ def check_distinct_conditionals(
     return _distinct(joint, tol, alpha, _xc_test(joint, alpha))
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only index arrays ``(first, second)`` of every pair i < j < m,
+    in ``itertools.combinations`` order; built once per detector count m."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _distinct(
     joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None
 ) -> Verdict:
@@ -393,7 +414,7 @@ def _distinct(
         )
     conditionals = p_dx.take(observed, 0) / masses.take(observed)[:, None]
     # each pair's difference row, in combinations order
-    first, second = zip(*itertools.combinations(range(len(observed)), 2))
+    first, second = _pairs(len(observed))
     diff = conditionals.take(first, 0) - conditionals.take(second, 0)
     tv = np.add.reduce(np.abs(diff), 1) * 0.5
     k = int(tv.argmax())
@@ -407,8 +428,8 @@ def _distinct(
     if alpha is not None:
         g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), xc_test[1])
         detail = {"witness": witness, "p_value": p_value, "df": df}
-        return Verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
-    return Verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
+        return _verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
+    return _verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
 
 
 @dataclass(frozen=True)
@@ -474,7 +495,9 @@ def audit(
     tol, alpha = _level(joint, tol, alpha)
     routing_tol = LOSSLESS_TOL if tol is None else tol
     xc_test = _xc_test(joint, alpha)
-    return AuditReport(
+    # made by ``unchecked``, as the constructor checks nothing
+    return unchecked(
+        AuditReport,
         independence=_independence(joint, tol, alpha, xc_test),
         lossless=_lossless(joint, alpha),
         deterministic_routing=_routing(joint, routing_tol, alpha),

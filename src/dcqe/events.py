@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLog, InvalidArgument
-from .joint import JointDistribution, OutcomeSpace, check_int, validate
+from .joint import JointDistribution, OutcomeSpace, check_int, unchecked, validate
 
 #: Trials per deterministic sampling chunk. Fixed: changing it changes logs.
 CHUNK_TRIALS = 1 << 16
@@ -129,15 +129,6 @@ class EventLog:
         # shaped in place, so the array owns its data, as reshape's view would not
         counts.resize(self.space.shape)
         return counts
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, made without ``__post_init__``. Each caller states why its
-    fields would pass those checks and are kept there as they would be."""
-    made = object.__new__(cls)
-    vars(made).update(fields)
-    return made
 
 
 def _chunk_bits(seed: int, chunk_index: int, size: int) -> Iterator[np.ndarray]:
@@ -257,23 +248,27 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     workers = _workers(n_chunks)
 
     def fill(first: int) -> None:
+        # a bucket is below 2**53, so its uint64 bits are its intp value;
+        # the uint64 view is made once per worker, and the array methods
+        # below skip numpy's function wrappers
         bucket = np.empty(min(SLICE_WORDS, n_trials), dtype=np.intp)
+        as_uint = bucket.view(np.uint64)
         for chunk in range(first, n_chunks, workers):
             start = chunk * CHUNK_TRIALS
             for raw in _chunk_bits(seed, chunk, min(CHUNK_TRIALS, n_trials - start)):
-                ix = bucket[:raw.size]
-                # a bucket is below 2**53, so its uint64 bits are its intp value
-                np.right_shift(raw, shift, out=ix.view(np.uint64))
-                out = cells[start:start + raw.size]
+                stop = start + raw.size
+                ix, uix = bucket[:raw.size], as_uint[:raw.size]
+                np.right_shift(raw, shift, out=uix)
+                out = cells[start:stop]
                 # "clip" writes straight into out, where "raise" fills a copy
                 # first; every bucket is in range. The limits overwrite the
                 # buckets they are gathered by.
-                np.take(guide, ix, out=out, mode="clip")
-                np.take(limit, ix, out=ix.view(np.uint64), mode="clip")
-                miss = np.flatnonzero(ix.view(np.uint64) <= raw)
+                guide.take(ix, out=out, mode="clip")
+                limit.take(ix, out=uix, mode="clip")
+                miss = (uix <= raw).nonzero()[0]
                 if miss.size:
                     out[miss] = np.searchsorted(steps, raw[miss] >> _LOW_BITS, side="right")
-                start += raw.size
+                start = stop
                 del raw  # so the next slice is not drawn while these words are held
 
     if workers == 1:
@@ -291,7 +286,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
             for future in others:
                 future.result()
     cells.setflags(write=False)
-    return _unchecked(EventLog, space=joint.space, cells=cells)
+    return unchecked(EventLog, space=joint.space, cells=cells)
 
 
 def estimate_from_events(log: EventLog) -> JointDistribution:
@@ -314,4 +309,4 @@ def estimate_from_events(log: EventLog) -> JointDistribution:
     counts.setflags(write=False)
     p = counts / n
     p.setflags(write=False)
-    return _unchecked(JointDistribution, space=log.space, p=p, counts=counts, n_samples=n)
+    return unchecked(JointDistribution, space=log.space, p=p, counts=counts, n_samples=n)

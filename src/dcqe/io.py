@@ -264,6 +264,16 @@ def _words_at(words, at, count: int) -> list[np.ndarray]:
     return out
 
 
+def _plain_records(hits, kind, n: int):
+    """``_records``'s result read straight off the scan's ``hits``, of byte
+    values ``kind``, when its first ``4 * n`` are three commas and a
+    newline each, ``n`` > 0 being its newlines; else None."""
+    if 0 < 4 * n <= kind.size and (kind[:4 * n].view("<u4") == _PLAIN_RECORD).all():
+        first, second, _, ends = hits[:4 * n].reshape(n, 4).T
+        return np.concatenate(([len(_PAD)], ends[:-1] + 1)), ends, first, second, ends[-1] + 1
+    return None
+
+
 def _records(arr, last: bool, zeros: int):
     """``(starts, ends, first, second, rest)`` of the records in ``arr``, a padded block.
 
@@ -278,17 +288,26 @@ def _records(arr, last: bool, zeros: int):
     When the scan's first ``4 * n`` hits, ``n`` being its newlines, are
     three commas and a newline each, as ``write_event_log`` writes records,
     no record before the last newline holds a quote, CR or blank line, and
-    the records are read off the scan as it stands. The ``last`` block holds
+    the records are read off the scan as it stands. A block with no quote
+    and no CR whose other hits are label bytes (a space, a tab, ``!``,
+    ``#`` to ``+``) is read the same way once those hits are dropped, as
+    nothing but a comma or newline then separates. The ``last`` block holds
     no newline outside quotes, so it never takes this path.
     """
     hits = np.flatnonzero(arr <= ord(","))[len(_PAD):]  # less the leading zero bytes
     kind = arr[hits]
     is_end = kind == ord("\n")
     n = int(np.count_nonzero(is_end))
-    if 0 < 4 * n <= kind.size and (kind[:4 * n].view("<u4") == _PLAIN_RECORD).all():
-        first, second, _, ends = hits[:4 * n].reshape(n, 4).T
-        return np.concatenate(([len(_PAD)], ends[:-1] + 1)), ends, first, second, ends[-1] + 1
+    found = _plain_records(hits, kind, n)
+    if found is not None:
+        return found
     quotes = kind == ord('"')
+    if n and not quotes.any() and not (kind == ord("\r")).any():
+        # a NUL is kept, so a record that holds one is not plain
+        kept = np.flatnonzero(is_end | (kind == ord(",")) | (kind == 0))[:4 * n]
+        found = _plain_records(hits.take(kept), kind.take(kept), n)
+        if found is not None:
+            return found
     if quotes.any():
         is_end &= ~np.logical_xor.accumulate(quotes)
     if last:

@@ -52,6 +52,19 @@ NORMALIZATION_TOL = 1e-12
 MAX_SAMPLES = 2**51
 
 
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, every field in field order, made without ``__init__``. That
+    sets each field and runs any ``__post_init__``, and checks nothing
+    else: so a ``Verdict`` or an ``AuditReport``, which have no
+    ``__post_init__``, equals its constructor-made twin. For an
+    ``EventLog`` or a ``JointDistribution``, each caller states why its
+    fields would pass those checks and are kept there as they would be."""
+    made = object.__new__(cls)
+    vars(made).update(fields)
+    return made
+
+
 def check_int(value, what: str, least: int) -> int:
     """``value`` as an ``int`` when it is an integer (a numpy one too; a bool
     is not) of at least ``least``, else ``InvalidArgument`` naming ``what``."""

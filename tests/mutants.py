@@ -96,6 +96,11 @@ MUTANTS = (
     Mutant("g_test_int_products", AUDIT, "np.multiply(rows[:, None], columns, dtype=float)",
            "np.multiply(rows[:, None], columns)",
            ("tests/test_audit.py::TestGTest::test_totals_past_two_to_the_32_do_not_wrap",)),
+    # the pair indices _distinct keeps, keyed by the detectors a table
+    # declares instead of those with mass
+    Mutant("distinct_pairs_by_detected_count", AUDIT, "first, second = _pairs(len(observed))",
+           "first, second = _pairs(len(space.detected_indices))",
+           ("tests/test_audit.py::TestDistinctPairs::test_detector_counts_in_one_process",)),
     Mutant("audit_distinct_without_alpha", AUDIT,
            "distinct_conditionals=_distinct(joint, tol, alpha,",
            "distinct_conditionals=_distinct(joint, routing_tol, None,",

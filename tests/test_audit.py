@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dcqe import (
     AllMassLost,
     ArchitectureSpec,
+    AuditReport,
     DcqeError,
     InsufficientOutcomes,
     InvalidArgument,
@@ -19,6 +21,7 @@ from dcqe import (
     NegativeMass,
     NotNormalized,
     OutcomeSpace,
+    Verdict,
     audit,
     check_deterministic_routing,
     check_distinct_conditionals,
@@ -34,7 +37,7 @@ from dcqe import (
     sample_events,
 )
 from dcqe import LOSS
-from dcqe.audit import LOSSLESS_TOL, g_test, upper_gamma
+from dcqe.audit import ALL_CHECKS, LOSSLESS_TOL, g_test, upper_gamma
 from dcqe.io import audit_report_dict, write_json
 
 from oracles import (
@@ -887,3 +890,86 @@ class TestMatchesReference:
             ("equal conditionals", True), "AllMassLost", "InsufficientOutcomes",
         }
         assert expected <= seen, expected - seen
+
+
+def constructed_twin(made):
+    """A verdict or report made again by its constructor from ``made``'s
+    fields, the verdicts of a report too."""
+    fields = {f.name: getattr(made, f.name) for f in dataclasses.fields(made)}
+    if isinstance(made, AuditReport):
+        fields.update((check, constructed_twin(fields[check])) for check in ALL_CHECKS)
+    return type(made)(**fields)
+
+
+class TestByConstruction:
+    """``audit`` makes its verdicts and report without their constructors,
+    which check nothing; each is the same object as its constructor-made twin."""
+
+    @staticmethod
+    def made_objects():
+        for n in (None, 10**3):
+            for joint, tol, alpha in paper_tables(n):
+                reports = [audit(joint, tol), audit(joint)]
+                if alpha is not None:
+                    reports.append(audit(joint, alpha=alpha))
+                    yield check_independence(joint, alpha=alpha)
+                    yield check_distinct_conditionals(joint, alpha=alpha)
+                for report in reports:
+                    yield report
+                    yield from report.verdicts
+                yield check_lossless(joint)
+                yield check_deterministic_routing(joint, tol)
+
+    def test_made_objects_equal_their_constructed_twins(self):
+        seen = set()
+        for made in self.made_objects():
+            twin = constructed_twin(made)
+            seen.add(type(made))
+            assert made == twin and repr(made) == repr(twin)
+            assert vars(made) == vars(twin) and list(vars(made)) == list(vars(twin))
+            assert dataclasses.asdict(made) == dataclasses.asdict(twin)
+            assert made.as_dict() == twin.as_dict()
+            assert dataclasses.replace(made) == twin
+            moved = dataclasses.replace(made, tolerance=0.5)
+            assert moved == dataclasses.replace(twin, tolerance=0.5) and moved != made
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                made.tolerance = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del made.tolerance
+        assert seen == {Verdict, AuditReport}
+
+    def test_a_verdict_without_detail_has_its_own_empty_one(self):
+        a, b = (check_lossless(_paper_table("polarization")) for _ in range(2))
+        assert a.detail == {} and a.detail is not b.detail
+        assert a == Verdict(a.check, a.holds, a.statistic, a.tolerance)
+
+
+def detector_count_tables():
+    """Sampled tables with 2, 3 and 4 observed detectors, some beside a
+    detector without mass, in an order that revisits each count."""
+    rng = np.random.default_rng(7)
+    layouts = [(2, None), (3, None), (4, None), (4, 1), (3, None), (3, 0), (2, None), (4, 3)]
+    for n_det, massless in layouts:
+        detectors = tuple(f"D{k}" for k in range(n_det))
+        space = OutcomeSpace(8, ("c0", "c1", "c2"), detectors + (LOSS,))
+        w = rng.random(space.shape)
+        if massless is not None:
+            w[:, :, massless] = 0.0
+        counts = rng.multinomial(2000, (w / w.sum()).reshape(-1)).reshape(space.shape)
+        yield JointDistribution(space, counts=counts)
+
+
+class TestDistinctPairs:
+    """``_distinct`` keeps its pair indices per count of observed detectors."""
+
+    def test_detector_counts_in_one_process(self):
+        for k, joint in enumerate(detector_count_tables()):
+            p, d_values, counts = joint.p, joint.space.d_values, joint.counts
+            calls = [
+                (lambda: check_distinct_conditionals(joint, 0.02).as_dict(),
+                 lambda: reference_distinct(p, d_values, 0.02)),
+                (lambda: check_distinct_conditionals(joint, alpha=1e-6).as_dict(),
+                 lambda: reference_distinct(p, d_values, None, 1e-6, counts, g_test)),
+            ]
+            for call, reference in calls:
+                assert outcome(call) == outcome(reference), k

@@ -474,6 +474,67 @@ class TestEventReaderBlocks:
         with pytest.raises(ValueError, match="event row 6 "):
             read_event_log(path)
 
+    SPACED_TEXT = (
+        b"trial,x,c,d\n0,1,c 1,D erase\n1,0,c\t2,D preserve\n2,3,c 1,#$%&'()*+\n"
+        b"3,2,! !,D erase\n\n4,1,c\t2,LOSS\n5,0,c 1,D preserve\n"
+    )
+
+    @pytest.mark.parametrize("block_bytes", [1, 3, 7, 12, 1000])
+    def test_label_bytes_without_quotes_or_crs(self, tmp_path, monkeypatch, block_bytes):
+        # with no quote or CR, spaces, tabs, "!" and "#" to "+" are dropped
+        # from the scan and the records are read as plain ones
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.SPACED_TEXT)
+        whole = read_event_log(path)
+        assert whole.space.c_values == ("! !", "c\t2", "c 1")
+        assert whole.space.d_values == ("#$%&'()*+", "D erase", "D preserve", LOSS)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        assert_reads_like_reference(path)
+        assert np.array_equal(read_event_log(path).cells, whole.cells)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param(b"6,1,c 1,D erase,x", "malformed event row ", id="5-fields"),
+            pytest.param(b"6,1,c 1", "malformed event row ", id="3-fields"),
+            pytest.param(b"6,\t1,c 1,D erase", "event row 7 ", id="tab-in-bin"),
+            pytest.param(b"6, 1,c 1,D erase", "event row 7 ", id="space-in-bin"),
+            pytest.param(b"6,1,c\x001,D erase", "event row 7 ", id="nul-label"),
+            pytest.param(b"5,1,c 1,D erase", "strictly increasing", id="repeated-trial"),
+        ],
+    )
+    @pytest.mark.parametrize("block_bytes", [5, 1 << 18])
+    def test_label_bytes_beside_a_malformed_row(
+        self, tmp_path, monkeypatch, row, message, block_bytes
+    ):
+        path = tmp_path / "events.csv"
+        path.write_bytes(self.SPACED_TEXT + row + b"\n7,0,c 1,D erase\n")
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+        with pytest.raises(ValueError, match=message):
+            read_event_log(path)
+
+    def test_spaced_labels_are_read_off_the_plain_scan(self, tmp_path, monkeypatch):
+        space = OutcomeSpace(64, ("erase", "preserve"), ("D erase", "D preserve", LOSS))
+        log = sample_events(JointDistribution(space, np.full(space.shape, 1 / 384)), 50_000, 3)
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        records, plain_records = dcqe.io._records, dcqe.io._plain_records
+        found, plain = [], []
+
+        def spied_records(*args):
+            found.append(records(*args))
+            return found[-1]
+
+        def spied_plain_records(*args):
+            plain.append(plain_records(*args))
+            return plain[-1]
+
+        monkeypatch.setattr(dcqe.io, "_records", spied_records)
+        monkeypatch.setattr(dcqe.io, "_plain_records", spied_plain_records)
+        assert read_event_log(path) == log
+        assert len(found) >= 3
+        assert all(any(block is p for p in plain) for block in found)
+
     @pytest.mark.parametrize("block_bytes", [16, 1 << 18])
     def test_fields_of_every_width(self, tmp_path, monkeypatch, block_bytes):
         # integers are read eight digits at a time: 1 to 19 digits, signed

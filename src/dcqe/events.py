@@ -18,9 +18,9 @@ the cells are the same to the bit on any number of threads, and CPU
 affinity (e.g. ``taskset -c 0``) is the only control. A guide table (Chen &
 Asau 1974; Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search
 of ``Generator.random``'s doubles would, working in integers on the raw words
-those doubles are made from. A table's sampling plan (the cdf as integer
-steps, the guide and its limits) is built once per table object and guide
-size, and kept on it.
+those doubles are made from and searching only draws from the buckets that
+hold a cdf step. A table's sampling plan (the cdf as integer steps and the
+guide) is built once per table object and guide size, and kept on it.
 """
 
 from __future__ import annotations
@@ -151,20 +151,23 @@ def _bucket_bits(n_cells: int, n_trials: int) -> int:
 def _sampling_plan(p: np.ndarray, bits: int, dtype: np.dtype) -> tuple:
     """How ``sample_events`` inverts the flat masses ``p`` with a guide of
     K = 2**bits buckets: ``steps``, ``min(ceil(cumsum(p) * 2**53), 2**53)``
-    and 2**53 from the last cell with mass on, as uint64; the guide as
-    ``dtype``, ``guide[b]`` counting the steps <= b * 2**53 / K; per bucket
-    the raw word at and above which its guess is wrong,
-    ``min(steps[guide[b]], 2**53 - 1) << 11``; and the bucket shift."""
+    and 2**53 from the last cell with mass on, as uint64; the ``dtype``
+    guide, the sentinel in each impure bucket; the sentinel; the shift."""
     k = 1 << bits
     # ceil(cdf * 2**53) is exact, as scaling by a power of two is
     steps = np.minimum(np.ceil(np.cumsum(p) * _TWO53), _TWO53).astype(np.int64)
     steps[np.flatnonzero(p)[-1]:] = 2**53
-    # guide[b] counts the steps with ceil(steps / 2**drop) <= b, as K
-    # divides 2**53
+    # guide[b] counts the steps <= b << drop, those with ends <= b, as K divides 2**53
     drop = 53 - bits
-    guide = np.cumsum(np.bincount((steps + ((1 << drop) - 1)) >> drop, minlength=k + 1)[:k])
-    limit = np.minimum(steps, 2**53 - 1).astype(np.uint64)[guide] << _LOW_BITS
-    return steps.view(np.uint64), guide.astype(dtype), limit, np.uint64(64 - bits)
+    ends = (steps + ((1 << drop) - 1)) >> drop
+    guide = np.cumsum(np.bincount(ends, minlength=k + 1)[:k])
+    # bucket b is impure when a step j lies strictly inside it: b = ends[j] - 1
+    impure = ends[steps < ends << drop] - 1
+    sentinel = p.size
+    if sentinel > np.iinfo(dtype).max:  # every value of the dtype is a cell
+        sentinel = int(np.bincount(np.delete(guide, impure), minlength=p.size).argmin())
+    guide[impure] = sentinel
+    return steps.view(np.uint64), guide.astype(dtype), dtype.type(sentinel), np.uint64(64 - bits)
 
 
 def _workers(n_chunks: int) -> int:
@@ -194,12 +197,14 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     The guide has K buckets, K the least power of two >= 4 * cells, grown
     toward n_trials / 4 but never past the least one >= 32 * cells, so
     longer runs search less and the tables stay small beside the draws. A
-    draw's bucket is ``r >> (64 - log2 K)``, which is ``floor(u * K)``; its
-    guess ``guide[bucket]`` counts the steps at most ``bucket * 2**53 / K
-    <= R``, so it is wrong iff R reaches ``steps[guess]``, that is iff r
-    reaches ``steps[guess] << 11``, a limit capped at ``(2**53 - 1) << 11``
-    to fit 64 bits, which only adds a search. Only wrong guesses are
-    searched, so the cells are the sorted search's to the bit, for every K.
+    draw's bucket b is ``r >> (64 - log2 K)``, which is ``floor(u * K)``:
+    R is in [b * 2**53 / K, (b + 1) * 2**53 / K). The count g of steps at
+    most b's start has ``steps[g - 1] <= R``, so g is the cell of every R
+    in b when ``steps[g]`` is at least b's end; then b is pure, and
+    ``guide[b]`` is g. Any other bucket holds a step and has the sentinel,
+    the value the fewest pure buckets hold (``p.size`` if the cell dtype
+    has room). A draw is one gather, and only draws given the sentinel are
+    searched: the cells are the sorted search's to the bit, for every K.
 
     Every cell j written has ``steps[j - 1] <= R < steps[j]`` (reading
     ``steps[-1]`` as 0). The steps never fall, as masses are nonnegative,
@@ -211,13 +216,13 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     validated, and its plan built, on its first call for a K; the plan is
     kept on the table object, so later calls on it skip that set-up. A first
     call at n = 1e5 builds the largest guide, 32 * cells buckets: on the
-    paper tables that set-up, validation included, takes ~80-100 µs, ~35 µs
-    more than a 4,096-bucket guide's. A table that fails validation keeps
+    paper tables that set-up, validation included, takes ~75-95 µs, ~20-40
+    µs more than a 4,096-bucket guide's. A table that fails validation keeps
     none, so it raises on every call.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one
-    slice's words, buckets and miss mask: the calling thread and W - 1
+    slice's words, buckets and sentinel mask: the calling thread and W - 1
     threads of a pool that lives for the call. W is the number of CPUs in
     the process's affinity mask (``taskset`` sets it), capped so that each
     worker has at least four chunks, so below eight chunks the calling
@@ -243,31 +248,26 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     if bits not in plans:
         validate(joint)
         plans[bits] = _sampling_plan(joint.p.reshape(-1), bits, cells.dtype)
-    steps, guide, limit, shift = plans[bits]
+    steps, guide, sentinel, shift = plans[bits]
     n_chunks = -(-n_trials // CHUNK_TRIALS)
     workers = _workers(n_chunks)
 
     def fill(first: int) -> None:
-        # a bucket is below 2**53, so its uint64 bits are its intp value;
-        # the uint64 view is made once per worker, and the array methods
-        # below skip numpy's function wrappers
+        # a bucket's uint64 bits are its intp value, as it is below 2**53;
+        # the view is made once per worker, and array methods skip wrappers
         bucket = np.empty(min(SLICE_WORDS, n_trials), dtype=np.intp)
         as_uint = bucket.view(np.uint64)
         for chunk in range(first, n_chunks, workers):
             start = chunk * CHUNK_TRIALS
             for raw in _chunk_bits(seed, chunk, min(CHUNK_TRIALS, n_trials - start)):
                 stop = start + raw.size
-                ix, uix = bucket[:raw.size], as_uint[:raw.size]
-                np.right_shift(raw, shift, out=uix)
+                np.right_shift(raw, shift, out=as_uint[:raw.size])
                 out = cells[start:stop]
-                # "clip" writes straight into out, where "raise" fills a copy
-                # first; every bucket is in range. The limits overwrite the
-                # buckets they are gathered by.
-                guide.take(ix, out=out, mode="clip")
-                limit.take(ix, out=uix, mode="clip")
-                miss = (uix <= raw).nonzero()[0]
-                if miss.size:
-                    out[miss] = np.searchsorted(steps, raw[miss] >> _LOW_BITS, side="right")
+                # "clip" writes into out, where "raise" fills a copy first; every bucket is in range
+                guide.take(bucket[:raw.size], out=out, mode="clip")
+                flagged = (out == sentinel).nonzero()[0]
+                if flagged.size:
+                    out[flagged] = np.searchsorted(steps, raw[flagged] >> _LOW_BITS, side="right")
                 start = stop
                 del raw  # so the next slice is not drawn while these words are held
 

@@ -53,7 +53,7 @@ MUTANTS = (
     # ends below 1.0 sends the top draws one past the last cell; set on the
     # last cell alone, they go to a trailing cell without mass; uncapped,
     # the steps of a cumsum that passes 1.0 are not sorted; and a search to
-    # the left puts a word at a step in the cell before it
+    # the left puts a flagged word at a step in the cell before it
     Mutant("cdf_end_not_one", EVENTS, "    steps[np.flatnonzero(p)[-1]:] = 2**53\n", "",
            (f"{SAMPLER}::test_extreme_words_give_cells_in_range",)),
     Mutant("end_rule_on_the_last_cell", EVENTS, "steps[np.flatnonzero(p)[-1]:]", "steps[-1:]",
@@ -61,9 +61,14 @@ MUTANTS = (
     Mutant("steps_uncapped", EVENTS, "np.minimum(np.ceil(np.cumsum(p) * _TWO53), _TWO53)",
            "np.ceil(np.cumsum(p) * _TWO53)",
            (f"{SAMPLER}::test_guide_bins_from_integer_steps[passes_one_before_mass]",)),
-    Mutant("miss_search_left", EVENTS, 'raw[miss] >> _LOW_BITS, side="right")',
-           'raw[miss] >> _LOW_BITS, side="left")',
+    Mutant("miss_search_left", EVENTS, 'raw[flagged] >> _LOW_BITS, side="right")',
+           'raw[flagged] >> _LOW_BITS, side="left")',
            (f"{SAMPLER}::test_cdf_steps_on_both_sides_of_slice_edges",)),
+    # purity tested against a bucket's start instead of its end flags no
+    # bucket, so a draw past a step inside its bucket keeps the guess
+    Mutant("pure_bucket_at_its_start", EVENTS, "impure = ends[steps < ends << drop] - 1",
+           "impure = ends[steps < (ends - 1) << drop] - 1",
+           (f"{SAMPLER}::test_inversion_at_cdf_values_and_bucket_edges",)),
     # the alpha path's structural zeros, read from mass instead of counts,
     # let 1e-12 * n events stray or be lost (ROADMAP item 2's large-n hole)
     Mutant("alpha_routing_by_mass", AUDIT, "holds = int(reached.max()) <= 1",

@@ -293,9 +293,9 @@ class TestSampleEvents:
         assert log.cells.itemsize == 2
         return peak, log.cells.nbytes
 
-    #: A worker's scratch: a slice's raw words, its bucket indices (which the
-    #: gathered limits overwrite) and its miss mask, with one more slice of
-    #: words' room for the tables and small objects.
+    #: A worker's scratch: a slice's raw words, its bucket indices and the
+    #: mask of its draws given the sentinel, with one more slice of words'
+    #: room for the flagged draws, the tables and small objects.
     SLICE_SCRATCH = 4 * SLICE_WORDS * 8 + 64 * 1024
 
     def test_memory_is_the_cells_and_one_slice(self):
@@ -402,6 +402,34 @@ def words_near(values):
 
 
 SEARCHSORTED = np.searchsorted
+
+
+def bucket_cells(cdf, bits):
+    """The sorted search's cells for the least and the greatest uniform of
+    each of 2**bits buckets; a bucket holds a cdf step iff they differ."""
+    first = np.arange(1 << bits) / (1 << bits)
+    last = first + (2.0 ** (53 - bits) - 1) * 2.0**-53
+    return SEARCHSORTED(cdf, first, side="right"), SEARCHSORTED(cdf, last, side="right")
+
+
+def random_table(rng):
+    """A random valid table with zero cells at the start, in the middle and
+    at the end, whose cumsum ends short of 1.0 or passes it (before the last
+    cell with mass, too)."""
+    space = OutcomeSpace(int(rng.integers(2, 5)), ("a", "b", "c")[:rng.integers(2, 4)],
+                         ("D1", "D2", "LOSS")[:rng.integers(1, 4)])
+    p = rng.random(space.shape).reshape(-1) ** 3
+    p[rng.random(p.size) < 0.3] = 0.0
+    p[:rng.integers(3)] = 0.0
+    p[p.size - rng.integers(1, 3):] = 0.0
+    p[rng.integers(p.size - 2)] += 0.1
+    p /= p.sum()
+    # a shortfall or an excess within the normalization tolerance, and
+    # maybe a cell of 1e-13 after the last one with mass
+    p[p.argmax()] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-14, 8e-13)
+    if rng.random() < 0.3:
+        p[-1] = 1e-13
+    return JointDistribution(space, p.reshape(space.shape))
 
 
 def searched_values(monkeypatch):
@@ -568,29 +596,30 @@ class TestSamplerIsBitIdentical:
             searched.clear()
             cells = inverted(joint, words, monkeypatch)
             # the run's guide has exactly the buckets whose edges are fed
-            assert used.pop() == buckets.bit_length() - 1
-            u = uniforms_of(words)
-            assert np.array_equal(cells, SEARCHSORTED(cdf, u, side="right"))
-            # only wrong guesses are searched, as integers r >> 11, and the
-            # top draw when the guess's cdf is 1.0, whose limit is capped
-            guess = SEARCHSORTED(cdf, np.floor(u * buckets) / buckets, side="right")
-            wrong = u >= np.minimum(cdf[guess], 1.0 - 2.0**-53)
-            assert np.array_equal(np.sort(searched), np.sort(words[wrong] >> np.uint64(11)))
+            bits = used.pop()
+            assert bits == buckets.bit_length() - 1
+            assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
+            # only draws from buckets that hold a cdf step are searched, as
+            # integers r >> 11, on every paper table, as the sentinel is a
+            # cell no pure bucket guesses, if not the cell count
+            first, last = bucket_cells(cdf, bits)
+            flagged = (first != last)[(words >> np.uint64(64 - bits)).astype(np.intp)]
+            assert np.array_equal(np.sort(searched), np.sort(words[flagged] >> np.uint64(11)))
 
-    def test_a_cdf_of_one_reaches_the_capped_limit(self, monkeypatch):
-        # the last bucket guesses the last cell, whose cdf is exactly 1.0
-        cap = (2**53 - 1) << 11
-        words = np.array([cap - 1, cap, 2**64 - 1], dtype=np.uint64)
+    def test_a_cdf_of_one_ends_a_pure_last_bucket(self, monkeypatch):
+        # the last bucket guesses the last cell, whose step 2**53 is the
+        # bucket's end, so even the top words keep the guess unsearched
+        top = (2**53 - 1) << 11
+        words = np.array([top - 1, top, 2**64 - 1], dtype=np.uint64)
         searched = searched_values(monkeypatch)
         assert inverted(uniform_222(), words, monkeypatch).tolist() == [7, 7, 7]
-        # a word below the cap keeps its guess; the cap and above are searched
-        assert searched == (words[1:] >> np.uint64(11)).tolist()
+        assert searched == []
 
     @pytest.mark.parametrize("name", sorted(sampler_tables()) + sorted(unrounded_tables()))
     def test_extreme_words_give_cells_in_range(self, name, monkeypatch):
         """A log is made without EventLog's range check, so every word, the
-        extremes and both sides of every guide limit and bucket edge
-        included, must give the sorted search's cell, below the cell count."""
+        extremes and both sides of every cdf step and bucket edge included,
+        must give the sorted search's cell, below the cell count."""
         joint = {**sampler_tables(), **unrounded_tables()}[name]
         ends = np.cumsum(joint.p.reshape(-1))[-2:]
         if name == "passes_one":
@@ -598,12 +627,11 @@ class TestSamplerIsBitIdentical:
         if name == "ends_short":
             assert ends[-1] < 1.0
         cdf = table_cdf(joint)
-        pieces = [np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)]
+        pieces = [np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64), words_near(cdf)]
         for n_trials in (1, 10**9):
             bits = dcqe.events._bucket_bits(cdf.size, n_trials)
-            limit = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.intp)[2]
             edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
-            pieces += [limit, limit - np.uint64(1), edges, edges - np.uint64(1)]
+            pieces += [edges, edges - np.uint64(1)]
         words = np.unique(np.concatenate(pieces))
         assert words.size < CHUNK_TRIALS
         cells = inverted(joint, words, monkeypatch)
@@ -624,33 +652,18 @@ class TestSamplerIsBitIdentical:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_every_guide_size_gives_the_searched_cell_with_mass(self, seed):
-        """On random valid tables with zero cells at the start, in the middle
-        and at the end, whose cumsum ends short of 1.0 or passes it (before
-        the last cell with mass, too), every guide size the bucket rule can
-        give inverts the words at and beside each limit, bucket edge and cdf
-        step, and the extremes, as the sorted search does, to cells with mass."""
-        rng = np.random.default_rng(seed)
-        space = OutcomeSpace(int(rng.integers(2, 5)), ("a", "b", "c")[:rng.integers(2, 4)],
-                             ("D1", "D2", "LOSS")[:rng.integers(1, 4)])
-        p = rng.random(space.shape).reshape(-1) ** 3
-        p[rng.random(p.size) < 0.3] = 0.0
-        p[:rng.integers(3)] = 0.0
-        p[p.size - rng.integers(1, 3):] = 0.0
-        p[rng.integers(p.size - 2)] += 0.1
-        p /= p.sum()
-        # a shortfall or an excess within the normalization tolerance, and
-        # maybe a cell of 1e-13 after the last one with mass
-        p[p.argmax()] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-14, 8e-13)
-        if rng.random() < 0.3:
-            p[-1] = 1e-13
-        joint = JointDistribution(space, p.reshape(space.shape))
+        """On random valid tables (``random_table``), every guide size the
+        bucket rule can give inverts the words at and beside each bucket edge
+        and cdf step, and the extremes, as the sorted search does, to cells
+        with mass."""
+        joint = random_table(np.random.default_rng(seed))
+        p = joint.p.reshape(-1)
         cdf = table_cdf(joint)
         least = dcqe.events._bucket_bits(p.size, 1)
         for bits in range(least, least + 4):
-            limit = dcqe.events._sampling_plan(p, bits, np.intp)[2]
             edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
             words = np.unique(np.concatenate([
-                limit, limit - np.uint64(1), edges, edges - np.uint64(1), words_near(cdf),
+                edges, edges - np.uint64(1), words_near(cdf),
                 np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
             ]))
             with pytest.MonkeyPatch.context() as patch:
@@ -658,6 +671,63 @@ class TestSamplerIsBitIdentical:
                 cells = inverted(joint, words, patch)
             assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
             assert np.all(p[cells] > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_pure_buckets_keep_their_entry_and_only_sentinel_draws_are_searched(self, seed):
+        """On random valid tables, at every guide size the bucket rule can
+        give, each bucket whose entry is not the sentinel gets that entry
+        from the sorted search over its whole word range; the others are
+        exactly the buckets that hold a cdf step; and of random words and
+        those at and beside each bucket edge and cdf step, only the ones
+        given the sentinel are searched."""
+        rng = np.random.default_rng(seed)
+        joint = random_table(rng)
+        p = joint.p.reshape(-1)
+        cdf = table_cdf(joint)
+        least = dcqe.events._bucket_bits(p.size, 1)
+        for bits in range(least, least + 4):
+            _, guide, sentinel, _ = dcqe.events._sampling_plan(p, bits, cell_dtype(p.size))
+            # the cell dtype has room past the last cell
+            assert sentinel == p.size and sentinel.dtype == guide.dtype
+            first, last = bucket_cells(cdf, bits)
+            kept = guide != sentinel
+            assert np.array_equal(guide[kept], first[kept]) and np.array_equal(guide[kept], last[kept])
+            assert np.array_equal(~kept, first != last)
+            edges = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+            words = np.concatenate([
+                edges, edges - np.uint64(1), words_near(cdf),
+                rng.integers(0, 2**64, size=1000, dtype=np.uint64),
+            ])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dcqe.events, "_bucket_bits", lambda n_cells, n_trials: bits)
+                searched = searched_values(patch)
+                cells = inverted(joint, words, patch)
+            assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
+            flagged = ~kept[(words >> np.uint64(64 - bits)).astype(np.intp)]
+            assert np.array_equal(np.sort(searched), np.sort(words[flagged] >> np.uint64(11)))
+
+    def test_a_full_dtype_takes_the_cell_fewest_pure_buckets_guess(self, monkeypatch):
+        # 256 cells fill uint8, so the sentinel is a cell, here one that
+        # pure buckets guess too: draws from those are searched as well
+        space = OutcomeSpace(64, ("a", "b"), ("D1", "D2"))
+        p = np.ones(256)
+        p[37] = 0.6
+        joint = JointDistribution(space, (p / p.sum()).reshape(space.shape))
+        assert np.array_equal(sample_events(joint, N_TAIL, 4).cells, reference_cells(joint, N_TAIL, 4))
+        cdf = table_cdf(joint)
+        words = np.random.default_rng(3).integers(0, 2**64, size=3 * SLICE_WORDS, dtype=np.uint64)
+        bits = dcqe.events._bucket_bits(256, words.size)
+        _, guide, sentinel, _ = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.dtype(np.uint8))
+        first, last = bucket_cells(cdf, bits)
+        held = np.bincount(first[first == last], minlength=256)
+        assert sentinel == held.argmin() == 37 and held[37] > 0 and sentinel.dtype == np.uint8
+        assert np.array_equal(guide == sentinel, (first != last) | (first == 37))
+        searched = searched_values(monkeypatch)
+        cells = inverted(joint, words, monkeypatch)
+        assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
+        flagged = (guide == sentinel)[(words >> np.uint64(64 - bits)).astype(np.intp)]
+        assert sorted(searched) == sorted((words[flagged] >> np.uint64(11)).tolist())
 
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()
@@ -696,14 +766,16 @@ class TestSamplerIsBitIdentical:
         least = dcqe.events._bucket_bits(cdf.size, 1)
         # the least bucket count and the largest the bucket rule gives
         for bits in (least, dcqe.events._bucket_bits(cdf.size, 2**62)):
-            buckets = 1 << bits
-            steps, guide, limit, shift = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.intp)
+            steps, guide, sentinel, shift = dcqe.events._sampling_plan(joint.p.reshape(-1), bits, np.dtype(np.intp))
             # sorted, as searchsorted needs, and at most 2**53
             assert steps.dtype == np.uint64 and np.array_equal(steps, np.ceil(cdf * 2.0**53))
             assert np.all(steps[1:] >= steps[:-1]) and int(steps[-1]) == 2**53
-            assert np.array_equal(guide, SEARCHSORTED(cdf, np.arange(buckets) / buckets, side="right"))
-            capped = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53 - 1).astype(np.uint64)
-            assert np.array_equal(limit, capped[guide] << np.uint64(11))
+            # a bucket without a cdf step inside keeps the sorted search's
+            # cell for its start, and one with a step has the sentinel, no cell
+            first, last = bucket_cells(cdf, bits)
+            pure = first == last
+            assert np.array_equal(guide[pure], first[pure]) and np.all(guide[~pure] == sentinel)
+            assert sentinel == cdf.size and sentinel.dtype == np.intp
             assert shift == 64 - bits
 
     @pytest.mark.parametrize("n_cells, n_trials, buckets", [
@@ -720,8 +792,8 @@ class TestSamplerIsBitIdentical:
 
 
 class TestSamplingPlan:
-    """A table's steps, guide and limits are built on its first call for each
-    guide size and kept on the table object."""
+    """A table's steps and guide are built on its first call for each guide
+    size and kept on the table object."""
 
     #: kim runs at each of its four guide sizes, the least and the largest
     #: twice, the largest being the one every n >= 2**16 gets, on and off

@@ -165,7 +165,9 @@ def _sampling_plan(p: np.ndarray, bits: int, dtype: np.dtype) -> tuple:
     impure = ends[steps < ends << drop] - 1
     sentinel = p.size
     if sentinel > np.iinfo(dtype).max:  # every value of the dtype is a cell
-        sentinel = int(np.bincount(np.delete(guide, impure), minlength=p.size).argmin())
+        # the pure buckets guessing cell j: its ends[j] - ends[j - 1], less its impure ones
+        held = np.diff(ends, prepend=0) - np.bincount(guide[np.unique(impure)], minlength=p.size)
+        sentinel = int(held.argmin())
     guide[impure] = sentinel
     return steps.view(np.uint64), guide.astype(dtype), dtype.type(sentinel), np.uint64(64 - bits)
 
@@ -212,13 +214,11 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     cell with mass on. So j has mass and is at most that cell, below the
     cell count. Cells are written straight into an array of the log's
     ``cell_dtype``, owned and then made read-only, and the log is made
-    without ``EventLog``'s checks, which it passes as shown. The table is
-    validated, and its plan built, on its first call for a K; the plan is
-    kept on the table object, so later calls on it skip that set-up. A first
-    call at n = 1e5 builds the largest guide, 32 * cells buckets: on the
-    paper tables that set-up, validation included, takes ~75-95 µs, ~20-40
-    µs more than a 4,096-bucket guide's. A table that fails validation keeps
-    none, so it raises on every call.
+    without ``EventLog``'s checks, which it passes as shown. The plan is
+    built, and the table validated, on the first call for a K and kept on
+    the table object; a table that fails validation keeps none, so raises on
+    every call. On the paper tables the largest guide, 32 * cells buckets
+    from n = 1e5, takes ~60-80 µs with validation, ~10-40 µs more than 4,096.
 
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one

@@ -192,6 +192,8 @@ _BLOCK_BYTES = 1 << 18
 #: Label tails up to this many 8-byte words are coded in array passes;
 #: longer ones are looked up one record at a time.
 _TAIL_WORDS = 8
+#: A label tail's slot is the top this many bits of its key.
+_SLOT_BITS = 12
 
 _PAD = bytes(8)
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -264,16 +266,6 @@ def _words_at(words, at, count: int) -> list[np.ndarray]:
     return out
 
 
-def _plain_records(hits, kind, n: int):
-    """``_records``'s result read straight off the scan's ``hits``, of byte
-    values ``kind``, when its first ``4 * n`` are three commas and a
-    newline each, ``n`` > 0 being its newlines; else None."""
-    if 0 < 4 * n <= kind.size and (kind[:4 * n].view("<u4") == _PLAIN_RECORD).all():
-        first, second, _, ends = hits[:4 * n].reshape(n, 4).T
-        return np.concatenate(([len(_PAD)], ends[:-1] + 1)), ends, first, second, ends[-1] + 1
-    return None
-
-
 def _records(arr, last: bool, zeros: int):
     """``(starts, ends, first, second, rest)`` of the records in ``arr``, a padded block.
 
@@ -285,29 +277,21 @@ def _records(arr, last: bool, zeros: int):
     its first and second comma, or its end. The records end where the bytes
     ``arr[rest:]`` that are carried over begin. None if no record ends.
 
-    When the scan's first ``4 * n`` hits, ``n`` being its newlines, are
+    When the scan's first ``4 * n`` hits, ``n`` > 0 being its newlines, are
     three commas and a newline each, as ``write_event_log`` writes records,
-    no record before the last newline holds a quote, CR or blank line, and
-    the records are read off the scan as it stands. A block with no quote
-    and no CR whose other hits are label bytes (a space, a tab, ``!``,
-    ``#`` to ``+``) is read the same way once those hits are dropped, as
-    nothing but a comma or newline then separates. The ``last`` block holds
-    no newline outside quotes, so it never takes this path.
+    no record before the last newline holds a quote, CR, blank line or other
+    byte up to ``,``, and the records are read off the scan as it stands.
+    Every other block takes the parity path; so does the ``last``, which
+    holds no newline outside quotes.
     """
     hits = np.flatnonzero(arr <= ord(","))[len(_PAD):]  # less the leading zero bytes
     kind = arr[hits]
     is_end = kind == ord("\n")
     n = int(np.count_nonzero(is_end))
-    found = _plain_records(hits, kind, n)
-    if found is not None:
-        return found
+    if 0 < 4 * n <= kind.size and (kind[:4 * n].view("<u4") == _PLAIN_RECORD).all():
+        first, second, _, ends = hits[:4 * n].reshape(n, 4).T
+        return np.concatenate(([len(_PAD)], ends[:-1] + 1)), ends, first, second, ends[-1] + 1
     quotes = kind == ord('"')
-    if n and not quotes.any() and not (kind == ord("\r")).any():
-        # a NUL is kept, so a record that holds one is not plain
-        kept = np.flatnonzero(is_end | (kind == ord(",")) | (kind == 0))[:4 * n]
-        found = _plain_records(hits.take(kept), kind.take(kept), n)
-        if found is not None:
-            return found
     if quotes.any():
         is_end &= ~np.logical_xor.accumulate(quotes)
     if last:
@@ -414,13 +398,13 @@ def _decode_ints(buf, words, starts, stops):
 class _LabelCodes:
     """Pair codes for ``c,d`` tails, each distinct tail decoded once.
 
-    A block's tails of up to ``_TAIL_WORDS`` words are coded in array
-    passes: a tail's key is a multiplicative hash of its length and its
-    words, and a record stands for each of 256 slots, one per top byte of
-    the key. A record whose length and words are its slot's record's takes
-    that record's code. The others, in a slot shared with another tail, are
-    grouped by key and coded the same way; what still fails the check, a
-    hash collision or a longer tail, is decoded one record at a time.
+    A block's tails are coded in array passes: a tail's key is a
+    multiplicative hash of its length and its first ``_TAIL_WORDS`` words,
+    and a record stands for each of the ``2 ** _SLOT_BITS`` slots, one per
+    top ``_SLOT_BITS`` bits of the key. A record whose length and words are
+    its slot's record's takes that record's code. Any other, in a slot
+    shared with another tail or too long for its words, is looked up one
+    record at a time by ``code``.
     """
 
     def __init__(self):
@@ -436,21 +420,6 @@ class _LabelCodes:
             self._by_tail[tail] = code
         return code
 
-    def _grouped(self, buf, starts, lengths, columns, group, n_groups):
-        """Codes of records grouped by ``group``, ints below ``n_groups``, and a
-        mask of the records whose tail is that of their group's record."""
-        stand_in = np.full(n_groups, -1, dtype=np.intp)
-        # any one record stands for its group
-        stand_in[group] = np.arange(group.size)
-        used = np.flatnonzero(stand_in >= 0)
-        table = np.zeros(n_groups, dtype=np.int32)
-        table[used] = [self.code(buf[starts[i]:starts[i] + lengths[i]]) for i in stand_in[used]]
-        stand_in = stand_in[group]
-        hit = lengths == lengths[stand_in]
-        for column in columns:
-            hit &= column == column[stand_in]
-        return table[group], hit
-
     def codes(self, buf, words, starts, stops) -> np.ndarray:
         """Pair codes of the tails ``buf[start:stop]``; -1 marks malformed ones."""
         lengths = stops - starts
@@ -462,21 +431,23 @@ class _LabelCodes:
             # word j holds up to 8 of the tail's bytes and none past it
             if 8 * (j + 1) > shortest:
                 column &= np.take(_LOW_BYTES, lengths - 8 * j, mode="clip")
-            # each word, the last too, is multiplied up into the slot's top byte
+            # each word, the last too, is multiplied up into the slot's top bits
             key = (key + column) * _HASH_MULTIPLIER
-        codes, hit = self._grouped(
-            buf, starts, lengths, columns, (key >> np.uint64(56)).astype(np.intp), 256
-        )
+        slot = (key >> np.uint64(64 - _SLOT_BITS)).astype(np.intp)
+        stand_in = np.full(1 << _SLOT_BITS, -1, dtype=np.intp)
+        # any one record stands for its slot
+        stand_in[slot] = np.arange(slot.size)
+        used = np.flatnonzero(stand_in >= 0)
+        table = np.zeros(1 << _SLOT_BITS, dtype=np.int32)
+        table[used] = [self.code(buf[starts[i]:stops[i]]) for i in stand_in[used].tolist()]
+        codes = table[slot]
+        stand_in = stand_in[slot]
         # a tail too long for its words is looked up on its own, below
-        grouped = lengths <= 8 * _TAIL_WORDS
-        hit &= grouped
-        miss = np.flatnonzero(grouped & ~hit)
-        if miss.size:
-            keys, group = np.unique(key[miss], return_inverse=True)
-            codes[miss], hit[miss] = self._grouped(
-                buf, starts[miss], lengths[miss], [c[miss] for c in columns], group, keys.size
-            )
-        # what misses now is a hash collision or a tail too long for its words
+        hit = lengths <= 8 * _TAIL_WORDS
+        hit &= lengths == lengths[stand_in]
+        for column in columns:
+            hit &= column == column[stand_in]
+        # what misses shares its slot with another tail or is too long for its words
         for i in np.flatnonzero(~hit).tolist():
             codes[i] = self.code(buf[starts[i]:stops[i]])
         return codes

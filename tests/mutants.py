@@ -128,10 +128,14 @@ MUTANTS = (
            ("tests/test_feasibility.py::TestSameBits::test_pinned_system_matches_the_reference",)),
     Mutant("reader_last_row_of_largest_bin", "dcqe/io.py", "if top > max_x:", "if top >= max_x:",
            ("tests/test_io.py::TestEventLogFiles::test_unallocatable_table_names_the_first_row_of_its_bin",)),
-    # the label key's last word left out of its slot's top byte
+    # the label key's last word left out of its slot's top bits; and a
+    # record that takes its slot's code without a check of its length
     Mutant("label_key_unmixed", "dcqe/io.py", "key = (key + column) * _HASH_MULTIPLIER",
            "key = key * _HASH_MULTIPLIER + column",
            ("tests/test_io.py::TestEventReaderBlocks::test_paper_layouts_take_distinct_slots",)),
+    Mutant("slot_hit_ignores_length", "dcqe/io.py",
+           "        hit &= lengths == lengths[stand_in]\n", "",
+           ("tests/test_io.py::TestEventReaderBlocks::test_tails_apart_only_by_length",)),
 )
 
 

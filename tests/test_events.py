@@ -412,6 +412,23 @@ def bucket_cells(cdf, bits):
     return SEARCHSORTED(cdf, first, side="right"), SEARCHSORTED(cdf, last, side="right")
 
 
+def counted_plan(p, bits, dtype):
+    """``_sampling_plan``'s result built bucket by bucket: each bucket's
+    guess is the count of steps at most its start, it is pure when the next
+    step is at least its end, and a full dtype's sentinel is the least cell
+    by a count of every pure bucket's guess."""
+    steps = np.minimum(np.ceil(np.cumsum(p) * 2.0**53), 2.0**53).astype(np.int64)
+    steps[np.flatnonzero(p)[-1]:] = 2**53
+    bucket_starts = np.arange(1 << bits, dtype=np.int64) << (53 - bits)
+    guide = SEARCHSORTED(steps, bucket_starts, side="right")
+    pure = steps[guide] >= bucket_starts + (1 << (53 - bits))
+    sentinel = p.size
+    if sentinel > np.iinfo(dtype).max:
+        sentinel = int(np.bincount(guide[pure], minlength=p.size).argmin())
+    guide[~pure] = sentinel
+    return steps.view(np.uint64), guide.astype(dtype), dtype.type(sentinel), np.uint64(64 - bits)
+
+
 def random_table(rng):
     """A random valid table with zero cells at the start, in the middle and
     at the end, whose cumsum ends short of 1.0 or passes it (before the last
@@ -728,6 +745,26 @@ class TestSamplerIsBitIdentical:
         assert np.array_equal(cells, SEARCHSORTED(cdf, uniforms_of(words), side="right"))
         flagged = (guide == sentinel)[(words >> np.uint64(64 - bits)).astype(np.intp)]
         assert sorted(searched) == sorted((words[flagged] >> np.uint64(11)).tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_the_plan_is_the_one_counted_bucket_by_bucket(self, seed):
+        """On random 256-cell tables, whose cells fill uint8, with zero cells
+        and a few heavy ones, and on ``random_table``'s, every guide size the
+        bucket rule can give has ``counted_plan``'s steps, guide, sentinel
+        and shift."""
+        rng = np.random.default_rng(seed)
+        full = rng.random(256) ** rng.uniform(0.2, 8.0)
+        full[rng.random(256) < rng.uniform(0.0, 0.6)] = 0.0
+        full[rng.integers(256, size=3)] += rng.uniform(0.01, 3.0, size=3)
+        roomy = random_table(rng).p.reshape(-1)
+        for p in (full / full.sum(), roomy):
+            dtype = cell_dtype(p.size)
+            least = dcqe.events._bucket_bits(p.size, 1)
+            for bits in range(least, least + 4):
+                plan = dcqe.events._sampling_plan(p, bits, dtype)
+                for got, want in zip(plan, counted_plan(p, bits, dtype), strict=True):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_crowded_bucket_falls_back_to_search(self, monkeypatch):
         joint = crowded_joint()

@@ -481,8 +481,8 @@ class TestEventReaderBlocks:
 
     @pytest.mark.parametrize("block_bytes", [1, 3, 7, 12, 1000])
     def test_label_bytes_without_quotes_or_crs(self, tmp_path, monkeypatch, block_bytes):
-        # with no quote or CR, spaces, tabs, "!" and "#" to "+" are dropped
-        # from the scan and the records are read as plain ones
+        # spaces, tabs, "!" and "#" to "+" are found by the scan for
+        # separators, so these blocks take the quote-parity path
         path = tmp_path / "events.csv"
         path.write_bytes(self.SPACED_TEXT)
         whole = read_event_log(path)
@@ -512,28 +512,6 @@ class TestEventReaderBlocks:
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
         with pytest.raises(ValueError, match=message):
             read_event_log(path)
-
-    def test_spaced_labels_are_read_off_the_plain_scan(self, tmp_path, monkeypatch):
-        space = OutcomeSpace(64, ("erase", "preserve"), ("D erase", "D preserve", LOSS))
-        log = sample_events(JointDistribution(space, np.full(space.shape, 1 / 384)), 50_000, 3)
-        path = tmp_path / "events.csv"
-        write_event_log(log, path)
-        records, plain_records = dcqe.io._records, dcqe.io._plain_records
-        found, plain = [], []
-
-        def spied_records(*args):
-            found.append(records(*args))
-            return found[-1]
-
-        def spied_plain_records(*args):
-            plain.append(plain_records(*args))
-            return plain[-1]
-
-        monkeypatch.setattr(dcqe.io, "_records", spied_records)
-        monkeypatch.setattr(dcqe.io, "_plain_records", spied_plain_records)
-        assert read_event_log(path) == log
-        assert len(found) >= 3
-        assert all(any(block is p for p in plain) for block in found)
 
     @pytest.mark.parametrize("block_bytes", [16, 1 << 18])
     def test_fields_of_every_width(self, tmp_path, monkeypatch, block_bytes):
@@ -570,7 +548,7 @@ class TestEventReaderBlocks:
 
     def test_hash_collisions_fall_back_to_exact_lookup(self, tmp_path, monkeypatch):
         # with a zero multiplier every key is 0, so these collide; with one
-        # record per block each stands for its own group, so this checks
+        # record per block each stands for its own slot, so this checks
         # that no key or code carries over from one block to the next
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 16)
@@ -583,7 +561,7 @@ class TestEventReaderBlocks:
 
     def test_hash_collisions_within_one_block(self, tmp_path, monkeypatch):
         # with a zero multiplier every key is 0, so both tails share a block
-        # and a key: one record stands for the group, and the other tail
+        # and a slot: one record stands for the slot, and the other tail
         # fails the check and takes the exact lookup
         monkeypatch.setattr(dcqe.io, "_HASH_MULTIPLIER", np.uint64(0))
         path = tmp_path / "events.csv"
@@ -605,16 +583,24 @@ class TestEventReaderBlocks:
             read_event_log(path)
 
     def test_paper_layouts_take_distinct_slots(self, tmp_path, monkeypatch):
-        # the slot tier takes every record once; a record past it, grouped
-        # again by its whole key, shares its slot with another tail
-        grouped_sizes = []
-        grouped = dcqe.io._LabelCodes._grouped
+        # the slot tier looks each of a block's tails up once; a record past
+        # it, in a slot shared with another tail, is looked up on its own
+        calls, past_slots_per_block = [], []
+        code, codes = dcqe.io._LabelCodes.code, dcqe.io._LabelCodes.codes
 
-        def counted(self, buf, starts, *args):
-            grouped_sizes.append(starts.size)
-            return grouped(self, buf, starts, *args)
+        def counted(self, tail):
+            calls.append(tail)
+            return code(self, tail)
 
-        monkeypatch.setattr(dcqe.io._LabelCodes, "_grouped", counted)
+        def per_block(self, buf, words, starts, stops):
+            calls.clear()
+            out = codes(self, buf, words, starts, stops)
+            tails = {buf[a:b] for a, b in zip(starts.tolist(), stops.tolist())}
+            past_slots_per_block.append(len(calls) - len(tails))
+            return out
+
+        monkeypatch.setattr(dcqe.io._LabelCodes, "code", counted)
+        monkeypatch.setattr(dcqe.io._LabelCodes, "codes", per_block)
         model = default_fringe_model()
         kim = build_kim(model)
         tables = {
@@ -629,9 +615,9 @@ class TestEventReaderBlocks:
             log = sample_events(joint, 20_000, 3)
             path = tmp_path / f"{name}.csv"
             write_event_log(log, path)
-            grouped_sizes.clear()
+            past_slots_per_block.clear()
             assert labelled_trials(read_event_log(path)) == labelled_trials(log)
-            past_slots[name] = sum(grouped_sizes) - len(log)
+            past_slots[name] = sum(past_slots_per_block)
         assert past_slots == dict.fromkeys(tables, 0)
 
     def test_each_new_tail_is_looked_up_once_per_block(self, tmp_path, monkeypatch):

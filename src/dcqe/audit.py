@@ -82,27 +82,42 @@ def default_tolerance(joint: JointDistribution) -> float:
     return 3.0 / math.sqrt(joint.n_samples)
 
 
-def _level(
-    joint: JointDistribution, tol: float | None, alpha: float | None
-) -> tuple[float | None, float | None]:
-    """The statistical checks' level: ``(tol, None)``, ``tol`` or else the
-    table's default as a ``float`` and refused unless finite and positive;
-    or, with ``alpha``, ``(None, alpha)``, alpha as a ``float`` refused
-    unless given without ``tol``, in (0, 1) and on a sampled table. A value
-    that is not a real number (a bool or a string) is refused first."""
-    if alpha is None:
-        tol = default_tolerance(joint) if tol is None else check_real(tol, "tolerance")
-        if not 0.0 < tol < math.inf:
-            raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
-        return tol, None
-    if tol is not None:
-        raise InvalidArgument("give a tolerance or alpha, not both")
-    alpha = check_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
-    if joint.n_samples is None:
-        raise InvalidArgument("alpha applies to a table estimated from events, not an exact one")
-    return None, alpha
+class _Margins:
+    """One audit's level and the margins that more than one check reads,
+    resolved and computed once; each check's kernel takes this record alone.
+
+    ``tol`` is the tolerance given or else the table's default, refused
+    unless finite and positive; with ``alpha`` it is None, and alpha is
+    refused unless given without ``tol``, in (0, 1) and on a sampled table.
+    Each is kept as a ``float``; one that is not a real number (a bool or a
+    string) is refused first. ``routing_tol`` is ``tol``, or ``LOSSLESS_TOL``
+    at alpha; ``loss_mass`` is the mass on LOSS, 0.0 without it. At alpha,
+    ``counts_cd`` holds the C x D event counts, which losslessness and
+    routing read, and ``xc_test`` the X x C ``g_test`` both G-tests read.
+    """
+
+    def __init__(self, joint: JointDistribution, tol: float | None, alpha: float | None):
+        self.counts_cd = self.xc_test = None
+        if alpha is None:
+            tol = default_tolerance(joint) if tol is None else check_real(tol, "tolerance")
+            if not 0.0 < tol < math.inf:
+                raise InvalidArgument(f"tolerance must be finite and positive, got {tol}")
+        else:
+            if tol is not None:
+                raise InvalidArgument("give a tolerance or alpha, not both")
+            alpha = check_real(alpha, "alpha")
+            if not 0.0 < alpha < 1.0:
+                raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+            if joint.n_samples is None:
+                raise InvalidArgument(
+                    "alpha applies to a table estimated from events, not an exact one"
+                )
+            self.counts_cd = np.add.reduce(joint.counts, 0)
+            self.xc_test = g_test(np.add.reduce(joint.counts, 2))
+        self.joint, self.tol, self.alpha = joint, tol, alpha
+        self.routing_tol = LOSSLESS_TOL if tol is None else tol
+        li = joint.space.loss_index
+        self.loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
 
 
 #: Relative accuracy at which ``upper_gamma`` stops its series or fraction.
@@ -221,31 +236,23 @@ def check_independence(
     a G-test of independence on its X x C event counts; independence holds
     iff the p-value is at least alpha.
     """
-    tol, alpha = _level(joint, tol, alpha)
-    return _independence(joint, tol, alpha, _xc_test(joint, alpha))
+    return _independence(_Margins(joint, tol, alpha))
 
 
-def _xc_test(joint: JointDistribution, alpha: float | None) -> tuple | None:
-    """The ``g_test`` of the table's X x C event counts, which both G-tests
-    read; None on the tolerance path, where ``alpha`` is None."""
-    return None if alpha is None else g_test(np.add.reduce(joint.counts, 2))
-
-
-def _independence(
-    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None
-) -> Verdict:
-    """``check_independence`` at a level ``_level`` resolved, with alpha
-    deciding on ``xc_test``, the X x C test ``_xc_test`` ran."""
+def _independence(m: _Margins) -> Verdict:
+    """``check_independence`` at the record's level; at alpha it decides on
+    the record's X x C test."""
+    joint = m.joint
     deviation, p_c = _dependence(np.add.reduce(joint.p, 2))
     x, c = divmod(int(deviation.argmax()), deviation.shape[1])
     worst = float(deviation[x, c])
     skipped = [label for label, mass in zip(joint.space.c_values, p_c.tolist()) if mass <= 0.0]
     detail = {"witness": {"x": x, "c": joint.space.c_values[c]}, "skipped_choices": skipped}
-    if alpha is not None:
-        g, df, p_value = xc_test
+    if m.alpha is not None:
+        g, df, p_value = m.xc_test
         detail.update(p_value=p_value, df=df)
-        return _verdict(CHECK_INDEPENDENCE, p_value >= alpha, g, alpha, detail)
-    return _verdict(CHECK_INDEPENDENCE, worst <= tol, worst, tol, detail)
+        return _verdict(CHECK_INDEPENDENCE, p_value >= m.alpha, g, m.alpha, detail)
+    return _verdict(CHECK_INDEPENDENCE, worst <= m.tol, worst, m.tol, detail)
 
 
 def berkson_gap(joint: JointDistribution) -> float:
@@ -259,8 +266,7 @@ def berkson_gap(joint: JointDistribution) -> float:
     space = joint.space
     if not space.has_loss:
         raise NoLossOutcome("joint has no loss outcome to condition away")
-    li = space.loss_index
-    loss_mass = float(joint.p[:, :, li].sum())
+    loss_mass = _Margins(joint, None, None).loss_mass
     total = float(joint.p.sum())
     detected_mass = total - loss_mass
     if loss_mass <= 0.0 or detected_mass <= 0.0:
@@ -280,19 +286,18 @@ def check_lossless(joint: JointDistribution) -> Verdict:
     than 1e12 passes; only the α audit, ``audit(joint, alpha=...)``,
     decides on the counts, where any lost event is a violation.
     """
-    return _lossless(joint, None)
+    return _lossless(_Margins(joint, None, None))
 
 
-def _lossless(joint: JointDistribution, alpha: float | None) -> Verdict:
-    """``check_lossless``, or with ``alpha`` the α audit's: it holds iff
-    no event is lost, and reports the loss mass all the same."""
-    li = joint.space.loss_index
-    loss_mass = 0.0 if li is None else float(joint.p[:, :, li].sum())
-    if alpha is None:
-        holds = loss_mass <= LOSSLESS_TOL
+def _lossless(m: _Margins) -> Verdict:
+    """``check_lossless`` on the record's loss mass; at alpha it holds iff
+    its C x D counts hold no lost event, and reports the mass all the same."""
+    li = m.joint.space.loss_index
+    if m.alpha is None:
+        holds = m.loss_mass <= LOSSLESS_TOL
     else:
-        holds = li is None or not joint.counts[:, :, li].any()
-    return _verdict(CHECK_LOSSLESS, holds, loss_mass, LOSSLESS_TOL, {})
+        holds = li is None or not m.counts_cd[:, li].any()
+    return _verdict(CHECK_LOSSLESS, holds, m.loss_mass, LOSSLESS_TOL, {})
 
 
 def check_deterministic_routing(joint: JointDistribution, tol: float | None = None) -> Verdict:
@@ -308,21 +313,21 @@ def check_deterministic_routing(joint: JointDistribution, tol: float | None = No
     listed in ``skipped_choices``. Modal ties resolve to the first detector
     in axis order.
     """
-    return _routing(joint, _level(joint, tol, None)[0], None)
+    return _routing(_Margins(joint, tol, None))
 
 
-def _routing(joint: JointDistribution, tol: float, alpha: float | None) -> Verdict:
-    """``check_deterministic_routing`` at a tolerance ``_level`` resolved,
-    or with ``alpha`` the α audit's: it holds iff each choice's detected
-    events all sit at one detector, and reports the stray mass all the same."""
-    space = joint.space
+def _routing(m: _Margins) -> Verdict:
+    """``check_deterministic_routing`` at the record's ``routing_tol``; at
+    alpha it holds iff each choice's detected events in the record's C x D
+    counts all sit at one detector, and reports the stray mass all the same."""
+    space, tol = m.joint.space, m.routing_tol
     detected = list(space.detected_indices)
     routing: dict[str, str] = {}
     skipped: list[str] = []
     max_stray = -1.0
     worst: dict[str, str] | None = None
     # p(c, d); take keeps rows contiguous, so each row's reduction is its 1-D sum
-    mass = np.add.reduce(joint.p, 0)
+    mass = np.add.reduce(m.joint.p, 0)
     mass_d = mass.take(detected, 1)
     totals = np.add.reduce(mass_d, 1).tolist()
     for c, row, row_d, total in zip(space.c_values, mass.tolist(), mass_d.tolist(), totals):
@@ -342,11 +347,11 @@ def _routing(joint: JointDistribution, tol: float, alpha: float | None) -> Verdi
             worst = {"c": c, "d": routing[c], "d_prime": space.d_values[detected[second]]}
     if not routing:
         raise AllMassLost(space.c_values[0])
-    if alpha is None:
+    if m.alpha is None:
         holds = max_stray <= tol
     else:
         # one detected event off its choice's one detector is a violation
-        reached = np.count_nonzero(np.add.reduce(joint.counts, 0).take(detected, 1), 1)
+        reached = np.count_nonzero(m.counts_cd.take(detected, 1), 1)
         holds = int(reached.max()) <= 1
     detail = {
         "routing": routing if holds else None,
@@ -382,8 +387,7 @@ def check_distinct_conditionals(
     fails (up to rounding in the two G's last bits). A tail read at more
     df is no smaller, so the test keeps its level alpha.
     """
-    tol, alpha = _level(joint, tol, alpha)
-    return _distinct(joint, tol, alpha, _xc_test(joint, alpha))
+    return _distinct(_Margins(joint, tol, alpha))
 
 
 @functools.cache
@@ -396,12 +400,10 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _distinct(
-    joint: JointDistribution, tol: float | None, alpha: float | None, xc_test: tuple | None
-) -> Verdict:
-    """``check_distinct_conditionals`` at a level ``_level`` resolved, with
-    alpha reading df_XC from ``xc_test``, the X x C test ``_xc_test`` ran."""
-    space = joint.space
+def _distinct(m: _Margins) -> Verdict:
+    """``check_distinct_conditionals`` at the record's level; at alpha it
+    reads df_XC from the record's X x C test."""
+    joint, space = m.joint, m.joint.space
     # p(d, x), each summed over choices as p[:, :, d].sum(axis=1) sums them,
     # and each detector's mass, a row reduction, so each row's 1-D sum
     p_dx = np.add.reduce(np.ascontiguousarray(joint.p.transpose(2, 0, 1)), 2)
@@ -425,11 +427,11 @@ def _distinct(
         "d_prime": space.d_values[observed[second[k]]],
         "gap": gap,
     }
-    if alpha is not None:
-        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), xc_test[1])
+    if m.alpha is not None:
+        g, df, p_value = g_test(np.add.reduce(joint.counts, 1).take(observed, 1), m.xc_test[1])
         detail = {"witness": witness, "p_value": p_value, "df": df}
-        return _verdict(CHECK_DISTINCT, p_value < alpha, g, alpha, detail)
-    return _verdict(CHECK_DISTINCT, gap > tol, gap, tol, {"witness": witness})
+        return _verdict(CHECK_DISTINCT, p_value < m.alpha, g, m.alpha, detail)
+    return _verdict(CHECK_DISTINCT, gap > m.tol, gap, m.tol, {"witness": witness})
 
 
 @dataclass(frozen=True)
@@ -491,18 +493,15 @@ def audit(
     ~10 events per cell: at 0.01, coarse Kim's independence test rejects
     its true null 2.4 times as often as alpha at n = 1e3, and 10.7 times at
     n = 300."""
-    validate(joint)
-    tol, alpha = _level(joint, tol, alpha)
-    routing_tol = LOSSLESS_TOL if tol is None else tol
-    xc_test = _xc_test(joint, alpha)
+    m = _Margins(validate(joint), tol, alpha)
     # made by ``unchecked``, as the constructor checks nothing
     return unchecked(
         AuditReport,
-        independence=_independence(joint, tol, alpha, xc_test),
-        lossless=_lossless(joint, alpha),
-        deterministic_routing=_routing(joint, routing_tol, alpha),
-        distinct_conditionals=_distinct(joint, tol, alpha, xc_test),
-        tolerance=routing_tol,
+        independence=_independence(m),
+        lossless=_lossless(m),
+        deterministic_routing=_routing(m),
+        distinct_conditionals=_distinct(m),
+        tolerance=m.routing_tol,
         n_samples=joint.n_samples,
-        alpha=alpha,
+        alpha=m.alpha,
     )

@@ -75,18 +75,23 @@ MUTANTS = (
            "holds = max_stray <= tol",
            ("tests/test_audit.py::TestAlpha::test_stray_events_past_1e12_are_a_violation",)),
     Mutant("alpha_loss_by_mass", AUDIT,
-           "holds = li is None or not joint.counts[:, :, li].any()",
-           "holds = loss_mass <= LOSSLESS_TOL",
+           "holds = li is None or not m.counts_cd[:, li].any()",
+           "holds = m.loss_mass <= LOSSLESS_TOL",
            ("tests/test_audit.py::TestAlpha::test_one_lost_event_among_1e13_is_a_violation",)),
-    # the one-df rule (ROADMAP item 2): G_XD read at its own df; and the one
-    # X x C test both G-tests read, summed over choices instead of detectors
+    # the one-df rule (ROADMAP item 2): G_XD read at its own df; the one
+    # X x C test both G-tests read, summed over choices instead of detectors;
+    # and the record's C x D counts, summed over choices instead of bins
     Mutant("g_xd_at_its_own_df", AUDIT,
-           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), xc_test[1])",
+           "g_test(np.add.reduce(joint.counts, 1).take(observed, 1), m.xc_test[1])",
            "g_test(np.add.reduce(joint.counts, 1).take(observed, 1))",
            ("tests/test_audit.py::TestCountTables::test_nine_choices_and_eight_detectors",)),
     Mutant("xc_test_over_detectors", AUDIT, "g_test(np.add.reduce(joint.counts, 2))",
            "g_test(np.add.reduce(joint.counts, 1))",
            ("tests/test_audit.py::TestCountTables::test_nine_choices_and_eight_detectors",)),
+    Mutant("record_cd_counts_over_choices", AUDIT,
+           "self.counts_cd = np.add.reduce(joint.counts, 0)",
+           "self.counts_cd = np.add.reduce(joint.counts, 1)",
+           ("tests/test_audit.py::TestAlpha::test_one_lost_event_among_1e13_is_a_violation",)),
     # the leaner audit kernels
     Mutant("routing_rows_fancy_indexed", AUDIT, "mass_d = mass.take(detected, 1)",
            "mass_d = mass[:, detected]", (f"{MATCHES}::test_reports_and_checks[2]",)),
@@ -107,8 +112,8 @@ MUTANTS = (
            "first, second = _pairs(len(space.detected_indices))",
            ("tests/test_audit.py::TestDistinctPairs::test_detector_counts_in_one_process",)),
     Mutant("audit_distinct_without_alpha", AUDIT,
-           "distinct_conditionals=_distinct(joint, tol, alpha,",
-           "distinct_conditionals=_distinct(joint, routing_tol, None,",
+           "distinct_conditionals=_distinct(m),",
+           "distinct_conditionals=_distinct(_Margins(joint, m.routing_tol, None)),",
            (f"{MATCHES}::test_paper_tables",)),
     Mutant("validate_skips_every_table", "dcqe/joint.py",
            "    if joint.counts is not None:\n        return joint\n",

@@ -346,6 +346,22 @@ def reference_lossless(p, d_values, counts=None):
     return {"holds": holds, "loss_mass": loss, "tolerance": LOSS_TOL}
 
 
+def reference_berkson_gap(p, d_values):
+    """``berkson_gap`` with naive sums: the largest cell of
+    |p(x,c) - p(x) p(c)| in the detected table p(x, c, D != LOSS) / P(D != LOSS),
+    refused without a loss outcome, or when P(LOSS) or P(D != LOSS) is 0."""
+    if LOSS_LABEL not in d_values:
+        raise Refused("NoLossOutcome", "joint has no loss outcome to condition away")
+    li = d_values.index(LOSS_LABEL)
+    loss = float(p[:, :, li].sum())
+    detected = float(p.sum()) - loss
+    if loss <= 0.0 or detected <= 0.0:
+        raise Refused("DegenerateLossMass",
+                      f"loss mass {loss!r} leaves no nondegenerate detected fraction")
+    p_xc = p[:, :, [di for di in range(len(d_values)) if di != li]].sum(axis=2) / detected
+    return float(np.abs(p_xc - np.outer(p_xc.sum(axis=1), p_xc.sum(axis=0))).max())
+
+
 def reference_routing(p, c_values, d_values, tol, counts=None):
     """The routing verdict as a report dict, one choice at a time: each
     choice's detected masses, its modal detector (the first on ties) and

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import threading
@@ -23,6 +24,7 @@ from dcqe import (
     OutcomeSpace,
     Verdict,
     audit,
+    berkson_gap,
     check_deterministic_routing,
     check_distinct_conditionals,
     check_independence,
@@ -43,6 +45,7 @@ from dcqe.io import audit_report_dict, write_json
 from oracles import (
     Refused,
     reference_audit,
+    reference_berkson_gap,
     reference_distinct,
     reference_independence,
     reference_lossless,
@@ -544,6 +547,25 @@ class TestAlpha:
         assert report.deterministic_routing.tolerance == LOSSLESS_TOL
         assert report.violations == ("independence",)
 
+    def test_one_xc_test_per_alpha_audit(self, monkeypatch):
+        """The α audit runs ``g_test`` once on X x C, which both G-tests
+        read, and once on X x D; the tolerance audit runs none."""
+        joint = _sampled(_paper_table("kim"), 1000, 0)
+        tables = []
+
+        def spy(counts, *args):
+            tables.append(counts)
+            return g_test(counts, *args)
+
+        # the module, which the package's ``audit`` function shadows
+        monkeypatch.setattr(importlib.import_module("dcqe.audit"), "g_test", spy)
+        audit(joint)
+        assert tables == []
+        audit(joint, alpha=1e-6)
+        xc, xd = tables
+        assert np.array_equal(xc, joint.counts.sum(axis=2))
+        assert np.array_equal(xd, joint.counts.sum(axis=1))
+
     def test_without_alpha_nothing_changes(self):
         joint = _sampled(_paper_table("kim"), 1000, 0)
         assert audit(joint, alpha=None) == audit(joint)
@@ -854,6 +876,19 @@ class TestMatchesReference:
         """The benchmark's own traffic: the paper tables exact, and sampled
         at n = 1e3, 1e4 and 1e5."""
         self.assert_matches(paper_tables(n), n)
+
+    def test_berkson_gap(self):
+        """Every reference table, and polarization exact and sampled, the
+        tables ``berkson_gap`` refuses too: no loss outcome, or no mass lost."""
+        exact = _paper_table("polarization")
+        tables = [exact] + [_sampled(exact, 10**3, seed) for seed in range(3)] + [
+            joint for seed in range(8) for joint, _, _ in reference_tables(seed, 80)]
+        seen = set()
+        for k, joint in enumerate(tables):
+            expected = outcome(lambda: reference_berkson_gap(joint.p, joint.space.d_values))
+            assert outcome(lambda: berkson_gap(joint)) == expected, k
+            seen.add(expected[0] if isinstance(expected, tuple) else "gap")
+        assert seen == {"gap", "NoLossOutcome", "DegenerateLossMass"}
 
     def test_alpha_tables_past_1e12(self):
         tables = large_tables().values()

@@ -12,15 +12,16 @@ a prefix of the full chunk's draw. So logs share prefixes, and chunks may be
 generated out of order or in parallel. A chunk is drawn and inverted in
 slices of ``SLICE_WORDS`` words, consecutive draws from its one stream, so
 each worker's scratch memory is a slice's and the logs do not depend on the
-slice size. Runs of at least eight chunks are sampled on a few threads, at
-most one per CPU the process may run on and with at least four chunks each;
-the cells are the same to the bit on any number of threads, and CPU
-affinity (e.g. ``taskset -c 0``) is the only control. A guide table (Chen &
-Asau 1974; Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search
-of ``Generator.random``'s doubles would, working in integers on the raw words
-those doubles are made from and searching only draws from the buckets that
-hold a cdf step. A table's sampling plan (the cdf as integer steps and the
-guide) is built once per table object and guide size, and kept on it.
+slice size. Runs of at least eight chunks are sampled, and logs as long
+counted, on a few threads, at most one per CPU the process may run on and
+with at least four chunks each; the cells and the counts are the same to the
+bit on any number of threads, and CPU affinity (e.g. ``taskset -c 0``) is
+the only control. A guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
+inverts the cdf exactly as a sorted search of ``Generator.random``'s doubles
+would, working in integers on the raw words those doubles are made from and
+searching only draws from the buckets that hold a cdf step. A table's
+sampling plan (the cdf as integer steps and the guide) is built once per
+table object and guide size, and kept on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ __all__ = ["CHUNK_TRIALS", "EventLog", "estimate_from_events", "sample_events"]
 
 import math
 import os
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +120,29 @@ class EventLog:
         return np.remainder(self.cells, self.space.n_d, dtype=np.intp)
 
     def counts(self) -> np.ndarray:
-        """Event counts on the full (n_x, n_c, n_d) grid."""
+        """Event counts on the full (n_x, n_c, n_d) grid, as owned ``intp``.
+
+        A log of eight or more chunks is counted on the W threads it would be
+        sampled on: worker w tallies slices w, w + W, ..., and the calling
+        thread adds the tallies. Integer sums are exact, so the counts are the
+        same for every W. CPU affinity is the only control."""
         size = math.prod(self.space.shape)
-        # bincount copies a read-only input whole, so it is given slices; one
-        # as long as the table keeps the adds from outweighing the counting
-        step = max(CHUNK_TRIALS, size)
-        counts = np.bincount(self.cells[:step], minlength=size)
-        for start in range(step, self.cells.size, step):
-            counts += np.bincount(self.cells[start:start + step], minlength=size)
+        n = self.cells.size
+        workers = _workers(-(-n // CHUNK_TRIALS))
+        # bincount copies a read-only input whole, so it is given slices, one
+        # as long as the table keeps the adds from outweighing the counting;
+        # the W copies it holds at once total one chunk
+        step = max(CHUNK_TRIALS // workers, size)
+
+        def tally(w: int) -> np.ndarray:
+            own = np.bincount(self.cells[w * step:(w + 1) * step], minlength=size)
+            for start in range((w + workers) * step, n, workers * step):
+                own += np.bincount(self.cells[start:start + step], minlength=size)
+            return own
+
+        counts, *others = _run_workers(tally, workers)
+        for other in others:
+            counts += other
         # shaped in place, so the array owns its data, as reshape's view would not
         counts.resize(self.space.shape)
         return counts
@@ -173,8 +190,10 @@ def _sampling_plan(p: np.ndarray, bits: int, dtype: np.dtype) -> tuple:
 
 
 def _workers(n_chunks: int) -> int:
-    """Threads to sample ``n_chunks`` chunks on: one per CPU this process may
-    run on, with at least four chunks each."""
+    """Threads to sample or count ``n_chunks`` chunks on: one per CPU this
+    process may run on, with at least four chunks each, so one below eight.
+    The affinity mask (``taskset`` sets it) is the only control; the cells
+    and the counts are the same whatever it returns."""
     if n_chunks < 8:
         return 1
     try:
@@ -182,6 +201,38 @@ def _workers(n_chunks: int) -> int:
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, n_chunks // 4)
+
+
+def _run_workers(work: Callable[[int], object], workers: int) -> list:
+    """``[work(0), ..., work(workers - 1)]``, with ``work(0)`` run on the
+    calling thread and the others on threads that live for the call; a
+    worker's exception is raised here once every worker has stopped."""
+    if workers == 1:
+        return [work(0)]
+    results, errors = [None] * workers, []
+
+    def run(w: int) -> None:
+        try:
+            results[w] = work(w)
+        except BaseException as error:  # raised on the calling thread below
+            errors.append(error)
+
+    # plain threads, as importing concurrent.futures would add ~6 ms to a
+    # process's first parallel call; the calling thread is worker 0, so its
+    # heap, not a new thread's, holds that share of the temporaries
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            started.append(thread)
+        results[0] = work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLog:
@@ -223,7 +274,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
     W workers fill chunks ``w, w + W, ...`` into their own slices of the
     cells, ``SLICE_WORDS`` words at a time, so a worker's scratch is one
     slice's words, buckets and sentinel mask: the calling thread and W - 1
-    threads of a pool that lives for the call. W is the number of CPUs in
+    threads that live for the call. W is the number of CPUs in
     the process's affinity mask (``taskset`` sets it), capped so that each
     worker has at least four chunks, so below eight chunks the calling
     thread samples alone. Each chunk has its own stream, so the cells are
@@ -271,20 +322,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
                 start = stop
                 del raw  # so the next slice is not drawn while these words are held
 
-    if workers == 1:
-        fill(0)
-    else:
-        # imported here, as it adds ~10 ms to every start-up and most runs
-        # are too short to use it
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread is worker 0, so its heap, not a new thread's,
-        # holds that share of the temporaries
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(fill, w) for w in range(1, workers)]
-            fill(0)
-            for future in others:
-                future.result()
+    _run_workers(fill, workers)
     cells.setflags(write=False)
     return unchecked(EventLog, space=joint.space, cells=cells)
 

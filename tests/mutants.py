@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 AUDIT, EVENTS = "dcqe/audit.py", "dcqe/events.py"
 MATCHES = "tests/test_audit.py::TestMatchesReference"
 SAMPLER = "tests/test_events.py::TestSamplerIsBitIdentical"
+COUNTS = "tests/test_events.py::TestEventLog::test_counts_on_any_worker_count"
 
 MUTANTS = (
     # the sampler's end rule and its proofs: without it a table whose cumsum
@@ -119,10 +120,18 @@ MUTANTS = (
            "    if joint.counts is not None:\n        return joint\n",
            "    if True:\n        return joint\n",
            ("tests/test_audit.py::TestAudit::test_invalid_joint_rejected",)),
+    # counting on W workers: each starts at its first slice a second time,
+    # steps one slice instead of W and so recounts the others' slices, or
+    # the calling thread keeps its own tally alone
     Mutant("counts_first_slice_twice", EVENTS,
-           "for start in range(step, self.cells.size, step):",
-           "for start in range(0, self.cells.size, step):",
+           "for start in range((w + workers) * step, n, workers * step):",
+           "for start in range(w * step, n, workers * step):",
            ("tests/test_events.py::TestEventLog::test_counts_match_events",)),
+    Mutant("counts_worker_stride", EVENTS, "n, workers * step):", "n, step):",
+           (f"{COUNTS}[524289-2-3]",)),
+    Mutant("counts_first_tally_only", EVENTS,
+           "        for other in others:\n            counts += other\n", "",
+           (f"{COUNTS}[524289-2-3]",)),
     # the feasibility row templates and the event reader's block fill
     Mutant("feasibility_detected_rows_swapped", "dcqe/feasibility.py",
            "        terms({(0, 0): 1, (1, 0): 1}),\n        terms({(0, 1): 1, (1, 1): 1}),\n",

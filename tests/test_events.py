@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import threading
 import tracemalloc
@@ -38,6 +39,16 @@ from conftest import FOUR_BIN_PHASE0
 def uniform_222():
     space = OutcomeSpace(2, ("erase", "preserve"), ("D1", "D2"))
     return JointDistribution(space, np.full((2, 2, 2), 0.125))
+
+
+def assert_counted(log):
+    """``log.counts()`` is the ``bincount`` of its cells, shaped to its
+    space, and an owned, writeable ``intp`` array."""
+    counts = log.counts()
+    assert counts.shape == log.space.shape and counts.dtype == np.intp
+    assert counts.flags.owndata and counts.flags.writeable
+    expected = np.bincount(log.cells, minlength=math.prod(log.space.shape))
+    assert np.array_equal(counts.reshape(-1), expected)
 
 
 class TestEventLog:
@@ -192,16 +203,73 @@ class TestEventLog:
         assert np.array_equal(counts.reshape(-1), np.bincount(cells, minlength=2 * n_x))
         assert not EventLog(space, cells[:0]).counts().any()
 
-    def test_counts_do_not_copy_the_log(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_trials, n_x", [
+        (8 * CHUNK_TRIALS - 1, 2), (8 * CHUNK_TRIALS, 2), (8 * CHUNK_TRIALS + 1, 2),
+        # a ragged tail; more cells than one worker's slice holds; no events
+        (3 * CHUNK_TRIALS + 17, 2), (3 * CHUNK_TRIALS + 17, CHUNK_TRIALS // 2), (0, 2),
+    ])
+    def test_counts_on_any_worker_count(self, workers, n_trials, n_x, monkeypatch):
+        asked = []
+        monkeypatch.setattr(dcqe.events, "_workers",
+                            lambda n_chunks: asked.append(n_chunks) or workers)
+        space = OutcomeSpace(n_x, ("a", "b"), ("D1", "D2"))
+        cells = np.random.default_rng(n_trials).integers(0, 4 * n_x, size=n_trials)
+        assert_counted(EventLog(space, cells))
+        # the sampler's rule: one worker count for the log's chunks
+        assert asked == [-(-n_trials // CHUNK_TRIALS)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_counts_of_sampled_built_and_read_logs(self, workers, monkeypatch, tmp_path):
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        sampled = sample_events(build_kim(default_fringe_model()), 3 * CHUNK_TRIALS + 17, 2)
+        path = str(tmp_path / "log.csv")
+        write_event_log(sampled, path)
+        built = EventLog(sampled.space, sampled.cells.astype(np.int64))
+        for log in (sampled, built, read_event_log(path)):
+            assert_counted(log)
+
+    @pytest.mark.parametrize("where", ["caller", "other"])
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_a_failing_worker_raises_and_stops_every_thread(self, workers, where, monkeypatch):
+        log = sample_events(uniform_222(), N_WIDE, 1)
+        plain = np.bincount
+        caller = threading.get_ident()
+
+        def failing(cells, *args, **kwargs):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise RuntimeError("counting")
+            return plain(cells, *args, **kwargs)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events.np, "bincount", failing)
+        with pytest.raises(RuntimeError, match="counting"):
+            log.counts()
+        assert threading.active_count() == baseline
+
+    @staticmethod
+    def counting_peak():
         log = sample_events(uniform_222(), 2_000_000, 1)
         tracemalloc.start()
         try:
             log.counts()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # bincount copies each slice to intp, so a slice's copy is the allowance
-        assert peak < 2 * CHUNK_TRIALS * np.dtype(np.intp).itemsize
+
+    #: bincount copies each slice to intp, and the slices that the workers
+    #: count at once total a chunk, so two chunks' copies are the allowance
+    COUNTING_SCRATCH = 2 * CHUNK_TRIALS * np.dtype(np.intp).itemsize
+
+    def test_counts_do_not_copy_the_log(self):
+        assert self.counting_peak() < self.COUNTING_SCRATCH
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_counts_on_workers_do_not_copy_the_log(self, workers, monkeypatch):
+        # set before the log is sampled, so the threads' first start is not traced
+        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        assert self.counting_peak() < self.COUNTING_SCRATCH
 
 
 class TestSampleEvents:
@@ -585,7 +653,7 @@ class TestSamplerIsBitIdentical:
         baseline = threading.active_count()
         monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
         monkeypatch.setattr(dcqe.events, "_chunk_bits", failing)
-        # chunk 5 falls to a pool thread for 2 and 3 workers, to the caller for 5
+        # chunk 5 falls to another thread for 2 and 3 workers, to the caller for 5
         with pytest.raises(RuntimeError, match="chunk 5"):
             sample_events(uniform_222(), N_WIDE, 1)
         assert threading.active_count() == baseline

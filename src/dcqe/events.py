@@ -16,12 +16,14 @@ slice size. Runs of at least eight chunks are sampled, and logs as long
 counted, on a few threads, at most one per CPU the process may run on and
 with at least four chunks each; the cells and the counts are the same to the
 bit on any number of threads, and CPU affinity (e.g. ``taskset -c 0``) is
-the only control. A guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
-inverts the cdf exactly as a sorted search of ``Generator.random``'s doubles
-would, working in integers on the raw words those doubles are made from and
-searching only draws from the buckets that hold a cdf step. A table's
-sampling plan (the cdf as integer steps and the guide) is built once per
-table object and guide size, and kept on it.
+the only control. ``worker_count`` and ``run_workers`` hold that rule and
+start those threads; ``dcqe.io`` writes and reads event logs on them too,
+and they are left out of ``__all__``. A guide table (Chen & Asau 1974;
+Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search of
+``Generator.random``'s doubles would, working in integers on the raw words
+those doubles are made from and searching only draws from the buckets that
+hold a cdf step. A table's sampling plan (the cdf as integer steps and the
+guide) is built once per table object and guide size, and kept on it.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class EventLog:
         same for every W. CPU affinity is the only control."""
         size = math.prod(self.space.shape)
         n = self.cells.size
-        workers = _workers(-(-n // CHUNK_TRIALS))
+        workers = worker_count(-(-n // CHUNK_TRIALS))
         # bincount copies a read-only input whole, so it is given slices, one
         # as long as the table keeps the adds from outweighing the counting;
         # the W copies it holds at once total one chunk
@@ -140,7 +142,7 @@ class EventLog:
                 own += np.bincount(self.cells[start:start + step], minlength=size)
             return own
 
-        counts, *others = _run_workers(tally, workers)
+        counts, *others = run_workers(tally, workers)
         for other in others:
             counts += other
         # shaped in place, so the array owns its data, as reshape's view would not
@@ -189,24 +191,28 @@ def _sampling_plan(p: np.ndarray, bits: int, dtype: np.dtype) -> tuple:
     return steps.view(np.uint64), guide.astype(dtype), dtype.type(sentinel), np.uint64(64 - bits)
 
 
-def _workers(n_chunks: int) -> int:
-    """Threads to sample or count ``n_chunks`` chunks on: one per CPU this
-    process may run on, with at least four chunks each, so one below eight.
-    The affinity mask (``taskset`` sets it) is the only control; the cells
-    and the counts are the same whatever it returns."""
-    if n_chunks < 8:
+def worker_count(units: int) -> int:
+    """Threads to work through ``units`` units on: one per CPU this process
+    may run on, with at least four units each, so one below eight. A unit is
+    a chunk of ``CHUNK_TRIALS`` trials for sampling, counting and writing an
+    event log, and a 256 KiB block of the file for reading one. The
+    affinity mask (``taskset`` sets it) is the only control; the cells,
+    counts, files and logs are the same whatever it returns."""
+    if units < 8:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_chunks // 4)
+    return min(cpus, units // 4)
 
 
-def _run_workers(work: Callable[[int], object], workers: int) -> list:
+def run_workers(work: Callable[[int], object], workers: int) -> list:
     """``[work(0), ..., work(workers - 1)]``, with ``work(0)`` run on the
     calling thread and the others on threads that live for the call; a
-    worker's exception is raised here once every worker has stopped."""
+    worker's exception is raised here once every worker has stopped. The
+    sampler, ``EventLog.counts`` and the event-log writer and reader of
+    ``dcqe.io`` all run their workers through it."""
     if workers == 1:
         return [work(0)]
     results, errors = [None] * workers, []
@@ -301,7 +307,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
         plans[bits] = _sampling_plan(joint.p.reshape(-1), bits, cells.dtype)
     steps, guide, sentinel, shift = plans[bits]
     n_chunks = -(-n_trials // CHUNK_TRIALS)
-    workers = _workers(n_chunks)
+    workers = worker_count(n_chunks)
 
     def fill(first: int) -> None:
         # a bucket's uint64 bits are its intp value, as it is below 2**53;
@@ -322,7 +328,7 @@ def sample_events(joint: JointDistribution, n_trials: int, seed: int) -> EventLo
                 start = stop
                 del raw  # so the next slice is not drawn while these words are held
 
-    _run_workers(fill, workers)
+    run_workers(fill, workers)
     cells.setflags(write=False)
     return unchecked(EventLog, space=joint.space, cells=cells)
 

@@ -12,6 +12,13 @@ truncated and rewritten file flushes it to disk, and the next write waits
 for that flush. So a symlink or hard link at the path is replaced, not
 written through; the new file gets default permissions, not the old
 file's; and writing needs write permission on the directory.
+
+Event logs are written and read on the worker threads the sampler uses
+(``dcqe.events.run_workers``), W of them by its rule: one per CPU in the
+affinity mask, with at least four units each, a unit being a
+``CHUNK_TRIALS`` chunk of the log for the writer and a ``_BLOCK_BYTES``
+block of the file for the reader. The same code runs at W = 1, and the
+files, logs and errors are the same for every W.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import json
 import math
 import os
 import re
+import threading
 from io import StringIO
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,7 +43,14 @@ from .architectures import (
 )
 from .audit import AuditReport
 from .errors import InvalidArgument
-from .events import EventLog, cell_dtype, estimate_from_events
+from .events import (
+    CHUNK_TRIALS,
+    EventLog,
+    cell_dtype,
+    estimate_from_events,
+    run_workers,
+    worker_count,
+)
 from .feasibility import FeasibilityResult, LossFeasibilityProblem
 from .joint import JointDistribution, OutcomeSpace
 
@@ -152,6 +167,15 @@ def write_event_log(log: EventLog, path: str) -> None:
     ``_GAP``. Leading zeros of the first block are ``_GAP`` too, and every
     ``_GAP`` is dropped before the block is written. A log with fewer events
     than its space has cells renders only the cells it holds.
+
+    Each block's byte count (its digits plus its cells' row lengths) is
+    known before any is rendered, so its offset in the file is too. Blocks
+    are rendered and written at their offsets with ``os.pwrite`` on W
+    workers, worker w taking blocks w, w + W, ..., where W is the sampler's
+    rule for the log's ``CHUNK_TRIALS`` chunks: one per CPU in the affinity
+    mask, with at least four chunks each. The bytes are the same for every
+    W. A worker renders and writes its block a quarter at a time, so it
+    holds one block and a quarter block's scratch.
     """
     cells = log.cells
     table_cells = range(math.prod(log.space.shape))
@@ -169,19 +193,52 @@ def write_event_log(log: EventLog, path: str) -> None:
     first_low[:, :-1][trials < 10 ** np.arange(_LOW_DIGITS - 1, 0, -1)] = _GAP
     low, first_low = (table.view(f"S{_LOW_DIGITS}").reshape(-1) for table in (low, first_low))
     n = len(log)
+    header = ",".join(EVENT_HEADER).encode() + b"\n"
+    # block k's digits: (len(str(k)) + _LOW_DIGITS) per trial past the first
+    # block, and in it one per trial plus one per trial at least 10**j
+    tail_len = np.array(list(map(len, encoded)), dtype=np.int64)
+    ends = [len(header)]
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        digits = rows * (len(str(start // size)) + _LOW_DIGITS) if start else (
+            rows + sum(max(rows - 10**j, 0) for j in range(1, _LOW_DIGITS))
+        )
+        ends.append(ends[-1] + digits + int(tail_len.take(cells[start:start + rows]).sum()))
+    n_blocks = len(ends) - 1
+    workers = worker_count(-(-n // CHUNK_TRIALS))
+    piece = -(-size // 4)
+
     with _new_file(path) as fh:
-        fh.write(",".join(EVENT_HEADER).encode() + b"\n")
-        for start in range(0, n, size):
-            lead = str(start // size).encode() if start else bytes([_GAP])
-            block = np.empty(
-                min(size, n - start),
-                dtype=[("lead", f"S{len(lead)}"), ("low", low.dtype), ("tail", tails.dtype)],
-            )
-            block["lead"] = lead
-            block["low"] = (low if start else first_low)[:block.size]
-            block["tail"] = tails[cells[start:start + block.size]]
-            flat = block.view(np.uint8)
-            fh.write(flat[flat != _GAP])
+        fd = fh.fileno()
+
+        def render(w: int) -> None:
+            for k in range(w, n_blocks, workers):
+                start = k * size
+                lead = str(k).encode() if k else bytes([_GAP])
+                block = np.empty(
+                    min(size, n - start),
+                    dtype=[("lead", f"S{len(lead)}"), ("low", low.dtype), ("tail", tails.dtype)],
+                )
+                block["lead"] = lead
+                block["low"] = (low if k else first_low)[:block.size]
+                offset = ends[k]
+                for at in range(0, block.size, piece):
+                    part = block[at:at + piece]
+                    part["tail"] = tails[cells[start + at:start + at + part.size]]
+                    flat = part.view(np.uint8)
+                    offset += _pwrite(fd, flat[flat != _GAP], offset)
+
+        _pwrite(fd, header, 0)
+        run_workers(render, workers)
+
+
+def _pwrite(fd: int, data, offset: int) -> int:
+    """Write all of ``data`` to ``fd`` at ``offset``; its length."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+    return len(data)
 
 
 #: Bytes read per block by ``read_event_log``. Apart from the log it returns
@@ -207,11 +264,6 @@ _PLAIN_RECORD = np.frombuffer(b",,,\n", dtype="<u4")[0]
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _HIGH_BYTES = ~_LOW_BYTES[::-1]
 _ZERO_FILL = np.array([0x3030303030303030 >> 8 * n for n in range(9)], dtype=np.uint64)
-#: A word at an offset ``r`` bytes past alignment joins two aligned words by
-#: a shift by ``8 * r`` and a product by ``2 ** (64 - 8 * r)`` modulo 2**64,
-#: as a shift by 64 is not defined for every numpy.
-_SHIFTS = np.array([8 * r for r in range(8)], dtype=np.uint64)
-_SCALES = np.array([0] + [1 << (64 - 8 * r) for r in range(1, 8)], dtype=np.uint64)
 #: Eight digits, one per byte and the first lowest, become a number in three
 #: steps; step m puts ``10**m * high + low`` in the low half of each lane of
 #: ``2 * m`` bytes and clears the high half.
@@ -255,13 +307,25 @@ def _words_at(words, at, count: int) -> list[np.ndarray]:
     next; an unaligned gather costs several times as much. An offset below
     0 reads bytes from the block's far end, which the caller masks off.
     """
-    index, r = at >> 3, at & 7
-    shift, scale = _SHIFTS[r], _SCALES[r]
-    low = words[index]
+    # a word r = at & 7 bytes past alignment is the low word shifted down by
+    # 8 * r and the high one up by 64 - 8 * r, modulo 2**64; that shift is
+    # made as 63 - 8 * r and 1, as a shift by 64 is not defined, and the
+    # shifts are kept a byte each
+    shift = np.bitwise_and(at, 7, dtype=np.uint8, casting="unsafe")
+    shift <<= 3
+    back = 63 - shift
+    index = at >> 3
+    low = words.take(index)
     out = []
+    # in place where it can be, as the reader's workers hold these at once
     for j in range(1, count + 1):
-        high = words[j:][index]
-        out.append((low >> shift) | (high * scale))
+        high = words[j:].take(index)
+        low >>= shift
+        # the last word is made in high's own array, as no word follows it
+        word = np.left_shift(high, back, out=high if j == count else None)
+        word <<= 1
+        word |= low
+        out.append(word)
         low = high
     return out
 
@@ -312,31 +376,34 @@ def _records(arr, last: bool, zeros: int):
     return starts, ends, np.minimum(seps[after], second), second, rest
 
 
-def _record_blocks(fh):
+def _record_blocks(fh, size: int):
     """Yield ``(buf, words, starts, ends, first, second)`` for each run of whole records.
 
-    ``buf`` is 8 zero bytes, a carried-over partial record, the next block
-    of the file, and enough zero bytes that ``words``, its little-endian
-    uint64 view, covers it and ``_TAIL_WORDS`` words past any record. The
-    records are as ``_records`` finds them; the last record of the file
-    needs no terminator.
+    ``buf`` is 8 zero bytes, a carried-over partial record, the next
+    ``size`` bytes of the file (as many as the carry, if it is longer), and
+    enough zero bytes that ``words``, its little-endian uint64 view, covers
+    it and ``_TAIL_WORDS`` words past any record. The records are as
+    ``_records`` finds them; the last record of the file needs no
+    terminator.
     """
-    carry = b""
-    while True:
-        data = fh.read(max(_BLOCK_BYTES, len(carry)))
+    carry, last = b"", False
+    while not last:
+        data = fh.read(max(size, len(carry)))
         if not data and not carry:
             return
+        last = not data
         zeros = len(_PAD) * (_TAIL_WORDS + 1) + (-(len(carry) + len(data))) % 8
         buf = b"".join((_PAD, carry, data, bytes(zeros)))
-        found = _records(np.frombuffer(buf, dtype=np.uint8), not data, zeros)
+        del data  # not held while the block is decoded
+        found = _records(np.frombuffer(buf, dtype=np.uint8), last, zeros)
         if found is None:
             carry = buf[len(_PAD):-zeros]
             continue
         *records, rest = found
         carry = buf[rest:-zeros]
         yield (buf, np.frombuffer(buf, dtype="<u8"), *records)
-        if not data:
-            return
+        # the caller holds the block while it decodes it; the next read need not
+        del buf, found, records
 
 
 def _int64(field: bytes) -> int | None:
@@ -362,10 +429,11 @@ def _decode_ints(buf, words, starts, stops):
     well formed and fit int64.
     """
     neg = np.frombuffer(buf, dtype=np.uint8)[starts] == ord("-")
-    n_digits = stops - starts - neg
+    n_digits = stops - starts
+    n_digits -= neg
     ok = n_digits > 0
-    signed = np.zeros(starts.size, dtype=np.uint64)
     longest = int(n_digits.max(initial=0))
+    signed = np.zeros(starts.size, dtype=np.uint64) if longest == 0 else None
     for k in range(-(-min(longest, 18) // 8)):
         (word,) = _words_at(words, stops - 8 * (k + 1), 1)
         # a field has min(max(digits, 0), 8) digits in this word
@@ -375,14 +443,20 @@ def _decode_ints(buf, words, starts, stops):
         # every byte less "0" is a digit exactly when it is below 10: when
         # neither it nor it plus 0x76 has its high bit set
         word -= _ZERO_FILL[0]
-        ok &= ((word + np.uint64(0x7676767676767676)) | word) & np.uint64(0x8080808080808080) == 0
+        high_bits = word + np.uint64(0x7676767676767676)
+        high_bits |= word
+        high_bits &= np.uint64(0x8080808080808080)
+        ok &= high_bits == 0
+        del high_bits
         for multiplier, shift, mask in _COMBINE:
             word *= multiplier
             word >>= shift
             word &= mask
         if k:
             word *= np.uint64(10 ** (8 * k))
-        signed += word
+            signed += word
+        else:
+            signed = word
     signed = signed.view(np.int64)
     np.negative(signed, out=signed, where=neg)
     if longest > 18:
@@ -405,11 +479,17 @@ class _LabelCodes:
     its slot's record's takes that record's code. Any other, in a slot
     shared with another tail or too long for its words, is looked up one
     record at a time by ``code``.
+
+    One coder serves every worker of a read, so each distinct tail is
+    parsed once per file and the pairs are numbered once; a worker holds
+    ``lock`` around each call of ``codes``, which runs one block's lookups
+    at a time. Pair codes follow the order the workers reach the pairs in.
     """
 
     def __init__(self):
         self.pairs: dict[tuple[str, str], int] = {}
         self._by_tail: dict[bytes, int] = {}
+        self.lock = threading.Lock()
 
     def code(self, tail: bytes) -> int:
         """The pair code of one tail; -1 if it is not two labels."""
@@ -432,8 +512,11 @@ class _LabelCodes:
             if 8 * (j + 1) > shortest:
                 column &= np.take(_LOW_BYTES, lengths - 8 * j, mode="clip")
             # each word, the last too, is multiplied up into the slot's top bits
-            key = (key + column) * _HASH_MULTIPLIER
-        slot = (key >> np.uint64(64 - _SLOT_BITS)).astype(np.intp)
+            key += column
+            key *= _HASH_MULTIPLIER
+        # a slot's uint64 bits are its intp value, as it is below 2**_SLOT_BITS
+        key >>= np.uint64(64 - _SLOT_BITS)
+        slot = key.view(np.intp)
         stand_in = np.full(1 << _SLOT_BITS, -1, dtype=np.intp)
         # any one record stands for its slot
         stand_in[slot] = np.arange(slot.size)
@@ -442,6 +525,7 @@ class _LabelCodes:
         table[used] = [self.code(buf[starts[i]:stops[i]]) for i in stand_in[used].tolist()]
         codes = table[slot]
         stand_in = stand_in[slot]
+        del key, slot
         # a tail too long for its words is looked up on its own, below
         hit = lengths <= 8 * _TAIL_WORDS
         hit &= lengths == lengths[stand_in]
@@ -501,58 +585,155 @@ def _zero_table(max_x: int, where: str, c_values, d_values) -> tuple[OutcomeSpac
         ) from None
 
 
+class _Block(NamedTuple):
+    """What a worker reads of one block of records: all that the calling
+    thread needs to check it against the blocks before it and fill its
+    cells."""
+
+    #: bins and pair codes, each in the least unsigned dtype that holds them
+    x: np.ndarray
+    codes: np.ndarray
+    #: the first record and its trial, the last trial
+    first_record: bytes
+    first_trial: int
+    last_trial: int
+    #: the block's largest bin (-1 if it has no records) and its first row
+    top: int
+    top_row: int
+    #: ``(row, record, trial before it)`` of the first record the block
+    #: alone shows to be malformed, the trial None at row 0; or None
+    fault: tuple | None
+
+
+def _read_block(records: tuple, label_codes: _LabelCodes, opens_file: bool) -> _Block | None:
+    """Decode one block of ``_record_blocks`` records, blank ones left out;
+    the trial of its first record is checked against the blocks before it
+    by the caller. The block that ``opens_file`` starts with the header:
+    None if that is not ``EVENT_HEADER``."""
+    buf, words, starts, ends, first, second = records
+    if opens_file:
+        if _header(buf[starts[0]:ends[0]]) != EVENT_HEADER:
+            return None
+        starts, ends, first, second = starts[1:], ends[1:], first[1:], second[1:]
+    filled = ends > starts
+    if not filled.all():
+        starts, ends, first, second = (a[filled] for a in (starts, ends, first, second))
+    # each array is dropped or made compact as soon as it can be, as the
+    # workers hold theirs at once
+    trial, ok = _decode_ints(buf, words, starts, first)
+    bad = ~ok
+    bad[1:] |= trial[1:] <= trial[:-1]
+    n = trial.size
+    first_trial, last_trial = (int(trial[0]), int(trial[-1])) if n else (0, 0)
+    del trial
+    x, ok = _decode_ints(buf, words, np.minimum(first + 1, second), second)
+    bad |= ~ok
+    bad |= x < 0
+    bad |= second == ends
+    del ok
+    top = int(x.max(initial=-1))
+    top_row = int(x.argmax()) if n else 0
+    # kept compact: every bin is >= 0 and every code < len(pairs)
+    x = x.astype(np.min_scalar_type(max(top, 0)))
+    with label_codes.lock:
+        codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
+    bad |= codes < 0
+    fault = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        # the record before a first fault has a well-formed trial
+        fault = (i, buf[starts[i]:ends[i]], int(buf[starts[i - 1]:first[i - 1]]) if i else None)
+    return _Block(
+        x=x,
+        codes=codes.astype(np.min_scalar_type(max(len(label_codes.pairs) - 1, 0))),
+        first_record=buf[starts[0]:ends[0]] if n else b"",
+        first_trial=first_trial,
+        last_trial=last_trial,
+        top=top,
+        top_row=top_row,
+        fault=fault,
+    )
+
+
 def read_event_log(path: str) -> EventLog:
     """Parse an event CSV back into a log.
 
     The outcome space comes from the events: bins 0..max(x), and the
     observed choice and detection labels in sorted order. Trial indices must
-    be strictly increasing; they are normalized to 0..n-1 on ingest.
+    be non-negative and strictly increasing; they are normalized to 0..n-1
+    on ingest.
 
     The file is parsed in blocks of ``_BLOCK_BYTES`` by array operations
     (records in ``_record_blocks``, integers in ``_decode_ints``, labels
-    in ``_LabelCodes``); the first malformed record is named in the error.
-    Each block's bins and pair codes are kept in the least unsigned dtype
-    that holds them, and the cells are filled block by block from them in
-    the log's own dtype.
+    in ``_LabelCodes``) on W workers, W the sampler's rule for the file's
+    ``_BLOCK_BYTES`` blocks as ``os.fstat`` sizes it (so a pipe is read on
+    one thread). ``_record_blocks`` is one generator, which a free worker
+    advances under a lock, so every block's records are found on one path
+    in file order; the worker decodes the block (``_read_block``) with the
+    lock released, and labels under the shared coder's lock. Each block's
+    bins and pair codes are kept in the least unsigned dtype that holds
+    them. Once the workers stop, the calling thread walks the blocks in file
+    order: it checks each block's first trial against the last one before
+    it, raises the first malformed record's error, naming its row, tracks
+    the largest bin, and fills the cells block by block in the log's own
+    dtype. So the log, and any error, is the same for every W. Workers take
+    no block past one that holds a malformed record. Past two workers the
+    blocks shrink to ``2 * _BLOCK_BYTES / W``, so that the W in flight hold
+    what two full blocks would; numpy hands the GIL back and forth at each
+    of a block's array operations, so smaller blocks cost time.
     """
     label_codes = _LabelCodes()
-    xs: list[np.ndarray] = []
-    pair_codes: list[np.ndarray] = []
-    header_ok = None
+    blocks: dict[int, _Block | None] = {}
+    feed = threading.Lock()
+    # the index of the first block seen to hold a fault; none is read past it
+    stop = math.inf
+
+    with open(path, "rb") as fh:
+        workers = worker_count(-(-os.fstat(fh.fileno()).st_size // _BLOCK_BYTES))
+        # past two workers, blocks shrink so that those in flight hold what two would
+        fed = _record_blocks(fh, -(-2 * _BLOCK_BYTES // max(workers, 2)))
+        n_fed = 0  # counted here, as enumerate would hold the last block until the next
+
+        def read(_w: int) -> None:
+            nonlocal n_fed, stop
+            try:
+                while True:
+                    with feed:
+                        records, k = next(fed, None), n_fed
+                        n_fed += 1
+                    if records is None or k > stop:
+                        return
+                    blocks[k] = block = _read_block(records, label_codes, k == 0)
+                    del records
+                    if block is None or block.fault is not None:
+                        with feed:
+                            stop = min(stop, k)
+            except BaseException:
+                stop = -1  # the other workers take no more blocks
+                raise
+
+        run_workers(read, workers)
+    if blocks.get(0) is None:
+        raise ValueError(f"expected header {','.join(EVENT_HEADER)!r} in {path}")
     last_trial = -1
     n_rows = 0
     # the largest bin and the first row that holds it
     max_x, max_row = -1, 0
-    with open(path, "rb") as fh:
-        for buf, words, starts, ends, first, second in _record_blocks(fh):
-            if header_ok is None:
-                header_ok = _header(buf[starts[0]:ends[0]]) == EVENT_HEADER
-                if not header_ok:
-                    break
-                starts, ends, first, second = starts[1:], ends[1:], first[1:], second[1:]
-            filled = ends > starts
-            if not filled.all():
-                starts, ends, first, second = (a[filled] for a in (starts, ends, first, second))
-            trial, trial_ok = _decode_ints(buf, words, starts, first)
-            x, x_ok = _decode_ints(buf, words, np.minimum(first + 1, second), second)
-            codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
-            bad = ~trial_ok | ~x_ok | (x < 0) | (codes < 0) | (second == ends)
-            bad |= trial <= np.concatenate(([last_trial], trial[:-1]))
-            if bad.any():
-                i = int(np.argmax(bad))
-                prev = int(trial[i - 1]) if i else last_trial
-                raise _row_error(buf[starts[i]:ends[i]], n_rows + i + 1, prev, path)
-            if trial.size:
-                last_trial = int(trial[-1])
-            top = int(x.max(initial=-1))
-            if top > max_x:
-                max_x, max_row = top, n_rows + int(x.argmax())
-            n_rows += trial.size
-            # kept compact: every bin is >= 0 and every code < len(pairs)
-            xs.append(x.astype(np.min_scalar_type(max(top, 0))))
-            pair_codes.append(codes.astype(np.min_scalar_type(max(len(label_codes.pairs) - 1, 0))))
-    if not header_ok:
-        raise ValueError(f"expected header {','.join(EVENT_HEADER)!r} in {path}")
+    # blocks past the first with a fault may be missing
+    ordered = [blocks[k] for k in sorted(blocks)]
+    for block in ordered:
+        if not block.x.size:
+            continue
+        fault = block.fault
+        if fault is not None and fault[0] == 0 or block.first_trial <= last_trial:
+            raise _row_error(block.first_record, n_rows + 1, last_trial, path)
+        if fault is not None:
+            i, record, prev = fault
+            raise _row_error(record, n_rows + i + 1, prev, path)
+        last_trial = block.last_trial
+        if block.top > max_x:
+            max_x, max_row = block.top, n_rows + block.top_row
+        n_rows += block.x.size
     if not n_rows:
         raise ValueError(f"no events in {path}; cannot infer an outcome space")
     c_values, d_values = (sorted(set(axis)) for axis in zip(*label_codes.pairs))
@@ -567,11 +748,11 @@ def read_event_log(path: str) -> EventLog:
     stride = dtype.type(space.n_c * space.n_d)
     cells = np.empty(n_rows, dtype)
     start = 0
-    for x, codes in zip(xs, pair_codes):
-        block = cells[start:start + x.size]
-        np.multiply(x, stride, out=block, dtype=dtype, casting="unsafe")
-        block += offsets.take(codes)
-        start += x.size
+    for block in ordered:
+        out = cells[start:start + block.x.size]
+        np.multiply(block.x, stride, out=out, dtype=dtype, casting="unsafe")
+        out += offsets.take(block.codes)
+        start += block.x.size
     cells.setflags(write=False)
     return EventLog(space, cells)
 

@@ -44,10 +44,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-AUDIT, EVENTS = "dcqe/audit.py", "dcqe/events.py"
+AUDIT, EVENTS, IO = "dcqe/audit.py", "dcqe/events.py", "dcqe/io.py"
 MATCHES = "tests/test_audit.py::TestMatchesReference"
 SAMPLER = "tests/test_events.py::TestSamplerIsBitIdentical"
 COUNTS = "tests/test_events.py::TestEventLog::test_counts_on_any_worker_count"
+WORKER_COUNTS = "tests/test_io.py::TestWorkerCounts"
 
 MUTANTS = (
     # the sampler's end rule and its proofs: without it a table whose cumsum
@@ -140,16 +141,29 @@ MUTANTS = (
     Mutant("feasibility_empty_rows_kept", "dcqe/feasibility.py",
            "            if template or b:\n", "            if True:\n",
            ("tests/test_feasibility.py::TestSameBits::test_pinned_system_matches_the_reference",)),
-    Mutant("reader_last_row_of_largest_bin", "dcqe/io.py", "if top > max_x:", "if top >= max_x:",
+    Mutant("reader_last_row_of_largest_bin", IO, "if block.top > max_x:", "if block.top >= max_x:",
            ("tests/test_io.py::TestEventLogFiles::test_unallocatable_table_names_the_first_row_of_its_bin",)),
     # the label key's last word left out of its slot's top bits; and a
     # record that takes its slot's code without a check of its length
-    Mutant("label_key_unmixed", "dcqe/io.py", "key = (key + column) * _HASH_MULTIPLIER",
-           "key = key * _HASH_MULTIPLIER + column",
+    Mutant("label_key_unmixed", IO, "            key += column\n            key *= _HASH_MULTIPLIER\n",
+           "            key *= _HASH_MULTIPLIER\n            key += column\n",
            ("tests/test_io.py::TestEventReaderBlocks::test_paper_layouts_take_distinct_slots",)),
-    Mutant("slot_hit_ignores_length", "dcqe/io.py",
+    Mutant("slot_hit_ignores_length", IO,
            "        hit &= lengths == lengths[stand_in]\n", "",
            ("tests/test_io.py::TestEventReaderBlocks::test_tails_apart_only_by_length",)),
+    # the event-log writer and reader on W workers: a block written at the
+    # offset past its own bytes; the blocks walked in the order the workers
+    # finished them, not in file order; and no check of a block's first
+    # trial against the last trial before it
+    Mutant("writer_block_offset_past_itself", IO, "offset = ends[k]\n", "offset = ends[k + 1]\n",
+           (f"{WORKER_COUNTS}::test_written_files_are_identical[plain-10001]",)),
+    Mutant("reader_blocks_in_finishing_order", IO,
+           "ordered = [blocks[k] for k in sorted(blocks)]", "ordered = list(blocks.values())",
+           (f"{WORKER_COUNTS}::test_a_later_block_that_finishes_first_is_not_named",)),
+    Mutant("reader_no_cross_block_trial_check", IO,
+           "if fault is not None and fault[0] == 0 or block.first_trial <= last_trial:",
+           "if fault is not None and fault[0] == 0:",
+           (f"{WORKER_COUNTS}::test_trials_that_fall_back_across_a_block_boundary[1]",)),
 )
 
 

@@ -211,7 +211,7 @@ class TestEventLog:
     ])
     def test_counts_on_any_worker_count(self, workers, n_trials, n_x, monkeypatch):
         asked = []
-        monkeypatch.setattr(dcqe.events, "_workers",
+        monkeypatch.setattr(dcqe.events, "worker_count",
                             lambda n_chunks: asked.append(n_chunks) or workers)
         space = OutcomeSpace(n_x, ("a", "b"), ("D1", "D2"))
         cells = np.random.default_rng(n_trials).integers(0, 4 * n_x, size=n_trials)
@@ -221,7 +221,7 @@ class TestEventLog:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_counts_of_sampled_built_and_read_logs(self, workers, monkeypatch, tmp_path):
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: workers)
         sampled = sample_events(build_kim(default_fringe_model()), 3 * CHUNK_TRIALS + 17, 2)
         path = str(tmp_path / "log.csv")
         write_event_log(sampled, path)
@@ -242,7 +242,7 @@ class TestEventLog:
             return plain(cells, *args, **kwargs)
 
         baseline = threading.active_count()
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: workers)
         monkeypatch.setattr(dcqe.events.np, "bincount", failing)
         with pytest.raises(RuntimeError, match="counting"):
             log.counts()
@@ -268,7 +268,7 @@ class TestEventLog:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_counts_on_workers_do_not_copy_the_log(self, workers, monkeypatch):
         # set before the log is sampled, so the threads' first start is not traced
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: workers)
         assert self.counting_peak() < self.COUNTING_SCRATCH
 
 
@@ -373,7 +373,7 @@ class TestSampleEvents:
         assert peak - nbytes <= self.SLICE_SCRATCH
 
     def test_memory_is_the_cells_and_one_slice_per_worker(self, monkeypatch):
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: 2)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: 2)
         # intp cells alone would add 60 MB
         peak, nbytes = self.sampling_peak(10_000_000)
         assert peak - nbytes <= 2 * self.SLICE_SCRATCH
@@ -608,7 +608,7 @@ class TestSamplerIsBitIdentical:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [3 * CHUNK_TRIALS - 5, N_WIDE])
     def test_any_worker_count_matches_plain_sampler(self, workers, n, monkeypatch):
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: workers)
         # more workers than most hosts have CPUs, switching as often as they can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -651,7 +651,7 @@ class TestSamplerIsBitIdentical:
             return plain(seed, chunk_index, size)
 
         baseline = threading.active_count()
-        monkeypatch.setattr(dcqe.events, "_workers", lambda n_chunks: workers)
+        monkeypatch.setattr(dcqe.events, "worker_count", lambda n_chunks: workers)
         monkeypatch.setattr(dcqe.events, "_chunk_bits", failing)
         # chunk 5 falls to another thread for 2 and 3 workers, to the caller for 5
         with pytest.raises(RuntimeError, match="chunk 5"):
@@ -989,7 +989,7 @@ class TestWorkers:
             raise AssertionError("affinity queried")
 
         monkeypatch.setattr(dcqe.events.os, "sched_getaffinity", unused, raising=False)
-        assert [dcqe.events._workers(n) for n in range(1, 8)] == [1] * 7
+        assert [dcqe.events.worker_count(n) for n in range(1, 8)] == [1] * 7
 
     @pytest.mark.parametrize("n_chunks, cpus, workers", [
         (8, 64, 2), (11, 64, 2), (12, 64, 3), (153, 64, 38), (153, 2, 2), (8, 1, 1), (10**6, 3, 3),
@@ -997,14 +997,14 @@ class TestWorkers:
     def test_one_per_cpu_with_four_chunks_each(self, n_chunks, cpus, workers, monkeypatch):
         monkeypatch.setattr(dcqe.events.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert dcqe.events._workers(n_chunks) == workers
+        assert dcqe.events.worker_count(n_chunks) == workers
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(dcqe.events.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(dcqe.events.os, "cpu_count", lambda: 3)
-        assert dcqe.events._workers(153) == 3
+        assert dcqe.events.worker_count(153) == 3
         monkeypatch.setattr(dcqe.events.os, "cpu_count", lambda: None)
-        assert dcqe.events._workers(153) == 1
+        assert dcqe.events.worker_count(153) == 1
 
 
 def assert_kept_as_checked(made, checked):

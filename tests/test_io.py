@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import re
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import dcqe.io
 
 from dcqe import (
+    CHUNK_TRIALS,
     LOSS,
     ArchitectureSpec,
     EventLog,
@@ -808,6 +812,213 @@ class TestEventReaderFuzz:
         assert 0 < accepted < 40
 
 
+#: Worker counts the writer and reader are forced to; 5 leaves blocks over.
+WORKERS = [1, 2, 3, 5]
+
+
+def force_workers(monkeypatch, workers):
+    """Make io's writer and reader use ``workers`` workers, whatever the file."""
+    monkeypatch.setattr(dcqe.io, "worker_count", lambda units: workers)
+
+
+def multibyte_label_log(n_trials, seed=8):
+    space = OutcomeSpace(5, ("ψ-erase", "保持"), ("D₁", "Dé", LOSS))
+    return sample_events(JointDistribution(space, np.full(space.shape, 1.0 / 30)), n_trials, seed)
+
+
+def read_outcome(path):
+    """The cells ``read_event_log`` reads from ``path``, or its error's message."""
+    try:
+        return read_event_log(path).cells.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestWorkerCounts:
+    """Files, logs and errors are the same on any number of workers."""
+
+    @pytest.mark.parametrize(
+        "n_trials",
+        [1, 9_999, 10_000, 10_001, 8 * CHUNK_TRIALS - 1, 8 * CHUNK_TRIALS, 8 * CHUNK_TRIALS + 1],
+    )
+    @pytest.mark.parametrize("labels", ["plain", "quoted", "multibyte"])
+    def test_written_files_are_identical(self, tmp_path, monkeypatch, n_trials, labels):
+        if labels == "plain":
+            log = sample_events(small_joint(), n_trials, 5)
+        else:
+            log = (quoted_label_log if labels == "quoted" else multibyte_label_log)(n_trials)
+        path = tmp_path / "events.csv"
+        digests = set()
+        for workers in WORKERS:
+            force_workers(monkeypatch, workers)
+            write_event_log(log, path)
+            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert len(digests) == 1
+        if n_trials < 20_000:
+            assert_writes_like_reference(log, tmp_path)
+
+    def test_log_smaller_than_its_space(self, tmp_path, monkeypatch):
+        space = OutcomeSpace(
+            7000, tuple(f"c{k:02}" for k in range(15)), tuple(f"D{k:02}" for k in range(20))
+        )
+        log = EventLog(space, np.random.default_rng(4).integers(0, math.prod(space.shape), 301))
+        for workers in WORKERS:
+            force_workers(monkeypatch, workers)
+            assert_writes_like_reference(log, tmp_path)
+
+    @staticmethod
+    def written(tmp_path, body=None):
+        """Event files of several record kinds: plain, quoted, labels with
+        spaces and CRLF endings; ``body`` adds one made by hand."""
+        logs = {
+            "plain": sample_events(small_joint(), 5_000, 3),
+            "quoted": quoted_label_log(2_000),
+            "spaced": EventLog(
+                OutcomeSpace(4, ("a b", "c"), (" D 1", "D2")), np.arange(2000) % 16
+            ),
+        }
+        paths = []
+        for name, log in logs.items():
+            paths.append(tmp_path / f"{name}.csv")
+            write_event_log(log, paths[-1])
+        paths.append(tmp_path / "crlf.csv")
+        paths[-1].write_bytes(paths[0].read_bytes().replace(b"\n", b"\r\n"))
+        return paths
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_logs_are_equal_at_any_block_size(self, tmp_path, monkeypatch, workers):
+        paths = self.written(tmp_path)
+        expected = [read_event_log(path) for path in paths]
+        force_workers(monkeypatch, workers)
+        for block_bytes in (512, 1 << 18):
+            monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+            assert [read_event_log(path) for path in paths] == expected
+
+    @staticmethod
+    def outcomes(path, monkeypatch, block_sizes=(512, 1 << 18)):
+        """What each forced worker count reads from ``path`` at each block size."""
+        found = set()
+        for workers in WORKERS:
+            force_workers(monkeypatch, workers)
+            for block_bytes in block_sizes:
+                monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", block_bytes)
+                found.add(read_outcome(path))
+        return found
+
+    def test_the_first_of_two_malformed_rows_is_named(self, tmp_path, monkeypatch):
+        rows = [b"%d,%d,a,D1" % (t, t % 7) for t in range(3000)]
+        rows[40] = b"40,+1,a,D1"
+        rows[2500] = b"2500,1,a"
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\n".join([b"trial,x,c,d", *rows, b""]))
+        assert self.outcomes(path, monkeypatch) == {
+            f"bin b'+1' in event row 41 of {path} is not a bare decimal integer"
+        }
+
+    def test_a_later_block_that_finishes_first_is_not_named(self, tmp_path, monkeypatch):
+        # block 0 waits until another block is read, so the blocks finish
+        # out of file order; the error is still the first row's
+        rows = [b"%d,%d,a,D1" % (t, t % 7) for t in range(3000)]
+        rows[3] = b"3,-1,a,D1"
+        rows[2000] = b"2000,x,a,D1"
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\n".join([b"trial,x,c,d", *rows, b""]))
+        read_block, later_read = dcqe.io._read_block, threading.Event()
+
+        def out_of_order(records, label_codes, opens_file):
+            if opens_file:
+                assert later_read.wait(10)
+            block = read_block(records, label_codes, opens_file)
+            later_read.set()
+            return block
+
+        monkeypatch.setattr(dcqe.io, "_read_block", out_of_order)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
+        force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match=r"bin -1 in event row 4 .* not a valid index"):
+            read_event_log(path)
+
+    @pytest.mark.parametrize("fall_back", [1, 300])
+    def test_trials_that_fall_back_across_a_block_boundary(self, tmp_path, monkeypatch, fall_back):
+        # records of 16 bytes in blocks of 16: each record opens its own block
+        trials = list(range(400))
+        trials[fall_back] = trials[fall_back - 1]
+        rows = [b"%05d,%03d,ab,cd" % (t, t % 9) for t in trials]
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\n".join([b"trial,x,c,d", *rows, b""]))
+        expected = f"trial indices must be strictly increasing in {path}"
+        assert self.outcomes(path, monkeypatch, (16, 512, 1 << 18)) == {expected}
+
+    def test_a_bad_header_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.csv"
+        write_event_log(sample_events(small_joint(), 20_000, 3), path)
+        path.write_bytes(b"trial,x,c,e" + path.read_bytes()[len(b"trial,x,c,d"):])
+        assert self.outcomes(path, monkeypatch) == {f"expected header 'trial,x,c,d' in {path}"}
+
+    def test_shared_label_coder_under_fast_switching(self, tmp_path, monkeypatch):
+        # more workers than CPUs, switching every microsecond: a tail parsed
+        # twice or a pair numbered twice would show as a lost update
+        space = OutcomeSpace(
+            6, tuple(f"c{k:02}" for k in range(20)), tuple(f"D{k:02}" for k in range(15))
+        )
+        log = EventLog(space, np.random.default_rng(2).integers(0, math.prod(space.shape), 20_000))
+        path = tmp_path / "events.csv"
+        write_event_log(log, path)
+        parsed = []
+        label_pair = dcqe.io._label_pair
+
+        def counted(tail):
+            parsed.append(tail)
+            return label_pair(tail)
+
+        monkeypatch.setattr(dcqe.io, "_label_pair", counted)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 4096)
+        force_workers(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            read = read_event_log(path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert read == log
+        pairs = set(zip(log.c_idx.tolist(), log.d_idx.tolist()))
+        assert len(parsed) == len(set(parsed)) == len(pairs)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_stop_after_a_raising_worker(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "events.csv"
+        log = sample_events(small_joint(), 20_000, 3)
+        write_event_log(log, path)
+        baseline = threading.active_count()
+        read_block, reads = dcqe.io._read_block, []
+
+        def fails_on_the_third(records, label_codes, opens_file):
+            reads.append(None)
+            if len(reads) == 3:
+                raise MemoryError("a worker's block")
+            return read_block(records, label_codes, opens_file)
+
+        monkeypatch.setattr(dcqe.io, "_read_block", fails_on_the_third)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
+        force_workers(monkeypatch, workers)
+        with pytest.raises(MemoryError, match="a worker's block"):
+            read_event_log(path)
+        assert threading.active_count() == baseline
+
+        pwrite, writes = dcqe.io._pwrite, []
+
+        def fails_once(fd, data, offset):
+            writes.append(None)
+            if len(writes) == 3:
+                raise OSError("a worker's write")
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(dcqe.io, "_pwrite", fails_once)
+        with pytest.raises(OSError, match="a worker's write"):
+            write_event_log(log, path)
+        assert threading.active_count() == baseline
+
+
 class TestEventReaderMemory:
     def test_memory_is_the_cells_and_a_few_blocks(self, tmp_path):
         # bins and pair codes are kept in a byte each, and the cells are
@@ -825,6 +1036,11 @@ class TestEventReaderMemory:
         assert np.array_equal(read.cells, log.cells)
         assert peak < read.cells.nbytes + 2 * len(log) + 4 * dcqe.io._BLOCK_BYTES
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_on_forced_workers(self, tmp_path, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        self.test_memory_is_the_cells_and_a_few_blocks(tmp_path)
+
 
 class TestEventWriterMemory:
     def test_memory_is_the_cell_table_and_a_few_blocks(self, tmp_path):
@@ -841,6 +1057,11 @@ class TestEventWriterMemory:
         # per cell, its table row and the str and bytes it is rendered from
         table = len(fields) * (row_bytes + 200)
         assert peak < table + 8 * 10**dcqe.io._LOW_DIGITS * row_bytes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_on_forced_workers(self, tmp_path, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        self.test_memory_is_the_cell_table_and_a_few_blocks(tmp_path)
 
 
 class TestJointFiles:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcqe import (
@@ -206,6 +206,8 @@ class TestValidate:
         kind=st.sampled_from(["random", "one cell nearly all", "equal", "sparse"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # an 8-cell space, where the sparse branch once drew 9 cells
+    @example(log_cells=0.9375, n_c=2, n_d=1, kind="sparse", seed=7)
     def test_count_tables_pass_the_checks_they_skip(self, log_cells, n_c, n_d, kind, seed):
         # validate returns a count-built table unchecked, as it has no
         # negative cell and sums to 1 within the bound its docstring proves
@@ -227,7 +229,7 @@ class TestValidate:
             counts[rng.random(size) < rng.random()] = 0
         else:
             counts = np.zeros(size, dtype=np.int64)
-            k = int(rng.integers(1, 10))
+            k = min(int(rng.integers(1, 10)), size)
             counts[rng.choice(size, k, replace=False)] = rng.integers(1, MAX_SAMPLES // k, k)
         counts[0] += counts.sum() == 0
         joint = JointDistribution(space, counts=counts.reshape(space.shape))

@@ -16,9 +16,9 @@ slice size. Runs of at least eight chunks are sampled, and logs as long
 counted, on a few threads, at most one per CPU the process may run on and
 with at least four chunks each; the cells and the counts are the same to the
 bit on any number of threads, and CPU affinity (e.g. ``taskset -c 0``) is
-the only control. ``worker_count`` and ``run_workers`` hold that rule and
-start those threads; ``dcqe.io`` writes and reads event logs on them too,
-and they are left out of ``__all__``. A guide table (Chen & Asau 1974;
+the only control. ``worker_count`` and ``run_workers``, left out of
+``__all__``, hold that rule and start those threads; ``dcqe.io`` writes and
+reads event logs on at most two of them. A guide table (Chen & Asau 1974;
 Devroye 1986, III.2.4) inverts the cdf exactly as a sorted search of
 ``Generator.random``'s doubles would, working in integers on the raw words
 those doubles are made from and searching only draws from the buckets that
@@ -195,9 +195,10 @@ def worker_count(units: int) -> int:
     """Threads to work through ``units`` units on: one per CPU this process
     may run on, with at least four units each, so one below eight. A unit is
     a chunk of ``CHUNK_TRIALS`` trials for sampling, counting and writing an
-    event log, and a 256 KiB block of the file for reading one. The
-    affinity mask (``taskset`` sets it) is the only control; the cells,
-    counts, files and logs are the same whatever it returns."""
+    event log, and a 256 KiB block of the file for reading one (``dcqe.io``
+    takes at most two workers). The affinity mask (``taskset`` sets it) is
+    the only control; the cells, counts, files and logs are the same
+    whatever it returns."""
     if units < 8:
         return 1
     try:

@@ -14,11 +14,12 @@ written through; the new file gets default permissions, not the old
 file's; and writing needs write permission on the directory.
 
 Event logs are written and read on the worker threads the sampler uses
-(``dcqe.events.run_workers``), W of them by its rule: one per CPU in the
+(``dcqe.events.run_workers``), W of them by its rule (one per CPU in the
 affinity mask, with at least four units each, a unit being a
 ``CHUNK_TRIALS`` chunk of the log for the writer and a ``_BLOCK_BYTES``
-block of the file for the reader. The same code runs at W = 1, and the
-files, logs and errors are the same for every W.
+block of the file for the reader), capped at ``_MAX_WORKERS``. The same
+code runs at W = 1, and the files, logs and errors are the same for every
+W.
 """
 
 from __future__ import annotations
@@ -156,6 +157,13 @@ _LOW_DIGITS = 4
 #: Filler between the fields of a rendered row; UTF-8 never holds this byte.
 _GAP = 0xFF
 
+#: The most workers the event-log writer and reader take. Two were measured
+#: faster than one on a two-CPU host (a 1e6-event log read in 157 against
+#: 204 ms); more were not measured, and every array operation of a block
+#: hands the GIL among the workers, the writer's gap compaction holds it,
+#: and each reader block in flight is a block more of memory.
+_MAX_WORKERS = 2
+
 
 def write_event_log(log: EventLog, path: str) -> None:
     """CSV with header ``trial,x,c,d``; the loss outcome is spelled LOSS.
@@ -172,10 +180,10 @@ def write_event_log(log: EventLog, path: str) -> None:
     known before any is rendered, so its offset in the file is too. Blocks
     are rendered and written at their offsets with ``os.pwrite`` on W
     workers, worker w taking blocks w, w + W, ..., where W is the sampler's
-    rule for the log's ``CHUNK_TRIALS`` chunks: one per CPU in the affinity
-    mask, with at least four chunks each. The bytes are the same for every
-    W. A worker renders and writes its block a quarter at a time, so it
-    holds one block and a quarter block's scratch.
+    rule for the log's ``CHUNK_TRIALS`` chunks (one per CPU in the affinity
+    mask, with at least four chunks each), capped at ``_MAX_WORKERS``. The
+    bytes are the same for every W. A worker renders and writes its block a
+    quarter at a time, so it holds one block and a quarter block's scratch.
     """
     cells = log.cells
     table_cells = range(math.prod(log.space.shape))
@@ -205,7 +213,7 @@ def write_event_log(log: EventLog, path: str) -> None:
         )
         ends.append(ends[-1] + digits + int(tail_len.take(cells[start:start + rows]).sum()))
     n_blocks = len(ends) - 1
-    workers = worker_count(-(-n // CHUNK_TRIALS))
+    workers = min(worker_count(-(-n // CHUNK_TRIALS)), _MAX_WORKERS)
     piece = -(-size // 4)
 
     with _new_file(path) as fh:
@@ -376,19 +384,18 @@ def _records(arr, last: bool, zeros: int):
     return starts, ends, np.minimum(seps[after], second), second, rest
 
 
-def _record_blocks(fh, size: int):
+def _record_blocks(fh):
     """Yield ``(buf, words, starts, ends, first, second)`` for each run of whole records.
 
-    ``buf`` is 8 zero bytes, a carried-over partial record, the next
-    ``size`` bytes of the file (as many as the carry, if it is longer), and
-    enough zero bytes that ``words``, its little-endian uint64 view, covers
-    it and ``_TAIL_WORDS`` words past any record. The records are as
-    ``_records`` finds them; the last record of the file needs no
-    terminator.
+    ``buf`` is 8 zero bytes, a carried-over partial record, the next block
+    of the file, and enough zero bytes that ``words``, its little-endian
+    uint64 view, covers it and ``_TAIL_WORDS`` words past any record. The
+    records are as ``_records`` finds them; the last record of the file
+    needs no terminator.
     """
     carry, last = b"", False
     while not last:
-        data = fh.read(max(size, len(carry)))
+        data = fh.read(max(_BLOCK_BYTES, len(carry)))
         if not data and not carry:
             return
         last = not data
@@ -481,15 +488,15 @@ class _LabelCodes:
     record at a time by ``code``.
 
     One coder serves every worker of a read, so each distinct tail is
-    parsed once per file and the pairs are numbered once; a worker holds
-    ``lock`` around each call of ``codes``, which runs one block's lookups
-    at a time. Pair codes follow the order the workers reach the pairs in.
+    parsed once per file and the pairs are numbered once: the workers call
+    ``locked_codes``, which runs one block's ``codes`` at a time. Pair codes
+    follow the order the workers reach the pairs in.
     """
 
     def __init__(self):
         self.pairs: dict[tuple[str, str], int] = {}
         self._by_tail: dict[bytes, int] = {}
-        self.lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def code(self, tail: bytes) -> int:
         """The pair code of one tail; -1 if it is not two labels."""
@@ -499,6 +506,11 @@ class _LabelCodes:
             code = -1 if pair is None else self.pairs.setdefault(pair, len(self.pairs))
             self._by_tail[tail] = code
         return code
+
+    def locked_codes(self, buf, words, starts, stops) -> np.ndarray:
+        """``codes``, one block at a time across threads."""
+        with self._lock:
+            return self.codes(buf, words, starts, stops)
 
     def codes(self, buf, words, starts, stops) -> np.ndarray:
         """Pair codes of the tails ``buf[start:stop]``; -1 marks malformed ones."""
@@ -635,8 +647,7 @@ def _read_block(records: tuple, label_codes: _LabelCodes, opens_file: bool) -> _
     top_row = int(x.argmax()) if n else 0
     # kept compact: every bin is >= 0 and every code < len(pairs)
     x = x.astype(np.min_scalar_type(max(top, 0)))
-    with label_codes.lock:
-        codes = label_codes.codes(buf, words, np.minimum(second + 1, ends), ends)
+    codes = label_codes.locked_codes(buf, words, np.minimum(second + 1, ends), ends)
     bad |= codes < 0
     fault = None
     if bad.any():
@@ -667,20 +678,17 @@ def read_event_log(path: str) -> EventLog:
     (records in ``_record_blocks``, integers in ``_decode_ints``, labels
     in ``_LabelCodes``) on W workers, W the sampler's rule for the file's
     ``_BLOCK_BYTES`` blocks as ``os.fstat`` sizes it (so a pipe is read on
-    one thread). ``_record_blocks`` is one generator, which a free worker
-    advances under a lock, so every block's records are found on one path
-    in file order; the worker decodes the block (``_read_block``) with the
-    lock released, and labels under the shared coder's lock. Each block's
-    bins and pair codes are kept in the least unsigned dtype that holds
-    them. Once the workers stop, the calling thread walks the blocks in file
+    one thread), capped at ``_MAX_WORKERS``. ``_record_blocks`` is one
+    generator, which a free worker advances under a lock, so every block's
+    records are found on one path in file order; the worker decodes the
+    block (``_read_block``) with the lock released, and labels through the
+    shared coder, one block at a time. Each block's bins and pair codes are
+    kept in the least unsigned dtype that holds them. Once the workers stop, the calling thread walks the blocks in file
     order: it checks each block's first trial against the last one before
     it, raises the first malformed record's error, naming its row, tracks
     the largest bin, and fills the cells block by block in the log's own
     dtype. So the log, and any error, is the same for every W. Workers take
-    no block past one that holds a malformed record. Past two workers the
-    blocks shrink to ``2 * _BLOCK_BYTES / W``, so that the W in flight hold
-    what two full blocks would; numpy hands the GIL back and forth at each
-    of a block's array operations, so smaller blocks cost time.
+    no block past one that holds a malformed record.
     """
     label_codes = _LabelCodes()
     blocks: dict[int, _Block | None] = {}
@@ -689,9 +697,9 @@ def read_event_log(path: str) -> EventLog:
     stop = math.inf
 
     with open(path, "rb") as fh:
-        workers = worker_count(-(-os.fstat(fh.fileno()).st_size // _BLOCK_BYTES))
-        # past two workers, blocks shrink so that those in flight hold what two would
-        fed = _record_blocks(fh, -(-2 * _BLOCK_BYTES // max(workers, 2)))
+        units = -(-os.fstat(fh.fileno()).st_size // _BLOCK_BYTES)
+        workers = min(worker_count(units), _MAX_WORKERS)
+        fed = _record_blocks(fh)
         n_fed = 0  # counted here, as enumerate would hold the last block until the next
 
         def read(_w: int) -> None:

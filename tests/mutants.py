@@ -153,8 +153,8 @@ MUTANTS = (
            ("tests/test_io.py::TestEventReaderBlocks::test_tails_apart_only_by_length",)),
     # the event-log writer and reader on W workers: a block written at the
     # offset past its own bytes; the blocks walked in the order the workers
-    # finished them, not in file order; and no check of a block's first
-    # trial against the last trial before it
+    # finished them, not in file order; no check of a block's first trial
+    # against the last trial before it; and a reader on every CPU, past two
     Mutant("writer_block_offset_past_itself", IO, "offset = ends[k]\n", "offset = ends[k + 1]\n",
            (f"{WORKER_COUNTS}::test_written_files_are_identical[plain-10001]",)),
     Mutant("reader_blocks_in_finishing_order", IO,
@@ -164,6 +164,9 @@ MUTANTS = (
            "if fault is not None and fault[0] == 0 or block.first_trial <= last_trial:",
            "if fault is not None and fault[0] == 0:",
            (f"{WORKER_COUNTS}::test_trials_that_fall_back_across_a_block_boundary[1]",)),
+    Mutant("reader_past_two_workers", IO,
+           "workers = min(worker_count(units), _MAX_WORKERS)", "workers = worker_count(units)",
+           (f"{WORKER_COUNTS}::test_no_more_than_two_workers[8]",)),
 )
 
 

@@ -812,12 +812,14 @@ class TestEventReaderFuzz:
         assert 0 < accepted < 40
 
 
-#: Worker counts the writer and reader are forced to; 5 leaves blocks over.
+#: Worker counts the sampler's rule is forced to give the writer and reader;
+#: 3 and 5 stand for hosts with more CPUs, where io still takes two.
 WORKERS = [1, 2, 3, 5]
 
 
 def force_workers(monkeypatch, workers):
-    """Make io's writer and reader use ``workers`` workers, whatever the file."""
+    """Make the sampler's rule give io's writer and reader ``workers``
+    workers, whatever the file."""
     monkeypatch.setattr(dcqe.io, "worker_count", lambda units: workers)
 
 
@@ -956,7 +958,7 @@ class TestWorkerCounts:
         assert self.outcomes(path, monkeypatch) == {f"expected header 'trial,x,c,d' in {path}"}
 
     def test_shared_label_coder_under_fast_switching(self, tmp_path, monkeypatch):
-        # more workers than CPUs, switching every microsecond: a tail parsed
+        # every worker io takes, switching every microsecond: a tail parsed
         # twice or a pair numbered twice would show as a lost update
         space = OutcomeSpace(
             6, tuple(f"c{k:02}" for k in range(20)), tuple(f"D{k:02}" for k in range(15))
@@ -983,6 +985,23 @@ class TestWorkerCounts:
         assert read == log
         pairs = set(zip(log.c_idx.tolist(), log.d_idx.tolist()))
         assert len(parsed) == len(set(parsed)) == len(pairs)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_no_more_than_two_workers(self, tmp_path, monkeypatch, cpus):
+        path = tmp_path / "events.csv"
+        started = []
+
+        def counted(work, workers):
+            started.append(workers)
+            return dcqe.events.run_workers(work, workers)
+
+        monkeypatch.setattr(dcqe.io, "run_workers", counted)
+        monkeypatch.setattr(dcqe.io, "_BLOCK_BYTES", 512)
+        force_workers(monkeypatch, cpus)
+        log = sample_events(small_joint(), 20_000, 3)
+        write_event_log(log, path)
+        assert read_event_log(path) == log
+        assert started == [min(cpus, 2)] * 2
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_threads_stop_after_a_raising_worker(self, tmp_path, monkeypatch, workers):
